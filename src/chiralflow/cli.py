@@ -1,10 +1,9 @@
 """Command-line front door: model catalogue, studies, CSV/SVG emission.
 
-Exit codes: 0 success, 1 criteria verdict false, 2 configuration error,
-3 numeric failure.  All file writes are atomic (temp file then rename).
-Angles accept a ``pi`` suffix ("0.5pi"); times are in inverse base-hopping
-units.  The ``CHIRALFLOW_THREADS`` environment variable caps worker threads
-in the studies.
+Exit codes: 0 success, 1 criteria verdict false, 2 configuration error
+(any bad argument), 3 numeric failure.  All file writes are atomic (temp
+file then rename).  Angles accept a ``pi`` suffix ("0.5pi"); times are in
+inverse base-hopping units.
 """
 
 from __future__ import annotations
@@ -73,7 +72,6 @@ class RunConfig:
     init: str = "1"
     tmax: str = "2pi"
     grid: int = 2001
-    seed: int = 0
     out: str | None = None
     svg: str | None = None
 
@@ -88,7 +86,8 @@ class RunConfig:
             raise ConfigError("grid needs at least 2 points")
         parse_angle(self.flux)
         parse_angle(self.nn_phase)
-        parse_angle(self.tmax)
+        if not 0 <= parse_angle(self.tmax) < math.inf:
+            raise ConfigError(f"tmax {self.tmax!r} must be finite and >= 0")
         parse_float_list(self.profile)
 
     def to_dict(self) -> dict:
@@ -137,16 +136,14 @@ def initial_state(cfg: RunConfig, spec: models.NetworkSpec):
     text = cfg.init.strip()
     n = spec.n_sites
     if set(text) <= {"0", "1"} and len(text) == n and n > 1:
-        occupation = tuple(int(c) for c in text)
-    else:
-        try:
-            node = int(text)
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse initial state {text!r}") from exc
-        if not 1 <= node <= n:
-            raise ConfigError(f"initial node {node} outside 1..{n}")
-        occupation = tuple(1 if j == node else 0 for j in range(1, n + 1))
-    return occupation
+        return tuple(int(c) for c in text)
+    try:
+        node = int(text)
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse initial state {text!r}") from exc
+    if not 1 <= node <= n:
+        raise ConfigError(f"initial node {node} outside 1..{n}")
+    return hilbert.occupation(n, node)
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -160,6 +157,15 @@ def write_atomic(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _emit(path: str | None, text: str) -> None:
+    """Write text atomically to path and report it, or print it to stdout."""
+    if path:
+        write_atomic(path, text)
+        print(f"wrote {path}")
+    else:
+        sys.stdout.write(text)
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -216,32 +222,15 @@ def svg_line_chart(x, series, labels, title: str, width: int = 800, height: int 
     return "\n".join(parts) + "\n"
 
 
-def run_trajectory(cfg: RunConfig):
-    spec = build_spec(cfg)
-    occupation = initial_state(cfg, spec)
-    n_exc = sum(occupation)
-    basis = hilbert.enumerate_basis(spec.n_sites, n_exc, spec.statistics)
-    h = hilbert.build_hamiltonian(spec, basis)
-    psi0 = np.zeros(len(basis), dtype=complex)
-    psi0[basis.state_index(occupation)] = 1.0
-    times = np.linspace(0.0, parse_angle(cfg.tmax), cfg.grid)
-    return spec, dynamics.evolve(h, psi0, times, basis=basis, labels=spec.labels)
-
-
 def cmd_simulate(cfg: RunConfig) -> int:
-    spec, traj = run_trajectory(cfg)
-    csv_text = dynamics.trajectory_to_csv(traj)
-    if cfg.out:
-        write_atomic(cfg.out, csv_text)
-        print(f"wrote {cfg.out}")
-    else:
-        sys.stdout.write(csv_text)
+    spec = build_spec(cfg)
+    times = np.linspace(0.0, parse_angle(cfg.tmax), cfg.grid)
+    traj = dynamics.simulate(spec, initial_state(cfg, spec), times)
+    _emit(cfg.out, dynamics.trajectory_to_csv(traj))
     if cfg.svg:
         series = [traj.populations[:, i] for i in range(traj.populations.shape[1])]
-        chart = svg_line_chart(traj.times, series, traj.labels,
-                               title=f"{cfg.model} populations")
-        write_atomic(cfg.svg, chart)
-        print(f"wrote {cfg.svg}")
+        _emit(cfg.svg, svg_line_chart(traj.times, series, traj.labels,
+                                      title=f"{cfg.model} populations"))
     return 0
 
 
@@ -251,12 +240,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     h = hilbert.build_hamiltonian(spec, basis)
     values = dynamics.eigendecompose(h).eigenvalues
     lines = ["index,eigenvalue"] + [f"{i},{v:.12g}" for i, v in enumerate(values)]
-    text = "\n".join(lines) + "\n"
-    if cfg.out:
-        write_atomic(cfg.out, text)
-        print(f"wrote {cfg.out}")
-    else:
-        sys.stdout.write(text)
+    _emit(cfg.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -285,12 +269,7 @@ def cmd_study_disorder(args) -> int:
         for point in experiments.disorder_sweep(base, cfg, amplitudes=amplitudes):
             rows.append((kind, point.amplitude, point.mean_fidelity,
                          point.stderr, point.samples, args.seed))
-    text = _csv(rows, "kind,amplitude,mean_fidelity,stderr,samples,seed")
-    if args.out:
-        write_atomic(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, _csv(rows, "kind,amplitude,mean_fidelity,stderr,samples,seed"))
     return 0
 
 
@@ -300,12 +279,7 @@ def cmd_study_ladder(args) -> int:
     for point in experiments.ladder_fidelity_curve(sizes):
         rows.append((point.n_copies, point.fidelity, point.period,
                      ";".join(f"{b:.6g}" for b in point.profile)))
-    text = _csv(rows, "n_copies,fidelity,period,profile")
-    if args.out:
-        write_atomic(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, _csv(rows, "n_copies,fidelity,period,profile"))
     return 0
 
 
@@ -314,12 +288,8 @@ def cmd_study_optimize(args) -> int:
     rows = [(args.ncopies, result.fidelity, result.period, result.iterations,
              str(result.monotone).lower(), str(result.budget_exhausted).lower(),
              ";".join(f"{b:.6g}" for b in result.beta_profile))]
-    text = _csv(rows, "n_copies,fidelity,period,evaluations,monotone,budget_exhausted,profile")
-    if args.out:
-        write_atomic(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    header = "n_copies,fidelity,period,evaluations,monotone,budget_exhausted,profile"
+    _emit(args.out, _csv(rows, header))
     return 0
 
 
@@ -333,24 +303,14 @@ def cmd_study_bell(args) -> int:
                      *result.concurrence[:, i]))
     header = ("t,p_psi_12,p_psi_23,p_psi_31,p_phi_12,p_phi_23,p_phi_31,"
               "c_12,c_23,c_31")
-    text = _csv(rows, header)
-    if args.out:
-        write_atomic(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, _csv(rows, header))
     return 0
 
 
 def cmd_study_floquet(args) -> int:
     ratios = parse_float_list(args.ratios)
     rows = floquet.rwa_deviation_scan(ratios)
-    text = _csv(rows, "ratio,max_deviation")
-    if args.out:
-        write_atomic(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, _csv(rows, "ratio,max_deviation"))
     return 0
 
 
@@ -358,37 +318,39 @@ def cmd_oracle_check(_args) -> int:
     checks = []
     t = np.linspace(0.0, 12.0, 1200)
 
-    spec = models.sgf_ring(3, math.pi / 2)
-    traj = _evolve_spec(spec, t)
+    def run(spec):
+        return dynamics.simulate(spec, hilbert.occupation(spec.n_sites, 1), t)
+
+    traj = run(models.sgf_ring(3, math.pi / 2))
     err = max(float(np.max(np.abs(traj.node_population(j) - oracles.three_node_sgf_population(j, t))))
               for j in (1, 2, 3))
     checks.append(("three_node_ring", err))
 
     for theta in (math.pi / 4, math.pi / 2, 3 * math.pi / 8):
-        traj = _evolve_spec(models.sgf_ring(4, 4 * theta), t)
+        traj = run(models.sgf_ring(4, 4 * theta))
         oracle = oracles.four_node_sgf_populations(theta, t)
         err = float(np.max(np.abs(traj.populations.T - oracle)))
         checks.append((f"four_node_ring_theta={theta:.3f}", err))
 
     for beta in (1.0, 2.0, 3.0):
-        traj = _evolve_spec(models.asgf(4, beta, math.pi / 2), t)
+        traj = run(models.asgf(4, beta, math.pi / 2))
         err = max(float(np.max(np.abs(traj.node_population(j)
                                       - np.asarray(oracles.four_node_asgf_amplitude(j, beta, t)) ** 2)))
                   for j in (1, 2, 3, 4))
         checks.append((f"four_node_centre_beta={beta:g}", err))
 
-    traj = _evolve_spec(models.asgf(6, math.sqrt(2.0), math.pi / 2), t)
+    traj = run(models.asgf(6, math.sqrt(2.0), math.pi / 2))
     oracle = oracles.six_node_asgf_populations(math.sqrt(2.0), t)
     checks.append(("six_node_centre", float(np.max(np.abs(traj.populations[:, :6].T - oracle)))))
 
     for n in range(3, 9):
-        traj = _evolve_spec(models.sgf_ring(n, n * math.pi / 2), t)
+        traj = run(models.sgf_ring(n, n * math.pi / 2))
         err = max(float(np.max(np.abs(traj.node_population(j)
                                       - np.abs(oracles.n_node_sgf_solution(n, j, t)) ** 2)))
                   for j in range(1, n + 1))
         checks.append((f"ring_plane_waves_n={n}", err))
 
-    traj = _evolve_spec(models.ladder(3, [2.0]), t)
+    traj = run(models.ladder(3, [2.0]))
     rec = oracles.ladder_return_population(3, t)
     checks.append(("ladder_resolvent", float(np.max(np.abs(traj.node_population(1) - rec)))))
 
@@ -398,12 +360,6 @@ def cmd_oracle_check(_args) -> int:
         print(f"{name}: max_err={err:.3e} {status}")
         worst = max(worst, err)
     return 0 if worst <= 1e-9 else 3
-
-
-def _evolve_spec(spec, times):
-    basis = hilbert.enumerate_basis(spec.n_sites, 1, spec.statistics)
-    h = hilbert.build_hamiltonian(spec, basis)
-    return dynamics.evolve(h, dynamics.basis_state(spec.n_sites, 0), times, labels=spec.labels)
 
 
 def _config_from_args(args) -> RunConfig:
@@ -432,7 +388,6 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--init", help="initial node label or bit pattern")
     parser.add_argument("--tmax", help="time window length, e.g. 2pi")
     parser.add_argument("--grid", type=int, help="number of grid points")
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--out", help="CSV output path")
     parser.add_argument("--svg", help="SVG output path")
 
@@ -459,7 +414,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = study_sub.add_parser("ladder")
     p.add_argument("--nrange", default="1:8")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
 
     p = study_sub.add_parser("optimize")
@@ -470,12 +424,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = study_sub.add_parser("bell")
     p.add_argument("--initial", choices=("psi", "phi"), default="psi")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
 
     p = study_sub.add_parser("floquet")
     p.add_argument("--ratios", default="10,20,40")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
 
     sub.add_parser("oracle-check")

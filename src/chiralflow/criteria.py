@@ -14,10 +14,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import Direction, Trajectory, chirality_order, eigendecompose, evolve
+from .dynamics import (
+    Direction,
+    Trajectory,
+    chirality_order,
+    cluster_levels,
+    eigendecompose,
+    evolve,
+    simulate,
+)
 from .errors import DimensionMismatch, NotSpin
 from .hilbert import HermitianMatrix, OnSite, build_hamiltonian, enumerate_basis
 from .models import ChiralOperator, NetworkSpec, sgf_ring
+from .oracles import ring_mode_numbers
 
 
 @dataclass(frozen=True)
@@ -54,26 +63,12 @@ class CriteriaReport:
         return "\n".join(lines)
 
 
-def _cluster_levels(values: np.ndarray, tol: float) -> list[list[int]]:
-    clusters: list[list[int]] = []
-    for i, v in enumerate(values):
-        if clusters and abs(v - values[clusters[-1][-1]]) <= tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return clusters
-
-
 def _ring_plane_wave(dim: int, ring_idx: list[int], winding: int) -> np.ndarray:
     n = len(ring_idx)
     vec = np.zeros(dim, dtype=complex)
     for pos, site in enumerate(ring_idx):
         vec[site] = np.exp(2j * math.pi * winding * pos / n) / math.sqrt(n)
     return vec
-
-
-def _mode_numbers(n: int) -> range:
-    return range(-(n // 2) + (0 if n % 2 else 1), n // 2 + 1)
 
 
 def _classify_single(vector: np.ndarray, ring_idx: list[int], mod_tol: float) -> ChiralModeTag:
@@ -90,7 +85,7 @@ def _classify_single(vector: np.ndarray, ring_idx: list[int], mod_tol: float) ->
     positions = np.arange(n)
     best_m = None
     best_residual = math.inf
-    for m in _mode_numbers(n):
+    for m in ring_mode_numbers(n):
         wave = np.exp(2j * math.pi * m * positions / n) / math.sqrt(n)
         overlap = abs(np.vdot(wave, r))
         residual = math.sqrt(max(0.0, 1.0 - overlap * overlap))
@@ -120,7 +115,7 @@ def check_criteria(h, ring_nodes, tol: float = 1e-9) -> CriteriaReport:
     symmetric = asym <= tol * scale
 
     level_tol = tol * scale
-    clusters = _cluster_levels(values, level_tol)
+    clusters = cluster_levels(values, level_tol)
     degenerate = sum(1 for c in clusters if len(c) > 1)
     positive = values[values > level_tol]
     if positive.size:
@@ -142,7 +137,7 @@ def check_criteria(h, ring_nodes, tol: float = 1e-9) -> CriteriaReport:
         # candidate winding onto the block before classification.
         block = system.eigenvectors[:, cluster]
         matched = 0
-        for m in _mode_numbers(n):
+        for m in ring_mode_numbers(n):
             wave = _ring_plane_wave(dim, ring_idx, m)
             weight = float(np.linalg.norm(block.conj().T @ wave))
             if weight >= 1.0 - mod_tol:
@@ -152,7 +147,7 @@ def check_criteria(h, ring_nodes, tol: float = 1e-9) -> CriteriaReport:
             tags.append(ChiralModeTag(None, False, math.inf))
 
     windings = [t.winding for t in tags if t.winding is not None]
-    needed = set(_mode_numbers(n))
+    needed = set(ring_mode_numbers(n))
     complete = (len(windings) == dim) and needed <= set(windings)
 
     return CriteriaReport(
@@ -246,21 +241,12 @@ def hardcore_limit_study(u_over_j: float, times=None) -> HardcoreStudy:
     if times is None:
         times = np.linspace(0.0, 3.0 * 2.0 * math.pi / math.sqrt(3.0), 4801)
 
-    basis1 = enumerate_basis(3, 1, spec.statistics)
-    h1 = build_hamiltonian(spec, basis1)
-    psi1 = np.zeros(3, dtype=complex)
-    psi1[basis1.state_index((1, 0, 0))] = 1.0
-    traj1 = evolve(h1, psi1, times, basis=basis1)
-    verdict1 = chirality_order(traj1, [1, 2, 3], peak_threshold=0.9)
-
-    basis2 = enumerate_basis(3, 2, spec.statistics)
-    h2 = build_hamiltonian(spec, basis2)
-    psi2 = np.zeros(len(basis2), dtype=complex)
-    psi2[basis2.state_index((1, 1, 0))] = 1.0
-    traj2 = evolve(h2, psi2, times, basis=basis2)
+    verdict1 = chirality_order(simulate(spec, (1, 0, 0), times), [1, 2, 3], peak_threshold=0.9)
+    traj2 = simulate(spec, (1, 1, 0), times)
     verdict2 = chirality_order(hole_view(traj2), [1, 2, 3], peak_threshold=0.9)
 
-    system2 = eigendecompose(h2)
+    basis2 = enumerate_basis(3, 2, spec.statistics)
+    system2 = eigendecompose(build_hamiltonian(spec, basis2))
     single_occ = np.array([1.0 if max(s) == 1 else 0.0 for s in basis2.states])
     weights = (np.abs(system2.eigenvectors) ** 2).T @ single_occ
     band = np.sort(system2.eigenvalues[np.argsort(weights)[-3:]])

@@ -15,7 +15,7 @@ from .errors import (
     NonHermitian,
     OutOfGrid,
 )
-from .hilbert import HermitianMatrix, SubspaceBasis
+from .hilbert import HermitianMatrix, SubspaceBasis, build_hamiltonian, enumerate_basis
 
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-10
@@ -127,14 +127,15 @@ def evolve(h, psi0, times, basis: SubspaceBasis | None = None,
     if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) < 0):
         raise ValueError("times must be a non-empty ascending grid")
     norm = float(np.linalg.norm(psi0))
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:
         raise ValueError(f"initial state norm {norm} is not 1")
     system = eigendecompose(m)
     weights = system.eigenvectors.conj().T @ psi0
     phases = np.exp(-1j * np.outer(times, system.eigenvalues))
     amplitudes = (phases * weights[None, :]) @ system.eigenvectors.T
     norms = np.linalg.norm(amplitudes, axis=1)
-    if float(np.max(np.abs(norms**2 - 1.0))) > NORM_TOL:
+    # Negated so that NaN amplitudes (from a non-finite time) fail the check.
+    if not float(np.max(np.abs(norms**2 - 1.0))) <= NORM_TOL:
         raise ValueError("evolution failed to conserve the norm")
     if basis is not None:
         occupations = basis.occupation_matrix()
@@ -147,6 +148,29 @@ def evolve(h, psi0, times, basis: SubspaceBasis | None = None,
     for arr in (times, amplitudes, populations):
         arr.setflags(write=False)
     return Trajectory(times, amplitudes, populations, tuple(node_labels))
+
+
+def simulate(spec, occupation, times) -> Trajectory:
+    """Evolve one occupation pattern of a network spec on a time grid.
+
+    The sector of ``sum(occupation)`` excitations is enumerated, its
+    Hamiltonian assembled and the basis state of ``occupation`` evolved;
+    node populations carry the spec's site labels.
+    """
+    basis = enumerate_basis(spec.n_sites, sum(occupation), spec.statistics)
+    h = build_hamiltonian(spec, basis)
+    return evolve(h, basis.unit_vector(occupation), times, basis=basis, labels=spec.labels)
+
+
+def cluster_levels(values: np.ndarray, tol: float) -> list[list[int]]:
+    """Group indices of ascending levels whose neighbours lie within tol."""
+    clusters: list[list[int]] = []
+    for i, v in enumerate(values):
+        if clusters and abs(v - values[clusters[-1][-1]]) <= tol:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    return clusters
 
 
 def transfer_fidelity(traj: Trajectory, period: float) -> float:

@@ -69,5 +69,5 @@ class StepTooLarge(ChiralFlowError):
     """Integrator step too coarse for the fastest drive frequency."""
 
 
-class ConfigError(ChiralFlowError):
-    """Run configuration failed validation."""
+class ConfigError(ChiralFlowError, ValueError):
+    """Run configuration or a study argument failed validation."""

@@ -2,41 +2,43 @@
 optimisation, and entangled-state transport on the spin ring.
 
 All randomness is driven by per-sample generators seeded with
-``(seed, amplitude_index, sample_index)`` so results are identical for a
-fixed seed no matter how the samples are scheduled.
+``(seed, amplitude_index, sample_index)``, so every sample is fixed by the
+seed and its position alone.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import average_fidelity, basis_state, eigendecompose, evolve
-from .errors import BadInitial, EmptyWindow, NotSpin
+from .dynamics import (
+    _first_peak_index,
+    average_fidelity,
+    basis_state,
+    eigendecompose,
+    evolve,
+    simulate,
+)
+from .errors import BadInitial, ConfigError, EmptyWindow, NotSpin
 from .hilbert import (
     OnSite,
     build_hamiltonian,
     embed_state,
     enumerate_basis,
+    occupation,
 )
 from .models import NetworkSpec, ladder, normalize_phase
 
 log = logging.getLogger(__name__)
-
-THREADS_ENV = "CHIRALFLOW_THREADS"
 
 # Reference transmon parameters the four-node disorder study is scaled from:
 # node frequency 5.6 GHz, base hopping 2*pi*4.29 MHz.  The study itself runs
 # in the rotating frame, so only frequency offsets (in units of the hopping)
 # enter the dynamics; the ratio converts a fraction of the node frequency
 # into those units.
-REFERENCE_NODE_FREQUENCY_GHZ = 5.6
-REFERENCE_HOPPING_MHZ = 2.0 * math.pi * 4.29
 FREQUENCY_TO_HOPPING_RATIO = 5.6e3 / 4.29
 
 
@@ -52,18 +54,6 @@ HOPPING_PHASE = "hopping_phase"
 DISORDER_KINDS = (FREQUENCY, HOPPING_STRENGTH, HOPPING_PHASE)
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
-
-
 @dataclass(frozen=True)
 class DisorderConfig:
     """One disorder family: kind, maximum amplitude, sample count, seed."""
@@ -75,11 +65,15 @@ class DisorderConfig:
 
     def __post_init__(self):
         if self.kind not in DISORDER_KINDS:
-            raise ValueError(f"kind must be one of {DISORDER_KINDS}")
+            raise ConfigError(f"kind must be one of {DISORDER_KINDS}")
         if self.samples < 1:
-            raise ValueError("need at least one sample")
-        if self.max_amplitude < 0:
-            raise ValueError("max_amplitude must be >= 0")
+            raise ConfigError("need at least one sample")
+        _check_amplitude(self.max_amplitude)
+
+
+def _check_amplitude(amplitude: float) -> None:
+    if not 0 <= amplitude < math.inf:
+        raise ConfigError(f"disorder amplitude {amplitude} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -124,14 +118,12 @@ def perturbed_spec(base: NetworkSpec, kind: str, amplitude: float,
 def _sample_fidelity(base: NetworkSpec, kind: str, amplitude: float,
                      rng: np.random.Generator, times: np.ndarray) -> float:
     spec = perturbed_spec(base, kind, amplitude, rng)
-    basis = enumerate_basis(spec.n_sites, 1, spec.statistics)
-    h = build_hamiltonian(spec, basis)
-    traj = evolve(h, basis_state(spec.n_sites, 0), times)
+    traj = simulate(spec, occupation(spec.n_sites, 1), times)
     return average_fidelity(traj, spec.ring_nodes)
 
 
 def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes=None,
-                   times=None, threads: int | None = None) -> list[DisorderPoint]:
+                   times=None) -> list[DisorderPoint]:
     """Mean corner-peak fidelity of the disordered network per amplitude.
 
     Every sample redraws all perturbations, evolves one chiral cycle and
@@ -141,23 +133,16 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes=None,
         amplitudes = [cfg.max_amplitude]
     if times is None:
         times = np.linspace(0.0, math.pi, 1601)
-    workers = _thread_count(threads)
+    amplitudes = [float(a) for a in amplitudes]
+    for amplitude in amplitudes:
+        _check_amplitude(amplitude)
     points = []
     for a_idx, amplitude in enumerate(amplitudes):
-        amplitude = float(amplitude)
-        results = np.empty(cfg.samples)
-
-        def one(sample_idx: int, _a=amplitude, _i=a_idx) -> tuple[int, float]:
-            rng = np.random.default_rng((cfg.seed, _i, sample_idx))
-            return sample_idx, _sample_fidelity(base, cfg.kind, _a, rng, times)
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for idx, value in pool.map(one, range(cfg.samples)):
-                    results[idx] = value
-        else:
-            for idx in range(cfg.samples):
-                results[idx] = one(idx)[1]
+        results = np.array([
+            _sample_fidelity(base, cfg.kind, amplitude,
+                             np.random.default_rng((cfg.seed, a_idx, sample_idx)), times)
+            for sample_idx in range(cfg.samples)
+        ])
         mean = float(np.mean(results))
         stderr = float(np.std(results, ddof=1) / math.sqrt(cfg.samples)) if cfg.samples > 1 else 0.0
         points.append(DisorderPoint(amplitude, mean, stderr, cfg.samples))
@@ -263,6 +248,8 @@ def optimize_ladder(n_copies: int, budget: int | None = None, seed: int = 0,
     Derivative-free coordinate descent with shrinking steps and seeded
     restarts; deterministic for a fixed seed.
     """
+    if n_copies < 1:
+        raise ConfigError("need at least one cell")
     n_free = (n_copies + 1) // 2 - 1
     if n_free == 0:
         spec = ladder(n_copies, [2.0])
@@ -271,7 +258,7 @@ def optimize_ladder(n_copies: int, budget: int | None = None, seed: int = 0,
     if budget is None:
         budget = 600 * n_free
     if budget < 50 * n_free:
-        raise ValueError(f"budget must be at least {50 * n_free} for {n_free} parameters")
+        raise ConfigError(f"budget must be at least {50 * n_free} for {n_free} parameters")
 
     evaluations = 0
     exhausted = False
@@ -343,19 +330,6 @@ class BellTransportResult:
     pairs: tuple[tuple[int, int], ...]
 
 
-def _pair_occupations(n: int, pair: tuple[int, int]) -> tuple[int, ...]:
-    occ = [0] * n
-    for site in pair:
-        occ[site - 1] = 1
-    return tuple(occ)
-
-
-def _single_occupation(n: int, site: int) -> tuple[int, ...]:
-    occ = [0] * n
-    occ[site - 1] = 1
-    return tuple(occ)
-
-
 def bell_transport(spec: NetworkSpec, initial: str, times=None) -> BellTransportResult:
     """Evolve a Bell pair on sites 1,2 of a three-site spin ring.
 
@@ -382,16 +356,14 @@ def bell_transport(spec: NetworkSpec, initial: str, times=None) -> BellTransport
     if initial == PSI_PLUS:
         basis = sector_bases[1]
         psi0 = np.zeros(3, dtype=complex)
-        psi0[basis.state_index(_single_occupation(3, 1))] = 1.0 / math.sqrt(2.0)
-        psi0[basis.state_index(_single_occupation(3, 2))] = 1.0 / math.sqrt(2.0)
+        psi0[basis.state_index(occupation(3, 1))] = 1.0 / math.sqrt(2.0)
+        psi0[basis.state_index(occupation(3, 2))] = 1.0 / math.sqrt(2.0)
         traj = evolve(sector_h[1], psi0, times, basis=basis)
         for i in range(times.size):
             full[i] += embed_state(traj.amplitudes[i], basis)
     else:
         basis2 = sector_bases[2]
-        psi2 = np.zeros(len(basis2), dtype=complex)
-        psi2[basis2.state_index(_pair_occupations(3, (1, 2)))] = 1.0
-        traj2 = evolve(sector_h[2], psi2, times, basis=basis2)
+        traj2 = evolve(sector_h[2], basis2.unit_vector(occupation(3, 1, 2)), times, basis=basis2)
         basis0 = sector_bases[0]
         vac = embed_state(np.array([1.0 + 0.0j]), basis0)
         for i in range(times.size):
@@ -406,10 +378,10 @@ def bell_transport(spec: NetworkSpec, initial: str, times=None) -> BellTransport
     basis0 = sector_bases[0]
     vac_full = embed_state(np.array([1.0 + 0.0j]), basis0)
     for p, (j, k) in enumerate(PAIRS):
-        up_j = embed_state(_one_hot(basis1, _single_occupation(3, j)), basis1)
-        up_k = embed_state(_one_hot(basis1, _single_occupation(3, k)), basis1)
+        up_j = embed_state(basis1.unit_vector(occupation(3, j)), basis1)
+        up_k = embed_state(basis1.unit_vector(occupation(3, k)), basis1)
         psi_bra = (up_j + up_k) / math.sqrt(2.0)
-        pair_full = embed_state(_one_hot(basis2, _pair_occupations(3, (j, k))), basis2)
+        pair_full = embed_state(basis2.unit_vector(occupation(3, j, k)), basis2)
         phi_bra = (vac_full + pair_full) / math.sqrt(2.0)
         psi_pop[p] = np.abs(full @ psi_bra.conj()) ** 2
         phi_pop[p] = np.abs(full @ phi_bra.conj()) ** 2
@@ -419,12 +391,6 @@ def bell_transport(spec: NetworkSpec, initial: str, times=None) -> BellTransport
     for arr in (psi_pop, phi_pop, conc):
         arr.setflags(write=False)
     return BellTransportResult(initial, times, psi_pop, phi_pop, conc, PAIRS)
-
-
-def _one_hot(basis, occupation) -> np.ndarray:
-    vec = np.zeros(len(basis), dtype=complex)
-    vec[basis.state_index(occupation)] = 1.0
-    return vec
 
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -465,11 +431,7 @@ def first_peak_time(times: np.ndarray, trace: np.ndarray, threshold: float = 0.5
     top = float(np.max(trace))
     if top <= 0:
         raise EmptyWindow("trace has no peaks")
-    floor = threshold * top
-    n = trace.size
-    for i in range(n):
-        left = trace[i - 1] if i > 0 else -np.inf
-        right = trace[i + 1] if i < n - 1 else -np.inf
-        if trace[i] >= left and trace[i] >= right and trace[i] >= floor:
-            return float(times[i])
-    raise EmptyWindow("trace has no peaks above the threshold")
+    idx = _first_peak_index(trace, threshold * top)
+    if idx is None:
+        raise EmptyWindow("trace has no peaks above the threshold")
+    return float(times[idx])

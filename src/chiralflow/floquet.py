@@ -18,7 +18,7 @@ import numpy as np
 from scipy import special
 
 from .dynamics import Trajectory, basis_state, evolve
-from .errors import DimensionMismatch, OutOfRange, StepTooLarge
+from .errors import ConfigError, DimensionMismatch, OutOfRange, StepTooLarge
 from .hilbert import build_hamiltonian, enumerate_basis
 from .models import NetworkSpec, asgf
 
@@ -308,10 +308,14 @@ def compare_effective(drive: DriveSpec, target: NetworkSpec, psi0=None,
 def rwa_deviation_scan(ratios, g: float = 1.0) -> list[tuple[float, float]]:
     """Deviation of the coupler scheme from the ideal four-node chiral model
     as a function of the drive-to-coupling ratio."""
+    ratios = [float(r) for r in ratios]
+    for ratio in ratios:
+        if not 0 < ratio < math.inf:
+            raise ConfigError(f"drive ratio {ratio} must be finite and positive")
     target = asgf(4, 2.0, math.pi / 2)
     out = []
     for ratio in ratios:
-        drive = tunable_coupler_asgf4(g=g, ratio=float(ratio))
+        drive = tunable_coupler_asgf4(g=g, ratio=ratio)
         comparison = compare_effective(drive, target)
-        out.append((float(ratio), comparison.max_population_deviation))
+        out.append((ratio, comparison.max_population_deviation))
     return out

@@ -105,6 +105,20 @@ class SubspaceBasis:
     def state_index(self, occupations) -> int:
         return self.index[tuple(int(n) for n in occupations)]
 
+    def unit_vector(self, occupations) -> np.ndarray:
+        """Basis vector of one occupation pattern, as complex amplitudes."""
+        vec = np.zeros(len(self.states), dtype=complex)
+        vec[self.state_index(occupations)] = 1.0
+        return vec
+
+
+def occupation(n_sites: int, *sites: int) -> tuple[int, ...]:
+    """Occupation vector with one excitation on each given 1-based site."""
+    occ = [0] * n_sites
+    for site in sites:
+        occ[site - 1] += 1
+    return tuple(occ)
+
 
 @dataclass(frozen=True)
 class HermitianMatrix:

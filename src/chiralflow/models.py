@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BadGauge, NotDerived, ProfileLength, SpecMismatch
+from .errors import BadGauge, ConfigError, NotDerived, ProfileLength, SpecMismatch
 from .hilbert import HermitianMatrix, Hopping, OnSite, Statistics
 
 TWO_PI = 2.0 * math.pi
@@ -296,7 +296,7 @@ def ladder(n_copies: int, beta_profile, statistics: Statistics = Statistics.boso
     applied symmetrically from both ends.  A length-1 profile is uniform.
     """
     if n_copies < 1:
-        raise ValueError("need at least one cell")
+        raise ConfigError("need at least one cell")
     beta_profile = [float(b) for b in beta_profile]
     n_profiles = (n_copies + 1) // 2
     if len(beta_profile) == 1:

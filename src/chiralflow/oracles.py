@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import eigendecompose
+from .dynamics import cluster_levels, eigendecompose
 from .errors import SingularProjection
 from .hilbert import build_hamiltonian, enumerate_basis
 from .models import ladder, ladder_corners
@@ -103,7 +103,7 @@ def six_node_asgf_populations(beta_c: float, t) -> np.ndarray:
 
 def ring_mode_numbers(n: int) -> list[int]:
     """Winding numbers m with -n/2 < m <= n/2."""
-    return [m for m in range(-(n // 2) + (0 if n % 2 else 1), n // 2 + 1)]
+    return list(range(-(n // 2) + (0 if n % 2 else 1), n // 2 + 1))
 
 
 def ring_dispersion(n: int, m: int) -> float:
@@ -209,15 +209,9 @@ def ladder_resolvent(n_copies: int, beta_c: float = 2.0, omega0: float = 0.0,
     # is regular (pole away from every eigenvalue of the decoupled rest).
     system = eigendecompose(h)
     scale = max(1.0, float(np.max(np.abs(system.eigenvalues))))
-    clusters: list[list[int]] = []
-    for i, lam in enumerate(system.eigenvalues):
-        if clusters and abs(lam - system.eigenvalues[clusters[-1][-1]]) < 1e-9 * scale:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
     poles = []
     residues = []
-    for cluster in clusters:
+    for cluster in cluster_levels(system.eigenvalues, 1e-9 * scale):
         vecs = system.eigenvectors[np.ix_(corner_idx, cluster)]
         spectral = vecs @ vecs.conj().T
         if float(np.max(np.abs(spectral))) < residue_tol:

@@ -1,17 +1,11 @@
-import numpy as np
-
 from chiralflow import dynamics, hilbert
 
 
 def evolve_spec(spec, times, start=None, n_excitations=1):
-    """Build the requested excitation block and evolve a basis start state."""
-    basis = hilbert.enumerate_basis(spec.n_sites, n_excitations, spec.statistics)
-    h = hilbert.build_hamiltonian(spec, basis)
+    """Evolve a basis start state (default: every excitation on site 1)."""
     if start is None:
-        start = tuple(n_excitations if j == 0 else 0 for j in range(spec.n_sites))
-    psi0 = np.zeros(len(basis), dtype=complex)
-    psi0[basis.state_index(start)] = 1.0
-    return dynamics.evolve(h, psi0, times, basis=basis, labels=spec.labels)
+        start = hilbert.occupation(spec.n_sites, *[1] * n_excitations)
+    return dynamics.simulate(spec, start, times)
 
 
 def spec_hamiltonian(spec, n_excitations=1):

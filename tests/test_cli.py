@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from chiralflow import cli
-from chiralflow.errors import ConfigError
+from chiralflow import cli, dynamics
+from chiralflow.errors import ConfigError, NonHermitian
 
 
 def run_cli(args):
@@ -142,10 +142,40 @@ def test_study_bell_csv(tmp_path):
     assert float(first[1]) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_numeric_failure_exits_3(capsys):
-    code = run_cli(["study", "optimize", "--ncopies", "6", "--budget", "5"])
+def test_numeric_failure_exits_3(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise NonHermitian("matrix is not Hermitian within 1e-12")
+
+    monkeypatch.setattr(dynamics, "evolve", broken)
+    code = run_cli(["simulate", "--model", "sgf", "--n", "3", "--grid", "11"])
     assert code == 3
     assert "numeric error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["study", "optimize", "--ncopies", "6", "--budget", "5"], id="optimize-budget-5"),
+    pytest.param(["study", "optimize", "--ncopies", "5", "--budget", "10"], id="optimize-budget-10"),
+    pytest.param(["study", "optimize", "--ncopies", "0"], id="optimize-ncopies-0"),
+    pytest.param(["study", "disorder", "--samples", "0"], id="disorder-samples-0"),
+    pytest.param(["study", "disorder", "--amplitudes=-0.1"], id="disorder-negative-amplitude"),
+    pytest.param(["study", "disorder", "--amplitudes=0.1,-0.1", "--samples", "2"],
+                 id="disorder-negative-amplitude-in-list"),
+    pytest.param(["study", "floquet", "--ratios", "0"], id="floquet-ratio-0"),
+    pytest.param(["study", "floquet", "--ratios=-5"], id="floquet-ratio-negative"),
+    pytest.param(["study", "floquet", "--ratios", "nan"], id="floquet-ratio-nan"),
+])
+def test_bad_study_arguments_exit_2(args, capsys):
+    assert run_cli(args) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tmax", ["nan", "inf", "-1"])
+def test_bad_tmax_exits_2_without_output(tmax, tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    assert run_cli(["simulate", "--model", "sgf", "--n", "3", f"--tmax={tmax}",
+                    "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err
 
 
 def test_large_node_label_is_not_a_bit_pattern(tmp_path):

@@ -80,6 +80,14 @@ def test_evolve_dimension_mismatch():
         dynamics.evolve(h, dynamics.basis_state(4, 0), np.linspace(0, 1, 5))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad_time", [np.nan, np.inf])
+def test_evolve_rejects_non_finite_times(bad_time):
+    h, _ = spec_hamiltonian(models.sgf_ring(3, math.pi / 2))
+    with pytest.raises(ValueError, match="norm"):
+        dynamics.evolve(h, dynamics.basis_state(3, 0), np.array([0.0, bad_time]))
+
+
 def test_norm_and_energy_conservation():
     rng = np.random.default_rng(2)
     spec = models.asgf(5, float(rng.uniform(0.5, 3.0)), float(rng.uniform(-math.pi, math.pi)))

@@ -20,12 +20,13 @@ def test_zero_disorder_is_perfect(base_spec):
     assert points[0].stderr == 0.0
 
 
-def test_disorder_reproducible_and_schedule_independent(base_spec):
+def test_disorder_reproducible(base_spec):
     cfg = DisorderConfig("hopping_phase", 0.3, 40, 42)
-    first = experiments.disorder_sweep(base_spec, cfg, amplitudes=[0.1, 0.3], threads=1)
-    second = experiments.disorder_sweep(base_spec, cfg, amplitudes=[0.1, 0.3], threads=1)
-    parallel = experiments.disorder_sweep(base_spec, cfg, amplitudes=[0.1, 0.3], threads=4)
-    assert first == second == parallel
+    first = experiments.disorder_sweep(base_spec, cfg, amplitudes=[0.1, 0.3])
+    second = experiments.disorder_sweep(base_spec, cfg, amplitudes=[0.1, 0.3])
+    assert first == second
+    other_seed = DisorderConfig("hopping_phase", 0.3, 40, 43)
+    assert experiments.disorder_sweep(base_spec, other_seed, amplitudes=[0.1, 0.3]) != first
 
 
 def test_hopping_disorder_robustness(base_spec):
@@ -206,13 +207,3 @@ def test_concurrence_local_unitary_invariance():
 def test_concurrence_requires_qubit_state():
     with pytest.raises(NotSpin):
         concurrence(np.ones(3) / math.sqrt(3.0), (1, 2))
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv(experiments.THREADS_ENV, "3")
-    assert experiments._thread_count(None) == 3
-    monkeypatch.setenv(experiments.THREADS_ENV, "junk")
-    assert experiments._thread_count(None) == 1
-    monkeypatch.delenv(experiments.THREADS_ENV)
-    assert experiments._thread_count(None) == 1
-    assert experiments._thread_count(8) == 8
