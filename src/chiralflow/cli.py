@@ -43,9 +43,12 @@ def parse_angle(text: str) -> float:
 
 def parse_float_list(text: str) -> list[float]:
     try:
-        return [float(part) for part in str(text).split(",") if part.strip()]
+        values = [float(part) for part in str(text).split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"cannot parse number list {text!r}") from exc
+    if not values:
+        raise ConfigError(f"number list {text!r} is empty")
+    return values
 
 
 def parse_int_list(text: str) -> list[int]:

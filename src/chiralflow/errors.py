@@ -29,10 +29,6 @@ class NotDerived(ChiralFlowError):
     """No closed-form coupling set is known for the requested size."""
 
 
-class ProfileLength(ChiralFlowError):
-    """Coupling profile length does not match the ladder size."""
-
-
 class DimensionMismatch(ChiralFlowError):
     """Operands have incompatible dimensions."""
 
@@ -71,3 +67,7 @@ class StepTooLarge(ChiralFlowError):
 
 class ConfigError(ChiralFlowError, ValueError):
     """Run configuration or a study argument failed validation."""
+
+
+class ProfileLength(ConfigError):
+    """Coupling profile length does not match the ladder size."""

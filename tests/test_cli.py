@@ -163,6 +163,8 @@ def test_numeric_failure_exits_3(monkeypatch, capsys):
     pytest.param(["study", "floquet", "--ratios", "0"], id="floquet-ratio-0"),
     pytest.param(["study", "floquet", "--ratios=-5"], id="floquet-ratio-negative"),
     pytest.param(["study", "floquet", "--ratios", "nan"], id="floquet-ratio-nan"),
+    pytest.param(["study", "floquet", "--ratios", ""], id="floquet-ratios-empty"),
+    pytest.param(["study", "disorder", "--amplitudes", ""], id="disorder-amplitudes-empty"),
 ])
 def test_bad_study_arguments_exit_2(args, capsys):
     assert run_cli(args) == 2
@@ -173,6 +175,14 @@ def test_bad_study_arguments_exit_2(args, capsys):
 def test_bad_tmax_exits_2_without_output(tmax, tmp_path, capsys):
     out = tmp_path / "never.csv"
     assert run_cli(["simulate", "--model", "sgf", "--n", "3", f"--tmax={tmax}",
+                    "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err
+
+
+def test_wrong_profile_length_exits_2_without_output(tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    assert run_cli(["simulate", "--model", "ladder", "--n", "3", "--profile", "1,2,3",
                     "--out", str(out)]) == 2
     assert not out.exists()
     assert "config error" in capsys.readouterr().err

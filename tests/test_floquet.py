@@ -7,6 +7,50 @@ from chiralflow import dynamics, floquet, models
 from chiralflow.errors import OutOfRange, StepTooLarge
 
 
+def rk4_reference(drive, psi0, times, dt):
+    """The fixed-step RK4 vector stepper that ``integrate_tdse`` replaced,
+    stepping through every period from one record time to the next with
+    steps no larger than dt; lab-frame amplitudes on ``times``."""
+    h_of = (floquet._coupler_hamiltonian_factory(drive)
+            if drive.scheme == floquet.TUNABLE_COUPLER
+            else floquet._bus_hamiltonian_factory(drive))
+    psi = np.asarray(psi0, dtype=complex)
+    states = [psi]
+    for a, b in zip(times[:-1], times[1:]):
+        n_steps = max(1, math.ceil((b - a) / dt))
+        h = (b - a) / n_steps
+        for step in range(n_steps):
+            t = a + step * h
+            h_mid = h_of(t + 0.5 * h)
+            k1 = -1j * (h_of(t) @ psi)
+            k2 = -1j * (h_mid @ (psi + 0.5 * h * k1))
+            k3 = -1j * (h_mid @ (psi + 0.5 * h * k2))
+            k4 = -1j * (h_of(t + h) @ (psi + h * k3))
+            psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(psi)
+    return floquet._to_lab_frame(drive, np.asarray(times), np.asarray(states))
+
+
+def static_pair_drive():
+    return floquet.DriveSpec(
+        scheme=floquet.TUNABLE_COUPLER,
+        omegas=(0.0, 20.0, 45.0),
+        links=(),
+        labels=("node_1", "node_2", "node_3"),
+    )
+
+
+def incommensurate_drive():
+    # Carriers at 2 and 2 sqrt(2): no common period, so one pass spans t_final.
+    omegas = (0.0, 1.0, 1.0 + math.sqrt(2.0))
+    return floquet.DriveSpec(
+        scheme=floquet.TUNABLE_COUPLER,
+        omegas=omegas,
+        links=(floquet.CouplerLink(1, 2, 1.0, -1.0, 0.3),
+               floquet.CouplerLink(2, 3, 0.7, -math.sqrt(2.0), -1.1)),
+    )
+
+
 def bessel_series(order, x, terms=60):
     """Independent alternating-series evaluation of J_n(x)."""
     total = 0.0
@@ -95,12 +139,7 @@ def test_drive_spec_validates_detunings():
 
 
 def test_zero_drive_keeps_populations():
-    drive = floquet.DriveSpec(
-        scheme=floquet.TUNABLE_COUPLER,
-        omegas=(0.0, 20.0, 45.0),
-        links=(),
-        labels=("node_1", "node_2", "node_3"),
-    )
+    drive = static_pair_drive()
     psi0 = np.array([0.0, 1.0, 0.0], dtype=complex)
     traj = floquet.integrate_tdse(drive, psi0, 1.0, 1e-3)
     assert np.allclose(traj.populations, [0.0, 1.0, 0.0], atol=1e-12)
@@ -111,6 +150,14 @@ def test_step_size_guard():
     psi0 = dynamics.basis_state(5, 0)
     with pytest.raises(StepTooLarge):
         floquet.integrate_tdse(drive, psi0, 1.0, 1.0)
+
+
+def test_rejects_empty_time_range():
+    drive = floquet.tunable_coupler_asgf4(ratio=10.0)
+    psi0 = dynamics.basis_state(5, 0)
+    for t_final, points in ((0.0, 11), (-1.0, 11), (math.nan, 11), (1.0, 1)):
+        with pytest.raises(ValueError):
+            floquet.integrate_tdse(drive, psi0, t_final, 1e-4, record_points=points)
 
 
 def test_integrator_norm_and_convergence():
@@ -171,3 +218,50 @@ def test_bus_integration_smoke():
     traj = floquet.integrate_tdse(drive, psi0, 2.0, dt, record_points=201)
     assert abs(np.linalg.norm(traj.amplitudes[-1]) - 1.0) <= 1e-8
     assert np.max(traj.populations[:, 1:]) > 1e-4  # excitation actually moves
+
+
+# Coupler steps are the compare_effective default 2 pi / (800 nu_max), with
+# nu_max = 12 * ratio; bus steps are those of test_bus_integration_smoke.
+@pytest.mark.parametrize("drive, t_final, dt", [
+    pytest.param(floquet.tunable_coupler_asgf4(ratio=10.0), math.pi, 2.0 * math.pi / (800.0 * 120.0),
+                 id="coupler-ratio-10"),
+    pytest.param(floquet.tunable_coupler_asgf4(ratio=20.0), math.pi, 2.0 * math.pi / (800.0 * 240.0),
+                 id="coupler-ratio-20"),
+    pytest.param(floquet.bus_resonator_ring(4, nu=60.0), 2.0, 2.0 * math.pi / (400.0 * 60.0),
+                 id="bus-nu-60"),
+])
+def test_record_grid_is_uniform(drive, t_final, dt):
+    traj = floquet.integrate_tdse(drive, dynamics.basis_state(5, 0), t_final, dt, record_points=1201)
+    assert len(traj.times) == 1201
+    assert traj.times[-1] == t_final
+    assert np.allclose(np.diff(traj.times), t_final / 1200, rtol=0.0, atol=1e-15)
+    assert np.array_equal(traj.times, np.linspace(0.0, t_final, 1201))
+
+
+@pytest.mark.parametrize("drive, t_final, dt, psi0", [
+    # 3.5 periods of the coupler drive keep the reference stepper near 1 s.
+    pytest.param(floquet.tunable_coupler_asgf4(ratio=10.0), 3.5 * math.pi / 10.0,
+                 2.0 * math.pi / (800.0 * 120.0), dynamics.basis_state(5, 0), id="coupler-ratio-10"),
+    pytest.param(floquet.tunable_coupler_asgf4(ratio=20.0), 3.5 * math.pi / 20.0,
+                 2.0 * math.pi / (800.0 * 240.0), dynamics.basis_state(5, 1), id="coupler-ratio-20"),
+    # 2 / (2 pi / 60) = 19.1 bus periods.
+    pytest.param(floquet.bus_resonator_ring(4, nu=60.0), 2.0, 2.0 * math.pi / (400.0 * 60.0),
+                 dynamics.basis_state(5, 0), id="bus-non-integer-periods"),
+    pytest.param(static_pair_drive(), 1.0, 1e-3, np.array([1.0, 1.0j, 0.0]) / math.sqrt(2.0),
+                 id="no-links"),
+    pytest.param(incommensurate_drive(), 1.5, 1e-3, np.array([0.6, 0.0, 0.8j]),
+                 id="no-common-period"),
+])
+def test_one_period_propagator_matches_rk4_reference(drive, t_final, dt, psi0):
+    traj = floquet.integrate_tdse(drive, psi0, t_final, dt, record_points=201)
+    reference = rk4_reference(drive, psi0, traj.times, dt)
+    assert np.max(np.abs(traj.amplitudes - reference)) <= 1e-8
+
+
+def test_drive_period():
+    for g, ratio in ((1.0, 10.0), (1.0, 20.0), (0.1, 200.0), (1.3, 10.5)):
+        period = floquet._drive_period(floquet.tunable_coupler_asgf4(g=g, ratio=ratio))
+        assert period == pytest.approx(math.pi / (ratio * g), rel=1e-12)
+    assert floquet._drive_period(floquet.bus_resonator_ring(4, nu=60.0)) == 2.0 * math.pi / 60.0
+    assert floquet._drive_period(incommensurate_drive()) is None
+    assert floquet._drive_period(static_pair_drive()) is None
