@@ -268,7 +268,7 @@ def cmd_study_disorder(args) -> int:
     amplitudes = parse_float_list(args.amplitudes)
     rows = []
     for kind in (args.kind,) if args.kind else experiments.DISORDER_KINDS:
-        cfg = experiments.DisorderConfig(kind, max(amplitudes), args.samples, args.seed)
+        cfg = experiments.DisorderConfig(kind, args.samples, args.seed)
         for point in experiments.disorder_sweep(base, cfg, amplitudes=amplitudes):
             rows.append((kind, point.amplitude, point.mean_fidelity,
                          point.stderr, point.samples, args.seed))

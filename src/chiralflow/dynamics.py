@@ -44,27 +44,13 @@ class EigenSystem:
         return self.eigenvalues.shape[0]
 
 
-def lead_component(vector: np.ndarray) -> int:
-    """First component whose modulus is within rounding of the maximum.
-
-    Ties (uniform-modulus eigenvectors) resolve to the lowest index, so the
-    phase convention below is reproducible.
-    """
-    moduli = np.abs(vector)
-    return int(np.argmax(moduli >= moduli.max() - 1e-12 * max(moduli.max(), 1.0)))
-
-
 def eigendecompose(h) -> EigenSystem:
-    """Eigendecomposition with a deterministic phase convention: in every
-    eigenvector the leading (largest-modulus) component is made real and
-    positive."""
-    m = _as_matrix(h)
-    values, vectors = np.linalg.eigh(m)
-    for i in range(vectors.shape[1]):
-        col = vectors[:, i]
-        pivot = col[lead_component(col)]
-        if abs(pivot) > 0:
-            vectors[:, i] = col * (pivot.conjugate() / abs(pivot))
+    """Read-only ``eigh`` of a Hermitian matrix.
+
+    Eigenvector phases are whatever LAPACK returns; every consumer uses
+    phase-invariant quantities (|V^dag psi|^2, V e^{-i L t} V^dag, moduli).
+    """
+    values, vectors = np.linalg.eigh(_as_matrix(h))
     values.setflags(write=False)
     vectors.setflags(write=False)
     return EigenSystem(values, vectors)

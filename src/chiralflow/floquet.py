@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -88,11 +88,16 @@ class DriveSpec:
     nu: float = 0.0
     phis: tuple[float, ...] = ()
     gs: tuple[float, ...] = ()
-    kerr_u: float = 0.0
     base_rate: float = 1.0
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
+        numbers = [*self.omegas, self.omega_r, self.delta, self.nu, *self.phis,
+                   *self.gs, self.base_rate]
+        for link in self.links:
+            numbers += [link.j, link.k, link.g, link.nu, link.phi]
+        if not all(math.isfinite(x) for x in numbers):
+            raise ValueError("drive parameters must be finite")
         if self.scheme == TUNABLE_COUPLER:
             for link in self.links:
                 detuning = self.omegas[link.j - 1] - self.omegas[link.k - 1]
@@ -343,7 +348,6 @@ class EffectiveComparison:
 
     max_population_deviation: float
     per_node_deviation: tuple[float, ...]
-    samples: tuple[tuple[float, float], ...] = field(default=())
 
 
 def compare_effective(drive: DriveSpec, target: NetworkSpec, psi0=None,

@@ -8,6 +8,7 @@ across runs and platforms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -142,15 +143,13 @@ class HermitianMatrix:
         return self.matrix.shape[0]
 
 
-def _descending_occupations(n_sites: int, remaining: int, cap: int):
-    if n_sites == 0:
-        if remaining == 0:
-            yield ()
-        return
-    top = min(cap, remaining)
-    for occ in range(top, -1, -1):
-        for rest in _descending_occupations(n_sites - 1, remaining - occ, cap):
-            yield (occ,) + rest
+def _capped_occupations(n_sites: int, n_excitations: int, cap: int) -> list[tuple[int, ...]]:
+    """Occupation vectors in descending lexicographic order: the ascending
+    site multisets that ``itertools`` yields map onto exactly that order."""
+    choose = itertools.combinations if cap == 1 else itertools.combinations_with_replacement
+    multisets = choose(range(1, n_sites + 1), n_excitations)
+    states = (occupation(n_sites, *sites) for sites in multisets)
+    return [state for state in states if max(state) <= cap]
 
 
 def subspace_dimension(n_sites: int, n_excitations: int, statistics: Statistics) -> int:
@@ -160,7 +159,7 @@ def subspace_dimension(n_sites: int, n_excitations: int, statistics: Statistics)
     cap = statistics.site_cap(n_excitations)
     if cap >= n_excitations:
         return math.comb(n_sites + n_excitations - 1, n_excitations)
-    return sum(1 for _ in _descending_occupations(n_sites, n_excitations, cap))
+    return len(_capped_occupations(n_sites, n_excitations, cap))
 
 
 def enumerate_basis(n_sites: int, n_excitations: int, statistics: Statistics) -> SubspaceBasis:
@@ -182,7 +181,7 @@ def enumerate_basis(n_sites: int, n_excitations: int, statistics: Statistics) ->
         raise CapacityOverflow(
             f"cap {cap} on {n_sites} sites cannot hold {n_excitations} excitations"
         )
-    states = tuple(_descending_occupations(n_sites, n_excitations, cap))
+    states = tuple(_capped_occupations(n_sites, n_excitations, cap))
     if not states:
         raise CapacityOverflow("occupation cap leaves the subspace empty")
     index = {state: i for i, state in enumerate(states)}

@@ -223,7 +223,7 @@ def test_criterion_09_disorder_robustness():
         ("hopping_phase", 0.3),
         ("frequency", experiments.relative_frequency_amplitude(0.3)),
     ):
-        cfg = experiments.DisorderConfig(kind, amplitude, 200, 2024)
+        cfg = experiments.DisorderConfig(kind, 200, 2024)
         point = experiments.disorder_sweep(base, cfg, amplitudes=[amplitude])[0]
         results[kind] = point.mean_fidelity
     assert results["hopping_strength"] > 0.9

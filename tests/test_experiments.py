@@ -14,30 +14,30 @@ def base_spec():
 
 
 def test_zero_disorder_is_perfect(base_spec):
-    cfg = DisorderConfig("hopping_strength", 0.0, 5, 1)
+    cfg = DisorderConfig("hopping_strength", 5, 1)
     points = experiments.disorder_sweep(base_spec, cfg, amplitudes=[0.0])
     assert points[0].mean_fidelity == pytest.approx(1.0, abs=1e-9)
     assert points[0].stderr == 0.0
 
 
 def test_disorder_reproducible(base_spec):
-    cfg = DisorderConfig("hopping_phase", 0.3, 40, 42)
+    cfg = DisorderConfig("hopping_phase", 40, 42)
     first = experiments.disorder_sweep(base_spec, cfg, amplitudes=[0.1, 0.3])
     second = experiments.disorder_sweep(base_spec, cfg, amplitudes=[0.1, 0.3])
     assert first == second
-    other_seed = DisorderConfig("hopping_phase", 0.3, 40, 43)
+    other_seed = DisorderConfig("hopping_phase", 40, 43)
     assert experiments.disorder_sweep(base_spec, other_seed, amplitudes=[0.1, 0.3]) != first
 
 
 def test_hopping_disorder_robustness(base_spec):
     for kind in ("hopping_strength", "hopping_phase"):
-        cfg = DisorderConfig(kind, 0.3, 200, 7)
+        cfg = DisorderConfig(kind, 200, 7)
         points = experiments.disorder_sweep(base_spec, cfg, amplitudes=[0.3])
         assert points[0].mean_fidelity > 0.9
 
 
 def test_fidelity_non_increasing_with_amplitude(base_spec):
-    cfg = DisorderConfig("hopping_strength", 1.0, 500, 11)
+    cfg = DisorderConfig("hopping_strength", 500, 11)
     points = experiments.disorder_sweep(base_spec, cfg, amplitudes=[0.0, 0.25, 0.5, 1.0])
     means = [p.mean_fidelity for p in points]
     errs = [p.stderr for p in points]
@@ -50,9 +50,9 @@ def test_frequency_disorder_dominates_at_matched_relative_size(base_spec):
     # the hopping itself.
     freq_amp = 0.3 * experiments.FREQUENCY_TO_HOPPING_RATIO
     freq = experiments.disorder_sweep(
-        base_spec, DisorderConfig("frequency", freq_amp, 100, 3), amplitudes=[freq_amp])
+        base_spec, DisorderConfig("frequency", 100, 3), amplitudes=[freq_amp])
     hop = experiments.disorder_sweep(
-        base_spec, DisorderConfig("hopping_strength", 0.3, 100, 3), amplitudes=[0.3])
+        base_spec, DisorderConfig("hopping_strength", 100, 3), amplitudes=[0.3])
     assert freq[0].mean_fidelity < hop[0].mean_fidelity
 
 
@@ -62,9 +62,9 @@ def test_hopping_scale_frequency_disorder_beats_tiny_hopping_disorder(base_spec)
     # harmless by comparison.
     fraction = 1.0 / experiments.FREQUENCY_TO_HOPPING_RATIO
     freq = experiments.disorder_sweep(
-        base_spec, DisorderConfig("frequency", 1.0, 120, 9), amplitudes=[1.0])
+        base_spec, DisorderConfig("frequency", 120, 9), amplitudes=[1.0])
     hop = experiments.disorder_sweep(
-        base_spec, DisorderConfig("hopping_strength", fraction, 120, 9),
+        base_spec, DisorderConfig("hopping_strength", 120, 9),
         amplitudes=[fraction])
     assert freq[0].mean_fidelity < hop[0].mean_fidelity - 0.01
     assert hop[0].mean_fidelity > 0.999
@@ -82,6 +82,34 @@ def test_revival_fidelity_of_perfect_cell(base_spec):
     fidelity, period = experiments.revival_fidelity(base_spec)
     assert fidelity == pytest.approx(1.0, abs=1e-9)
     assert period == pytest.approx(math.pi, abs=1e-6)
+
+
+def _scanned_revival(spec, samples=100_001):
+    """Brute-force maximum of the node-1 return overlap over the search window."""
+    basis = hilbert.enumerate_basis(spec.n_sites, 1, spec.statistics)
+    values, vectors = np.linalg.eigh(hilbert.build_hamiltonian(spec, basis).matrix)
+    weights = np.abs(vectors[0]) ** 2
+    scale = max(1.0, float(np.max(np.abs(values))))
+    populated = (weights > 1e-8) & (np.abs(values) > 1e-9 * scale)
+    t_est = 2.0 * math.pi / float(np.min(np.abs(values[populated])))
+    times = np.linspace(0.5 * t_est, 1.7 * t_est, samples)
+    angles = np.outer(times, values)
+    overlap = (np.cos(angles) @ weights) ** 2 + (np.sin(angles) @ weights) ** 2
+    best = int(np.argmax(overlap))
+    return float(overlap[best]), float(times[best]), float(times[1] - times[0])
+
+
+def test_revival_fidelity_matches_brute_force_scan():
+    rng = np.random.default_rng(2024)
+    for n in range(1, 9):
+        steps = rng.uniform(0.05, 1.5, (n + 1) // 2 - 1)
+        monotone = [2.0] + list(2.0 + np.cumsum(steps))
+        for profile in ([2.0], monotone):
+            spec = models.ladder(n, profile)
+            fidelity, period = experiments.revival_fidelity(spec)
+            scan_fidelity, scan_period, spacing = _scanned_revival(spec)
+            assert fidelity >= scan_fidelity - 1e-12
+            assert abs(period - scan_period) <= spacing
 
 
 def test_ladder_curve_decreasing():

@@ -138,6 +138,26 @@ def test_drive_spec_validates_detunings():
         )
 
 
+@pytest.mark.parametrize("kwargs", [
+    # A NaN node frequency slips past the detuning check (NaN compares False)
+    # and used to yield NaN lab-frame populations without an error.
+    dict(scheme=floquet.TUNABLE_COUPLER, omegas=(0.0, math.nan),
+         links=(floquet.CouplerLink(1, 2, 1.0, 5.0, 0.0),)),
+    dict(scheme=floquet.TUNABLE_COUPLER, omegas=(0.0, 5.0),
+         links=(floquet.CouplerLink(1, 2, math.inf, 5.0, 0.0),)),
+    dict(scheme=floquet.TUNABLE_COUPLER, omegas=(0.0, 5.0),
+         links=(floquet.CouplerLink(1, 2, 1.0, 5.0, math.nan),)),
+    dict(scheme=floquet.TUNABLE_COUPLER, omegas=(0.0, 5.0), base_rate=math.nan),
+    dict(scheme=floquet.BUS_RESONATOR, delta=math.inf, nu=40.0, phis=(0.0,), gs=(1.0,)),
+    dict(scheme=floquet.BUS_RESONATOR, delta=96.0, nu=40.0, phis=(math.nan,), gs=(1.0,)),
+    dict(scheme=floquet.BUS_RESONATOR, delta=96.0, nu=40.0, phis=(0.0,), gs=(1.0,),
+         omega_r=-math.inf),
+])
+def test_drive_spec_rejects_non_finite_numbers(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        floquet.DriveSpec(**kwargs)
+
+
 def test_zero_drive_keeps_populations():
     drive = static_pair_drive()
     psi0 = np.array([0.0, 1.0, 0.0], dtype=complex)

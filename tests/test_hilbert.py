@@ -62,6 +62,26 @@ def test_enumeration_matches_brute_force(n_sites, n_exc, cap):
     assert list(basis.states) == brute_force_states(n_sites, n_exc, cap)
 
 
+@pytest.mark.parametrize("statistics", [
+    Statistics.spin(), Statistics.boson(), Statistics.boson(1), Statistics.boson(2),
+], ids=["spin", "boson", "boson-cap1", "boson-cap2"])
+def test_enumeration_is_sorted_filtered_product(statistics):
+    overflows = 0
+    for n_sites in range(1, 7):
+        for n_exc in range(0, 5):
+            expected = brute_force_states(n_sites, n_exc, statistics.site_cap(n_exc))
+            assert hilbert.subspace_dimension(n_sites, n_exc, statistics) == len(expected)
+            if expected:
+                basis = hilbert.enumerate_basis(n_sites, n_exc, statistics)
+                assert list(basis.states) == expected
+                continue
+            overflows += 1
+            error = SpinOverflow if statistics.is_spin else CapacityOverflow
+            with pytest.raises(error):
+                hilbert.enumerate_basis(n_sites, n_exc, statistics)
+    assert (overflows > 0) == (statistics.max_occupation is not None)
+
+
 def test_index_is_inverse_of_states():
     basis = hilbert.enumerate_basis(6, 3, Statistics.boson())
     for i, state in enumerate(basis.states):
