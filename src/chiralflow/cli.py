@@ -256,13 +256,6 @@ def cmd_criteria(cfg: RunConfig) -> int:
     return 0 if report.verdict else 1
 
 
-def _csv(rows, header: str) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def cmd_study_disorder(args) -> int:
     base = models.asgf(4, 2.0, math.pi / 2)
     amplitudes = parse_float_list(args.amplitudes)
@@ -272,7 +265,7 @@ def cmd_study_disorder(args) -> int:
         for point in experiments.disorder_sweep(base, cfg, amplitudes=amplitudes):
             rows.append((kind, point.amplitude, point.mean_fidelity,
                          point.stderr, point.samples, args.seed))
-    _emit(args.out, _csv(rows, "kind,amplitude,mean_fidelity,stderr,samples,seed"))
+    _emit(args.out, dynamics.rows_to_csv(rows, "kind,amplitude,mean_fidelity,stderr,samples,seed"))
     return 0
 
 
@@ -282,7 +275,7 @@ def cmd_study_ladder(args) -> int:
     for point in experiments.ladder_fidelity_curve(sizes):
         rows.append((point.n_copies, point.fidelity, point.period,
                      ";".join(f"{b:.6g}" for b in point.profile)))
-    _emit(args.out, _csv(rows, "n_copies,fidelity,period,profile"))
+    _emit(args.out, dynamics.rows_to_csv(rows, "n_copies,fidelity,period,profile"))
     return 0
 
 
@@ -292,7 +285,7 @@ def cmd_study_optimize(args) -> int:
              str(result.monotone).lower(), str(result.budget_exhausted).lower(),
              ";".join(f"{b:.6g}" for b in result.beta_profile))]
     header = "n_copies,fidelity,period,evaluations,monotone,budget_exhausted,profile"
-    _emit(args.out, _csv(rows, header))
+    _emit(args.out, dynamics.rows_to_csv(rows, header))
     return 0
 
 
@@ -306,14 +299,14 @@ def cmd_study_bell(args) -> int:
                      *result.concurrence[:, i]))
     header = ("t,p_psi_12,p_psi_23,p_psi_31,p_phi_12,p_phi_23,p_phi_31,"
               "c_12,c_23,c_31")
-    _emit(args.out, _csv(rows, header))
+    _emit(args.out, dynamics.rows_to_csv(rows, header))
     return 0
 
 
 def cmd_study_floquet(args) -> int:
     ratios = parse_float_list(args.ratios)
     rows = floquet.rwa_deviation_scan(ratios)
-    _emit(args.out, _csv(rows, "ratio,max_deviation"))
+    _emit(args.out, dynamics.rows_to_csv(rows, "ratio,max_deviation"))
     return 0
 
 

@@ -198,9 +198,11 @@ def chirality_order(traj: Trajectory, ring_nodes, peak_threshold: float = 0.99) 
 
     A node counts as visited once its population has a local peak at or above
     ``peak_threshold`` times its own global maximum; nodes whose population
-    never rises above the dark floor are skipped.  The orientation is
-    clockwise when the visiting order steps through ``ring_nodes`` in
-    ascending cyclic order, counterclockwise for descending, none otherwise.
+    never rises above the dark floor are skipped, and ``order`` lists the
+    visited nodes only.  The orientation is clockwise when every ring node is
+    visited and the order steps through ``ring_nodes`` in ascending cyclic
+    order, counterclockwise for descending, and none otherwise (in particular
+    whenever some ring node is never visited).
     """
     if not 0 < peak_threshold <= 1:
         raise ValueError("peak_threshold must be in (0, 1]")
@@ -221,7 +223,8 @@ def chirality_order(traj: Trajectory, ring_nodes, peak_threshold: float = 0.99) 
         raise NoPeaks("no node population reaches the peak threshold")
     order = [node for _, node in sorted(events, key=lambda item: item[0])]
     times = sorted(time for time, _ in events)
-    direction = _cyclic_direction(order, ring_nodes)
+    direction = (_cyclic_direction(order, ring_nodes) if len(order) == len(ring_nodes)
+                 else Direction.NONE)
     return ChiralityVerdict(tuple(order), direction, float(min(peak_heights)), tuple(times))
 
 
@@ -272,14 +275,19 @@ def cycle_grid(eigenvalues, periods: float = 1.0, points_per_period: int = 2000)
     return np.linspace(0.0, t_max, int(points_per_period * periods) + 1)
 
 
+def rows_to_csv(rows, header: str) -> str:
+    """Render rows as CSV under a header line: floats (NumPy ones included)
+    with 12 significant digits, anything else through ``str``."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Render populations as CSV with 12 significant digits."""
-    header = "t," + ",".join(traj.labels)
-    lines = [header]
-    for i, t in enumerate(traj.times):
-        row = [f"{t:.12g}"] + [f"{p:.12g}" for p in traj.populations[i]]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    rows = ((t, *populations) for t, populations in zip(traj.times, traj.populations))
+    return rows_to_csv(rows, "t," + ",".join(traj.labels))
 
 
 def basis_state(dim: int, index: int) -> np.ndarray:

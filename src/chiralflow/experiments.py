@@ -26,8 +26,9 @@ from .errors import BadInitial, ConfigError, EmptyWindow, NotSpin
 from .hilbert import (
     OnSite,
     build_hamiltonian,
-    embed_state,
+    embedding_indices,
     enumerate_basis,
+    full_space_index,
     occupation,
 )
 from .models import NetworkSpec, ladder, normalize_phase
@@ -304,6 +305,8 @@ def optimize_ladder(n_copies: int, budget: int | None = None, seed: int = 0,
 PAIRS = ((1, 2), (2, 3), (3, 1))
 PSI_PLUS = "psi_plus"
 PHI_PLUS = "phi_plus"
+# Occupation patterns superposed with equal weight in each Bell state.
+_BELL_PATTERNS = {PSI_PLUS: ((1, 0, 0), (0, 1, 0)), PHI_PLUS: ((0, 0, 0), (1, 1, 0))}
 
 
 @dataclass(frozen=True)
@@ -321,54 +324,44 @@ def bell_transport(spec: NetworkSpec, initial: str, times=None) -> BellTransport
 
     The one-excitation Bell state (|up down> + |down up>)/sqrt(2) lives in a
     single number sector; the parity Bell state (|down down> + |up up>)/sqrt(2)
-    superposes the empty and doubly-excited sectors, whose relative phase is
-    retained.  Both Bell projector families and the pairwise concurrence are
+    superposes the empty and doubly-excited sectors.  Each number sector of
+    the initial state is evolved on its own and scattered into the full
+    eight-dimensional space, which retains the relative phase of the
+    sectors.  Both Bell projector families and the pairwise concurrence are
     tracked for every pair.
     """
     if not spec.statistics.is_spin:
         raise NotSpin("Bell transport runs on spin networks")
     if spec.n_sites != 3:
         raise BadInitial("Bell transport is defined for the three-site ring")
-    if initial not in (PSI_PLUS, PHI_PLUS):
+    if initial not in _BELL_PATTERNS:
         raise BadInitial(f"unknown initial state {initial!r}")
     if times is None:
         times = np.linspace(0.0, 3.0 * 2.0 * math.pi / math.sqrt(3.0), 1801)
     times = np.asarray(times, dtype=float)
 
-    sector_bases = {k: enumerate_basis(3, k, spec.statistics) for k in (0, 1, 2)}
-    sector_h = {k: build_hamiltonian(spec, b) for k, b in sector_bases.items()}
-
     full = np.zeros((times.size, 8), dtype=complex)
-    if initial == PSI_PLUS:
-        basis = sector_bases[1]
-        psi0 = np.zeros(3, dtype=complex)
-        psi0[basis.state_index(occupation(3, 1))] = 1.0 / math.sqrt(2.0)
-        psi0[basis.state_index(occupation(3, 2))] = 1.0 / math.sqrt(2.0)
-        traj = evolve(sector_h[1], psi0, times, basis=basis)
-        for i in range(times.size):
-            full[i] += embed_state(traj.amplitudes[i], basis)
-    else:
-        basis2 = sector_bases[2]
-        traj2 = evolve(sector_h[2], basis2.unit_vector(occupation(3, 1, 2)), times, basis=basis2)
-        basis0 = sector_bases[0]
-        vac = embed_state(np.array([1.0 + 0.0j]), basis0)
-        for i in range(times.size):
-            full[i] += vac / math.sqrt(2.0)
-            full[i] += embed_state(traj2.amplitudes[i] / math.sqrt(2.0), basis2)
+    patterns = _BELL_PATTERNS[initial]
+    for n_up in sorted({sum(p) for p in patterns}):
+        sector = [p for p in patterns if sum(p) == n_up]
+        basis = enumerate_basis(3, n_up, spec.statistics)
+        psi0 = sum(basis.unit_vector(p) for p in sector) / math.sqrt(len(sector))
+        traj = evolve(build_hamiltonian(spec, basis), psi0, times)
+        # Every pattern carries amplitude 1/sqrt(len(patterns)) in the Bell state.
+        full[:, embedding_indices(basis)] += (traj.amplitudes
+                                              / math.sqrt(len(patterns) / len(sector)))
+
+    eye = np.eye(8, dtype=complex)
+
+    def ket(*sites):
+        return eye[full_space_index(occupation(3, *sites))]
 
     psi_pop = np.zeros((3, times.size))
     phi_pop = np.zeros((3, times.size))
     conc = np.zeros((3, times.size))
-    basis1 = sector_bases[1]
-    basis2 = sector_bases[2]
-    basis0 = sector_bases[0]
-    vac_full = embed_state(np.array([1.0 + 0.0j]), basis0)
     for p, (j, k) in enumerate(PAIRS):
-        up_j = embed_state(basis1.unit_vector(occupation(3, j)), basis1)
-        up_k = embed_state(basis1.unit_vector(occupation(3, k)), basis1)
-        psi_bra = (up_j + up_k) / math.sqrt(2.0)
-        pair_full = embed_state(basis2.unit_vector(occupation(3, j, k)), basis2)
-        phi_bra = (vac_full + pair_full) / math.sqrt(2.0)
+        psi_bra = (ket(j) + ket(k)) / math.sqrt(2.0)
+        phi_bra = (ket() + ket(j, k)) / math.sqrt(2.0)
         psi_pop[p] = np.abs(full @ psi_bra.conj()) ** 2
         phi_pop[p] = np.abs(full @ phi_bra.conj()) ** 2
         for i in range(times.size):

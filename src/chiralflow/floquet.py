@@ -1,8 +1,10 @@
 """Driven lab-frame models that synthesise the chiral ring couplings.
 
-Two schemes are covered: parametrically modulated couplers (one drive per
-link, at the link detuning) and a common bus resonator with modulated node
-frequencies, where the effective hoppings follow a Bessel-function series.
+Two schemes are covered: parametrically modulated couplers (``CouplerDrive``,
+one drive per link, at the link detuning) and a common bus resonator with
+modulated node frequencies (``BusDrive``), where the effective hoppings follow
+a Bessel-function series.  Each drive type supplies its interaction-picture
+Hamiltonian, its period and the map back to the lab frame.
 Lab-frame integration is done in the exact interaction picture of the
 time-dependent diagonal, which leaves populations untouched and keeps the
 integrator error independent of the large carrier frequencies.
@@ -21,9 +23,6 @@ from .dynamics import Trajectory, basis_state, evolve
 from .errors import ConfigError, DimensionMismatch, OutOfRange, StepTooLarge
 from .hilbert import build_hamiltonian, enumerate_basis
 from .models import NetworkSpec, asgf
-
-TUNABLE_COUPLER = "tunable_coupler"
-BUS_RESONATOR = "bus_resonator"
 
 
 def bessel_j(order: int, x: float) -> float:
@@ -76,62 +75,145 @@ class CouplerLink:
     phi: float
 
 
-@dataclass(frozen=True)
-class DriveSpec:
-    """Lab-frame drive description for one of the two synthesis schemes."""
+def _require_finite(numbers) -> None:
+    if not all(math.isfinite(x) for x in numbers):
+        raise ValueError("drive parameters must be finite")
 
-    scheme: str
-    omegas: tuple[float, ...] = ()
+
+@dataclass(frozen=True)
+class CouplerDrive:
+    """Parametrically driven couplers between nodes at static frequencies
+    ``omegas``; each link is driven at the detuning of its two nodes."""
+
+    omegas: tuple[float, ...]
     links: tuple[CouplerLink, ...] = ()
-    omega_r: float = 0.0
-    delta: float = 0.0
-    nu: float = 0.0
-    phis: tuple[float, ...] = ()
-    gs: tuple[float, ...] = ()
     base_rate: float = 1.0
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        numbers = [*self.omegas, self.omega_r, self.delta, self.nu, *self.phis,
-                   *self.gs, self.base_rate]
+        numbers = [*self.omegas, self.base_rate]
         for link in self.links:
             numbers += [link.j, link.k, link.g, link.nu, link.phi]
-        if not all(math.isfinite(x) for x in numbers):
-            raise ValueError("drive parameters must be finite")
-        if self.scheme == TUNABLE_COUPLER:
-            for link in self.links:
-                detuning = self.omegas[link.j - 1] - self.omegas[link.k - 1]
-                if abs(link.nu - detuning) > 1e-9 * max(1.0, abs(detuning)):
-                    raise ValueError(
-                        f"link ({link.j},{link.k}) drive frequency {link.nu} "
-                        f"is not the node detuning {detuning}"
-                    )
-        elif self.scheme == BUS_RESONATOR:
-            if len(self.phis) != len(self.gs):
-                raise DimensionMismatch("need one phase per bus coupling")
-            if self.nu <= 0:
-                raise ValueError("bus modulation frequency must be positive")
-            f = self.delta / self.nu
-            if abs(f - first_bessel_zero()) > 0.01:
-                warnings.warn("bus drive ratio is far from the first Bessel zero",
-                              stacklevel=2)
-        else:
-            raise ValueError(f"unknown drive scheme {self.scheme!r}")
+        _require_finite(numbers)
+        n = len(self.omegas)
+        for link in self.links:
+            if link.j == link.k or not (1 <= link.j <= n and 1 <= link.k <= n):
+                raise ValueError(f"link ({link.j},{link.k}) needs two distinct nodes in 1..{n}")
+            detuning = self.omegas[link.j - 1] - self.omegas[link.k - 1]
+            if abs(link.nu - detuning) > 1e-9 * max(1.0, abs(detuning)):
+                raise ValueError(
+                    f"link ({link.j},{link.k}) drive frequency {link.nu} "
+                    f"is not the node detuning {detuning}"
+                )
 
     @property
     def n_modes(self) -> int:
-        if self.scheme == TUNABLE_COUPLER:
-            return len(self.omegas)
+        return len(self.omegas)
+
+    @property
+    def max_frequency(self) -> float:
+        return max((abs(link.nu) for link in self.links), default=0.0)
+
+    def period(self) -> float | None:
+        """Period of the interaction-picture Hamiltonian, or None if it has
+        none: carriers oscillate at 2 nu_l, so it is pi / gcd |nu_l| over the
+        driven links."""
+        freqs = [abs(link.nu) for link in self.links if link.nu != 0.0]
+        if not freqs:
+            return None
+        base, tol = freqs[0], 1e-9 * max(freqs)
+        for freq in freqs[1:]:
+            a, b = max(base, freq), min(base, freq)
+            while b > tol:
+                a, b = b, math.fmod(a, b)
+            base = a
+        if any(abs(freq / base - round(freq / base)) > 1e-12 for freq in freqs):
+            return None
+        return math.pi / base
+
+    def hamiltonian(self, t) -> np.ndarray:
+        """Interaction-picture Hamiltonian at each time of ``t`` (stacked over
+        its shape).  In the frame of the static diagonal the co-rotating part
+        of a link is g e^{-i phi}, the counter-rotating part oscillates at
+        2 nu."""
+        rows = np.array([link.j - 1 for link in self.links], dtype=int)
+        cols = np.array([link.k - 1 for link in self.links], dtype=int)
+        gs = np.array([link.g for link in self.links])
+        nus = np.array([link.nu for link in self.links])
+        phis = np.array([link.phi for link in self.links])
+        t = np.asarray(t, dtype=float)[..., None]
+        values = gs * (np.exp(1j * (2.0 * nus * t + phis)) + np.exp(-1j * phis))
+        h = np.zeros(t.shape[:-1] + (self.n_modes, self.n_modes), dtype=complex)
+        h[..., rows, cols] = values
+        h[..., cols, rows] = values.conjugate()
+        return h
+
+    def to_lab_frame(self, times: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+        """Undo the interaction-picture phases of a (times, modes) amplitude array."""
+        return amplitudes * np.exp(-1j * np.outer(times, np.asarray(self.omegas)))
+
+
+@dataclass(frozen=True)
+class BusDrive:
+    """Nodes coupled with strengths ``gs`` to a common bus at ``omega_r``,
+    their frequencies modulated as delta cos(nu t - phi_j)."""
+
+    nu: float
+    delta: float
+    phis: tuple[float, ...]
+    gs: tuple[float, ...]
+    omega_r: float = 0.0
+    base_rate: float = 1.0
+    labels: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        _require_finite([self.nu, self.delta, *self.phis, *self.gs, self.omega_r,
+                         self.base_rate])
+        if len(self.phis) != len(self.gs):
+            raise DimensionMismatch("need one phase per bus coupling")
+        if self.nu <= 0:
+            raise ValueError("bus modulation frequency must be positive")
+        if abs(self.delta / self.nu - first_bessel_zero()) > 0.01:
+            warnings.warn("bus drive ratio is far from the first Bessel zero",
+                          stacklevel=2)
+
+    @property
+    def n_modes(self) -> int:
         return len(self.gs) + 1  # nodes plus the bus
 
     @property
     def max_frequency(self) -> float:
-        if self.scheme == TUNABLE_COUPLER:
-            return max((abs(link.nu) for link in self.links), default=0.0)
         return self.nu
 
+    def period(self) -> float:
+        """Period of the interaction-picture Hamiltonian, 2 pi / nu."""
+        return 2.0 * math.pi / self.nu
 
-def tunable_coupler_asgf4(g: float = 1.0, ratio: float = 20.0) -> DriveSpec:
+    def _node_phases(self, t: np.ndarray) -> np.ndarray:
+        # Frame of the modulated node frequencies: the integral of the
+        # detuning delta cos(nu t - phi_j) turns each bus coupling into a phase.
+        phis = np.asarray(self.phis)
+        return self.delta / self.nu * (np.sin(self.nu * t - phis) + np.sin(phis))
+
+    def hamiltonian(self, t) -> np.ndarray:
+        """Interaction-picture Hamiltonian at each time of ``t`` (stacked over
+        its shape); the bus is the last mode."""
+        n_nodes = len(self.gs)
+        t = np.asarray(t, dtype=float)[..., None]
+        values = np.asarray(self.gs) * np.exp(1j * self._node_phases(t))
+        h = np.zeros(t.shape[:-1] + (n_nodes + 1, n_nodes + 1), dtype=complex)
+        h[..., :n_nodes, n_nodes] = values
+        h[..., n_nodes, :n_nodes] = values.conjugate()
+        return h
+
+    def to_lab_frame(self, times: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+        """Undo the interaction-picture phases of a (times, modes) amplitude array."""
+        node_part = amplitudes[:, :-1] * np.exp(-1j * self._node_phases(times[:, None]))
+        amplitudes = np.concatenate([node_part, amplitudes[:, -1:]], axis=1)
+        return amplitudes * np.exp(-1j * self.omega_r * times)[:, None]
+
+
+def tunable_coupler_asgf4(g: float = 1.0, ratio: float = 20.0) -> CouplerDrive:
     """Coupler drives that synthesise the perfect four-node chiral network.
 
     Ring links are driven with phase -pi/2 and strength g, the centre links
@@ -148,8 +230,7 @@ def tunable_coupler_asgf4(g: float = 1.0, ratio: float = 20.0) -> DriveSpec:
         links.append(CouplerLink(j, k, g, omegas[j - 1] - omegas[k - 1], -math.pi / 2))
     for j in range(1, 5):
         links.append(CouplerLink(j, 5, 2.0 * g, omegas[j - 1] - omegas[4], 0.0))
-    return DriveSpec(
-        scheme=TUNABLE_COUPLER,
+    return CouplerDrive(
         omegas=omegas,
         links=tuple(links),
         base_rate=g,
@@ -158,86 +239,19 @@ def tunable_coupler_asgf4(g: float = 1.0, ratio: float = 20.0) -> DriveSpec:
 
 
 def bus_resonator_ring(n: int = 4, g: float = 1.0, nu: float = 40.0,
-                       f: float | None = None) -> DriveSpec:
+                       f: float | None = None) -> BusDrive:
     """Bus scheme with node phases phi_j = j pi/2: equal-strength NN hops,
     no next-nearest-neighbour coupling."""
     if f is None:
         f = first_bessel_zero()
-    return DriveSpec(
-        scheme=BUS_RESONATOR,
-        omega_r=0.0,
-        delta=f * nu,
+    return BusDrive(
         nu=nu,
+        delta=f * nu,
         phis=tuple(j * math.pi / 2 for j in range(1, n + 1)),
         gs=(g,) * n,
         base_rate=g,
         labels=tuple(f"node_{j}" for j in range(1, n + 1)) + ("bus",),
     )
-
-
-def _coupler_hamiltonian_factory(drive: DriveSpec):
-    n = drive.n_modes
-    rows = np.array([link.j - 1 for link in drive.links], dtype=int)
-    cols = np.array([link.k - 1 for link in drive.links], dtype=int)
-    gs = np.array([link.g for link in drive.links])
-    nus = np.array([link.nu for link in drive.links])
-    phis = np.array([link.phi for link in drive.links])
-
-    def h_of(t) -> np.ndarray:
-        # Interaction picture of the static diagonal: the co-rotating part is
-        # g e^{-i phi}, the counter-rotating part oscillates at 2 nu.
-        t = np.asarray(t, dtype=float)[..., None]
-        values = gs * (np.exp(1j * (2.0 * nus * t + phis)) + np.exp(-1j * phis))
-        h = np.zeros(t.shape[:-1] + (n, n), dtype=complex)
-        h[..., rows, cols] = values
-        h[..., cols, rows] = values.conjugate()
-        return h
-
-    return h_of
-
-
-def _bus_hamiltonian_factory(drive: DriveSpec):
-    n_nodes = len(drive.gs)
-    n = n_nodes + 1
-    f = drive.delta / drive.nu
-    gs = np.array(drive.gs)
-    phis = np.array(drive.phis)
-
-    def h_of(t) -> np.ndarray:
-        # Frame of the modulated node frequencies: integral of the detuning
-        # Delta cos(nu t - phi_j) turns each bus coupling into a phase.
-        t = np.asarray(t, dtype=float)[..., None]
-        phase = f * (np.sin(drive.nu * t - phis) + np.sin(phis))
-        values = gs * np.exp(1j * phase)
-        h = np.zeros(t.shape[:-1] + (n, n), dtype=complex)
-        h[..., :n_nodes, n_nodes] = values
-        h[..., n_nodes, :n_nodes] = values.conjugate()
-        return h
-
-    return h_of
-
-
-def _drive_period(drive: DriveSpec) -> float | None:
-    """Period of the interaction-picture Hamiltonian, or None if it has none.
-
-    Coupler carriers oscillate at 2 nu_l, so the common period is
-    pi / gcd |nu_l| over the driven links; the bus phases repeat after
-    2 pi / nu.
-    """
-    if drive.scheme == BUS_RESONATOR:
-        return 2.0 * math.pi / drive.nu
-    freqs = [abs(link.nu) for link in drive.links if link.nu != 0.0]
-    if not freqs:
-        return None
-    base, tol = freqs[0], 1e-9 * max(freqs)
-    for freq in freqs[1:]:
-        a, b = max(base, freq), min(base, freq)
-        while b > tol:
-            a, b = b, math.fmod(a, b)
-        base = a
-    if any(abs(freq / base - round(freq / base)) > 1e-12 for freq in freqs):
-        return None
-    return math.pi / base
 
 
 def _rk4_maps(h_of, starts: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -277,19 +291,7 @@ def _propagators(h_of, n: int, stops: np.ndarray, dt: float) -> np.ndarray:
     return np.asarray(out)
 
 
-def _to_lab_frame(drive: DriveSpec, times: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
-    """Undo the interaction-picture phases of a (times, modes) amplitude array."""
-    if drive.scheme == TUNABLE_COUPLER:
-        return amplitudes * np.exp(-1j * np.outer(times, np.asarray(drive.omegas)))
-    f = drive.delta / drive.nu
-    phis = np.asarray(drive.phis)
-    phase = f * (np.sin(drive.nu * times[:, None] - phis[None, :]) + np.sin(phis)[None, :])
-    node_part = amplitudes[:, :-1] * np.exp(-1j * phase)
-    amplitudes = np.concatenate([node_part, amplitudes[:, -1:]], axis=1)
-    return amplitudes * np.exp(-1j * drive.omega_r * times)[:, None]
-
-
-def integrate_tdse(drive: DriveSpec, psi0, t_final: float, dt: float,
+def integrate_tdse(drive: CouplerDrive | BusDrive, psi0, t_final: float, dt: float,
                    record_points: int = 1201) -> Trajectory:
     """Lab-frame amplitudes of the driven single-excitation model on the
     uniform grid ``np.linspace(0, t_final, record_points)``.
@@ -314,10 +316,7 @@ def integrate_tdse(drive: DriveSpec, psi0, t_final: float, dt: float,
         raise DimensionMismatch(f"state must have length {n}")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise ValueError("initial state must be normalised")
-    h_of = (_coupler_hamiltonian_factory(drive) if drive.scheme == TUNABLE_COUPLER
-            else _bus_hamiltonian_factory(drive))
-
-    period = _drive_period(drive)
+    period = drive.period()
     if period is None or period >= t_final:
         period = t_final
     times = np.linspace(0.0, t_final, record_points)
@@ -325,7 +324,7 @@ def integrate_tdse(drive: DriveSpec, psi0, t_final: float, dt: float,
     # rounding of the grid, and sends t = m T - 1e-17 to (m, 0).
     cycles, phase = np.divmod(np.round(times / period, 12), 1.0)
     offsets, which = np.unique(phase, return_inverse=True)
-    u = _propagators(h_of, n, np.append(offsets, 1.0) * period, dt)
+    u = _propagators(drive.hamiltonian, n, np.append(offsets, 1.0) * period, dt)
     stroboscopic = [psi]
     for _ in range(int(cycles[-1])):
         stroboscopic.append(u[-1] @ stroboscopic[-1])
@@ -334,7 +333,7 @@ def integrate_tdse(drive: DriveSpec, psi0, t_final: float, dt: float,
     if drift > 1e-8:
         raise ValueError(f"norm drift {drift:.2e} exceeds 1e-8; reduce dt")
 
-    amplitudes = _to_lab_frame(drive, times, states)
+    amplitudes = drive.to_lab_frame(times, states)
     populations = np.abs(amplitudes) ** 2
     labels = drive.labels or tuple(f"node_{j}" for j in range(1, n + 1))
     for arr in (times, amplitudes, populations):
@@ -350,7 +349,7 @@ class EffectiveComparison:
     per_node_deviation: tuple[float, ...]
 
 
-def compare_effective(drive: DriveSpec, target: NetworkSpec, psi0=None,
+def compare_effective(drive: CouplerDrive | BusDrive, target: NetworkSpec, psi0=None,
                       t_final: float | None = None, dt: float | None = None) -> EffectiveComparison:
     """Max population deviation between the lab-frame drive and the target
     network over one chiral cycle.

@@ -40,9 +40,10 @@ def normalize_phase(theta: float) -> float:
 class GaugeChoice:
     """Gauge used to distribute a ring flux over link phases.
 
-    ``symmetric`` spreads the flux evenly, ``landau`` evaluates the line
-    integral of A = (-By, 0, 0) over the polygon geometry, and ``custom``
-    applies the given per-site phases on top of the symmetric gauge.
+    ``symmetric`` spreads the flux evenly over the ring links.  ``landau``
+    (A = (-By, 0) on the unit-circle polygon) and ``custom`` (the given
+    per-site phases) are gauge transforms of the symmetric gauge, applied
+    with ``gauge_transform``.
     """
 
     kind: str
@@ -178,32 +179,24 @@ def _polygon_area(n: int) -> float:
     return 0.5 * n * math.sin(TWO_PI / n)
 
 
-def _line_integral_phase(gauge_kind: str, b_field: float, r_from, r_to) -> float:
-    """Peierls phase for a straight hop r_from -> r_to in a uniform field.
+def _in_gauge(spec: NetworkSpec, gauge: GaugeChoice, flux: float) -> NetworkSpec:
+    """Re-express a symmetric-gauge ring spec carrying ``flux`` in ``gauge``.
 
-    The symmetric gauge uses A = (B/2)(-y, x); the Landau gauge A = (-By, 0).
+    The symmetric gauge is A = (B/2)(-y, x) with B = -flux / polygon area (a
+    field along -z realises positive flux for counterclockwise site
+    numbering).  The Landau gauge A = (-By, 0) differs from it by the
+    gradient of chi = -B x y / 2, so it is the gauge transform with site
+    phases chi(r_j); auxiliary nodes sit at the centre, where chi = 0.
     """
-    x0, y0 = r_from
-    x1, y1 = r_to
-    if gauge_kind == "symmetric":
-        return 0.5 * b_field * (x0 * y1 - y0 * x1)
-    if gauge_kind == "landau":
-        return -0.5 * b_field * (y0 + y1) * (x1 - x0)
-    raise BadGauge(f"no line-integral rule for gauge {gauge_kind!r}")
-
-
-def _geometric_ring_hoppings(n: int, flux: float, gauge_kind: str,
-                             positions: np.ndarray) -> list[Hopping]:
-    # Stored phase theta_{j,j+1} belongs to a_j^dag a_{j+1}, i.e. the hop
-    # j+1 -> j, and the ring flux is the sum of those phases; a field along
-    # -z with counterclockwise site numbering realises positive flux.
-    b_field = -flux / _polygon_area(n)
-    hops = []
-    for j in range(1, n + 1):
-        k = j % n + 1
-        theta = _line_integral_phase(gauge_kind, b_field, positions[k - 1], positions[j - 1])
-        hops.append(Hopping(j, k, 1.0, theta))
-    return hops
+    if gauge.kind == "landau":
+        n = spec.n_network
+        b_field = -flux / _polygon_area(n)
+        x, y = _ring_positions(n).T
+        chi = -0.5 * b_field * x * y
+        return gauge_transform(spec, [*chi, *[0.0] * spec.auxiliary_count])
+    if gauge.kind == "custom":
+        return gauge_transform(spec, gauge.site_phases)
+    return spec
 
 
 def sgf_ring(n: int, total_flux: float, gauge: GaugeChoice = SYMMETRIC,
@@ -216,17 +209,10 @@ def sgf_ring(n: int, total_flux: float, gauge: GaugeChoice = SYMMETRIC,
     """
     if n < 3:
         raise ValueError("need at least 3 ring sites")
-    if gauge.kind == "symmetric":
-        theta = total_flux / n
-        hops = [Hopping(j, j % n + 1, 1.0, theta) for j in range(1, n + 1)]
-    elif gauge.kind == "landau":
-        hops = _geometric_ring_hoppings(n, total_flux, "landau", _ring_positions(n))
-    else:
-        if len(gauge.site_phases) != n:
-            raise BadGauge(f"need {n} site phases, got {len(gauge.site_phases)}")
-        base = sgf_ring(n, total_flux, SYMMETRIC, statistics)
-        return gauge_transform(base, gauge.site_phases)
-    return NetworkSpec(n, 0, tuple(hops), (), statistics, _ring_labels(n))
+    theta = total_flux / n
+    hops = [Hopping(j, j % n + 1, 1.0, theta) for j in range(1, n + 1)]
+    spec = NetworkSpec(n, 0, tuple(hops), (), statistics, _ring_labels(n))
+    return _in_gauge(spec, gauge, total_flux)
 
 
 def asgf(n: int, beta_c: float, nn_phase: float, gauge: GaugeChoice = SYMMETRIC,
@@ -244,26 +230,10 @@ def asgf(n: int, beta_c: float, nn_phase: float, gauge: GaugeChoice = SYMMETRIC,
         raise ValueError("beta_c must be >= 0")
     if beta_c == 0:
         return sgf_ring(n, n * nn_phase, gauge, statistics)
-    aux = n + 1
-    if gauge.kind == "symmetric":
-        hops = [Hopping(j, j % n + 1, 1.0, nn_phase) for j in range(1, n + 1)]
-        hops += [Hopping(j, aux, beta_c, 0.0) for j in range(1, n + 1)]
-    elif gauge.kind == "landau":
-        positions = _ring_positions(n)
-        hops = _geometric_ring_hoppings(n, n * nn_phase, "landau", positions)
-        b_field = -n * nn_phase / _polygon_area(n)
-        centre = np.zeros(2)
-        hops += [
-            Hopping(j, aux, beta_c,
-                    _line_integral_phase("landau", b_field, centre, positions[j - 1]))
-            for j in range(1, n + 1)
-        ]
-    else:
-        if len(gauge.site_phases) != n + 1:
-            raise BadGauge(f"need {n + 1} site phases, got {len(gauge.site_phases)}")
-        base = asgf(n, beta_c, nn_phase, SYMMETRIC, statistics)
-        return gauge_transform(base, gauge.site_phases)
-    return NetworkSpec(n, 1, tuple(hops), (), statistics, _ring_labels(n, 1))
+    hops = [Hopping(j, j % n + 1, 1.0, nn_phase) for j in range(1, n + 1)]
+    hops += [Hopping(j, n + 1, beta_c, 0.0) for j in range(1, n + 1)]
+    spec = NetworkSpec(n, 1, tuple(hops), (), statistics, _ring_labels(n, 1))
+    return _in_gauge(spec, gauge, n * nn_phase)
 
 
 def chiral_n_node(n: int, statistics: Statistics = Statistics.boson()) -> NetworkSpec:

@@ -190,6 +190,16 @@ def test_chirality_no_peaks():
         dynamics.chirality_order(traj, [1, 2, 3], peak_threshold=0.0)
 
 
+def test_chirality_none_unless_every_ring_node_is_visited():
+    # Only nodes 1 and 2 are coupled: node 3 stays dark, so no orientation.
+    h = np.zeros((3, 3), dtype=complex)
+    h[0, 1] = h[1, 0] = 1.0
+    traj = dynamics.evolve(h, dynamics.basis_state(3, 0), np.linspace(0.0, math.pi, 201))
+    verdict = dynamics.chirality_order(traj, [1, 2, 3])
+    assert verdict.order == (1, 2)
+    assert verdict.direction is Direction.NONE
+
+
 def test_reversed_flux_reverses_direction():
     times = np.linspace(0.0, 2 * math.pi / math.sqrt(3.0), 1201)
     forward = evolve_spec(models.sgf_ring(3, math.pi / 2), times)

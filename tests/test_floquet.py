@@ -11,9 +11,7 @@ def rk4_reference(drive, psi0, times, dt):
     """The fixed-step RK4 vector stepper that ``integrate_tdse`` replaced,
     stepping through every period from one record time to the next with
     steps no larger than dt; lab-frame amplitudes on ``times``."""
-    h_of = (floquet._coupler_hamiltonian_factory(drive)
-            if drive.scheme == floquet.TUNABLE_COUPLER
-            else floquet._bus_hamiltonian_factory(drive))
+    h_of = drive.hamiltonian
     psi = np.asarray(psi0, dtype=complex)
     states = [psi]
     for a, b in zip(times[:-1], times[1:]):
@@ -28,12 +26,11 @@ def rk4_reference(drive, psi0, times, dt):
             k4 = -1j * (h_of(t + h) @ (psi + h * k3))
             psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states.append(psi)
-    return floquet._to_lab_frame(drive, np.asarray(times), np.asarray(states))
+    return drive.to_lab_frame(np.asarray(times), np.asarray(states))
 
 
 def static_pair_drive():
-    return floquet.DriveSpec(
-        scheme=floquet.TUNABLE_COUPLER,
+    return floquet.CouplerDrive(
         omegas=(0.0, 20.0, 45.0),
         links=(),
         labels=("node_1", "node_2", "node_3"),
@@ -43,8 +40,7 @@ def static_pair_drive():
 def incommensurate_drive():
     # Carriers at 2 and 2 sqrt(2): no common period, so one pass spans t_final.
     omegas = (0.0, 1.0, 1.0 + math.sqrt(2.0))
-    return floquet.DriveSpec(
-        scheme=floquet.TUNABLE_COUPLER,
+    return floquet.CouplerDrive(
         omegas=omegas,
         links=(floquet.CouplerLink(1, 2, 1.0, -1.0, 0.3),
                floquet.CouplerLink(2, 3, 0.7, -math.sqrt(2.0), -1.1)),
@@ -131,31 +127,39 @@ def test_bus_ring_kills_next_nearest_neighbours():
 
 def test_drive_spec_validates_detunings():
     with pytest.raises(ValueError):
-        floquet.DriveSpec(
-            scheme=floquet.TUNABLE_COUPLER,
+        floquet.CouplerDrive(
             omegas=(0.0, 10.0),
             links=(floquet.CouplerLink(1, 2, 1.0, 3.0, 0.0),),
         )
 
 
+@pytest.mark.parametrize("omegas, link", [
+    # Unchecked, site 0 would index omegas[-1] and couple the last node.
+    pytest.param((0.0, 10.0, 30.0), floquet.CouplerLink(0, 1, 1.0, 30.0, 0.0), id="site-0"),
+    pytest.param((0.0, 10.0), floquet.CouplerLink(1, 3, 1.0, -10.0, 0.0), id="site-past-end"),
+    pytest.param((0.0, 10.0), floquet.CouplerLink(2, 2, 1.0, 0.0, 0.0), id="self-link"),
+])
+def test_coupler_drive_rejects_bad_link_sites(omegas, link):
+    with pytest.raises(ValueError, match="two distinct nodes"):
+        floquet.CouplerDrive(omegas=omegas, links=(link,))
+
+
 @pytest.mark.parametrize("kwargs", [
     # A NaN node frequency slips past the detuning check (NaN compares False)
     # and used to yield NaN lab-frame populations without an error.
-    dict(scheme=floquet.TUNABLE_COUPLER, omegas=(0.0, math.nan),
-         links=(floquet.CouplerLink(1, 2, 1.0, 5.0, 0.0),)),
-    dict(scheme=floquet.TUNABLE_COUPLER, omegas=(0.0, 5.0),
-         links=(floquet.CouplerLink(1, 2, math.inf, 5.0, 0.0),)),
-    dict(scheme=floquet.TUNABLE_COUPLER, omegas=(0.0, 5.0),
-         links=(floquet.CouplerLink(1, 2, 1.0, 5.0, math.nan),)),
-    dict(scheme=floquet.TUNABLE_COUPLER, omegas=(0.0, 5.0), base_rate=math.nan),
-    dict(scheme=floquet.BUS_RESONATOR, delta=math.inf, nu=40.0, phis=(0.0,), gs=(1.0,)),
-    dict(scheme=floquet.BUS_RESONATOR, delta=96.0, nu=40.0, phis=(math.nan,), gs=(1.0,)),
-    dict(scheme=floquet.BUS_RESONATOR, delta=96.0, nu=40.0, phis=(0.0,), gs=(1.0,),
-         omega_r=-math.inf),
+    dict(omegas=(0.0, math.nan), links=(floquet.CouplerLink(1, 2, 1.0, 5.0, 0.0),)),
+    dict(omegas=(0.0, 5.0), links=(floquet.CouplerLink(1, 2, math.inf, 5.0, 0.0),)),
+    dict(omegas=(0.0, 5.0), links=(floquet.CouplerLink(1, 2, 1.0, 5.0, math.nan),)),
+    dict(omegas=(0.0, 5.0), base_rate=math.nan),
+    dict(delta=math.inf, nu=40.0, phis=(0.0,), gs=(1.0,)),
+    dict(delta=96.0, nu=40.0, phis=(math.nan,), gs=(1.0,)),
+    dict(delta=96.0, nu=40.0, phis=(0.0,), gs=(1.0,), omega_r=-math.inf),
 ])
 def test_drive_spec_rejects_non_finite_numbers(kwargs):
+    # Cases with bus couplings describe a bus drive, the others a coupler drive.
+    drive_type = floquet.BusDrive if "gs" in kwargs else floquet.CouplerDrive
     with pytest.raises(ValueError, match="finite"):
-        floquet.DriveSpec(**kwargs)
+        drive_type(**kwargs)
 
 
 def test_zero_drive_keeps_populations():
@@ -280,8 +284,8 @@ def test_one_period_propagator_matches_rk4_reference(drive, t_final, dt, psi0):
 
 def test_drive_period():
     for g, ratio in ((1.0, 10.0), (1.0, 20.0), (0.1, 200.0), (1.3, 10.5)):
-        period = floquet._drive_period(floquet.tunable_coupler_asgf4(g=g, ratio=ratio))
+        period = floquet.tunable_coupler_asgf4(g=g, ratio=ratio).period()
         assert period == pytest.approx(math.pi / (ratio * g), rel=1e-12)
-    assert floquet._drive_period(floquet.bus_resonator_ring(4, nu=60.0)) == 2.0 * math.pi / 60.0
-    assert floquet._drive_period(incommensurate_drive()) is None
-    assert floquet._drive_period(static_pair_drive()) is None
+    assert floquet.bus_resonator_ring(4, nu=60.0).period() == 2.0 * math.pi / 60.0
+    assert incommensurate_drive().period() is None
+    assert static_pair_drive().period() is None

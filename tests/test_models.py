@@ -138,6 +138,34 @@ def test_gauge_transform_landau_equivalence():
     assert landau.hoppings != sym.hoppings  # genuinely different gauge
 
 
+def landau_peierls_phase(b_field, r_from, r_to):
+    """Line integral of A = (-By, 0) along the straight hop r_from -> r_to."""
+    (x0, y0), (x1, y1) = r_from, r_to
+    return -0.5 * b_field * (y0 + y1) * (x1 - x0)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_landau_phases_are_peierls_line_integrals(n):
+    # Sites on the unit circle, site 1 at angle 0, labels counterclockwise;
+    # the centre auxiliary sits at the origin.  A field along -z realises a
+    # positive flux, and a stored phase theta_jk belongs to the hop k -> j.
+    angles = 2.0 * math.pi * np.arange(n) / n
+    sites = np.column_stack([np.cos(angles), np.sin(angles)])
+    area = 0.5 * n * math.sin(2.0 * math.pi / n)
+    for flux in (0.3, -1.7, math.pi, 2.0 * math.pi, 2.5 * math.pi, 7.1, -9.4):
+        b_field = -flux / area
+        expected = {(j, j % n + 1): landau_peierls_phase(b_field, sites[j % n], sites[j - 1])
+                    for j in range(1, n + 1)}
+        centre = {(j, n + 1): landau_peierls_phase(b_field, (0.0, 0.0), sites[j - 1])
+                  for j in range(1, n + 1)}
+        for spec, links in ((models.sgf_ring(n, flux, LANDAU), expected),
+                            (models.asgf(n, 1.3, flux / n, LANDAU), {**expected, **centre})):
+            assert {(hop.j, hop.k) for hop in spec.hoppings} == set(links)
+            for hop in spec.hoppings:
+                error = math.remainder(hop.phase - links[(hop.j, hop.k)], 2.0 * math.pi)
+                assert abs(error) <= 1e-12, (n, flux, hop)
+
+
 def test_gauge_transform_requires_matching_length():
     spec = models.sgf_ring(4, math.pi)
     with pytest.raises(BadGauge):
