@@ -17,7 +17,6 @@ import numpy as np
 from .dynamics import (
     _first_peak_index,
     average_fidelity,
-    basis_state,
     eigendecompose,
     evolve,
     simulate,
@@ -155,19 +154,24 @@ def revival_fidelity(spec: NetworkSpec, points: int = 4001) -> tuple[float, floa
     1e-11 * t_est at the end.
     """
     basis = enumerate_basis(spec.n_sites, 1, spec.statistics)
-    h = build_hamiltonian(spec, basis)
-    system = eigendecompose(h)
-    psi0 = basis_state(spec.n_sites, 0)
-    weights = np.abs(system.eigenvectors.conj().T @ psi0) ** 2
-    scale = max(1.0, float(np.max(np.abs(system.eigenvalues))))
-    populated = (weights > 1e-8) & (np.abs(system.eigenvalues) > 1e-9 * scale)
+    system = eigendecompose(build_hamiltonian(spec, basis))
+    weights = np.abs(system.eigenvectors[0]) ** 2  # overlaps with node 1
+    return _revival_peak(system.eigenvalues, weights, points)
+
+
+def _revival_peak(eigenvalues: np.ndarray, weights: np.ndarray,
+                  points: int) -> tuple[float, float]:
+    """Maximum of |sum_k weights_k exp(-i E_k t)|^2 and its time, searched as
+    ``revival_fidelity`` documents."""
+    scale = max(1.0, float(np.max(np.abs(eigenvalues))))
+    populated = (weights > 1e-8) & (np.abs(eigenvalues) > 1e-9 * scale)
     if not np.any(populated):
         return 1.0, 0.0  # stationary state: trivially revived at all times
-    x_min = float(np.min(np.abs(system.eigenvalues[populated])))
+    x_min = float(np.min(np.abs(eigenvalues[populated])))
     t_est = 2.0 * math.pi / x_min
 
     def overlap_sq(t):
-        phases = np.exp(-1j * np.outer(t, system.eigenvalues))
+        phases = np.exp(-1j * np.outer(t, eigenvalues))
         return np.abs(phases @ weights) ** 2
 
     grid = np.linspace(0.5 * t_est, 1.7 * t_est, points)
@@ -219,11 +223,95 @@ class OptimizationResult:
     budget_exhausted: bool
 
 
+# Floor on each profile increment: without it BFGS drives exp(x) below the
+# rounding of b_{i-1}, and the profile is no longer strictly increasing.
+MIN_INCREMENT = 1e-3
+
+
 def _profile_from_increments(increments: np.ndarray) -> list[float]:
     profile = [2.0]
     for x in increments:
-        profile.append(profile[-1] + math.exp(x))
+        profile.append(profile[-1] + MIN_INCREMENT + math.exp(x))
     return profile
+
+
+def _ladder_objective(n_copies: int):
+    """Ladder cycle fidelity and its gradient in the log-increments of
+    ``_profile_from_increments``.
+
+    H(b) = H_ring + sum_d b_d A_d is assembled once.  At the revival time t*
+    (envelope theorem) the return amplitude A = <0|exp(-iHt*)|0> has the
+    Daleckii-Krein derivative dA/db_d = sum_km V_0k (V^dag A_d V)_km Phi_km
+    conj(V_0m), Phi_km = (e^{-iE_k t} - e^{-iE_m t}) / (E_k - E_m), or
+    -it e^{-iE_k t} for degenerate levels; dF/db_d = 2 Re(conj(A) dA/db_d).
+    """
+    n_profiles = (n_copies + 1) // 2
+    ring = ladder(n_copies, [0.0] * n_profiles)
+    basis = enumerate_basis(ring.n_sites, 1, ring.statistics)
+    h_ring = build_hamiltonian(ring, basis).matrix
+    couplings = np.array([
+        build_hamiltonian(ladder(n_copies, np.eye(n_profiles)[d]), basis).matrix - h_ring
+        for d in range(n_profiles)
+    ])
+    h_fixed = h_ring + 2.0 * couplings[0]  # the end cells keep coupling 2
+    free = couplings[1:]
+
+    def objective(increments: np.ndarray) -> tuple[float, np.ndarray]:
+        profile = np.array(_profile_from_increments(increments))
+        values, vectors = np.linalg.eigh(h_fixed + np.tensordot(profile[1:], free, 1))
+        lead = vectors[0]
+        weights = np.abs(lead) ** 2
+        fidelity, t = _revival_peak(values, weights, points=2001)
+        phases = np.exp(-1j * values * t)
+        amplitude = phases @ weights
+        gaps = values[:, None] - values[None, :]
+        near = np.abs(gaps) < 1e-9
+        phi = np.where(near, -1j * t * phases[:, None],
+                       (phases[:, None] - phases[None, :]) / np.where(near, 1.0, gaps))
+        # sum_km (V^dag A_d V)_km G_km = sum_ij (A_d)_ij (V G^T V^dag)_ji
+        g = phi * np.outer(lead, lead.conj())
+        w = vectors @ g.T @ vectors.conj().T
+        d_amplitude = np.einsum("dij,ji->d", free, w)
+        d_profile = 2.0 * np.real(np.conj(amplitude) * d_amplitude)
+        # b_i = b_{i-1} + MIN_INCREMENT + exp(x_i) moves every b_j with j >= i.
+        grad = np.exp(increments) * np.cumsum(d_profile[::-1])[::-1]
+        return fidelity, grad
+
+    return objective
+
+
+def _bfgs_ascent(evaluate, x: np.ndarray, budget: int):
+    """Maximise ``evaluate(x) -> (f, grad)`` by BFGS with Armijo backtracking
+    and steps of at most 1 per coordinate, until max|grad| < 1e-9, a step
+    gains less than 1e-13 or ``budget`` evaluations are spent.  Returns
+    (x, f, evaluations used, whether the budget cut the run)."""
+    f, grad = evaluate(x)
+    used = 1
+    inverse = np.eye(x.size)
+    while np.max(np.abs(grad)) >= 1e-9:
+        direction = inverse @ grad
+        direction /= max(1.0, float(np.max(np.abs(direction))))
+        slope = float(direction @ grad)
+        alpha = 1.0
+        while True:
+            if used >= budget:
+                return x, f, used, True
+            f_new, grad_new = evaluate(x + alpha * direction)
+            used += 1
+            if f_new >= f + 1e-4 * alpha * slope or alpha < 1e-10:
+                break
+            alpha *= 0.5
+        if f_new - f < 1e-13:
+            break
+        step = alpha * direction
+        change = grad - grad_new  # gradient change of -f
+        x, f, grad = x + step, f_new, grad_new
+        curvature = float(step @ change)
+        if curvature > 0.0:
+            rho = 1.0 / curvature
+            left = np.eye(x.size) - rho * np.outer(step, change)
+            inverse = left @ inverse @ left.T + rho * np.outer(step, step)
+    return x, f, used, False
 
 
 def optimize_ladder(n_copies: int, budget: int | None = None, seed: int = 0,
@@ -231,9 +319,11 @@ def optimize_ladder(n_copies: int, budget: int | None = None, seed: int = 0,
     """Maximise the ladder cycle fidelity over a monotone coupling profile.
 
     The end cells keep coupling 2; inner couplings are parametrised through
-    log-increments so every candidate satisfies 2 = b_0 < b_1 < ... < b_m.
-    Derivative-free coordinate descent with shrinking steps and seeded
-    restarts; deterministic for a fixed seed.
+    log-increments, b_i = b_{i-1} + MIN_INCREMENT + exp(x_i), so every
+    candidate satisfies 2 = b_0 < b_1 < ... < b_m.  Each of the seeded
+    starts runs BFGS on the exact gradient of ``_ladder_objective``;
+    ``budget`` caps the objective evaluations of all starts together.
+    Deterministic for a fixed seed.
     """
     if n_copies < 1:
         raise ConfigError("need at least one cell")
@@ -247,16 +337,9 @@ def optimize_ladder(n_copies: int, budget: int | None = None, seed: int = 0,
     if budget < 50 * n_free:
         raise ConfigError(f"budget must be at least {50 * n_free} for {n_free} parameters")
 
+    objective = _ladder_objective(n_copies)
     evaluations = 0
     exhausted = False
-
-    def objective(increments: np.ndarray) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        profile = _profile_from_increments(increments)
-        fidelity, _ = revival_fidelity(ladder(n_copies, profile), points=2001)
-        return fidelity
-
     rng = np.random.default_rng(seed)
     best_x = None
     best_f = -1.0
@@ -268,27 +351,8 @@ def optimize_ladder(n_copies: int, budget: int | None = None, seed: int = 0,
         if evaluations >= budget:
             exhausted = True
             break
-        f = objective(x)
-        step = 0.8
-        while step > 1e-3:
-            improved = False
-            for i in range(n_free):
-                for direction in (+1.0, -1.0):
-                    if evaluations >= budget:
-                        exhausted = True
-                        break
-                    trial = x.copy()
-                    trial[i] += direction * step
-                    f_trial = objective(trial)
-                    if f_trial > f + 1e-12:
-                        x, f = trial, f_trial
-                        improved = True
-                if exhausted:
-                    break
-            if exhausted:
-                break
-            if not improved:
-                step *= 0.5
+        x, f, used, exhausted = _bfgs_ascent(objective, x, budget - evaluations)
+        evaluations += used
         if f > best_f:
             best_f, best_x = f, x.copy()
         log.info("optimize n=%d restart=%d fidelity=%.6f evals=%d",
@@ -358,14 +422,12 @@ def bell_transport(spec: NetworkSpec, initial: str, times=None) -> BellTransport
 
     psi_pop = np.zeros((3, times.size))
     phi_pop = np.zeros((3, times.size))
-    conc = np.zeros((3, times.size))
     for p, (j, k) in enumerate(PAIRS):
         psi_bra = (ket(j) + ket(k)) / math.sqrt(2.0)
         phi_bra = (ket() + ket(j, k)) / math.sqrt(2.0)
         psi_pop[p] = np.abs(full @ psi_bra.conj()) ** 2
         phi_pop[p] = np.abs(full @ phi_bra.conj()) ** 2
-        for i in range(times.size):
-            conc[p, i] = concurrence(full[i], (j, k))
+    conc = np.array([_concurrences(full, pair) for pair in PAIRS])
 
     for arr in (psi_pop, phi_pop, conc):
         arr.setflags(write=False)
@@ -384,25 +446,29 @@ def concurrence(state, pair: tuple[int, int]) -> float:
     lambda_1 - lambda_2 - lambda_3 - lambda_4 is evaluated on the reduced
     density matrix.
     """
-    state = np.asarray(state, dtype=complex)
-    n = int(round(math.log2(state.size)))
-    if 2 ** n != state.size or n < 2:
+    return float(_concurrences(np.asarray(state, dtype=complex).reshape(1, -1), pair)[0])
+
+
+def _concurrences(states: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
+    """``concurrence`` of every row of a (n_states, 2**n) array."""
+    n = int(round(math.log2(states.shape[1])))
+    if 2 ** n != states.shape[1] or n < 2:
         raise NotSpin("state must be a full vector over at least two qubits")
     j, k = pair
     if j == k or not (1 <= j <= n and 1 <= k <= n):
         raise ValueError(f"invalid pair {pair} for {n} qubits")
-    tensor = state.reshape((2,) * n)
-    tensor = np.moveaxis(tensor, (j - 1, k - 1), (0, 1))
-    m = tensor.reshape(4, -1)
-    rho = m @ m.conj().T
+    tensor = states.reshape((len(states),) + (2,) * n)
+    tensor = np.moveaxis(tensor, (j, k), (1, 2))
+    m = tensor.reshape(len(states), 4, -1)
+    rho = m @ m.conj().transpose(0, 2, 1)
     # The flip-spectrum values are the singular values of
     # sqrt(rho) (Y x Y) sqrt(rho*), which avoids squaring; rank-deficient
     # directions are zeroed before the root so they do not amplify noise.
     vals, vecs = np.linalg.eigh(rho)
-    vals = np.where(vals > 1e-12 * max(float(vals[-1]), 1e-300), vals, 0.0)
-    root = (vecs * np.sqrt(vals)) @ vecs.conj().T
+    vals = np.where(vals > 1e-12 * np.maximum(vals[:, -1:], 1e-300), vals, 0.0)
+    root = (vecs * np.sqrt(vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
     lambdas = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
-    return float(max(0.0, lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3]))
+    return np.maximum(0.0, lambdas[:, 0] - lambdas[:, 1] - lambdas[:, 2] - lambdas[:, 3])
 
 
 def first_peak_time(times: np.ndarray, trace: np.ndarray, threshold: float = 0.5) -> float:

@@ -188,44 +188,6 @@ def enumerate_basis(n_sites: int, n_excitations: int, statistics: Statistics) ->
     return SubspaceBasis(n_sites, n_excitations, statistics, states, index)
 
 
-def matrix_element(bra, ket, term, statistics: Statistics = Statistics.boson()) -> complex:
-    """Matrix element of a single Hermitian network term between occupation vectors.
-
-    For a :class:`Hopping` the full pair ``J e^{i theta} a_j^dag a_k + h.c.``
-    is evaluated, so both hop directions contribute; on-site terms are
-    diagonal.  Returns 0 for states the term does not connect.
-    """
-    bra = tuple(bra)
-    ket = tuple(ket)
-    if len(bra) != len(ket):
-        raise DimensionMismatch("bra and ket have different site counts")
-    if isinstance(term, OnSite):
-        if bra != ket:
-            return 0.0 + 0.0j
-        n = ket[term.j - 1]
-        return complex(term.delta_omega * n + term.kerr_u * n * n)
-    value = 0.0 + 0.0j
-    coeff = term.coefficient()
-    value += coeff * _transfer_factor(bra, ket, term.j, term.k, statistics)
-    value += coeff.conjugate() * _transfer_factor(bra, ket, term.k, term.j, statistics)
-    return value
-
-
-def _transfer_factor(bra, ket, dst: int, src: int, statistics: Statistics) -> float:
-    """<bra| a_dst^dag a_src |ket> on raw occupation vectors (1-based sites)."""
-    d, s = dst - 1, src - 1
-    if ket[s] == 0:
-        return 0.0
-    if statistics.is_spin and ket[d] == 1:
-        return 0.0
-    moved = list(ket)
-    moved[s] -= 1
-    moved[d] += 1
-    if tuple(moved) != bra:
-        return 0.0
-    return math.sqrt(ket[s]) * math.sqrt(ket[d] + 1)
-
-
 def build_hamiltonian(spec, basis: SubspaceBasis) -> HermitianMatrix:
     """Assemble the subspace Hamiltonian of a network spec on a basis.
 
@@ -272,12 +234,6 @@ def build_hamiltonian(spec, basis: SubspaceBasis) -> HermitianMatrix:
     return HermitianMatrix(h)
 
 
-def number_operator(basis: SubspaceBasis) -> np.ndarray:
-    """Diagonal total-occupation operator on the basis (constant block)."""
-    totals = [sum(state) for state in basis.states]
-    return np.diag(np.array(totals, dtype=float))
-
-
 def full_space_index(state, local_dim: int = 2) -> int:
     """Tensor-product index of an occupation vector; site 1 is the most
     significant digit and each site contributes a factor ``local_dim``."""
@@ -292,25 +248,3 @@ def full_space_index(state, local_dim: int = 2) -> int:
 def embedding_indices(basis: SubspaceBasis, local_dim: int = 2) -> np.ndarray:
     """Full tensor-space index of every basis state, in basis order."""
     return np.array([full_space_index(s, local_dim) for s in basis.states], dtype=int)
-
-
-def sector_block(full_matrix: np.ndarray, basis: SubspaceBasis, local_dim: int = 2) -> np.ndarray:
-    """Restrict a full tensor-space operator to a fixed-excitation basis."""
-    full_matrix = np.asarray(full_matrix)
-    expected = local_dim ** basis.n_sites
-    if full_matrix.shape != (expected, expected):
-        raise DimensionMismatch(
-            f"expected {(expected, expected)} matrix, got {full_matrix.shape}"
-        )
-    idx = embedding_indices(basis, local_dim)
-    return full_matrix[np.ix_(idx, idx)]
-
-
-def embed_state(amplitudes, basis: SubspaceBasis, local_dim: int = 2) -> np.ndarray:
-    """Embed subspace amplitudes into the full tensor-product space."""
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    if amplitudes.shape != (len(basis),):
-        raise DimensionMismatch("amplitude vector does not match basis dimension")
-    full = np.zeros(local_dim ** basis.n_sites, dtype=complex)
-    full[embedding_indices(basis, local_dim)] = amplitudes
-    return full

@@ -1,4 +1,7 @@
+import numpy as np
+
 from chiralflow import dynamics, hilbert
+from chiralflow.errors import DimensionMismatch
 
 
 def evolve_spec(spec, times, start=None, n_excitations=1):
@@ -11,3 +14,15 @@ def evolve_spec(spec, times, start=None, n_excitations=1):
 def spec_hamiltonian(spec, n_excitations=1):
     basis = hilbert.enumerate_basis(spec.n_sites, n_excitations, spec.statistics)
     return hilbert.build_hamiltonian(spec, basis), basis
+
+
+def sector_block(full_matrix, basis, local_dim=2):
+    """Restrict a full tensor-space operator to a fixed-excitation basis."""
+    full_matrix = np.asarray(full_matrix)
+    expected = local_dim ** basis.n_sites
+    if full_matrix.shape != (expected, expected):
+        raise DimensionMismatch(
+            f"expected {(expected, expected)} matrix, got {full_matrix.shape}"
+        )
+    idx = hilbert.embedding_indices(basis, local_dim)
+    return full_matrix[np.ix_(idx, idx)]

@@ -257,6 +257,7 @@ def test_criterion_10_ladder_extension():
     ten_copies = experiments.optimize_ladder(10, seed=0)
     ten_node_scale = experiments.optimize_ladder(16, seed=0)  # 50 sites total
     assert ten_copies.monotone and ten_node_scale.monotone
+    assert np.all(np.diff(ten_node_scale.beta_profile) > 0.0)
     assert ten_copies.fidelity > 0.8
     assert ten_node_scale.fidelity > 0.8
     announce(10, f"uniform curve linear (R^2={r_squared:.3f}); optimised profiles win "

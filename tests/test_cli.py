@@ -155,6 +155,8 @@ def test_numeric_failure_exits_3(monkeypatch, capsys):
 @pytest.mark.parametrize("args", [
     pytest.param(["study", "optimize", "--ncopies", "6", "--budget", "5"], id="optimize-budget-5"),
     pytest.param(["study", "optimize", "--ncopies", "5", "--budget", "10"], id="optimize-budget-10"),
+    pytest.param(["study", "optimize", "--ncopies", "8", "--budget", "149"],
+                 id="optimize-budget-149"),
     pytest.param(["study", "optimize", "--ncopies", "0"], id="optimize-ncopies-0"),
     pytest.param(["study", "disorder", "--samples", "0"], id="disorder-samples-0"),
     pytest.param(["study", "disorder", "--amplitudes=-0.1"], id="disorder-negative-amplitude"),

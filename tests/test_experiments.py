@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chiralflow import experiments, hilbert, models
-from chiralflow.errors import BadInitial, NotSpin
+from chiralflow.errors import BadInitial, ConfigError, NotSpin
 from chiralflow.experiments import DisorderConfig, concurrence
 
 
@@ -152,6 +152,36 @@ def test_optimize_budget_validation():
         experiments.optimize_ladder(4, budget=10)
 
 
+def test_ladder_gradient_matches_central_differences():
+    rng = np.random.default_rng(31)
+    step = 1e-5
+    for n in range(3, 9):
+        x = np.log(rng.uniform(0.05, 1.5, (n + 1) // 2 - 1))
+
+        def revival(y):
+            spec = models.ladder(n, experiments._profile_from_increments(y))
+            return experiments.revival_fidelity(spec, points=2001)[0]
+
+        fidelity, grad = experiments._ladder_objective(n)(x)
+        assert fidelity == pytest.approx(revival(x), abs=1e-12)
+        for i, e in enumerate(np.eye(x.size) * step):
+            central = (revival(x + e) - revival(x - e)) / (2 * step)
+            assert grad[i] == pytest.approx(central, abs=1e-6)
+
+
+def test_optimize_respects_budget():
+    # Eight cells have three free couplings, so the smallest budget is 150.
+    full = experiments.optimize_ladder(8, budget=1500, seed=0)
+    assert 150 < full.iterations <= 1500
+    assert not full.budget_exhausted
+    cut = experiments.optimize_ladder(8, budget=150, seed=0)
+    assert cut.iterations <= 150
+    assert cut.budget_exhausted
+    assert cut.monotone
+    with pytest.raises(ConfigError):
+        experiments.optimize_ladder(8, budget=149, seed=0)
+
+
 def test_optimize_is_deterministic():
     first = experiments.optimize_ladder(3, seed=5, restarts=2)
     second = experiments.optimize_ladder(3, seed=5, restarts=2)
@@ -230,6 +260,28 @@ def test_concurrence_local_unitary_invariance():
             q, _ = np.linalg.qr(z)
             rotated = embed(q) @ state
             assert concurrence(rotated, (1, 3)) == pytest.approx(reference, abs=1e-9)
+
+
+def test_batched_concurrence_matches_per_state_reference():
+    def reference(state, pair):
+        # Per-state construction the batched kernel replaced.
+        tensor = np.moveaxis(state.reshape(2, 2, 2), (pair[0] - 1, pair[1] - 1), (0, 1))
+        m = tensor.reshape(4, -1)
+        vals, vecs = np.linalg.eigh(m @ m.conj().T)
+        vals = np.where(vals > 1e-12 * max(float(vals[-1]), 1e-300), vals, 0.0)
+        root = (vecs * np.sqrt(vals)) @ vecs.conj().T
+        yy = np.kron([[0.0, -1.0j], [1.0j, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]])
+        lambdas = np.linalg.svd(root @ yy @ root.conj(), compute_uv=False)
+        return max(0.0, lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3])
+
+    rng = np.random.default_rng(5)
+    states = rng.normal(size=(300, 8)) + 1j * rng.normal(size=(300, 8))
+    states /= np.linalg.norm(states, axis=1)[:, None]
+    states[::7] = np.eye(8)[rng.integers(0, 8, len(states[::7]))]  # product states
+    for pair in experiments.PAIRS + ((2, 1),):
+        batched = experiments._concurrences(states, pair)
+        assert np.array_equal(batched, [reference(s, pair) for s in states])
+        assert batched[11] == concurrence(states[11], pair)
 
 
 def test_concurrence_requires_qubit_state():

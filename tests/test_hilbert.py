@@ -5,8 +5,61 @@ import numpy as np
 import pytest
 
 from chiralflow import hilbert, models
-from chiralflow.errors import CapacityOverflow, SpecMismatch, SpinOverflow
+from chiralflow.errors import CapacityOverflow, DimensionMismatch, SpecMismatch, SpinOverflow
 from chiralflow.hilbert import Hopping, OnSite, Statistics
+from conftest import sector_block
+
+
+def matrix_element(bra, ket, term, statistics=Statistics.boson()):
+    """Matrix element of a single Hermitian network term between occupation
+    vectors, evaluated term by term as the oracle for ``build_hamiltonian``.
+
+    For a :class:`Hopping` the full pair ``J e^{i theta} a_j^dag a_k + h.c.``
+    is evaluated, so both hop directions contribute; on-site terms are
+    diagonal.  Returns 0 for states the term does not connect.
+    """
+    bra = tuple(bra)
+    ket = tuple(ket)
+    if len(bra) != len(ket):
+        raise DimensionMismatch("bra and ket have different site counts")
+    if isinstance(term, OnSite):
+        if bra != ket:
+            return 0.0 + 0.0j
+        n = ket[term.j - 1]
+        return complex(term.delta_omega * n + term.kerr_u * n * n)
+    coeff = term.coefficient()
+    return (coeff * _transfer_factor(bra, ket, term.j, term.k, statistics)
+            + coeff.conjugate() * _transfer_factor(bra, ket, term.k, term.j, statistics))
+
+
+def _transfer_factor(bra, ket, dst, src, statistics):
+    """<bra| a_dst^dag a_src |ket> on raw occupation vectors (1-based sites)."""
+    d, s = dst - 1, src - 1
+    if ket[s] == 0:
+        return 0.0
+    if statistics.is_spin and ket[d] == 1:
+        return 0.0
+    moved = list(ket)
+    moved[s] -= 1
+    moved[d] += 1
+    if tuple(moved) != bra:
+        return 0.0
+    return math.sqrt(ket[s]) * math.sqrt(ket[d] + 1)
+
+
+def number_operator(basis):
+    """Diagonal total-occupation operator on the basis (constant block)."""
+    return np.diag(np.array([sum(state) for state in basis.states], dtype=float))
+
+
+def embed_state(amplitudes, basis, local_dim=2):
+    """Embed subspace amplitudes into the full tensor-product space."""
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    if amplitudes.shape != (len(basis),):
+        raise DimensionMismatch("amplitude vector does not match basis dimension")
+    full = np.zeros(local_dim ** basis.n_sites, dtype=complex)
+    full[hilbert.embedding_indices(basis, local_dim)] = amplitudes
+    return full
 
 
 def brute_force_states(n_sites, n_exc, cap):
@@ -100,34 +153,34 @@ def test_enumeration_errors():
 
 def test_single_particle_hop_element():
     hop = Hopping(1, 2, 1.0, math.pi / 2)
-    value = hilbert.matrix_element((1, 0, 0), (0, 1, 0), hop)
+    value = matrix_element((1, 0, 0), (0, 1, 0), hop)
     assert value == pytest.approx(1j, abs=1e-15)
     # Hermitian partner direction comes from the conjugate part of the term.
-    value = hilbert.matrix_element((0, 1, 0), (1, 0, 0), hop)
+    value = matrix_element((0, 1, 0), (1, 0, 0), hop)
     assert value == pytest.approx(-1j, abs=1e-15)
-    assert hilbert.matrix_element((0, 0, 1), (1, 0, 0), hop) == 0
+    assert matrix_element((0, 0, 1), (1, 0, 0), hop) == 0
 
 
 def test_bosonic_enhancement_element():
     hop = Hopping(1, 2, 1.0, 0.0)
-    value = hilbert.matrix_element((2, 0, 0), (1, 1, 0), hop)
+    value = matrix_element((2, 0, 0), (1, 1, 0), hop)
     assert value == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
 
 def test_spin_blocking_element():
     hop = Hopping(1, 2, 1.0, 0.0)
-    value = hilbert.matrix_element((2, 0, 0), (1, 1, 0), hop, Statistics.spin())
+    value = matrix_element((2, 0, 0), (1, 1, 0), hop, Statistics.spin())
     assert value == 0
-    value = hilbert.matrix_element((1, 0, 1), (0, 1, 1), hop, Statistics.spin())
+    value = matrix_element((1, 0, 1), (0, 1, 1), hop, Statistics.spin())
     assert value == pytest.approx(1.0, abs=1e-15)
 
 
 def test_onsite_element():
     term = OnSite(1, 0.0, 1.0)
-    assert hilbert.matrix_element((2, 0, 0), (2, 0, 0), term) == pytest.approx(4.0)
-    assert hilbert.matrix_element((2, 0, 0), (1, 1, 0), term) == 0
+    assert matrix_element((2, 0, 0), (2, 0, 0), term) == pytest.approx(4.0)
+    assert matrix_element((2, 0, 0), (1, 1, 0), term) == 0
     shifted = OnSite(2, 0.5, 0.0)
-    assert hilbert.matrix_element((1, 2, 0), (1, 2, 0), shifted) == pytest.approx(1.0)
+    assert matrix_element((1, 2, 0), (1, 2, 0), shifted) == pytest.approx(1.0)
 
 
 def test_three_node_ring_matrix():
@@ -167,7 +220,7 @@ def test_number_operator_commutes_exactly():
     spec = models.asgf(4, 2.0, math.pi / 2)
     basis = hilbert.enumerate_basis(spec.n_sites, 2, spec.statistics)
     h = hilbert.build_hamiltonian(spec, basis).matrix
-    n_op = hilbert.number_operator(basis)
+    n_op = number_operator(basis)
     assert np.max(np.abs(h @ n_op - n_op @ h)) == 0.0
 
 
@@ -210,7 +263,7 @@ def test_subspace_block_matches_full_space(statistics, n_exc):
     block = hilbert.build_hamiltonian(spec, basis).matrix
     local_dim = 2 if statistics.is_spin else n_exc + 1
     full = full_space_hamiltonian(spec, local_dim)
-    projected = hilbert.sector_block(full, basis, local_dim)
+    projected = sector_block(full, basis, local_dim)
     assert np.allclose(block, projected, atol=1e-12)
 
 
@@ -231,6 +284,6 @@ def test_full_space_embedding():
     assert hilbert.full_space_index((1, 0, 0)) == 4
     assert hilbert.full_space_index((0, 0, 1)) == 1
     assert list(hilbert.embedding_indices(basis)) == [4, 2, 1]
-    vec = hilbert.embed_state(np.array([1.0, 2.0, 3.0], dtype=complex), basis)
+    vec = embed_state(np.array([1.0, 2.0, 3.0], dtype=complex), basis)
     assert vec[4] == 1.0 and vec[2] == 2.0 and vec[1] == 3.0
     assert np.sum(np.abs(vec)) == 6.0

@@ -8,6 +8,7 @@ from chiralflow import hilbert, models
 from chiralflow.errors import BadGauge, NotDerived, ProfileLength, SpecMismatch
 from chiralflow.hilbert import Hopping, Statistics
 from chiralflow.models import LANDAU, SYMMETRIC, custom_gauge
+from conftest import sector_block
 
 
 def test_symmetric_gauge_link_phases():
@@ -211,8 +212,8 @@ def test_three_body_blocks_have_chiral_hopping_structure():
     basis2 = hilbert.enumerate_basis(3, 2, spin)
     sci = models.three_body_spin("SCI", 1.0).matrix
     asi = models.three_body_spin("ASI", 1.0).matrix
-    sci1 = hilbert.sector_block(sci, basis1)
-    asi1 = hilbert.sector_block(asi, basis1)
+    sci1 = sector_block(sci, basis1)
+    asi1 = sector_block(asi, basis1)
     # single excitation: SCI follows the pattern, the z-weighted variant is
     # flipped (it circulates the other way)
     assert np.allclose(sci1, 2.0 * CIRCULATION_PATTERN, atol=1e-14)
@@ -221,8 +222,8 @@ def test_three_body_blocks_have_chiral_hopping_structure():
     # enumeration): SCI keeps its pattern, the z-weighted variant flips sign
     # relative to its own single-excitation block
     rev = np.ix_([2, 1, 0], [2, 1, 0])
-    sci2 = hilbert.sector_block(sci, basis2)[rev]
-    asi2 = hilbert.sector_block(asi, basis2)[rev]
+    sci2 = sector_block(sci, basis2)[rev]
+    asi2 = sector_block(asi, basis2)[rev]
     assert np.allclose(sci2, 2.0 * CIRCULATION_PATTERN, atol=1e-14)
     assert np.allclose(asi2, CIRCULATION_PATTERN, atol=1e-14)
 

@@ -2,7 +2,8 @@
 
 Each example draws 2-5 sites with random hopping amplitudes and phases,
 random on-site terms, boson (capped or not) or spin statistics, and one
-occupation pattern of 1-3 excitations.  Examples are derandomised so the
+occupation pattern of 1-3 excitations; the chiral-symmetry property draws
++-pi/2-phase rings of 3-10 sites instead.  Examples are derandomised so the
 suite stays reproducible.
 """
 
@@ -12,7 +13,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chiralflow import dynamics, hilbert, models
+from chiralflow import criteria, dynamics, hilbert, models
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -70,6 +71,26 @@ def test_populations_sum_to_excitations_and_norm_is_kept(case):
     assert np.allclose(traj.populations.sum(axis=1), sum(occupation), rtol=0.0, atol=1e-9)
     assert np.allclose(np.linalg.norm(traj.amplitudes, axis=1), 1.0, rtol=0.0, atol=1e-9)
     assert np.allclose(traj.populations[0], occupation, rtol=0.0, atol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(networks())
+def test_build_hamiltonian_is_exactly_hermitian(case):
+    spec, occupation, _ = case
+    basis = hilbert.enumerate_basis(spec.n_sites, sum(occupation), spec.statistics)
+    h = hilbert.build_hamiltonian(spec, basis).matrix
+    assert np.array_equal(h, h.conj().T)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(3, 10), st.floats(min_value=0.1, max_value=5.0),
+       st.sampled_from([math.pi / 2, -math.pi / 2]), st.booleans())
+def test_quarter_phase_rings_are_chiral_symmetric(n, beta_c, phase, with_auxiliary):
+    spec = models.asgf(n, beta_c, phase) if with_auxiliary else models.sgf_ring(n, n * phase)
+    basis = hilbert.enumerate_basis(spec.n_sites, 1, spec.statistics)
+    h = hilbert.build_hamiltonian(spec, basis)
+    operator = models.chiral_operator(n, with_auxiliary)
+    assert criteria.check_chiral_symmetry(h, operator) <= 1e-12
 
 
 @PROPERTY_SETTINGS
