@@ -16,6 +16,7 @@ import numpy as np
 
 from .dynamics import (
     _first_peak_index,
+    _uniform_phases,
     average_fidelity,
     eigendecompose,
     evolve,
@@ -170,9 +171,11 @@ def _revival_peak(eigenvalues: np.ndarray, weights: np.ndarray,
     x_min = float(np.min(np.abs(eigenvalues[populated])))
     t_est = 2.0 * math.pi / x_min
 
-    def overlap_sq(t):
-        phases = np.exp(-1j * np.outer(t, eigenvalues))
-        return np.abs(phases @ weights) ** 2
+    def overlap_sq(grid):
+        # |(P w) Q^T|^2 row-major is the scan over the uniform grid.
+        step = (grid[-1] - grid[0]) / (grid.size - 1) if grid.size > 1 else 0.0
+        big, small = _uniform_phases(grid[0], step, grid.size, eigenvalues)
+        return np.abs(((big * weights) @ small.T).ravel()[:grid.size]) ** 2
 
     grid = np.linspace(0.5 * t_est, 1.7 * t_est, points)
     for _ in range(5):

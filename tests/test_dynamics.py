@@ -1,9 +1,13 @@
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chiralflow import dynamics, hilbert, models, oracles
+from chiralflow import cli, dynamics, hilbert, models, oracles
 from chiralflow.dynamics import Direction
 from chiralflow.errors import (
     DimensionMismatch,
@@ -13,6 +17,8 @@ from chiralflow.errors import (
     OutOfGrid,
 )
 from conftest import evolve_spec, spec_hamiltonian
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 def test_eigendecompose_three_node_spectrum():
@@ -248,3 +254,86 @@ def test_cycle_grid_resolution():
     assert grid[0] == 0.0
     assert grid[-1] == pytest.approx(math.pi)
     assert grid.size == 101
+
+
+def direct_evolution(h, psi0, times, basis):
+    """The direct-exponential pipeline: weights * exp(-i E t) on every grid point."""
+    system = dynamics.eigendecompose(h)
+    weights = system.eigenvectors.conj().T @ psi0
+    phases = np.exp(-1j * np.outer(times, system.eigenvalues))
+    amplitudes = (phases * weights[None, :]) @ system.eigenvectors.T
+    abs2 = amplitudes.real**2 + amplitudes.imag**2
+    return amplitudes, abs2 @ basis.occupation_matrix()
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 5000), st.floats(0.0, 10.0), st.floats(0.0, 100.0),
+       st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=6))
+def test_uniform_phases_match_direct_exponential(count, t0, span, energies):
+    energies = np.array(energies)
+    times = np.linspace(t0, t0 + span, count)
+    step = (times[-1] - times[0]) / (count - 1) if count > 1 else 0.0
+    big, small = dynamics._uniform_phases(t0, step, count, energies)
+    table = (big[:, None, :] * small[None, :, :]).reshape(-1, energies.size)[:count]
+    assert np.array_equal(dynamics._weighted_phases(times, energies, np.ones(energies.size)), table)
+    # The direct table rounds each phase E*t to half an ulp, so the bound
+    # grows with the largest phase (5500 rad at the corner of this domain).
+    tol = max(1e-13, 4 * np.finfo(float).eps * (t0 + span) * float(np.max(np.abs(energies))))
+    assert np.max(np.abs(table - np.exp(-1j * np.outer(times, energies)))) <= tol
+
+
+@pytest.mark.parametrize("times", [
+    np.array([0.0, 0.1, 0.3, 0.35, 1.2, 2.0]),
+    np.geomspace(1e-3, 10.0, 300),
+    np.linspace(0.0, 5.0, 401) + np.where(np.arange(401) == 200, 1e-9, 0.0),
+], ids=["irregular", "geometric", "one-point-off"])
+def test_evolve_is_direct_on_non_uniform_grids(times):
+    spec = models.asgf(4, 2.0, math.pi / 2)
+    h, basis = spec_hamiltonian(spec)
+    psi0 = dynamics.basis_state(spec.n_sites, 0)
+    amplitudes, populations = direct_evolution(h, psi0, times, basis)
+    traj = dynamics.evolve(h, psi0, times, basis=basis)
+    assert np.array_equal(traj.amplitudes, amplitudes)
+    assert np.array_equal(traj.populations, populations)
+
+
+def test_dense_sector_populations_match_direct_exponential(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    cfg = cli.RunConfig(model="ladder", n=workloads.DENSE_CELLS)
+    spec = cli.build_spec(cfg)
+    basis = hilbert.enumerate_basis(spec.n_sites, workloads.DENSE_EXCITATIONS, spec.statistics)
+    h = hilbert.build_hamiltonian(spec, basis)
+    times = np.linspace(0.0, cli.parse_angle(cfg.tmax), cfg.grid)
+    # One sector for every seed: decompose it once instead of in each evolve.
+    system = dynamics.eigendecompose(h)
+    monkeypatch.setattr(dynamics, "eigendecompose", lambda m: system)
+    for seed in range(10):
+        pattern = tuple(int(c) for c in workloads.dense_pattern(seed))
+        psi0 = basis.unit_vector(pattern)
+        _, populations = direct_evolution(h, psi0, times, basis)
+        traj = dynamics.evolve(h, psi0, times, basis=basis)
+        assert np.max(np.abs(traj.populations - populations)) <= 1e-12
+
+
+def first_peak_index_reference(trace, threshold):
+    """Loop form of ``dynamics._first_peak_index``: the first i with
+    trace[i] >= both neighbours (-inf past either end) and >= threshold."""
+    n = trace.size
+    for i in range(n):
+        left = trace[i - 1] if i > 0 else -np.inf
+        right = trace[i + 1] if i < n - 1 else -np.inf
+        if trace[i] >= left and trace[i] >= right and trace[i] >= threshold:
+            return i
+    return None
+
+
+# More examples than the other properties: a plateau right after a NaN is
+# the rare case that tells >= from > on the left neighbour.
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, math.nan]), st.floats(0.0, 1.0)),
+                max_size=30),
+       st.floats(0.0, 1.0, exclude_min=True))
+def test_first_peak_index_matches_loop(values, threshold):
+    trace = np.array(values, dtype=float)
+    assert dynamics._first_peak_index(trace, threshold) == first_peak_index_reference(trace, threshold)
