@@ -56,10 +56,14 @@ def parse_int_list(text: str) -> list[int]:
     try:
         if ":" in text:
             lo, hi = text.split(":")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(part) for part in text.split(",") if part.strip()]
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"cannot parse integer list {text!r}") from exc
+    if not values:
+        raise ConfigError(f"integer list {text!r} is empty")
+    return values
 
 
 @dataclass
@@ -175,8 +179,9 @@ _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
 
-def svg_line_chart(x, series, labels, title: str, width: int = 800, height: int = 480) -> str:
-    """Self-contained SVG line chart of population traces."""
+def svg_line_chart(x, series, labels, title: str) -> str:
+    """Self-contained 800x480 SVG line chart of population traces."""
+    width, height = 800, 480
     x = np.asarray(x, dtype=float)
     series = [np.asarray(s, dtype=float) for s in series]
     left, right, top, bottom = 60, 150, 40, 50
@@ -242,8 +247,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     basis = hilbert.enumerate_basis(spec.n_sites, 1, spec.statistics)
     h = hilbert.build_hamiltonian(spec, basis)
     values = dynamics.eigendecompose(h).eigenvalues
-    lines = ["index,eigenvalue"] + [f"{i},{v:.12g}" for i, v in enumerate(values)]
-    _emit(cfg.out, "\n".join(lines) + "\n")
+    _emit(cfg.out, dynamics.rows_to_csv(enumerate(values), "index,eigenvalue"))
     return 0
 
 

@@ -24,7 +24,7 @@ from .dynamics import (
     simulate,
 )
 from .errors import DimensionMismatch, NotSpin
-from .hilbert import HermitianMatrix, OnSite, build_hamiltonian, enumerate_basis
+from .hilbert import HermitianMatrix, OnSite, build_hamiltonian, enumerate_basis, occupation
 from .models import ChiralOperator, NetworkSpec, sgf_ring
 from .oracles import ring_mode_numbers
 
@@ -96,15 +96,14 @@ def _classify_single(vector: np.ndarray, ring_idx: list[int], mod_tol: float) ->
     return ChiralModeTag(best_m, uniform, best_residual)
 
 
-def check_criteria(h, ring_nodes, tol: float = 1e-9) -> CriteriaReport:
+def check_criteria(h, ring_nodes) -> CriteriaReport:
     """Evaluate the two chiral-flow criteria on one excitation block.
 
     ``ring_nodes`` are the 1-based ring site labels; any remaining rows are
-    treated as auxiliary.  ``tol`` is relative for the spectral tests; the
-    eigenvector modulus and phase-ramp tests use sqrt(tol).
+    treated as auxiliary.  The spectral tests use the relative tolerance
+    1e-9; the eigenvector modulus and phase-ramp tests use sqrt(1e-9).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = 1e-9
     system = eigendecompose(h)
     values = system.eigenvalues
     dim = values.size
@@ -176,38 +175,30 @@ def flipped_state(occupations) -> tuple[int, ...]:
     return tuple(1 - n for n in occupations)
 
 
-def check_time_reversal_spin(spec: NetworkSpec, initial=None, times=None,
-                             tol: float = 1e-9) -> bool:
+def check_time_reversal_spin(spec: NetworkSpec, times=None) -> bool:
     """Behavioural time-reversal check for spin networks.
 
-    Evolving the globally spin-flipped image of a basis state under the same
-    Hamiltonian must reproduce the original excitation traces with the flow
-    direction reversed: P_flip_j(t) = 1 - P_orig_j(-t).
+    Evolving the globally spin-flipped image of the excitation on site 1
+    under the same Hamiltonian must reproduce the original excitation traces
+    with the flow direction reversed, P_flip_j(t) = 1 - P_orig_j(-t), to
+    within 1e-9.  ``times`` defaults to 1601 points on [0, 12].
     """
     if not spec.statistics.is_spin:
         raise NotSpin("time-reversal mirroring is defined for spin networks")
     n = spec.n_sites
-    if initial is None:
-        initial = (1,) + (0,) * (n - 1)
-    initial = tuple(int(b) for b in initial)
-    if len(initial) != n or any(b not in (0, 1) for b in initial):
-        raise ValueError(f"initial state must be a length-{n} bit pattern")
     if times is None:
         times = np.linspace(0.0, 12.0, 1601)
-    flipped = flipped_state(initial)
+    initial = occupation(n, 1)
 
     def run(state, sign):
-        n_up = sum(state)
-        basis = enumerate_basis(n, n_up, spec.statistics)
+        basis = enumerate_basis(n, sum(state), spec.statistics)
         h = build_hamiltonian(spec, basis).matrix * sign
-        psi0 = np.zeros(len(basis), dtype=complex)
-        psi0[basis.state_index(state)] = 1.0
-        return evolve(h, psi0, times, basis=basis)
+        return evolve(h, basis.unit_vector(state), times, basis=basis)
 
-    forward_flipped = run(flipped, +1.0)
+    forward_flipped = run(flipped_state(initial), +1.0)
     backward_original = run(initial, -1.0)  # populations of the original at -t
     mirror = 1.0 - backward_original.populations
-    return float(np.max(np.abs(forward_flipped.populations - mirror))) <= tol
+    return float(np.max(np.abs(forward_flipped.populations - mirror))) <= 1e-9
 
 
 def hole_view(traj: Trajectory) -> Trajectory:
@@ -227,19 +218,19 @@ class HardcoreStudy:
     double_order: tuple[int, ...]
 
 
-def hardcore_limit_study(u_over_j: float, times=None) -> HardcoreStudy:
+def hardcore_limit_study(u_over_j: float) -> HardcoreStudy:
     """Three-site ring with on-site repulsion: spectra and flow per subspace.
 
     The repulsion term U n_j^2 leaves the single-excitation block untouched
     up to a uniform shift, while for U much larger than the hopping the
     double-excitation block splits off a singly-occupied band that mimics a
     hard-core (spin) network and circulates the opposite way.  The double
-    subspace is read out through the hole population 1 - n_j.
+    subspace is read out through the hole population 1 - n_j.  Both flows
+    run over three cycles, 4801 points on [0, 6 pi / sqrt(3)].
     """
     ring = sgf_ring(3, 3 * math.pi / 2)
     spec = replace(ring, onsite=tuple(OnSite(j, 0.0, float(u_over_j)) for j in (1, 2, 3)))
-    if times is None:
-        times = np.linspace(0.0, 3.0 * 2.0 * math.pi / math.sqrt(3.0), 4801)
+    times = np.linspace(0.0, 3.0 * 2.0 * math.pi / math.sqrt(3.0), 4801)
 
     verdict1 = chirality_order(simulate(spec, (1, 0, 0), times), [1, 2, 3], peak_threshold=0.9)
     traj2 = simulate(spec, (1, 1, 0), times)

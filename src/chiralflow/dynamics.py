@@ -65,10 +65,6 @@ class Trajectory:
     populations: np.ndarray  # (n_times, n_nodes) real
     labels: tuple[str, ...]
 
-    @property
-    def n_nodes(self) -> int:
-        return self.populations.shape[1]
-
     def node_population(self, node: int) -> np.ndarray:
         """Population trace of a 1-based node label."""
         return self.populations[:, node - 1]
@@ -286,25 +282,14 @@ def refine_peak_time(times: np.ndarray, trace: np.ndarray, index: int) -> float:
     return float(times[index] + shift * step)
 
 
-def first_full_transfer_time(traj: Trajectory, node: int, threshold: float = 0.99) -> float:
-    """Refined time of the first near-unit population peak on a node."""
+def first_full_transfer_time(traj: Trajectory, node: int) -> float:
+    """Refined time of the first population peak on a node that reaches 0.99
+    of its maximum."""
     trace = traj.node_population(node)
-    idx = _first_peak_index(trace, threshold * float(np.max(trace)))
+    idx = _first_peak_index(trace, 0.99 * float(np.max(trace)))
     if idx is None:
         raise NoPeaks(f"node {node} never peaks above the threshold")
     return refine_peak_time(traj.times, trace, idx)
-
-
-def cycle_grid(eigenvalues, periods: float = 1.0, points_per_period: int = 2000) -> np.ndarray:
-    """Uniform grid resolving the slowest nonzero beat of a spectrum."""
-    values = np.asarray(eigenvalues, dtype=float)
-    scale = float(np.max(np.abs(values))) if values.size else 0.0
-    nonzero = np.abs(values) > 1e-12 * max(scale, 1.0)
-    if not np.any(nonzero):
-        return np.linspace(0.0, 1.0, points_per_period)
-    omega_min = float(np.min(np.abs(values[nonzero])))
-    t_max = periods * 2.0 * math.pi / omega_min
-    return np.linspace(0.0, t_max, int(points_per_period * periods) + 1)
 
 
 def rows_to_csv(rows, header: str) -> str:

@@ -116,15 +116,14 @@ def _sample_fidelity(base: NetworkSpec, kind: str, amplitude: float,
     return average_fidelity(traj, spec.ring_nodes)
 
 
-def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes,
-                   times=None) -> list[DisorderPoint]:
+def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[DisorderPoint]:
     """Mean corner-peak fidelity of the disordered network per amplitude.
 
-    Every sample redraws all perturbations, evolves one chiral cycle and
-    records the average over ring nodes of the peak amplitude modulus.
+    Every sample redraws all perturbations, evolves one chiral cycle (1601
+    points on [0, pi]) and records the average over ring nodes of the peak
+    amplitude modulus.
     """
-    if times is None:
-        times = np.linspace(0.0, math.pi, 1601)
+    times = np.linspace(0.0, math.pi, 1601)
     amplitudes = [float(a) for a in amplitudes]
     for amplitude in amplitudes:
         if not 0 <= amplitude < math.inf:
@@ -152,7 +151,11 @@ def revival_fidelity(spec: NetworkSpec, points: int = 4001) -> tuple[float, floa
     slowest populated frequency: the window is scanned on ``points``
     samples, then the bracket around the best sample is rescanned on 65
     samples five times; each rescan cuts the spacing 32-fold, to about
-    1e-11 * t_est at the end.
+    1e-11 * t_est at the end.  That spacing is finer than the peak can be
+    located: near it F is about 1 - c (t - t*)^2 and flat to rounding, so
+    the period is fixed only to about 1e-8 relative (the uniform one-cell
+    ladder reports 3.1415926467 for the exact period pi).  The fidelity is
+    unaffected.
     """
     basis = enumerate_basis(spec.n_sites, 1, spec.statistics)
     system = eigendecompose(build_hamiltonian(spec, basis))
@@ -194,24 +197,12 @@ class LadderPoint:
     profile: tuple[float, ...]
 
 
-def ladder_fidelity_curve(n_values, profile=None) -> list[LadderPoint]:
-    """Cycle fidelity of the ladder for each size.
-
-    ``profile`` may be None (uniform coupling 2), a list used for every size,
-    or a mapping from size to profile (e.g. optimiser output).
-    """
+def ladder_fidelity_curve(n_values) -> list[LadderPoint]:
+    """Cycle fidelity of the ladder with uniform coupling 2 for each size."""
     points = []
     for n in n_values:
-        if profile is None:
-            prof = [2.0]
-        elif isinstance(profile, dict):
-            prof = list(profile[n])
-        else:
-            prof = list(profile)
-        spec = ladder(n, prof)
-        fidelity, period = revival_fidelity(spec)
-        full = tuple(prof * ((n + 1) // 2) if len(prof) == 1 else prof)
-        points.append(LadderPoint(n, fidelity, period, full))
+        fidelity, period = revival_fidelity(ladder(n, [2.0]))
+        points.append(LadderPoint(n, fidelity, period, (2.0,) * ((n + 1) // 2)))
         log.info("ladder n=%d fidelity=%.6f period=%.4f", n, fidelity, period)
     return points
 
@@ -242,11 +233,12 @@ def _ladder_objective(n_copies: int):
     """Ladder cycle fidelity and its gradient in the log-increments of
     ``_profile_from_increments``.
 
-    H(b) = H_ring + sum_d b_d A_d is assembled once.  At the revival time t*
-    (envelope theorem) the return amplitude A = <0|exp(-iHt*)|0> has the
-    Daleckii-Krein derivative dA/db_d = sum_km V_0k (V^dag A_d V)_km Phi_km
-    conj(V_0m), Phi_km = (e^{-iE_k t} - e^{-iE_m t}) / (E_k - E_m), or
-    -it e^{-iE_k t} for degenerate levels; dF/db_d = 2 Re(conj(A) dA/db_d).
+    H(b) = H_ring + sum_d b_d A_d is assembled once; each evaluation makes one
+    ``eigendecompose``.  At the revival time t* (envelope theorem) the return
+    amplitude A = <0|exp(-iHt*)|0> has the Daleckii-Krein derivative
+    dA/db_d = sum_km V_0k (V^dag A_d V)_km Phi_km conj(V_0m),
+    Phi_km = (e^{-iE_k t} - e^{-iE_m t}) / (E_k - E_m), or -it e^{-iE_k t}
+    for degenerate levels; dF/db_d = 2 Re(conj(A) dA/db_d).
     """
     n_profiles = (n_copies + 1) // 2
     ring = ladder(n_copies, [0.0] * n_profiles)
@@ -261,7 +253,8 @@ def _ladder_objective(n_copies: int):
 
     def objective(increments: np.ndarray) -> tuple[float, np.ndarray]:
         profile = np.array(_profile_from_increments(increments))
-        values, vectors = np.linalg.eigh(h_fixed + np.tensordot(profile[1:], free, 1))
+        system = eigendecompose(h_fixed + np.tensordot(profile[1:], free, 1))
+        values, vectors = system.eigenvalues, system.eigenvectors
         lead = vectors[0]
         weights = np.abs(lead) ** 2
         fidelity, t = _revival_peak(values, weights, points=2001)
@@ -386,8 +379,9 @@ class BellTransportResult:
     pairs: tuple[tuple[int, int], ...]
 
 
-def bell_transport(spec: NetworkSpec, initial: str, times=None) -> BellTransportResult:
-    """Evolve a Bell pair on sites 1,2 of a three-site spin ring.
+def bell_transport(spec: NetworkSpec, initial: str) -> BellTransportResult:
+    """Evolve a Bell pair on sites 1,2 of a three-site spin ring over three
+    cycles, 1801 points on [0, 6 pi / sqrt(3)].
 
     The one-excitation Bell state (|up down> + |down up>)/sqrt(2) lives in a
     single number sector; the parity Bell state (|down down> + |up up>)/sqrt(2)
@@ -403,9 +397,7 @@ def bell_transport(spec: NetworkSpec, initial: str, times=None) -> BellTransport
         raise BadInitial("Bell transport is defined for the three-site ring")
     if initial not in _BELL_PATTERNS:
         raise BadInitial(f"unknown initial state {initial!r}")
-    if times is None:
-        times = np.linspace(0.0, 3.0 * 2.0 * math.pi / math.sqrt(3.0), 1801)
-    times = np.asarray(times, dtype=float)
+    times = np.linspace(0.0, 3.0 * 2.0 * math.pi / math.sqrt(3.0), 1801)
 
     full = np.zeros((times.size, 8), dtype=complex)
     patterns = _BELL_PATTERNS[initial]

@@ -238,15 +238,13 @@ def tunable_coupler_asgf4(g: float = 1.0, ratio: float = 20.0) -> CouplerDrive:
     )
 
 
-def bus_resonator_ring(n: int = 4, g: float = 1.0, nu: float = 40.0,
-                       f: float | None = None) -> BusDrive:
+def bus_resonator_ring(n: int = 4, g: float = 1.0, nu: float = 40.0) -> BusDrive:
     """Bus scheme with node phases phi_j = j pi/2: equal-strength NN hops,
-    no next-nearest-neighbour coupling."""
-    if f is None:
-        f = first_bessel_zero()
+    no next-nearest-neighbour coupling.  The drive ratio delta / nu is the
+    first Bessel zero, which removes the static bus coupling."""
     return BusDrive(
         nu=nu,
-        delta=f * nu,
+        delta=first_bessel_zero() * nu,
         phis=tuple(j * math.pi / 2 for j in range(1, n + 1)),
         gs=(g,) * n,
         base_rate=g,
@@ -349,33 +347,33 @@ class EffectiveComparison:
     per_node_deviation: tuple[float, ...]
 
 
-def compare_effective(drive: CouplerDrive | BusDrive, target: NetworkSpec, psi0=None,
-                      t_final: float | None = None, dt: float | None = None) -> EffectiveComparison:
+def compare_effective(drive: CouplerDrive | BusDrive, target: NetworkSpec,
+                      t_final: float | None = None) -> EffectiveComparison:
     """Max population deviation between the lab-frame drive and the target
-    network over one chiral cycle.
+    network, both started on the first mode, over one chiral cycle (or up to
+    ``t_final``).
 
-    The target spec is interpreted in units of the drive's base rate.
+    The target spec is interpreted in units of the drive's base rate.  The
+    drive is integrated with steps dt = 2 pi / (800 nu_max).
     """
     if t_final is None:
         t_final = math.pi / drive.base_rate
-    if dt is None:
-        dt = 2.0 * math.pi / (800.0 * drive.max_frequency)
+    dt = 2.0 * math.pi / (800.0 * drive.max_frequency)
     n = drive.n_modes
-    if psi0 is None:
-        psi0 = basis_state(n, 0)
+    psi0 = basis_state(n, 0)
     lab = integrate_tdse(drive, psi0, t_final, dt)
     basis = enumerate_basis(target.n_sites, 1, target.statistics)
     h_eff = build_hamiltonian(target, basis).matrix * drive.base_rate
     n_cmp = min(target.n_sites, n)
-    eff = evolve(h_eff, np.asarray(psi0, dtype=complex)[:n_cmp], lab.times)
+    eff = evolve(h_eff, psi0[:n_cmp], lab.times)
     diff = np.abs(lab.populations[:, :n_cmp] - eff.populations[:, :n_cmp])
     per_node = tuple(float(x) for x in np.max(diff, axis=0))
     return EffectiveComparison(float(np.max(diff)), per_node)
 
 
-def rwa_deviation_scan(ratios, g: float = 1.0) -> list[tuple[float, float]]:
-    """Deviation of the coupler scheme from the ideal four-node chiral model
-    as a function of the drive-to-coupling ratio."""
+def rwa_deviation_scan(ratios) -> list[tuple[float, float]]:
+    """Deviation of the coupler scheme (coupling g = 1) from the ideal
+    four-node chiral model as a function of the drive-to-coupling ratio."""
     ratios = [float(r) for r in ratios]
     for ratio in ratios:
         if not 0 < ratio < math.inf:
@@ -383,7 +381,7 @@ def rwa_deviation_scan(ratios, g: float = 1.0) -> list[tuple[float, float]]:
     target = asgf(4, 2.0, math.pi / 2)
     out = []
     for ratio in ratios:
-        drive = tunable_coupler_asgf4(g=g, ratio=ratio)
+        drive = tunable_coupler_asgf4(ratio=ratio)
         comparison = compare_effective(drive, target)
         out.append((ratio, comparison.max_population_deviation))
     return out

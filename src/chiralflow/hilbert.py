@@ -95,10 +95,6 @@ class SubspaceBasis:
     def __len__(self) -> int:
         return len(self.states)
 
-    @property
-    def dim(self) -> int:
-        return len(self.states)
-
     def occupation_matrix(self) -> np.ndarray:
         """(dim, n_sites) array with occupations of every basis state."""
         return np.array(self.states, dtype=float).reshape(len(self.states), self.n_sites)
@@ -137,10 +133,6 @@ class HermitianMatrix:
             raise ValueError("matrix is not exactly Hermitian")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _capped_occupations(n_sites: int, n_excitations: int, cap: int) -> list[tuple[int, ...]]:

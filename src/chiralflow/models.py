@@ -104,10 +104,6 @@ class NetworkSpec:
     def ring_nodes(self) -> tuple[int, ...]:
         return tuple(range(1, self.n_network + 1))
 
-    @property
-    def auxiliary_nodes(self) -> tuple[int, ...]:
-        return tuple(range(self.n_network + 1, self.n_sites + 1))
-
     def directed_phase(self, src: int, dst: int) -> float:
         """Phase acquired moving src -> dst along a stored hopping."""
         for hop in self.hoppings:
@@ -366,10 +362,8 @@ def _site_operator(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     return out
 
 
-def scalar_chirality(n_sites: int = 3) -> np.ndarray:
+def scalar_chirality() -> np.ndarray:
     """sigma_1 . (sigma_2 x sigma_3) as a full three-spin matrix."""
-    if n_sites != 3:
-        raise NotDerived("scalar chirality is defined here for three spins")
     eps = {("x", "y", "z"): 1, ("y", "z", "x"): 1, ("z", "x", "y"): 1,
            ("x", "z", "y"): -1, ("z", "y", "x"): -1, ("y", "x", "z"): -1}
     total = np.zeros((8, 8), dtype=complex)

@@ -168,9 +168,8 @@ def _adjugate(m: np.ndarray) -> np.ndarray:
     return adj
 
 
-def ladder_resolvent(n_copies: int, beta_c: float = 2.0, omega0: float = 0.0,
-                     residue_tol: float = 1e-8) -> PoleSet:
-    """Corner-subspace resolvent of the ladder network.
+def ladder_resolvent(n_copies: int, omega0: float = 0.0) -> PoleSet:
+    """Corner-subspace resolvent of the ladder network with uniform coupling 2.
 
     The hopping graph is split into the corner-incident part and the rest;
     the corner block of the resolvent is ``(omega - Sigma(omega))^{-1}`` with
@@ -178,9 +177,10 @@ def ladder_resolvent(n_copies: int, beta_c: float = 2.0, omega0: float = 0.0,
     Residues at every simple pole are computed from the adjugate and the
     derivative of the denominator determinant, and cross-checked against the
     projected eigendecomposition of the full network; the routine raises if
-    the two routes disagree.
+    the two routes disagree.  Levels whose corner weight stays below 1e-8
+    are dark at the corners and carry no pole.
     """
-    spec = ladder(n_copies, [beta_c])
+    spec = ladder(n_copies, [2.0])
     basis = enumerate_basis(spec.n_sites, 1, spec.statistics)
     h = build_hamiltonian(spec, basis).matrix.copy()
     corners = ladder_corners(n_copies)
@@ -214,7 +214,7 @@ def ladder_resolvent(n_copies: int, beta_c: float = 2.0, omega0: float = 0.0,
     for cluster in cluster_levels(system.eigenvalues, 1e-9 * scale):
         vecs = system.eigenvectors[np.ix_(corner_idx, cluster)]
         spectral = vecs @ vecs.conj().T
-        if float(np.max(np.abs(spectral))) < residue_tol:
+        if float(np.max(np.abs(spectral))) < 1e-8:
             continue  # dark at the corners
         pole = float(np.mean(system.eigenvalues[cluster]))
         if float(np.min(np.abs(pole - q_vals))) > 1e-6 * scale:
@@ -238,29 +238,27 @@ def ladder_resolvent(n_copies: int, beta_c: float = 2.0, omega0: float = 0.0,
     )
 
 
-def corner_amplitudes(pole_set: PoleSet, t, start_corner: int = 1) -> np.ndarray:
-    """Reconstruct the four corner amplitudes from the pole expansion."""
+def corner_amplitudes(pole_set: PoleSet, t) -> np.ndarray:
+    """Reconstruct the four corner amplitudes after a start on corner 1 (the
+    first corner label) from the pole expansion."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    col = pole_set.corner_labels.index(start_corner)
     out = np.zeros((4, t.size), dtype=complex)
     for pole, residue in zip(pole_set.poles, pole_set.residues):
-        out += residue[:, col][:, None] * np.exp(-1j * pole * t)
+        out += residue[:, 0][:, None] * np.exp(-1j * pole * t)
     return out
 
 
-def cosine_expansion(pole_set: PoleSet, corner: int = 1) -> tuple[float, list[tuple[float, float]]]:
-    """Express the return amplitude on one corner as const + sum c_k cos(x_k t).
+def cosine_expansion(pole_set: PoleSet) -> tuple[float, list[tuple[float, float]]]:
+    """Express the return amplitude on corner 1 as const + sum c_k cos(x_k t).
 
     Valid when the pole set is symmetric with conjugate residues so the
     amplitude is real; returns the constant and (frequency, coefficient)
     pairs for the positive poles.
     """
-    row = pole_set.corner_labels.index(corner)
-    col = pole_set.corner_labels.index(1)
     constant = 0.0
     terms = []
     for pole, residue in zip(pole_set.poles, pole_set.residues):
-        value = residue[row, col]
+        value = residue[0, 0]
         shifted = pole - pole_set.omega0
         if abs(shifted) < 1e-10:
             constant += float(value.real)
@@ -270,8 +268,7 @@ def cosine_expansion(pole_set: PoleSet, corner: int = 1) -> tuple[float, list[tu
     return constant, terms
 
 
-def ladder_return_population(n_copies: int, t, beta_c: float = 2.0) -> np.ndarray:
+def ladder_return_population(n_copies: int, t) -> np.ndarray:
     """Population back on corner 1, reconstructed from the resolvent poles."""
-    poles = ladder_resolvent(n_copies, beta_c=beta_c)
-    amps = corner_amplitudes(poles, t)
+    amps = corner_amplitudes(ladder_resolvent(n_copies), t)
     return np.abs(amps[0]) ** 2

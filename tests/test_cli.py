@@ -142,6 +142,17 @@ def test_study_bell_csv(tmp_path):
     assert float(first[1]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_study_floquet_csv(tmp_path):
+    out = tmp_path / "floquet.csv"
+    assert run_cli(["study", "floquet", "--ratios", "10,20", "--out", str(out)]) == 0
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == "ratio,max_deviation"
+    assert len(lines) == 3
+    deviations = [float(line.split(",")[1]) for line in lines[1:]]
+    assert deviations[0] > deviations[1]
+    assert deviations[1] <= 0.05  # criterion 12's bar at ratio 20
+
+
 def test_numeric_failure_exits_3(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise NonHermitian("matrix is not Hermitian within 1e-12")
@@ -167,6 +178,8 @@ def test_numeric_failure_exits_3(monkeypatch, capsys):
     pytest.param(["study", "floquet", "--ratios", "nan"], id="floquet-ratio-nan"),
     pytest.param(["study", "floquet", "--ratios", ""], id="floquet-ratios-empty"),
     pytest.param(["study", "disorder", "--amplitudes", ""], id="disorder-amplitudes-empty"),
+    pytest.param(["study", "ladder", "--nrange", ""], id="ladder-nrange-empty"),
+    pytest.param(["study", "ladder", "--nrange", "3:1"], id="ladder-nrange-reversed"),
 ])
 def test_bad_study_arguments_exit_2(args, capsys):
     assert run_cli(args) == 2

@@ -249,13 +249,6 @@ def test_multi_excitation_populations():
     assert np.allclose(total, 2.0, atol=1e-10)
 
 
-def test_cycle_grid_resolution():
-    grid = dynamics.cycle_grid(np.array([-2.0, 0.0, 2.0]), periods=1.0, points_per_period=100)
-    assert grid[0] == 0.0
-    assert grid[-1] == pytest.approx(math.pi)
-    assert grid.size == 101
-
-
 def direct_evolution(h, psi0, times, basis):
     """The direct-exponential pipeline: weights * exp(-i E t) on every grid point."""
     system = dynamics.eigendecompose(h)

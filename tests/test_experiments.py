@@ -147,6 +147,21 @@ def test_optimize_improves_on_uniform():
     assert all(b > a for a, b in zip(result.beta_profile, result.beta_profile[1:]))
 
 
+def test_ladder_objective_decomposes_through_eigendecompose(monkeypatch):
+    # Every objective evaluation and the final revival_fidelity go through
+    # eigendecompose, so a tracer of that layer sees all of them.
+    calls = []
+    original = experiments.eigendecompose
+
+    def counting(h):
+        calls.append(1)
+        return original(h)
+
+    monkeypatch.setattr(experiments, "eigendecompose", counting)
+    result = experiments.optimize_ladder(4, seed=0, restarts=2)
+    assert len(calls) == result.iterations + 1
+
+
 def test_optimize_budget_validation():
     with pytest.raises(ValueError):
         experiments.optimize_ladder(4, budget=10)
