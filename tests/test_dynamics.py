@@ -83,12 +83,45 @@ def test_evolve_dimension_mismatch():
         dynamics.evolve(h, dynamics.basis_state(4, 0), np.linspace(0, 1, 5))
 
 
+def uniform_ring(n):
+    """Adjacency matrix of an n-site ring with unit real hoppings."""
+    h = np.zeros((n, n), dtype=complex)
+    sites = np.arange(n)
+    h[sites, (sites + 1) % n] = h[(sites + 1) % n, sites] = 1.0
+    return h
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad_time", [np.nan, np.inf])
-def test_evolve_rejects_non_finite_times(bad_time):
+def test_evolve_rejects_non_finite_times(bad_time, monkeypatch):
+    decompose = dynamics.eigendecompose
+    shapes = []
+    monkeypatch.setattr(dynamics, "eigendecompose",
+                        lambda m: shapes.append(np.shape(getattr(m, "matrix", m))) or decompose(m))
     h, _ = spec_hamiltonian(models.sgf_ring(3, math.pi / 2))
     with pytest.raises(ValueError, match="norm"):
         dynamics.evolve(h, dynamics.basis_state(3, 0), np.array([0.0, bad_time]))
+    assert shapes == [(3, 3)]
+    # Above the threshold the Krylov space stops at its first vector: it
+    # neither grows nor gives way to the full eigendecomposition.
+    shapes.clear()
+    n = dynamics.KRYLOV_MIN_DIM
+    with pytest.raises(ValueError, match="norm"):
+        dynamics.evolve(uniform_ring(n), dynamics.basis_state(n, 0), np.array([0.0, bad_time]))
+    assert shapes == [(1, 1)]
+
+
+def test_krylov_branch_stops_on_invariant_subspaces():
+    n = dynamics.KRYLOV_MIN_DIM
+    times = np.linspace(0.0, 5.0, 50)
+    traj = dynamics.evolve(np.zeros((n, n), dtype=complex), dynamics.basis_state(n, 7), times)
+    assert np.array_equal(traj.amplitudes, np.tile(dynamics.basis_state(n, 7), (times.size, 1)))
+    # The uniform state is an eigenvector (energy 2) of the unit-hopping ring.
+    h = uniform_ring(n)
+    psi0 = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
+    assert dynamics._krylov_system(h, psi0, 5.0).eigenvalues.size == 1
+    traj = dynamics.evolve(h, psi0, times)
+    assert np.max(np.abs(traj.amplitudes - np.exp(-2j * times)[:, None] * psi0)) <= 1e-12
 
 
 def test_norm_and_energy_conservation():
@@ -249,9 +282,9 @@ def test_multi_excitation_populations():
     assert np.allclose(total, 2.0, atol=1e-10)
 
 
-def direct_evolution(h, psi0, times, basis):
-    """The direct-exponential pipeline: weights * exp(-i E t) on every grid point."""
-    system = dynamics.eigendecompose(h)
+def direct_evolution(system, psi0, times, basis):
+    """The direct-exponential pipeline on a full eigensystem: weights * exp(-i E t)
+    on every grid point."""
     weights = system.eigenvectors.conj().T @ psi0
     phases = np.exp(-1j * np.outer(times, system.eigenvalues))
     amplitudes = (phases * weights[None, :]) @ system.eigenvectors.T
@@ -284,7 +317,7 @@ def test_evolve_is_direct_on_non_uniform_grids(times):
     spec = models.asgf(4, 2.0, math.pi / 2)
     h, basis = spec_hamiltonian(spec)
     psi0 = dynamics.basis_state(spec.n_sites, 0)
-    amplitudes, populations = direct_evolution(h, psi0, times, basis)
+    amplitudes, populations = direct_evolution(dynamics.eigendecompose(h), psi0, times, basis)
     traj = dynamics.evolve(h, psi0, times, basis=basis)
     assert np.array_equal(traj.amplitudes, amplitudes)
     assert np.array_equal(traj.populations, populations)
@@ -296,17 +329,80 @@ def test_dense_sector_populations_match_direct_exponential(monkeypatch):
     cfg = cli.RunConfig(model="ladder", n=workloads.DENSE_CELLS)
     spec = cli.build_spec(cfg)
     basis = hilbert.enumerate_basis(spec.n_sites, workloads.DENSE_EXCITATIONS, spec.statistics)
+    assert len(basis) >= dynamics.KRYLOV_MIN_DIM
     h = hilbert.build_hamiltonian(spec, basis)
     times = np.linspace(0.0, cli.parse_angle(cfg.tmax), cfg.grid)
-    # One sector for every seed: decompose it once instead of in each evolve.
+    # One sector for every seed: the full-eigh reference is decomposed once.
     system = dynamics.eigendecompose(h)
-    monkeypatch.setattr(dynamics, "eigendecompose", lambda m: system)
     for seed in range(10):
         pattern = tuple(int(c) for c in workloads.dense_pattern(seed))
         psi0 = basis.unit_vector(pattern)
-        _, populations = direct_evolution(h, psi0, times, basis)
+        _, populations = direct_evolution(system, psi0, times, basis)
         traj = dynamics.evolve(h, psi0, times, basis=basis)
         assert np.max(np.abs(traj.populations - populations)) <= 1e-12
+
+
+# Sectors just above the Krylov threshold: (sites, excitations, spin).
+KRYLOV_SECTORS = [(12, 4, True), (11, 5, True), (15, 3, True), (9, 4, False), (13, 3, False)]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(st.sampled_from(KRYLOV_SECTORS), st.integers(0, 2**32 - 1),
+       st.sampled_from(["late-start", "non-uniform", "single-point", "long"]))
+def test_krylov_branch_matches_full_eigh(sector, seed, grid):
+    n_sites, n_exc, spin = sector
+    rng = np.random.default_rng(seed)
+    stats = hilbert.Statistics.spin() if spin else hilbert.Statistics.boson()
+    pairs = [(j, k) for j in range(1, n_sites + 1) for k in range(j + 1, n_sites + 1)
+             if rng.random() < 3.0 / n_sites]
+    hops = tuple(hilbert.Hopping(j, k, rng.uniform(0.2, 2.0), rng.uniform(-math.pi, math.pi))
+                 for j, k in pairs)
+    onsite = tuple(hilbert.OnSite(j, rng.uniform(-1.0, 1.0), rng.uniform(-0.5, 0.5))
+                   for j in range(1, n_sites + 1))
+    spec = models.NetworkSpec(n_sites, 0, hops, onsite, stats,
+                              tuple(f"node_{j}" for j in range(1, n_sites + 1)))
+    h, basis = spec_hamiltonian(spec, n_exc)
+    assert dynamics.KRYLOV_MIN_DIM <= len(basis) <= 1.25 * dynamics.KRYLOV_MIN_DIM
+    system = dynamics.eigendecompose(h)
+    psi0 = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+    psi0 /= np.linalg.norm(psi0)
+    # A window for about 0.2 * dim Lanczos vectors: several checks of the
+    # bound, and still below the share where the space gives way to eigh.
+    width = 0.5 * float(system.eigenvalues[-1] - system.eigenvalues[0])
+    long = 0.2 * len(basis) / width
+    times = {
+        "late-start": np.linspace(0.5 * long, 0.6 * long, 301),
+        "non-uniform": np.sort(rng.uniform(0.0, 0.3 * long, 200)),
+        "single-point": np.array([0.4 * long]),
+        "long": np.linspace(0.0, long, 2001),
+    }[grid]
+    ritz = dynamics._krylov_system(h.matrix, psi0, float(times[-1]))
+    assert ritz is not None  # certified below the share where it gives way to eigh
+    if grid == "long":
+        assert ritz.eigenvalues.size > dynamics.KRYLOV_START * dynamics.KRYLOV_GROWTH**3
+    amplitudes, populations = direct_evolution(system, psi0, times, basis)
+    traj = dynamics.evolve(h, psi0, times, basis=basis)
+    assert np.max(np.abs(traj.amplitudes - amplitudes)) <= 1e-12
+    assert np.max(np.abs(traj.populations - populations)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.floats(0.01, 20.0))
+def test_defect_integral_bounds_a_fine_quadrature(m, seed, span):
+    rng = np.random.default_rng(seed)
+    off = rng.uniform(0.1, 2.0, m - 1)
+    t = np.diag(rng.uniform(-3.0, 3.0, m)) + np.diag(off, 1) + np.diag(off, -1)
+    system = dynamics.eigendecompose(t)
+    bound = dynamics._defect_integral(system, span)
+    s = np.linspace(0.0, span, 20001)
+    g = np.abs((np.exp(-1j * np.outer(s, system.eigenvalues)) * system.eigenvectors[0].conj())
+               @ system.eigenvectors[-1])
+    quadrature = (s[1] - s[0]) * (g.sum() - 0.5 * (g[0] + g[-1]))
+    if math.isinf(bound):  # more than 8 m cells of width 1/max|E|: not evaluated
+        assert span * 0.5 * (system.eigenvalues[-1] - system.eigenvalues[0]) > 8 * m - 1
+        return
+    # An upper bound, and not a loose one: |g| rounds to about 1e-16.
+    assert quadrature * (1 - 1e-6) - 1e-15 <= bound <= 3.0 * quadrature + 1e-15
 
 
 def first_peak_index_reference(trace, threshold):
