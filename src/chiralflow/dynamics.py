@@ -175,7 +175,7 @@ def _krylov_system(h: np.ndarray, start: np.ndarray, span: float) -> EigenSystem
     span.  Past ``KRYLOV_MAX_SHARE`` of the dimension it gives up and
     returns None.
     """
-    from scipy.sparse import csr_array  # at module level it adds ~5% to CLI start-up
+    from scipy.sparse import csr_array  # imported here: ~0.2 s, as long as all of CLI start-up
 
     if not math.isfinite(span):
         span = math.nan  # no certificate: stop at once; evolve's norm check rejects it

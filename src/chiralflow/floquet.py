@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .dynamics import Trajectory, basis_state, evolve
 from .errors import ConfigError, DimensionMismatch, OutOfRange, StepTooLarge
@@ -31,12 +30,16 @@ def bessel_j(order: int, x: float) -> float:
         raise OutOfRange("order must be >= 0")
     if abs(x) > 50.0:
         raise OutOfRange("argument outside the supported range |x| <= 50")
+    from scipy import special  # imported here: it would double CLI start-up
+
     return float(special.jv(order, x))
 
 
 def first_bessel_zero() -> float:
     """First positive zero of J_0, the drive ratio that removes the static
     bus-mediated coupling."""
+    from scipy import special  # imported here: it would double CLI start-up
+
     return float(special.jn_zeros(0, 1)[0])
 
 

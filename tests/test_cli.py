@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,3 +228,44 @@ def test_svg_chart_is_self_contained():
     chart = cli.svg_line_chart(x, [np.sin(x), np.cos(x)], ["a", "b"], "demo")
     assert chart.count("<polyline") == 2
     assert "xmlns" in chart
+
+
+# Runs in a fresh interpreter, so nothing the test session imported counts.
+# Prints, after each step, the exit code and the scipy modules then loaded.
+SCIPY_PROBE = """
+import json, sys
+out = sys.argv[1]
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import chiralflow
+from chiralflow import cli, floquet
+try:
+    cli.main(["--help"])
+except SystemExit:
+    pass
+steps = [("import and --help", 0, scipy_modules())]
+for argv in (["simulate", "--model", "asgf", "--n", "4"],
+             ["study", "disorder", "--samples", "2"],
+             ["study", "floquet", "--ratios", "2"],
+             ["study", "optimize", "--ncopies", "3"],
+             ["study", "bell", "--initial", "phi"],
+             ["criteria", "--model", "asgf", "--n", "4"]):
+    steps.append((" ".join(argv), cli.main(argv + ["--out", out]), scipy_modules()))
+steps.append(("oracle-check", cli.main(["oracle-check"]), scipy_modules()))
+zero = floquet.first_bessel_zero()
+print(json.dumps({"steps": steps, "zero": zero, "special": "scipy.special" in sys.modules}))
+"""
+
+
+def test_scipy_is_loaded_only_on_demand(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "out.csv")],
+                          env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120, check=True)
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    for step, code, loaded in report["steps"]:
+        assert (step, code, loaded) == (step, 0, [])
+    assert report["special"]
+    assert report["zero"] == 2.4048255576957724  # scipy's j_{0,1}, bit for bit
