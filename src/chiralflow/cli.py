@@ -385,11 +385,6 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beta", type=float, help="centre coupling strength")
     parser.add_argument("--nn-phase", dest="nn_phase", help="per-link phase, e.g. 0.5pi")
     parser.add_argument("--profile", help="ladder coupling profile, e.g. 2,2.5")
-    parser.add_argument("--init", help="initial node label or bit pattern")
-    parser.add_argument("--tmax", help="time window length, e.g. 2pi")
-    parser.add_argument("--grid", type=int, help="number of grid points")
-    parser.add_argument("--out", help="CSV output path")
-    parser.add_argument("--svg", help="SVG output path")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -398,9 +393,19 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("simulate", "spectrum", "criteria"):
-        p = sub.add_parser(name)
-        _add_model_flags(p)
+    p = sub.add_parser("simulate")
+    _add_model_flags(p)
+    p.add_argument("--init", help="initial node label or bit pattern")
+    p.add_argument("--tmax", help="time window length, e.g. 2pi")
+    p.add_argument("--grid", type=int, help="number of grid points")
+    p.add_argument("--out", help="CSV output path")
+    p.add_argument("--svg", help="SVG output path")
+
+    p = sub.add_parser("spectrum")
+    _add_model_flags(p)
+    p.add_argument("--out", help="CSV output path")
+
+    _add_model_flags(sub.add_parser("criteria"))
 
     study = sub.add_parser("study")
     study_sub = study.add_subparsers(dest="study", required=True)

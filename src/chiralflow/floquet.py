@@ -339,7 +339,7 @@ def integrate_tdse(drive: CouplerDrive | BusDrive, psi0, t_final: float, dt: flo
     labels = drive.labels or tuple(f"node_{j}" for j in range(1, n + 1))
     for arr in (times, amplitudes, populations):
         arr.setflags(write=False)
-    return Trajectory(times, amplitudes, populations, labels)
+    return Trajectory(times, populations, labels, amplitudes, None)
 
 
 @dataclass(frozen=True)
@@ -347,7 +347,6 @@ class EffectiveComparison:
     """Deviation between the driven model and its static effective model."""
 
     max_population_deviation: float
-    per_node_deviation: tuple[float, ...]
 
 
 def compare_effective(drive: CouplerDrive | BusDrive, target: NetworkSpec,
@@ -370,8 +369,7 @@ def compare_effective(drive: CouplerDrive | BusDrive, target: NetworkSpec,
     n_cmp = min(target.n_sites, n)
     eff = evolve(h_eff, psi0[:n_cmp], lab.times)
     diff = np.abs(lab.populations[:, :n_cmp] - eff.populations[:, :n_cmp])
-    per_node = tuple(float(x) for x in np.max(diff, axis=0))
-    return EffectiveComparison(float(np.max(diff)), per_node)
+    return EffectiveComparison(float(np.max(diff)))
 
 
 def rwa_deviation_scan(ratios) -> list[tuple[float, float]]:

@@ -1,13 +1,16 @@
-"""Occupation-number bases for fixed-excitation subspaces and operator matrices on them.
+"""Occupation-number bases for fixed-excitation subspaces and operators on them.
 
 Site labels are 1-based throughout the public API (site ``n_sites`` is the
 last one); occupation vectors are plain tuples indexed 0-based.  Basis order
 is lexicographic descending on occupation vectors, so bases are reproducible
-across runs and platforms.
+across runs and platforms.  Sector Hamiltonians are kept as COO triplets
+(:class:`HermitianMatrix`), so a large sector never needs a dense dim x dim
+array unless a caller asks for ``.matrix``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -119,20 +122,42 @@ def occupation(n_sites: int, *sites: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """Dense complex square matrix that is Hermitian exactly as constructed."""
+    """Hermitian dim x dim operator as COO triplets: entry ``values[i]`` at
+    ``(rows[i], cols[i])``, duplicates summed in triplet order.
 
-    matrix: np.ndarray
+    Indices must lie in ``range(dim)``, and the triplets must hold every
+    off-diagonal entry together with its conjugate mirror; the constructor
+    checks shapes and finiteness, not Hermiticity.  ``build_hamiltonian``
+    emits each entry next to its mirror, and ``models.three_body_spin``
+    checks its dense matrix before passing its nonzero entries.
+    """
+
+    dim: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"expected square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
+        rows = np.asarray(self.rows, dtype=np.intp)
+        cols = np.asarray(self.cols, dtype=np.intp)
+        values = np.asarray(self.values, dtype=complex)
+        if rows.ndim != 1 or rows.shape != cols.shape or rows.shape != values.shape:
+            raise DimensionMismatch(
+                f"triplets of shapes {rows.shape}, {cols.shape}, {values.shape}")
+        if not np.isfinite(values.view(float)).all():
             raise ValueError("matrix entries must be finite")
-        if not np.array_equal(m, m.conj().T):
-            raise ValueError("matrix is not exactly Hermitian")
+        for name, arr in (("rows", rows), ("cols", cols), ("values", values)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """Read-only dense form; the triplets are added in order, as a dense
+        ``h[row, col] += value`` loop would."""
+        m = np.zeros((self.dim, self.dim), dtype=complex)
+        np.add.at(m, (self.rows, self.cols), self.values)
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        return m
 
 
 def _capped_occupations(n_sites: int, n_excitations: int, cap: int) -> list[tuple[int, ...]]:
@@ -195,8 +220,11 @@ def build_hamiltonian(spec, basis: SubspaceBasis) -> HermitianMatrix:
         )
     if spec.statistics != basis.statistics:
         raise SpecMismatch("spec and basis disagree on statistics")
-    dim = len(basis)
-    h = np.zeros((dim, dim), dtype=complex)
+    # Each hopping entry is followed by its conjugate mirror, and the on-site
+    # terms come last, state by state: the order of a dense ``+=`` loop.
+    rows: list[int] = []
+    cols: list[int] = []
+    values: list[complex] = []
     spin = spec.statistics.is_spin
     for hop in spec.hoppings:
         if not (1 <= hop.j <= spec.n_sites and 1 <= hop.k <= spec.n_sites):
@@ -215,15 +243,18 @@ def build_hamiltonian(spec, basis: SubspaceBasis) -> HermitianMatrix:
             if row is None:  # outside an explicit boson cap
                 continue
             amp = coeff * math.sqrt(state[s]) * math.sqrt(state[d] + 1)
-            h[row, col] += amp
-            h[col, row] += amp.conjugate()
+            rows += (row, col)
+            cols += (col, row)
+            values += (amp, amp.conjugate())
     for term in spec.onsite:
         if not 1 <= term.j <= spec.n_sites:
             raise SpecMismatch(f"on-site term {term} references a nonexistent site")
         for i, state in enumerate(basis.states):
             n = state[term.j - 1]
-            h[i, i] += term.delta_omega * n + term.kerr_u * n * n
-    return HermitianMatrix(h)
+            rows.append(i)
+            cols.append(i)
+            values.append(term.delta_omega * n + term.kerr_u * n * n)
+    return HermitianMatrix(len(basis), rows, cols, values)
 
 
 def full_space_index(state, local_dim: int = 2) -> int:

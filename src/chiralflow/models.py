@@ -383,8 +383,13 @@ def three_body_spin(kind: str, kappa: float) -> HermitianMatrix:
     """
     c_z = scalar_chirality()
     if kind.upper() == "SCI":
-        return HermitianMatrix(kappa * c_z)
-    if kind.upper() == "ASI":
+        m = kappa * c_z
+    elif kind.upper() == "ASI":
         s_z = sum(_site_operator(_PAULI["z"], j, 3) for j in range(1, 4)) / 2.0
-        return HermitianMatrix(kappa * (c_z @ s_z))
-    raise ValueError(f"unknown three-body kind {kind!r} (use 'ASI' or 'SCI')")
+        m = kappa * (c_z @ s_z)
+    else:
+        raise ValueError(f"unknown three-body kind {kind!r} (use 'ASI' or 'SCI')")
+    if not np.array_equal(m, m.conj().T):
+        raise ValueError("matrix is not exactly Hermitian")
+    rows, cols = np.nonzero(m)
+    return HermitianMatrix(m.shape[0], rows, cols, m[rows, cols])

@@ -190,6 +190,20 @@ def test_bad_study_arguments_exit_2(args, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flag", [
+    pytest.param(command, flag, id=f"{command}-{flag[2:]}") for command, flags in (
+        ("criteria", ("--out", "--svg", "--init", "--tmax", "--grid")),
+        ("spectrum", ("--svg", "--init", "--tmax", "--grid")),
+    ) for flag in flags])
+def test_flags_a_command_ignores_exit_2(command, flag, tmp_path, capsys):
+    out = tmp_path / "never"
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--model", "asgf", "--n", "4", flag, str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tmax", ["nan", "inf", "-1"])
 def test_bad_tmax_exits_2_without_output(tmax, tmp_path, capsys):
     out = tmp_path / "never.csv"
@@ -246,13 +260,13 @@ try:
 except SystemExit:
     pass
 steps = [("import and --help", 0, scipy_modules())]
-for argv in (["simulate", "--model", "asgf", "--n", "4"],
-             ["study", "disorder", "--samples", "2"],
-             ["study", "floquet", "--ratios", "2"],
-             ["study", "optimize", "--ncopies", "3"],
-             ["study", "bell", "--initial", "phi"],
+for argv in (["simulate", "--model", "asgf", "--n", "4", "--out", out],
+             ["study", "disorder", "--samples", "2", "--out", out],
+             ["study", "floquet", "--ratios", "2", "--out", out],
+             ["study", "optimize", "--ncopies", "3", "--out", out],
+             ["study", "bell", "--initial", "phi", "--out", out],
              ["criteria", "--model", "asgf", "--n", "4"]):
-    steps.append((" ".join(argv), cli.main(argv + ["--out", out]), scipy_modules()))
+    steps.append((" ".join(argv), cli.main(argv), scipy_modules()))
 steps.append(("oracle-check", cli.main(["oracle-check"]), scipy_modules()))
 zero = floquet.first_bessel_zero()
 print(json.dumps({"steps": steps, "zero": zero, "special": "scipy.special" in sys.modules}))

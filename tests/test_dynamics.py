@@ -1,5 +1,7 @@
 import importlib
+import logging
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +342,60 @@ def test_dense_sector_populations_match_direct_exponential(monkeypatch):
         _, populations = direct_evolution(system, psi0, times, basis)
         traj = dynamics.evolve(h, psi0, times, basis=basis)
         assert np.max(np.abs(traj.populations - populations)) <= 1e-12
+
+
+def test_dense_sector_simulate_stays_sparse(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    spec = cli.build_spec(cli.RunConfig(model="ladder", n=workloads.DENSE_CELLS))
+    pattern = tuple(int(c) for c in workloads.dense_pattern(0))
+    times = np.linspace(0.0, 2.0 * math.pi, workloads.DENSE_GRID)
+
+    def forbidden(name):
+        return property(lambda self: pytest.fail(f"{name} materialised"))
+
+    monkeypatch.setattr(hilbert.HermitianMatrix, "matrix", forbidden("dense H"))
+    monkeypatch.setattr(dynamics.Trajectory, "amplitudes", forbidden("amplitude table"))
+    tracemalloc.start()
+    try:
+        traj = dynamics.simulate(spec, pattern, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.populations.shape == (times.size, spec.n_sites)
+    assert peak < 80 * 2**20
+
+
+def test_populations_in_blocks_match_one_shot():
+    spec = models.sgf_ring(12, 6 * math.pi / 2, statistics=hilbert.Statistics.spin())
+    times = np.linspace(0.0, 3.0, 5000)
+    traj = evolve_spec(spec, times, start=(1, 1, 0, 1, 0, 0, 1) + (0,) * 5, n_excitations=4)
+    dim = traj.modes.shape[1]
+    assert dim >= dynamics.KRYLOV_MIN_DIM
+    assert times.size > 2 * (dynamics.POPULATION_BLOCK // dim)
+    basis = hilbert.enumerate_basis(12, 4, spec.statistics)
+    abs2 = traj.amplitudes.real**2 + traj.amplitudes.imag**2
+    assert np.max(np.abs(traj.populations - abs2 @ basis.occupation_matrix())) <= 1e-15
+
+
+def test_evolve_logs_one_line_per_krylov_call(caplog):
+    caplog.set_level(logging.INFO, logger="chiralflow.dynamics")
+    evolve_spec(models.asgf(4, 2.0, math.pi / 2), np.linspace(0.0, math.pi, 1601))
+    assert caplog.records == []
+    n = dynamics.KRYLOV_MIN_DIM
+    dynamics.evolve(uniform_ring(n), dynamics.basis_state(n, 0), np.linspace(0.0, 5.0, 50))
+    (record,) = caplog.records
+    assert record.levelno == logging.INFO
+    message = record.getMessage()
+    assert f"{n} states" in message and "Krylov m=" in message
+    assert "defect bound" in message and "no eigh fallback" in message
+    assert message.endswith(", 1 population blocks")
+    # A window far longer than 0.4 n Lanczos vectors resolve.
+    caplog.clear()
+    dynamics.evolve(uniform_ring(n), dynamics.basis_state(n, 0), np.linspace(0.0, 500.0, 3000))
+    (record,) = caplog.records
+    assert "fell back to eigh" in record.getMessage()
+    assert record.getMessage().endswith(", 2 population blocks")
 
 
 # Sectors just above the Krylov threshold: (sites, excitations, spin).

@@ -1,8 +1,11 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chiralflow import hilbert, models
 from chiralflow.errors import CapacityOverflow, DimensionMismatch, SpecMismatch, SpinOverflow
@@ -222,6 +225,64 @@ def test_number_operator_commutes_exactly():
     h = hilbert.build_hamiltonian(spec, basis).matrix
     n_op = number_operator(basis)
     assert np.max(np.abs(h @ n_op - n_op @ h)) == 0.0
+
+
+def dense_hamiltonian(spec, basis):
+    """The dense assembly loop: each hopping entry and its mirror are added
+    into a zero dim x dim matrix, then the on-site terms, state by state."""
+    h = np.zeros((len(basis), len(basis)), dtype=complex)
+    for hop in spec.hoppings:
+        coeff = hop.coefficient()
+        d, s = hop.j - 1, hop.k - 1
+        for col, state in enumerate(basis.states):
+            if state[s] == 0 or (spec.statistics.is_spin and state[d] == 1):
+                continue
+            moved = list(state)
+            moved[s] -= 1
+            moved[d] += 1
+            row = basis.index.get(tuple(moved))
+            if row is None:
+                continue
+            amp = coeff * math.sqrt(state[s]) * math.sqrt(state[d] + 1)
+            h[row, col] += amp
+            h[col, row] += amp.conjugate()
+    for term in spec.onsite:
+        for i, state in enumerate(basis.states):
+            n = state[term.j - 1]
+            h[i, i] += term.delta_omega * n + term.kerr_u * n * n
+    return h
+
+
+@st.composite
+def raw_networks(draw):
+    """Spin, boson and capped-boson networks whose hopping list may repeat a
+    pair or list it in both directions, with on-site terms."""
+    n = draw(st.integers(2, 5))
+    stats = draw(st.one_of(st.just(Statistics.spin()), st.just(Statistics.boson()),
+                           st.integers(1, 2).map(Statistics.boson)))
+    n_exc = draw(st.integers(1, min(3, n * (stats.max_occupation or 3))))
+    sites = st.integers(1, n)
+    pairs = draw(st.lists(st.tuples(sites, sites).filter(lambda p: p[0] != p[1]),
+                          max_size=8))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    pairs += [(k, j) for j, k in pairs if draw(st.booleans())]
+    values = st.floats(-2.0, 2.0)
+    hops = tuple(Hopping(j, k, draw(values), draw(values)) for j, k in pairs)
+    onsite = tuple(OnSite(draw(sites), draw(values), draw(values))
+                   for _ in range(draw(st.integers(0, 4))))
+    return SimpleNamespace(n_sites=n, hoppings=hops, onsite=onsite, statistics=stats), n_exc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(raw_networks())
+def test_triplets_scatter_to_the_dense_loop_bit_for_bit(case):
+    spec, n_exc = case
+    basis = hilbert.enumerate_basis(spec.n_sites, n_exc, spec.statistics)
+    h = hilbert.build_hamiltonian(spec, basis)
+    expected = dense_hamiltonian(spec, basis)
+    assert h.dim == len(basis)
+    assert np.array_equal(h.matrix.view(np.uint64), expected.view(np.uint64))
+    assert not h.matrix.flags.writeable
 
 
 def full_space_hamiltonian(spec, local_dim):
