@@ -179,7 +179,7 @@ def evolve(h, psi0, times, basis: SubspaceBasis | None = None,
     norm = float(np.linalg.norm(psi0))
     if not abs(norm - 1.0) <= 1e-9:
         raise ValueError(f"initial state norm {norm} is not 1")
-    block = max(1, POPULATION_BLOCK // dim)
+    rows = max(1, POPULATION_BLOCK // dim)  # time steps per population block
     system = None
     if dim >= KRYLOV_MIN_DIM:
         operator = h
@@ -187,7 +187,7 @@ def evolve(h, psi0, times, basis: SubspaceBasis | None = None,
             from scipy.sparse import csr_array
             operator = csr_array((h.values, (h.rows, h.cols)), shape=(dim, dim))
         system = _krylov_system(operator, psi0 / norm, float(np.max(np.abs(times))))
-        blocks = -(-times.size // block)
+        blocks = -(-times.size // rows)
         if system is None:
             log.info("evolve: %d states, Krylov space uncertified within %d vectors, "
                      "fell back to eigh, %d population blocks",
@@ -203,18 +203,15 @@ def evolve(h, psi0, times, basis: SubspaceBasis | None = None,
     modes = system.eigenvectors.T
     modes.setflags(write=False)
     occupations = basis.occupation_matrix() if basis is not None else None
-    blocks = []
-    for lo in range(0, times.size, block):
-        amplitudes = phases[lo:lo + block] @ modes
+    parts = []
+    for lo in range(0, times.size, rows):
+        amplitudes = phases[lo:lo + rows] @ modes
         abs2 = amplitudes.real**2 + amplitudes.imag**2
         # Negated so that NaN amplitudes (from a non-finite time) fail the check.
         if not float(np.max(np.abs(abs2.sum(axis=1) - 1.0))) <= NORM_TOL:
             raise ValueError("evolution failed to conserve the norm")
-        blocks.append(abs2 if occupations is None else abs2 @ occupations)
-    # Joined last, so the populations kept sit above the freed temporaries on
-    # the heap: filling a preallocated array instead let malloc trim the heap
-    # top and fault it back in, 50% more per call on a 5-state sector.
-    populations = np.concatenate(blocks)
+        parts.append(abs2 if occupations is None else abs2 @ occupations)
+    populations = np.concatenate(parts)
     if basis is not None:
         node_labels = labels or tuple(f"node_{j}" for j in range(1, basis.n_sites + 1))
     else:
