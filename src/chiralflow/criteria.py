@@ -96,7 +96,7 @@ def _classify_single(vector: np.ndarray, ring_idx: list[int], mod_tol: float) ->
     return ChiralModeTag(best_m, uniform, best_residual)
 
 
-def check_criteria(h, ring_nodes) -> CriteriaReport:
+def check_criteria(h: HermitianMatrix, ring_nodes) -> CriteriaReport:
     """Evaluate the two chiral-flow criteria on one excitation block.
 
     ``ring_nodes`` are the 1-based ring site labels; any remaining rows are
@@ -161,9 +161,9 @@ def check_criteria(h, ring_nodes) -> CriteriaReport:
     )
 
 
-def check_chiral_symmetry(h, operator: ChiralOperator) -> float:
+def check_chiral_symmetry(h: HermitianMatrix, operator: ChiralOperator) -> float:
     """Max-norm residual of C^-1 H C + H; zero iff C inverts the spectrum."""
-    m = h.matrix if isinstance(h, HermitianMatrix) else np.asarray(h, dtype=complex)
+    m = h.matrix
     c = operator.matrix
     if c.shape != m.shape:
         raise DimensionMismatch(f"operator {c.shape} does not match matrix {m.shape}")
@@ -192,7 +192,8 @@ def check_time_reversal_spin(spec: NetworkSpec, times=None) -> bool:
 
     def run(state, sign):
         basis = enumerate_basis(n, sum(state), spec.statistics)
-        h = build_hamiltonian(spec, basis).matrix * sign
+        h = build_hamiltonian(spec, basis)
+        h = replace(h, values=h.values * sign)
         return evolve(h, basis.unit_vector(state), times, basis=basis)
 
     forward_flipped = run(flipped_state(initial), +1.0)

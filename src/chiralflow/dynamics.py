@@ -19,18 +19,11 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyWindow,
-    NoPeaks,
-    NonHermitian,
-    OutOfGrid,
-)
+from .errors import DimensionMismatch, EmptyWindow, NoPeaks, OutOfGrid
 from .hilbert import HermitianMatrix, SubspaceBasis, build_hamiltonian, enumerate_basis
 
 log = logging.getLogger(__name__)
 
-HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-10
 DARK_NODE_FLOOR = 1e-12
 # Krylov propagation in ``evolve``: the dimension from which it replaces the
@@ -52,16 +45,6 @@ TAYLOR_ORDER = 15
 POPULATION_BLOCK = 2**20
 
 
-def _as_matrix(h) -> np.ndarray:
-    if isinstance(h, HermitianMatrix):
-        return h.matrix
-    m = np.asarray(h, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
-    if float(np.max(np.abs(m - m.conj().T))) > HERMITICITY_TOL * scale:
-        raise NonHermitian("matrix is not Hermitian within 1e-12")
-    return m
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Ascending eigenvalues with orthonormal eigenvector columns."""
@@ -74,13 +57,13 @@ class EigenSystem:
         return self.eigenvalues.shape[0]
 
 
-def eigendecompose(h) -> EigenSystem:
-    """Read-only ``eigh`` of a Hermitian matrix.
+def eigendecompose(h: HermitianMatrix) -> EigenSystem:
+    """Read-only ``eigh`` of the dense form of h.
 
     Eigenvector phases are whatever LAPACK returns; every consumer uses
     phase-invariant quantities (|V^dag psi|^2, V e^{-i L t} V^dag, moduli).
     """
-    values, vectors = np.linalg.eigh(_as_matrix(h))
+    values, vectors = np.linalg.eigh(h.matrix)
     values.setflags(write=False)
     vectors.setflags(write=False)
     return EigenSystem(values, vectors)
@@ -146,14 +129,14 @@ class ChiralityVerdict:
     peak_times: tuple[float, ...]
 
 
-def evolve(h, psi0, times, basis: SubspaceBasis | None = None,
+def evolve(h: HermitianMatrix, psi0, times, basis: SubspaceBasis | None = None,
            labels: tuple[str, ...] | None = None) -> Trajectory:
     """Evolve a normalised state on a time grid: psi(t) = V e^{-i L t} V^dag psi0.
 
-    Below ``KRYLOV_MIN_DIM`` states, V and L are the full eigensystem of H.
-    Larger matrices take the Ritz pairs of ``_krylov_system`` on a sparse
-    copy of H instead: the eigensystem of H on the Krylov space of psi0,
-    grown until psi(t) is within ``KRYLOV_TOL`` of exact for every
+    Below ``KRYLOV_MIN_DIM`` states, V and L are the full eigensystem of h.
+    Larger operators take the Ritz pairs of ``_krylov_system`` instead: the
+    eigensystem of h on the Krylov space of psi0, grown on a sparse copy of
+    the triplets until psi(t) is within ``KRYLOV_TOL`` of exact for every
     |t| <= max|times|, or the full eigensystem when that space would cost
     more.  Populations and the norm check are formed in blocks of
     ``POPULATION_BLOCK // dim`` time steps; the amplitudes stay factored
@@ -163,11 +146,7 @@ def evolve(h, psi0, times, basis: SubspaceBasis | None = None,
     excitation case); with a basis, node populations are occupation-weighted
     sums over basis states.
     """
-    if isinstance(h, HermitianMatrix):
-        dim = h.dim
-    else:
-        h = _as_matrix(h)
-        dim = h.shape[0]
+    dim = h.dim
     psi0 = np.asarray(psi0, dtype=complex)
     times = np.asarray(times, dtype=float)
     if psi0.shape != (dim,):
@@ -182,11 +161,7 @@ def evolve(h, psi0, times, basis: SubspaceBasis | None = None,
     rows = max(1, POPULATION_BLOCK // dim)  # time steps per population block
     system = None
     if dim >= KRYLOV_MIN_DIM:
-        operator = h
-        if isinstance(h, HermitianMatrix):
-            from scipy.sparse import csr_array
-            operator = csr_array((h.values, (h.rows, h.cols)), shape=(dim, dim))
-        system = _krylov_system(operator, psi0 / norm, float(np.max(np.abs(times))))
+        system = _krylov_system(h, psi0 / norm, float(np.max(np.abs(times))))
         blocks = -(-times.size // rows)
         if system is None:
             log.info("evolve: %d states, Krylov space uncertified within %d vectors, "
@@ -222,34 +197,39 @@ def evolve(h, psi0, times, basis: SubspaceBasis | None = None,
     return Trajectory(times, populations, tuple(node_labels), phases, modes)
 
 
-def _krylov_system(h, start: np.ndarray, span: float) -> RitzSystem | None:
+def _krylov_system(h: HermitianMatrix, start: np.ndarray, span: float) -> RitzSystem | None:
     """Ritz values and vectors of h on the Krylov space of the unit vector
     ``start``, large enough that V e^{-i L t} V^dag start is within
-    ``KRYLOV_TOL`` of e^{-i h t} start for every |t| <= span; h is anything
-    ``scipy.sparse.csr_array`` takes.
+    ``KRYLOV_TOL`` of e^{-i h t} start for every |t| <= span.
 
-    Lanczos with full reorthogonalisation on h as a CSR matrix gives
+    Lanczos with full reorthogonalisation on a CSR copy of h's triplets gives
     h Q = Q T + beta q e_m^T, and the Krylov state Q e^{-i T t} e_1 is off by
     at most beta * integral_0^|t| |e_m^T e^{-i T s} e_1| ds (Saad, SIAM J.
     Numer. Anal. 29, 209 (1992); Hochbruck & Lubich, ibid. 34, 1911 (1997)).
     The space grows by ``KRYLOV_GROWTH`` between checks of that bound from
     ``KRYLOV_START`` on; a step whose beta * span is within the tolerance
     ends it at once, which covers breakdown, eigenvector starts and a zero
-    span.  The result carries the bound it was certified with.  Past
+    span.  The array of Lanczos vectors doubles its rows as the space
+    grows.  The result carries the bound it was certified with.  Past
     ``KRYLOV_MAX_SHARE`` of the dimension it gives up and returns None.
     """
     from scipy.sparse import csr_array  # imported here: ~0.2 s, as long as all of CLI start-up
 
     if not math.isfinite(span):
         span = math.nan  # no certificate: stop at once; evolve's norm check rejects it
-    limit = int(KRYLOV_MAX_SHARE * h.shape[0])
-    matrix = csr_array(h)
-    basis = np.empty((limit + 1, h.shape[0]), dtype=complex)
+    limit = int(KRYLOV_MAX_SHARE * h.dim)
+    matrix = csr_array((h.values, (h.rows, h.cols)), shape=(h.dim, h.dim))
+    basis = np.empty((1, h.dim), dtype=complex)
     basis[0] = start
     alpha: list[float] = []
     beta: list[float] = []
     target = KRYLOV_START
     while target <= limit:
+        if target >= len(basis):  # rows 0..target must fit; keep the len(alpha) + 1 in use
+            grown = np.empty((min(limit + 1, max(2 * len(basis), target + 1)), h.dim),
+                             dtype=complex)
+            grown[:len(alpha) + 1] = basis[:len(alpha) + 1]
+            basis = grown
         for j in range(len(alpha), target):
             w = matrix @ basis[j]
             if j:
@@ -268,8 +248,11 @@ def _krylov_system(h, start: np.ndarray, span: float) -> RitzSystem | None:
             if not norm * span > KRYLOV_TOL:  # negated so that a NaN span stops too
                 break
             basis[j + 1] = w / norm
-        off = beta[:-1]  # T_m: alpha on the diagonal, beta_1..beta_{m-1} beside it
-        system = eigendecompose(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
+        # T_m: alpha on the diagonal, beta_1..beta_{m-1} beside it on both sides.
+        k = np.arange(len(alpha))
+        off = beta[:-1]
+        system = eigendecompose(HermitianMatrix(len(alpha), np.r_[k, k[:-1], k[1:]],
+                                                np.r_[k, k[1:], k[:-1]], np.r_[alpha, off, off]))
         # beta * span bounds the defect too, as |e_m^T e^{-i T s} e_1| <= 1.
         bound = beta[-1] * span
         if bound > KRYLOV_TOL:

@@ -17,10 +17,6 @@ class SpecMismatch(ChiralFlowError):
     """A network term references a site outside the declared network."""
 
 
-class NonHermitian(ChiralFlowError):
-    """Matrix handed to a Hermitian-only routine violates symmetry."""
-
-
 class BadGauge(ChiralFlowError):
     """Custom gauge data is inconsistent with the requested network."""
 

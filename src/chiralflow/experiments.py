@@ -233,9 +233,11 @@ def _ladder_objective(n_copies: int):
     """Ladder cycle fidelity and its gradient in the log-increments of
     ``_profile_from_increments``.
 
-    H(b) = H_ring + sum_d b_d A_d is assembled once; each evaluation makes one
-    ``eigendecompose``.  At the revival time t* (envelope theorem) the return
-    amplitude A = <0|exp(-iHt*)|0> has the Daleckii-Krein derivative
+    H(b) = H_ring + sum_d b_d A_d.  The triplets of ``ladder(n_copies, ones)``
+    are built once; each evaluation scales every cell's triplets by its b_d
+    and makes one ``eigendecompose``.  At the revival time t* (envelope
+    theorem) the return amplitude A = <0|exp(-iHt*)|0> has the Daleckii-Krein
+    derivative
     dA/db_d = sum_km V_0k (V^dag A_d V)_km Phi_km conj(V_0m),
     Phi_km = (e^{-iE_k t} - e^{-iE_m t}) / (E_k - E_m), or -it e^{-iE_k t}
     for degenerate levels; dF/db_d = 2 Re(conj(A) dA/db_d).
@@ -248,12 +250,16 @@ def _ladder_objective(n_copies: int):
         build_hamiltonian(ladder(n_copies, np.eye(n_profiles)[d]), basis).matrix - h_ring
         for d in range(n_profiles)
     ])
-    h_fixed = h_ring + 2.0 * couplings[0]  # the end cells keep coupling 2
-    free = couplings[1:]
+    free = couplings[1:]  # the end cells keep coupling 2
+    template = build_hamiltonian(ladder(n_copies, [1.0] * n_profiles), basis)
+    # Triplet i scales by b_{cell[i]}; the ring's triplets (cell n_profiles) by 1.
+    in_cell = couplings[:, template.rows, template.cols] != 0
+    cell = np.where(in_cell.any(axis=0), in_cell.argmax(axis=0), n_profiles)
 
     def objective(increments: np.ndarray) -> tuple[float, np.ndarray]:
         profile = np.array(_profile_from_increments(increments))
-        system = eigendecompose(h_fixed + np.tensordot(profile[1:], free, 1))
+        scales = np.append(profile, 1.0)[cell]
+        system = eigendecompose(replace(template, values=template.values * scales))
         values, vectors = system.eigenvalues, system.eigenvectors
         lead = vectors[0]
         weights = np.abs(lead) ** 2

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -365,7 +365,8 @@ def compare_effective(drive: CouplerDrive | BusDrive, target: NetworkSpec,
     psi0 = basis_state(n, 0)
     lab = integrate_tdse(drive, psi0, t_final, dt)
     basis = enumerate_basis(target.n_sites, 1, target.statistics)
-    h_eff = build_hamiltonian(target, basis).matrix * drive.base_rate
+    h = build_hamiltonian(target, basis)
+    h_eff = replace(h, values=h.values * drive.base_rate)
     n_cmp = min(target.n_sites, n)
     eff = evolve(h_eff, psi0[:n_cmp], lab.times)
     diff = np.abs(lab.populations[:, :n_cmp] - eff.populations[:, :n_cmp])

@@ -123,13 +123,15 @@ def occupation(n_sites: int, *sites: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class HermitianMatrix:
     """Hermitian dim x dim operator as COO triplets: entry ``values[i]`` at
-    ``(rows[i], cols[i])``, duplicates summed in triplet order.
+    ``(rows[i], cols[i])``, duplicates summed in triplet order.  It is the
+    only operator type the spectral and propagation layers take.
 
-    Indices must lie in ``range(dim)``, and the triplets must hold every
-    off-diagonal entry together with its conjugate mirror; the constructor
-    checks shapes and finiteness, not Hermiticity.  ``build_hamiltonian``
+    The triplets must hold every off-diagonal entry together with its
+    conjugate mirror; the constructor checks shapes, finiteness and that
+    every index lies in ``range(dim)``, not Hermiticity.  ``build_hamiltonian``
     emits each entry next to its mirror, and ``models.three_body_spin``
-    checks its dense matrix before passing its nonzero entries.
+    checks its dense matrix before passing its nonzero entries.  Scaling the
+    values by a real factor (``dataclasses.replace``) keeps it Hermitian.
     """
 
     dim: int
@@ -144,6 +146,9 @@ class HermitianMatrix:
         if rows.ndim != 1 or rows.shape != cols.shape or rows.shape != values.shape:
             raise DimensionMismatch(
                 f"triplets of shapes {rows.shape}, {cols.shape}, {values.shape}")
+        # Viewed as unsigned, a negative index exceeds any dim.
+        if rows.size and np.maximum(rows.view(np.uintp), cols.view(np.uintp)).max() >= self.dim:
+            raise DimensionMismatch(f"triplet indices outside range({self.dim})")
         if not np.isfinite(values.view(float)).all():
             raise ValueError("matrix entries must be finite")
         for name, arr in (("rows", rows), ("cols", cols), ("values", values)):

@@ -9,13 +9,13 @@ rate and the base rate itself is set to 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dynamics import cluster_levels, eigendecompose
 from .errors import SingularProjection
-from .hilbert import build_hamiltonian, enumerate_basis
+from .hilbert import OnSite, build_hamiltonian, enumerate_basis
 from .models import ladder, ladder_corners
 
 
@@ -181,13 +181,14 @@ def ladder_resolvent(n_copies: int, omega0: float = 0.0) -> PoleSet:
     are dark at the corners and carry no pole.
     """
     spec = ladder(n_copies, [2.0])
+    spec = replace(spec, onsite=tuple(OnSite(j, omega0) for j in range(1, spec.n_sites + 1)))
     basis = enumerate_basis(spec.n_sites, 1, spec.statistics)
-    h = build_hamiltonian(spec, basis).matrix.copy()
+    hamiltonian = build_hamiltonian(spec, basis)
+    h = hamiltonian.matrix
     corners = ladder_corners(n_copies)
     corner_idx = [c - 1 for c in corners]
     if len(set(corner_idx)) != 4 or min(corner_idx) < 0 or max(corner_idx) >= h.shape[0]:
         raise SingularProjection(f"invalid corner labels {corners}")
-    h = h + omega0 * np.eye(h.shape[0])
     other_idx = [i for i in range(h.shape[0]) if i not in corner_idx]
 
     v_pp = h[np.ix_(corner_idx, corner_idx)].astype(complex)
@@ -207,7 +208,7 @@ def ladder_resolvent(n_copies: int, omega0: float = 0.0) -> PoleSet:
     # Pole locations and reference residues from the full eigendecomposition;
     # the determinant-derivative route is evaluated wherever the self-energy
     # is regular (pole away from every eigenvalue of the decoupled rest).
-    system = eigendecompose(h)
+    system = eigendecompose(hamiltonian)
     scale = max(1.0, float(np.max(np.abs(system.eigenvalues))))
     poles = []
     residues = []

@@ -11,6 +11,14 @@ def evolve_spec(spec, times, start=None, n_excitations=1):
     return dynamics.simulate(spec, start, times)
 
 
+def hermitian(array):
+    """The operator of an exactly Hermitian array, as its nonzero triplets."""
+    array = np.asarray(array, dtype=complex)
+    assert np.array_equal(array, array.conj().T)
+    rows, cols = np.nonzero(array)
+    return hilbert.HermitianMatrix(array.shape[0], rows, cols, array[rows, cols])
+
+
 def spec_hamiltonian(spec, n_excitations=1):
     basis = hilbert.enumerate_basis(spec.n_sites, n_excitations, spec.statistics)
     return hilbert.build_hamiltonian(spec, basis), basis

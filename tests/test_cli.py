@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from chiralflow import cli, dynamics
-from chiralflow.errors import ConfigError, NonHermitian
+from chiralflow.errors import ConfigError, NoPeaks
 
 
 def run_cli(args):
@@ -159,7 +159,7 @@ def test_study_floquet_csv(tmp_path):
 
 def test_numeric_failure_exits_3(monkeypatch, capsys):
     def broken(*args, **kwargs):
-        raise NonHermitian("matrix is not Hermitian within 1e-12")
+        raise NoPeaks("no node population reaches the peak threshold")
 
     monkeypatch.setattr(dynamics, "evolve", broken)
     code = run_cli(["simulate", "--model", "sgf", "--n", "3", "--grid", "11"])

@@ -11,14 +11,8 @@ from hypothesis import strategies as st
 
 from chiralflow import cli, dynamics, hilbert, models, oracles
 from chiralflow.dynamics import Direction
-from chiralflow.errors import (
-    DimensionMismatch,
-    EmptyWindow,
-    NoPeaks,
-    NonHermitian,
-    OutOfGrid,
-)
-from conftest import evolve_spec, spec_hamiltonian
+from chiralflow.errors import DimensionMismatch, EmptyWindow, NoPeaks, OutOfGrid
+from conftest import evolve_spec, hermitian, spec_hamiltonian
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -36,7 +30,7 @@ def test_eigendecompose_four_node_spectrum():
 
 
 def test_eigendecompose_identity():
-    system = dynamics.eigendecompose(np.eye(4, dtype=complex))
+    system = dynamics.eigendecompose(hermitian(np.eye(4)))
     assert np.allclose(system.eigenvalues, 1.0)
 
 
@@ -53,14 +47,9 @@ def test_eigendecompose_invariants_and_determinism():
     assert np.array_equal(system.eigenvectors, again.eigenvectors)
 
 
-def test_eigendecompose_rejects_non_hermitian():
-    with pytest.raises(NonHermitian):
-        dynamics.eigendecompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
-
-
 def test_zero_hamiltonian_is_stationary():
     times = np.linspace(0, 5, 50)
-    traj = dynamics.evolve(np.zeros((3, 3), dtype=complex), dynamics.basis_state(3, 0), times)
+    traj = dynamics.evolve(hermitian(np.zeros((3, 3))), dynamics.basis_state(3, 0), times)
     assert np.allclose(traj.populations[:, 0], 1.0)
     assert np.allclose(traj.populations[:, 1:], 0.0)
 
@@ -86,11 +75,11 @@ def test_evolve_dimension_mismatch():
 
 
 def uniform_ring(n):
-    """Adjacency matrix of an n-site ring with unit real hoppings."""
-    h = np.zeros((n, n), dtype=complex)
+    """The n-site ring with unit real hoppings."""
+    h = np.zeros((n, n))
     sites = np.arange(n)
     h[sites, (sites + 1) % n] = h[(sites + 1) % n, sites] = 1.0
-    return h
+    return hermitian(h)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -99,7 +88,7 @@ def test_evolve_rejects_non_finite_times(bad_time, monkeypatch):
     decompose = dynamics.eigendecompose
     shapes = []
     monkeypatch.setattr(dynamics, "eigendecompose",
-                        lambda m: shapes.append(np.shape(getattr(m, "matrix", m))) or decompose(m))
+                        lambda m: shapes.append(m.matrix.shape) or decompose(m))
     h, _ = spec_hamiltonian(models.sgf_ring(3, math.pi / 2))
     with pytest.raises(ValueError, match="norm"):
         dynamics.evolve(h, dynamics.basis_state(3, 0), np.array([0.0, bad_time]))
@@ -116,7 +105,7 @@ def test_evolve_rejects_non_finite_times(bad_time, monkeypatch):
 def test_krylov_branch_stops_on_invariant_subspaces():
     n = dynamics.KRYLOV_MIN_DIM
     times = np.linspace(0.0, 5.0, 50)
-    traj = dynamics.evolve(np.zeros((n, n), dtype=complex), dynamics.basis_state(n, 7), times)
+    traj = dynamics.evolve(hermitian(np.zeros((n, n))), dynamics.basis_state(n, 7), times)
     assert np.array_equal(traj.amplitudes, np.tile(dynamics.basis_state(n, 7), (times.size, 1)))
     # The uniform state is an eigenvector (energy 2) of the unit-hopping ring.
     h = uniform_ring(n)
@@ -143,7 +132,7 @@ def test_norm_and_energy_conservation():
 
 def rk4_reference(h, psi0, times):
     """Independent fixed-step integrator for cross-validation."""
-    m = h.matrix if isinstance(h, hilbert.HermitianMatrix) else h
+    m = h.matrix
     out = [np.asarray(psi0, dtype=complex)]
     for t0, t1 in zip(times, times[1:]):
         steps = 40
@@ -200,7 +189,7 @@ def test_average_fidelity_values():
     times = np.linspace(0.0, math.pi, 1601)
     traj = evolve_spec(models.asgf(4, 2.0, math.pi / 2), times)
     assert dynamics.average_fidelity(traj, [1, 2, 3, 4]) == pytest.approx(1.0, abs=1e-9)
-    frozen = dynamics.evolve(np.zeros((4, 4), dtype=complex), dynamics.basis_state(4, 0), times)
+    frozen = dynamics.evolve(hermitian(np.zeros((4, 4))), dynamics.basis_state(4, 0), times)
     assert dynamics.average_fidelity(frozen, [1, 2, 3, 4]) == pytest.approx(0.25)
     with pytest.raises(EmptyWindow):
         dynamics.average_fidelity(traj, [])
@@ -224,7 +213,7 @@ def test_chirality_none_for_mirror_symmetric_flow():
 
 def test_chirality_no_peaks():
     times = np.linspace(0.0, 1.0, 11)
-    traj = dynamics.evolve(np.zeros((3, 3), dtype=complex), dynamics.basis_state(3, 2), times)
+    traj = dynamics.evolve(hermitian(np.zeros((3, 3))), dynamics.basis_state(3, 2), times)
     with pytest.raises(NoPeaks):
         dynamics.chirality_order(traj, [1])  # node 1 stays dark
     with pytest.raises(ValueError):
@@ -233,9 +222,9 @@ def test_chirality_no_peaks():
 
 def test_chirality_none_unless_every_ring_node_is_visited():
     # Only nodes 1 and 2 are coupled: node 3 stays dark, so no orientation.
-    h = np.zeros((3, 3), dtype=complex)
+    h = np.zeros((3, 3))
     h[0, 1] = h[1, 0] = 1.0
-    traj = dynamics.evolve(h, dynamics.basis_state(3, 0), np.linspace(0.0, math.pi, 201))
+    traj = dynamics.evolve(hermitian(h), dynamics.basis_state(3, 0), np.linspace(0.0, math.pi, 201))
     verdict = dynamics.chirality_order(traj, [1, 2, 3])
     assert verdict.order == (1, 2)
     assert verdict.direction is Direction.NONE
@@ -354,7 +343,11 @@ def test_dense_sector_simulate_stays_sparse(monkeypatch):
     def forbidden(name):
         return property(lambda self: pytest.fail(f"{name} materialised"))
 
-    monkeypatch.setattr(hilbert.HermitianMatrix, "matrix", forbidden("dense H"))
+    # The Lanczos tridiagonal is a HermitianMatrix too and is decomposed dense.
+    dense = hilbert.HermitianMatrix.matrix.func
+    sector = workloads.dense_dim()
+    monkeypatch.setattr(hilbert.HermitianMatrix, "matrix", property(
+        lambda self: pytest.fail("dense H materialised") if self.dim == sector else dense(self)))
     monkeypatch.setattr(dynamics.Trajectory, "amplitudes", forbidden("amplitude table"))
     tracemalloc.start()
     try:
@@ -364,6 +357,26 @@ def test_dense_sector_simulate_stays_sparse(monkeypatch):
         tracemalloc.stop()
     assert traj.populations.shape == (times.size, spec.n_sites)
     assert peak < 80 * 2**20
+
+
+def test_krylov_array_grows_with_the_space(monkeypatch):
+    # The certified space of the 1540-state sector over 2 pi has about 155
+    # vectors; reserving rows for the 616 of the share limit up front peaks
+    # near 19 MiB.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    spec = cli.build_spec(cli.RunConfig(model="ladder", n=workloads.DENSE_CELLS))
+    basis = hilbert.enumerate_basis(spec.n_sites, workloads.DENSE_EXCITATIONS, spec.statistics)
+    h = hilbert.build_hamiltonian(spec, basis)
+    psi0 = basis.unit_vector(tuple(int(c) for c in workloads.dense_pattern(0)))
+    tracemalloc.start()
+    try:
+        ritz = dynamics._krylov_system(h, psi0, 2.0 * math.pi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ritz is not None
+    assert peak < 12 * 2**20
 
 
 def test_populations_in_blocks_match_one_shot():
@@ -432,7 +445,7 @@ def test_krylov_branch_matches_full_eigh(sector, seed, grid):
         "single-point": np.array([0.4 * long]),
         "long": np.linspace(0.0, long, 2001),
     }[grid]
-    ritz = dynamics._krylov_system(h.matrix, psi0, float(times[-1]))
+    ritz = dynamics._krylov_system(h, psi0, float(times[-1]))
     assert ritz is not None  # certified below the share where it gives way to eigh
     if grid == "long":
         assert ritz.eigenvalues.size > dynamics.KRYLOV_START * dynamics.KRYLOV_GROWTH**3
@@ -448,7 +461,7 @@ def test_defect_integral_bounds_a_fine_quadrature(m, seed, span):
     rng = np.random.default_rng(seed)
     off = rng.uniform(0.1, 2.0, m - 1)
     t = np.diag(rng.uniform(-3.0, 3.0, m)) + np.diag(off, 1) + np.diag(off, -1)
-    system = dynamics.eigendecompose(t)
+    system = dynamics.eigendecompose(hermitian(t))
     bound = dynamics._defect_integral(system, span)
     s = np.linspace(0.0, span, 20001)
     g = np.abs((np.exp(-1j * np.outer(s, system.eigenvalues)) * system.eigenvectors[0].conj())

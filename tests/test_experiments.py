@@ -162,6 +162,23 @@ def test_ladder_objective_decomposes_through_eigendecompose(monkeypatch):
     assert len(calls) == result.iterations + 1
 
 
+def test_ladder_objective_operator_is_the_built_hamiltonian(monkeypatch):
+    # The scaled triplet template is bit for bit the ladder's own Hamiltonian.
+    rng = np.random.default_rng(7)
+    seen = []
+    original = experiments.eigendecompose
+    monkeypatch.setattr(experiments, "eigendecompose", lambda h: seen.append(h) or original(h))
+    for n in range(1, 9):
+        increments = rng.normal(size=(n + 1) // 2 - 1)
+        seen.clear()
+        experiments._ladder_objective(n)(increments)
+        spec = models.ladder(n, experiments._profile_from_increments(increments))
+        basis = hilbert.enumerate_basis(spec.n_sites, 1, spec.statistics)
+        expected = hilbert.build_hamiltonian(spec, basis).matrix
+        (h,) = seen
+        assert np.array_equal(h.matrix.view(np.uint64), expected.view(np.uint64))
+
+
 def test_optimize_budget_validation():
     with pytest.raises(ValueError):
         experiments.optimize_ladder(4, budget=10)

@@ -285,6 +285,18 @@ def test_triplets_scatter_to_the_dense_loop_bit_for_bit(case):
     assert not h.matrix.flags.writeable
 
 
+def test_hermitian_matrix_rejects_negative_indices():
+    # A negative index would wrap around to the last row or column.
+    with pytest.raises(DimensionMismatch):
+        hilbert.HermitianMatrix(2, [-1, 0], [0, -1], [1.0, 1.0])
+
+
+def test_hermitian_matrix_rejects_indices_past_dim():
+    with pytest.raises(DimensionMismatch):
+        hilbert.HermitianMatrix(2, [2, 0], [0, 2], [1.0, 1.0])
+    assert hilbert.HermitianMatrix(2, [1, 0], [0, 1], [1.0, 1.0]).matrix.shape == (2, 2)
+
+
 def full_space_hamiltonian(spec, local_dim):
     """Independent construction from dense ladder operators on the full
     tensor space."""
