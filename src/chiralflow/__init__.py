@@ -4,13 +4,13 @@ from . import criteria, dynamics, errors, experiments, floquet, hilbert, models,
 from .dynamics import ChiralityVerdict, Direction, Trajectory, chirality_order, eigendecompose, evolve
 from .hilbert import Hopping, OnSite, Statistics, SubspaceBasis, build_hamiltonian, enumerate_basis
 from .models import (
-    GaugeChoice,
     NetworkSpec,
     asgf,
     chiral_n_node,
     chiral_operator,
     gauge_transform,
     ladder,
+    landau_gauge,
     sgf_ring,
     three_body_spin,
 )
@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChiralityVerdict",
     "Direction",
-    "GaugeChoice",
     "Hopping",
     "NetworkSpec",
     "OnSite",
@@ -43,6 +42,7 @@ __all__ = [
     "gauge_transform",
     "hilbert",
     "ladder",
+    "landau_gauge",
     "models",
     "oracles",
     "sgf_ring",

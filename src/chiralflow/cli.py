@@ -91,11 +91,15 @@ class RunConfig:
             raise ConfigError("ladder needs at least one cell")
         if self.grid < 2:
             raise ConfigError("grid needs at least 2 points")
-        parse_angle(self.flux)
-        parse_angle(self.nn_phase)
+        for name, angle in (("flux", self.flux), ("nn_phase", self.nn_phase)):
+            if not math.isfinite(parse_angle(angle)):
+                raise ConfigError(f"{name} {angle!r} must be finite")
         if not 0 <= parse_angle(self.tmax) < math.inf:
             raise ConfigError(f"tmax {self.tmax!r} must be finite and >= 0")
-        parse_float_list(self.profile)
+        if not 0 <= self.beta < math.inf:
+            raise ConfigError(f"beta {self.beta!r} must be finite and >= 0")
+        if not all(0 <= b < math.inf for b in parse_float_list(self.profile)):
+            raise ConfigError(f"profile {self.profile!r} entries must be finite and >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -461,7 +465,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ChiralFlowError, np.linalg.LinAlgError, FloatingPointError, ValueError) as exc:
+    except (ChiralFlowError, np.linalg.LinAlgError, ArithmeticError, ValueError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
 

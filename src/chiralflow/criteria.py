@@ -215,8 +215,6 @@ class HardcoreStudy:
     asymmetry_two_exc: float
     single_direction: Direction
     double_direction: Direction
-    single_order: tuple[int, ...]
-    double_order: tuple[int, ...]
 
 
 def hardcore_limit_study(u_over_j: float) -> HardcoreStudy:
@@ -252,6 +250,4 @@ def hardcore_limit_study(u_over_j: float) -> HardcoreStudy:
         asymmetry_two_exc=asymmetry,
         single_direction=verdict1.direction,
         double_direction=verdict2.direction,
-        single_order=verdict1.order,
-        double_order=verdict2.order,
     )

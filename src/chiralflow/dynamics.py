@@ -107,11 +107,6 @@ class Trajectory:
         """Population trace of a 1-based node label."""
         return self.populations[:, node - 1]
 
-    def initial_overlap(self) -> np.ndarray:
-        """|<psi(0)|psi(t)>|^2 on the grid."""
-        overlaps = self.amplitudes @ self.amplitudes[0].conj()
-        return np.abs(overlaps) ** 2
-
 
 class Direction(Enum):
     CLOCKWISE = "clockwise"
@@ -126,7 +121,6 @@ class ChiralityVerdict:
     order: tuple[int, ...]
     direction: Direction
     min_peak: float
-    peak_times: tuple[float, ...]
 
 
 def evolve(h: HermitianMatrix, psi0, times, basis: SubspaceBasis | None = None,
@@ -416,10 +410,9 @@ def chirality_order(traj: Trajectory, ring_nodes, peak_threshold: float = 0.99) 
     if not events:
         raise NoPeaks("no node population reaches the peak threshold")
     order = [node for _, node in sorted(events, key=lambda item: item[0])]
-    times = sorted(time for time, _ in events)
     direction = (_cyclic_direction(order, ring_nodes) if len(order) == len(ring_nodes)
                  else Direction.NONE)
-    return ChiralityVerdict(tuple(order), direction, float(min(peak_heights)), tuple(times))
+    return ChiralityVerdict(tuple(order), direction, float(min(peak_heights)))
 
 
 def _cyclic_direction(order, ring_nodes) -> Direction:

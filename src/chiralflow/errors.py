@@ -21,10 +21,6 @@ class BadGauge(ChiralFlowError):
     """Custom gauge data is inconsistent with the requested network."""
 
 
-class NotDerived(ChiralFlowError):
-    """No closed-form coupling set is known for the requested size."""
-
-
 class DimensionMismatch(ChiralFlowError):
     """Operands have incompatible dimensions."""
 
@@ -67,3 +63,7 @@ class ConfigError(ChiralFlowError, ValueError):
 
 class ProfileLength(ConfigError):
     """Coupling profile length does not match the ladder size."""
+
+
+class NotDerived(ConfigError):
+    """No closed-form coupling set is known for the requested size."""

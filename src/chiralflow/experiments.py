@@ -126,8 +126,9 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[D
     times = np.linspace(0.0, math.pi, 1601)
     amplitudes = [float(a) for a in amplitudes]
     for amplitude in amplitudes:
-        if not 0 <= amplitude < math.inf:
-            raise ConfigError(f"disorder amplitude {amplitude} must be finite and >= 0")
+        # Samples are drawn from [-a, a], whose width 2a must be finite too.
+        if not 0 <= 2.0 * amplitude < math.inf:
+            raise ConfigError(f"disorder amplitude {amplitude} must be >= 0, with 2a finite")
     points = []
     for a_idx, amplitude in enumerate(amplitudes):
         results = np.array([
@@ -330,14 +331,14 @@ def optimize_ladder(n_copies: int, budget: int | None = None, seed: int = 0,
     if n_copies < 1:
         raise ConfigError("need at least one cell")
     n_free = (n_copies + 1) // 2 - 1
-    if n_free == 0:
-        spec = ladder(n_copies, [2.0])
-        fidelity, period = revival_fidelity(spec)
-        return OptimizationResult((2.0,), fidelity, period, 1, True, False)
     if budget is None:
         budget = 600 * n_free
     if budget < 50 * n_free:
         raise ConfigError(f"budget must be at least {50 * n_free} for {n_free} parameters")
+    if n_free == 0:
+        spec = ladder(n_copies, [2.0])
+        fidelity, period = revival_fidelity(spec)
+        return OptimizationResult((2.0,), fidelity, period, 1, True, False)
 
     objective = _ladder_objective(n_copies)
     evaluations = 0
@@ -377,12 +378,10 @@ _BELL_PATTERNS = {PSI_PLUS: ((1, 0, 0), (0, 1, 0)), PHI_PLUS: ((0, 0, 0), (1, 1,
 
 @dataclass(frozen=True)
 class BellTransportResult:
-    initial: str
     times: np.ndarray
     psi_populations: np.ndarray  # (3, n_times), pair order PAIRS
     phi_populations: np.ndarray
     concurrence: np.ndarray
-    pairs: tuple[tuple[int, int], ...]
 
 
 def bell_transport(spec: NetworkSpec, initial: str) -> BellTransportResult:
@@ -432,7 +431,7 @@ def bell_transport(spec: NetworkSpec, initial: str) -> BellTransportResult:
 
     for arr in (psi_pop, phi_pop, conc):
         arr.setflags(write=False)
-    return BellTransportResult(initial, times, psi_pop, phi_pop, conc, PAIRS)
+    return BellTransportResult(times, psi_pop, phi_pop, conc)
 
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])

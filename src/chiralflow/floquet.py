@@ -342,15 +342,8 @@ def integrate_tdse(drive: CouplerDrive | BusDrive, psi0, t_final: float, dt: flo
     return Trajectory(times, populations, labels, amplitudes, None)
 
 
-@dataclass(frozen=True)
-class EffectiveComparison:
-    """Deviation between the driven model and its static effective model."""
-
-    max_population_deviation: float
-
-
 def compare_effective(drive: CouplerDrive | BusDrive, target: NetworkSpec,
-                      t_final: float | None = None) -> EffectiveComparison:
+                      t_final: float | None = None) -> float:
     """Max population deviation between the lab-frame drive and the target
     network, both started on the first mode, over one chiral cycle (or up to
     ``t_final``).
@@ -370,7 +363,7 @@ def compare_effective(drive: CouplerDrive | BusDrive, target: NetworkSpec,
     n_cmp = min(target.n_sites, n)
     eff = evolve(h_eff, psi0[:n_cmp], lab.times)
     diff = np.abs(lab.populations[:, :n_cmp] - eff.populations[:, :n_cmp])
-    return EffectiveComparison(float(np.max(diff)))
+    return float(np.max(diff))
 
 
 def rwa_deviation_scan(ratios) -> list[tuple[float, float]]:
@@ -384,6 +377,5 @@ def rwa_deviation_scan(ratios) -> list[tuple[float, float]]:
     out = []
     for ratio in ratios:
         drive = tunable_coupler_asgf4(ratio=ratio)
-        comparison = compare_effective(drive, target)
-        out.append((ratio, comparison.max_population_deviation))
+        out.append((ratio, compare_effective(drive, target)))
     return out

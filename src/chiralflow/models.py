@@ -37,34 +37,6 @@ def normalize_phase(theta: float) -> float:
 
 
 @dataclass(frozen=True)
-class GaugeChoice:
-    """Gauge used to distribute a ring flux over link phases.
-
-    ``symmetric`` spreads the flux evenly over the ring links.  ``landau``
-    (A = (-By, 0) on the unit-circle polygon) and ``custom`` (the given
-    per-site phases) are gauge transforms of the symmetric gauge, applied
-    with ``gauge_transform``.
-    """
-
-    kind: str
-    site_phases: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("symmetric", "landau", "custom"):
-            raise BadGauge(f"unknown gauge kind {self.kind!r}")
-        if self.kind == "custom" and self.site_phases is None:
-            raise BadGauge("custom gauge requires site phases")
-
-
-SYMMETRIC = GaugeChoice("symmetric")
-LANDAU = GaugeChoice("landau")
-
-
-def custom_gauge(site_phases) -> GaugeChoice:
-    return GaugeChoice("custom", tuple(float(p) for p in site_phases))
-
-
-@dataclass(frozen=True)
 class NetworkSpec:
     """Declarative network graph: ring size, auxiliaries, hoppings, on-site terms."""
 
@@ -175,8 +147,8 @@ def _polygon_area(n: int) -> float:
     return 0.5 * n * math.sin(TWO_PI / n)
 
 
-def _in_gauge(spec: NetworkSpec, gauge: GaugeChoice, flux: float) -> NetworkSpec:
-    """Re-express a symmetric-gauge ring spec carrying ``flux`` in ``gauge``.
+def landau_gauge(spec: NetworkSpec, flux: float) -> NetworkSpec:
+    """Re-express a symmetric-gauge ring spec carrying ``flux`` in the Landau gauge.
 
     The symmetric gauge is A = (B/2)(-y, x) with B = -flux / polygon area (a
     field along -z realises positive flux for counterclockwise site
@@ -184,34 +156,29 @@ def _in_gauge(spec: NetworkSpec, gauge: GaugeChoice, flux: float) -> NetworkSpec
     gradient of chi = -B x y / 2, so it is the gauge transform with site
     phases chi(r_j); auxiliary nodes sit at the centre, where chi = 0.
     """
-    if gauge.kind == "landau":
-        n = spec.n_network
-        b_field = -flux / _polygon_area(n)
-        x, y = _ring_positions(n).T
-        chi = -0.5 * b_field * x * y
-        return gauge_transform(spec, [*chi, *[0.0] * spec.auxiliary_count])
-    if gauge.kind == "custom":
-        return gauge_transform(spec, gauge.site_phases)
-    return spec
+    n = spec.n_network
+    b_field = -flux / _polygon_area(n)
+    x, y = _ring_positions(n).T
+    chi = -0.5 * b_field * x * y
+    return gauge_transform(spec, [*chi, *[0.0] * spec.auxiliary_count])
 
 
-def sgf_ring(n: int, total_flux: float, gauge: GaugeChoice = SYMMETRIC,
+def sgf_ring(n: int, total_flux: float,
              statistics: Statistics = Statistics.boson()) -> NetworkSpec:
-    """Ring of n sites threaded by a synthetic flux.
+    """Ring of n sites threaded by a synthetic flux, in the symmetric gauge.
 
     Nearest-neighbour amplitudes are 1 (in units of the base hopping rate) and
-    the directed phases around the ring sum to ``total_flux`` mod 2*pi in
-    every gauge.
+    each link carries the phase ``total_flux / n``; other gauges follow from
+    ``gauge_transform`` or ``landau_gauge``.
     """
     if n < 3:
         raise ValueError("need at least 3 ring sites")
     theta = total_flux / n
     hops = [Hopping(j, j % n + 1, 1.0, theta) for j in range(1, n + 1)]
-    spec = NetworkSpec(n, 0, tuple(hops), (), statistics, _ring_labels(n))
-    return _in_gauge(spec, gauge, total_flux)
+    return NetworkSpec(n, 0, tuple(hops), (), statistics, _ring_labels(n))
 
 
-def asgf(n: int, beta_c: float, nn_phase: float, gauge: GaugeChoice = SYMMETRIC,
+def asgf(n: int, beta_c: float, nn_phase: float,
          statistics: Statistics = Statistics.boson()) -> NetworkSpec:
     """Ring with an auxiliary node coupled equally to every ring site.
 
@@ -225,11 +192,10 @@ def asgf(n: int, beta_c: float, nn_phase: float, gauge: GaugeChoice = SYMMETRIC,
     if beta_c < 0:
         raise ValueError("beta_c must be >= 0")
     if beta_c == 0:
-        return sgf_ring(n, n * nn_phase, gauge, statistics)
+        return sgf_ring(n, n * nn_phase, statistics)
     hops = [Hopping(j, j % n + 1, 1.0, nn_phase) for j in range(1, n + 1)]
     hops += [Hopping(j, n + 1, beta_c, 0.0) for j in range(1, n + 1)]
-    spec = NetworkSpec(n, 1, tuple(hops), (), statistics, _ring_labels(n, 1))
-    return _in_gauge(spec, gauge, n * nn_phase)
+    return NetworkSpec(n, 1, tuple(hops), (), statistics, _ring_labels(n, 1))
 
 
 def chiral_n_node(n: int, statistics: Statistics = Statistics.boson()) -> NetworkSpec:

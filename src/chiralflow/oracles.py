@@ -137,12 +137,6 @@ def even_site_population_bound(n: int) -> float:
     return (1.0 - 2.0 / n) ** 2
 
 
-def five_node_energy_conditions() -> tuple[float, float]:
-    """Spectrum ratios (E_2/E_1, E_aux/E_1) that make the five-node flow
-    close perfectly."""
-    return (2.0, 5.0)
-
-
 @dataclass(frozen=True)
 class PoleSet:
     """Real poles of the corner-projected resolvent with residue matrices.
@@ -154,7 +148,6 @@ class PoleSet:
 
     poles: tuple[float, ...]
     residues: tuple[np.ndarray, ...]
-    corner_labels: tuple[int, int, int, int]
     omega0: float = 0.0
 
 
@@ -234,7 +227,6 @@ def ladder_resolvent(n_copies: int, omega0: float = 0.0) -> PoleSet:
     return PoleSet(
         poles=tuple(poles[i] for i in order),
         residues=tuple(residues[i] for i in order),
-        corner_labels=corners,
         omega0=omega0,
     )
 

@@ -156,7 +156,7 @@ def test_criterion_06_gauge_invariance():
     t = np.linspace(0.0, 2.0 * math.pi, 1000)
     reference = evolve_spec(spec, t).populations
     worst = float(np.max(np.abs(
-        evolve_spec(models.asgf(4, 2.0, math.pi / 2, gauge=models.LANDAU), t).populations
+        evolve_spec(models.landau_gauge(spec, 2.0 * math.pi), t).populations
         - reference)))
     rng = np.random.default_rng(2024)
     for _ in range(50):

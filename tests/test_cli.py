@@ -158,13 +158,16 @@ def test_study_floquet_csv(tmp_path):
 
 
 def test_numeric_failure_exits_3(monkeypatch, capsys):
-    def broken(*args, **kwargs):
-        raise NoPeaks("no node population reaches the peak threshold")
+    # An arithmetic error is a numeric failure too, never exit 1 (a false verdict).
+    for error in (NoPeaks("no node population reaches the peak threshold"),
+                  OverflowError("high - low range exceeds valid bounds")):
+        def broken(*args, **kwargs):
+            raise error
 
-    monkeypatch.setattr(dynamics, "evolve", broken)
-    code = run_cli(["simulate", "--model", "sgf", "--n", "3", "--grid", "11"])
-    assert code == 3
-    assert "numeric error" in capsys.readouterr().err
+        monkeypatch.setattr(dynamics, "evolve", broken)
+        code = run_cli(["simulate", "--model", "sgf", "--n", "3", "--grid", "11"])
+        assert code == 3
+        assert "numeric error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [
@@ -173,10 +176,14 @@ def test_numeric_failure_exits_3(monkeypatch, capsys):
     pytest.param(["study", "optimize", "--ncopies", "8", "--budget", "149"],
                  id="optimize-budget-149"),
     pytest.param(["study", "optimize", "--ncopies", "0"], id="optimize-ncopies-0"),
+    pytest.param(["study", "optimize", "--ncopies", "2", "--budget=-1"],
+                 id="optimize-negative-budget-no-free-cells"),
     pytest.param(["study", "disorder", "--samples", "0"], id="disorder-samples-0"),
     pytest.param(["study", "disorder", "--amplitudes=-0.1"], id="disorder-negative-amplitude"),
     pytest.param(["study", "disorder", "--amplitudes=0.1,-0.1", "--samples", "2"],
                  id="disorder-negative-amplitude-in-list"),
+    pytest.param(["study", "disorder", "--amplitudes", "1e308", "--kind", "frequency"],
+                 id="disorder-amplitude-range-overflows"),
     pytest.param(["study", "floquet", "--ratios", "0"], id="floquet-ratio-0"),
     pytest.param(["study", "floquet", "--ratios=-5"], id="floquet-ratio-negative"),
     pytest.param(["study", "floquet", "--ratios", "nan"], id="floquet-ratio-nan"),
@@ -209,6 +216,22 @@ def test_bad_tmax_exits_2_without_output(tmax, tmp_path, capsys):
     out = tmp_path / "never.csv"
     assert run_cli(["simulate", "--model", "sgf", "--n", "3", f"--tmax={tmax}",
                     "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["--model", "sgf", "--flux", "nan"], id="flux-nan"),
+    pytest.param(["--model", "asgf", "--nn-phase", "inf"], id="nn-phase-inf"),
+    pytest.param(["--model", "asgf", "--beta", "nan"], id="beta-nan"),
+    pytest.param(["--model", "asgf", "--beta=-1"], id="beta-negative"),
+    pytest.param(["--model", "ladder", "--n", "2", "--profile", "nan"], id="profile-nan"),
+    pytest.param(["--model", "ladder", "--n", "2", "--profile=-2"], id="profile-negative"),
+    pytest.param(["--model", "chiral", "--n", "7"], id="chiral-n-7"),
+])
+def test_bad_model_arguments_exit_2_without_output(args, tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    assert run_cli(["simulate", *args, "--out", str(out)]) == 2
     assert not out.exists()
     assert "config error" in capsys.readouterr().err
 

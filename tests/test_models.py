@@ -7,7 +7,6 @@ import pytest
 from chiralflow import hilbert, models
 from chiralflow.errors import BadGauge, NotDerived, ProfileLength, SpecMismatch
 from chiralflow.hilbert import Hopping, Statistics
-from chiralflow.models import LANDAU, SYMMETRIC, custom_gauge
 from conftest import sector_block
 
 
@@ -24,11 +23,11 @@ def test_ring_flux_matches_request_for_random_gauges():
         n = int(rng.integers(3, 9))
         flux = float(rng.uniform(-math.pi, math.pi))
         kind = rng.choice(["symmetric", "landau", "custom"])
+        spec = models.sgf_ring(n, flux)
         if kind == "custom":
-            gauge = custom_gauge(rng.uniform(-math.pi, math.pi, n))
-        else:
-            gauge = SYMMETRIC if kind == "symmetric" else LANDAU
-        spec = models.sgf_ring(n, flux, gauge)
+            spec = models.gauge_transform(spec, rng.uniform(-math.pi, math.pi, n))
+        elif kind == "landau":
+            spec = models.landau_gauge(spec, flux)
         measured = spec.ring_flux()
         assert measured == pytest.approx(flux, abs=1e-12)
 
@@ -134,7 +133,7 @@ def test_gauge_transform_identity_and_flux():
 
 def test_gauge_transform_landau_equivalence():
     sym = models.sgf_ring(4, 2 * math.pi)
-    landau = models.sgf_ring(4, 2 * math.pi, LANDAU)
+    landau = models.landau_gauge(sym, 2 * math.pi)
     assert landau.ring_flux() == pytest.approx(sym.ring_flux(), abs=1e-12)
     assert landau.hoppings != sym.hoppings  # genuinely different gauge
 
@@ -159,8 +158,9 @@ def test_landau_phases_are_peierls_line_integrals(n):
                     for j in range(1, n + 1)}
         centre = {(j, n + 1): landau_peierls_phase(b_field, (0.0, 0.0), sites[j - 1])
                   for j in range(1, n + 1)}
-        for spec, links in ((models.sgf_ring(n, flux, LANDAU), expected),
-                            (models.asgf(n, 1.3, flux / n, LANDAU), {**expected, **centre})):
+        for spec, links in ((models.sgf_ring(n, flux), expected),
+                            (models.asgf(n, 1.3, flux / n), {**expected, **centre})):
+            spec = models.landau_gauge(spec, flux)
             assert {(hop.j, hop.k) for hop in spec.hoppings} == set(links)
             for hop in spec.hoppings:
                 error = math.remainder(hop.phase - links[(hop.j, hop.k)], 2.0 * math.pi)
