@@ -72,12 +72,12 @@ class RunConfig:
 
     model: str = "sgf"
     n: int = 3
-    flux: str = "0.5pi"
+    flux: str | float = "0.5pi"
     beta: float = 2.0
-    nn_phase: str = "0.5pi"
-    profile: str = "2"
+    nn_phase: str | float = "0.5pi"
+    profile: str | float = "2"
     init: str = "1"
-    tmax: str = "2pi"
+    tmax: str | float = "2pi"
     grid: int = 2001
     out: str | None = None
     svg: str | None = None
@@ -106,10 +106,17 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
+        fields = cls.__dataclass_fields__
+        unknown = set(data) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        # The annotations are strings (postponed evaluation).  An int passes for a
+        # float; JSON true/false load as bools, a subclass of int, and never pass.
+        accepted = {"str": str, "int": int, "float": (int, float), "None": type(None)}
+        for name, value in data.items():
+            kinds = tuple(accepted[t.strip()] for t in fields[name].type.split("|"))
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ConfigError(f"config {name} must be {fields[name].type}, got {value!r}")
         return cls(**data)
 
     @classmethod

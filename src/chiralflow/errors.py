@@ -63,7 +63,3 @@ class ConfigError(ChiralFlowError, ValueError):
 
 class ProfileLength(ConfigError):
     """Coupling profile length does not match the ladder size."""
-
-
-class NotDerived(ConfigError):
-    """No closed-form coupling set is known for the requested size."""

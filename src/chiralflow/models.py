@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BadGauge, ConfigError, NotDerived, ProfileLength, SpecMismatch
+from .errors import BadGauge, ConfigError, ProfileLength, SpecMismatch
 from .hilbert import HermitianMatrix, Hopping, OnSite, Statistics
 
 TWO_PI = 2.0 * math.pi
@@ -199,23 +199,27 @@ def asgf(n: int, beta_c: float, nn_phase: float,
 
 
 def chiral_n_node(n: int, statistics: Statistics = Statistics.boson()) -> NetworkSpec:
-    """Auxiliary-node network with the exact couplings that make the n-node
-    chiral flow perfect.  Closed-form coupling sets exist for n = 4, 5, 6."""
-    if n == 4:
-        return asgf(4, 2.0, math.pi / 2, statistics=statistics)
-    if n == 5:
-        alpha = math.sqrt((3.0 - math.sqrt(5.0)) / 2.0)
-        beta_c = 5.0 * math.sqrt(2.0 / (5.0 + math.sqrt(5.0)))
-        hops = [Hopping(j, j % 5 + 1, 1.0, -math.pi / 2) for j in range(1, 6)]
-        hops += [Hopping(j, (j + 1) % 5 + 1, alpha, math.pi / 2) for j in range(1, 6)]
-        hops += [Hopping(j, 6, beta_c, math.pi) for j in range(1, 6)]
-        return NetworkSpec(5, 1, tuple(hops), (), statistics, _ring_labels(5, 1))
-    if n == 6:
-        hops = [Hopping(j, j % 6 + 1, 1.0, math.pi / 2) for j in range(1, 7)]
-        hops += [Hopping(j, (j + 1) % 6 + 1, 1.0 / 3.0, math.pi / 2) for j in range(1, 7)]
-        hops += [Hopping(j, 7, math.sqrt(2.0), math.pi) for j in range(1, 7)]
-        return NetworkSpec(6, 1, tuple(hops), (), statistics, _ring_labels(6, 1))
-    raise NotDerived(f"no closed-form coupling set for n = {n} (only 4, 5, 6)")
+    """Auxiliary-node network with the couplings that the criteria fix for a
+    perfect n-node chiral flow, n >= 4.  Flow 1 -> 2 -> ... in steps
+    2 pi / (n u) needs each ring plane wave m != 0 at E_m = u r_m, r_m the
+    residue of smallest modulus of m + c/u (mod n), with c = 0 for odd n and
+    n u / 2 for even n.  The couplings are the inverse DFT
+    t_d = (1/n) sum_m E_m e^{-i k_m d}, purely imaginary for d <= (n-1)//2, and
+    |t_1| = 1 fixes u.  The m = 0 wave and the auxiliary node split into
+    +-beta sqrt(n) = +-(n u or n u / 2).  At n = 3 this rule runs a faster
+    counter-rotating flow, and ``sgf_ring(3, pi/2)`` is already perfect.
+    """
+    if n < 4:
+        raise ConfigError(f"chiral_n_node needs n >= 4, got {n}; at n = 3 use sgf_ring(3, pi/2)")
+    half = n // 2
+    # E_m / u for m = 0..n-1; the m = 0 entry only adds to the real part, which is dropped.
+    levels = (np.arange(n) + (0 if n % 2 else half) + half) % n - half
+    s = (np.fft.fft(levels).imag[1:(n - 1) // 2 + 1] / n).tolist()
+    beta = (n if n % 2 else half) / (abs(s[0]) * math.sqrt(n))
+    hops = [Hopping(j, (j + d - 1) % n + 1, abs(s_d / s[0]), math.copysign(math.pi / 2, s_d))
+            for d, s_d in enumerate(s, start=1) for j in range(1, n + 1)]
+    hops += [Hopping(j, n + 1, beta, math.pi) for j in range(1, n + 1)]
+    return NetworkSpec(n, 1, tuple(hops), (), statistics, _ring_labels(n, 1))
 
 
 def ladder(n_copies: int, beta_profile, statistics: Statistics = Statistics.boson()) -> NetworkSpec:

@@ -86,7 +86,7 @@ def test_criterion_02_perfect_flows():
     assert verdict.order == (1, 2, 3, 4)
     assert verdict.min_peak >= 1.0 - 1e-8
 
-    for n in (5, 6):
+    for n in range(4, 13):
         spec = models.chiral_n_node(n)
         h, _ = spec_hamiltonian(spec)
         values = dynamics.eigendecompose(h).eigenvalues
@@ -143,7 +143,7 @@ def test_criterion_05_spectra_and_chiral_symmetry():
         h, _ = spec_hamiltonian(models.sgf_ring(n, n * math.pi / 2))
         op = models.chiral_operator(n, with_auxiliary=False)
         worst = max(worst, criteria.check_chiral_symmetry(h, op))
-    for n in (5, 6):
+    for n in range(4, 13):
         h, _ = spec_hamiltonian(models.chiral_n_node(n))
         op = models.chiral_operator(n, with_auxiliary=True)
         worst = max(worst, criteria.check_chiral_symmetry(h, op))

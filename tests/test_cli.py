@@ -84,6 +84,7 @@ def test_criteria_exit_codes(capsys):
     output = capsys.readouterr().out
     assert "equally_spaced: false" in output
     assert run_cli(["criteria", "--model", "chiral", "--n", "6"]) == 0
+    assert run_cli(["criteria", "--model", "chiral", "--n", "9"]) == 0
 
 
 def test_spectrum_output(capsys):
@@ -101,6 +102,37 @@ def test_config_file_input(tmp_path, capsys):
     assert run_cli(["simulate", "--config", str(path)]) == 0
     header = capsys.readouterr().out.split("\n")[0]
     assert header == "t,node_1,node_2,node_3"
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param({"n": "3"}, id="n-string"),
+    pytest.param({"n": 3.0}, id="n-float"),
+    pytest.param({"model": "ladder", "n": True}, id="n-bool"),
+    pytest.param({"grid": 2.5}, id="grid-float"),
+    pytest.param({"grid": True}, id="grid-bool"),
+    pytest.param({"beta": "2"}, id="beta-string"),
+    pytest.param({"init": 1}, id="init-number"),
+    pytest.param({"svg": 5}, id="svg-number"),
+])
+def test_config_wrong_json_type_exits_2_without_output(config, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "never.csv"
+    assert run_cli(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err
+
+
+def test_config_accepts_numbers_for_angles_and_profile(tmp_path, capsys):
+    config = {"model": "asgf", "n": 4, "beta": 2, "nn_phase": math.pi / 2, "flux": 1,
+              "profile": 2, "tmax": 1, "grid": 11}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(["simulate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("t,node_1,node_2,node_3,node_4,aux_1\n")
+    path.write_text(json.dumps({"model": "ladder", "n": 2, "profile": 2.5, "tmax": 0.5, "grid": 3}))
+    assert run_cli(["simulate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.count("\n") == 4
 
 
 def test_study_disorder_deterministic(tmp_path):
@@ -227,7 +259,7 @@ def test_bad_tmax_exits_2_without_output(tmax, tmp_path, capsys):
     pytest.param(["--model", "asgf", "--beta=-1"], id="beta-negative"),
     pytest.param(["--model", "ladder", "--n", "2", "--profile", "nan"], id="profile-nan"),
     pytest.param(["--model", "ladder", "--n", "2", "--profile=-2"], id="profile-negative"),
-    pytest.param(["--model", "chiral", "--n", "7"], id="chiral-n-7"),
+    pytest.param(["--model", "chiral", "--n", "3"], id="chiral-n-3"),
 ])
 def test_bad_model_arguments_exit_2_without_output(args, tmp_path, capsys):
     out = tmp_path / "never.csv"

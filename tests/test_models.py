@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from chiralflow import hilbert, models
-from chiralflow.errors import BadGauge, NotDerived, ProfileLength, SpecMismatch
+from chiralflow import dynamics, hilbert, models
+from chiralflow.errors import BadGauge, ConfigError, ProfileLength, SpecMismatch
 from chiralflow.hilbert import Hopping, Statistics
 from conftest import sector_block
 
@@ -78,12 +78,44 @@ def test_chiral_six_node_coefficients():
 
 
 def test_chiral_four_node_is_asgf():
-    assert models.chiral_n_node(4) == models.asgf(4, 2.0, math.pi / 2)
+    # The auxiliary node's phase pi is a pure gauge.
+    gauged = models.gauge_transform(models.asgf(4, 2.0, math.pi / 2), [0, 0, 0, 0, math.pi])
+    assert models.chiral_n_node(4) == gauged
 
 
 def test_chiral_unsupported_size():
-    with pytest.raises(NotDerived):
-        models.chiral_n_node(7)
+    # At n = 3 the plain ring sgf_ring(3, pi/2) is the perfect chiral network.
+    with pytest.raises(ConfigError):
+        models.chiral_n_node(3)
+
+
+def chiral_closed_form(spec, t):
+    """Ring amplitudes C_j(t) from site 1 at the levels the criteria demand.
+
+    Plane wave m != 0 sits at E_m = u r_m, r_m the residue of smallest modulus
+    of m + c/u (mod n), with c = 0 for odd n and n u / 2 for even n; the m = 0
+    wave and the auxiliary node split into +-beta sqrt(n) = +-(n u or n u / 2).
+    """
+    n = spec.n_network
+    shift = 0 if n % 2 else n // 2
+    beta = spec.hoppings[-1].amplitude
+    u = beta * math.sqrt(n) / (n if n % 2 else n // 2)
+    m = np.arange(1, n)
+    residues = (m + shift) - n * np.round((m + shift) / n)
+    k = 2 * math.pi * m / n
+    waves = np.exp(1j * np.outer(np.arange(n), k))            # e^{i k_m (j - 1)}
+    phases = np.exp(-1j * np.outer(u * residues, t))          # e^{-i E_m t}
+    return (waves @ phases + np.cos(beta * math.sqrt(n) * t)) / n
+
+
+def test_chiral_n_node_matches_closed_form():
+    for n in range(4, 13):
+        spec = models.chiral_n_node(n)
+        assert all(h.amplitude == 1.0 for h in spec.hoppings[:n])
+        t = np.linspace(0.0, 12.0, 1201)
+        traj = dynamics.simulate(spec, hilbert.occupation(spec.n_sites, 1), t)
+        oracle = np.abs(chiral_closed_form(spec, t)) ** 2
+        assert np.max(np.abs(traj.populations[:, :n].T - oracle)) <= 1e-12, n
 
 
 def test_ladder_single_cell_is_asgf():
