@@ -472,7 +472,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ChiralFlowError, np.linalg.LinAlgError, ArithmeticError, ValueError) as exc:
+    except (ChiralFlowError, np.linalg.LinAlgError, ArithmeticError, MemoryError,
+            ValueError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
 

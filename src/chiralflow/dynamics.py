@@ -428,27 +428,20 @@ def _cyclic_direction(order, ring_nodes) -> Direction:
     return Direction.NONE
 
 
-def refine_peak_time(times: np.ndarray, trace: np.ndarray, index: int) -> float:
-    """Parabolic refinement of a discrete peak position."""
-    if index <= 0 or index >= trace.size - 1:
-        return float(times[index])
-    y0, y1, y2 = trace[index - 1], trace[index], trace[index + 1]
-    denom = y0 - 2.0 * y1 + y2
-    if denom == 0:
-        return float(times[index])
-    shift = 0.5 * (y0 - y2) / denom
-    step = times[index + 1] - times[index]
-    return float(times[index] + shift * step)
-
-
-def first_full_transfer_time(traj: Trajectory, node: int) -> float:
-    """Refined time of the first population peak on a node that reaches 0.99
-    of its maximum."""
-    trace = traj.node_population(node)
-    idx = _first_peak_index(trace, 0.99 * float(np.max(trace)))
+def first_peak_time(times: np.ndarray, trace: np.ndarray, threshold: float) -> float:
+    """Parabolically refined time of the first local maximum of a trace that
+    reaches ``threshold`` times its global maximum."""
+    top = float(np.max(trace))
+    idx = _first_peak_index(trace, threshold * top) if top > 0 else None
     if idx is None:
-        raise NoPeaks(f"node {node} never peaks above the threshold")
-    return refine_peak_time(traj.times, trace, idx)
+        raise NoPeaks("trace never peaks above the threshold")
+    if 0 < idx < trace.size - 1:
+        y0, y1, y2 = trace[idx - 1], trace[idx], trace[idx + 1]
+        denom = y0 - 2.0 * y1 + y2
+        if denom != 0:
+            shift = 0.5 * (y0 - y2) / denom
+            return float(times[idx] + shift * (times[idx + 1] - times[idx]))
+    return float(times[idx])
 
 
 def rows_to_csv(rows, header: str) -> str:

@@ -5,12 +5,8 @@ class ChiralFlowError(Exception):
     """Base class for all chiralflow errors."""
 
 
-class SpinOverflow(ChiralFlowError):
-    """More excitations requested than spin-1/2 sites can hold."""
-
-
 class CapacityOverflow(ChiralFlowError):
-    """Per-site boson cap leaves the requested subspace empty."""
+    """Per-site occupation cap leaves the requested subspace empty."""
 
 
 class SpecMismatch(ChiralFlowError):

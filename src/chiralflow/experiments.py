@@ -15,14 +15,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import (
-    _first_peak_index,
     _uniform_phases,
     average_fidelity,
     eigendecompose,
     evolve,
     simulate,
 )
-from .errors import BadInitial, ConfigError, EmptyWindow, NotSpin
+from .errors import BadInitial, ConfigError, NotSpin
 from .hilbert import (
     OnSite,
     build_hamiltonian,
@@ -31,7 +30,7 @@ from .hilbert import (
     full_space_index,
     occupation,
 )
-from .models import NetworkSpec, ladder, normalize_phase
+from .models import NetworkSpec, ladder
 
 log = logging.getLogger(__name__)
 
@@ -98,12 +97,11 @@ def perturbed_spec(base: NetworkSpec, kind: str, amplitude: float,
             if amp >= 0:
                 hops.append(replace(hop, amplitude=amp))
             else:
-                hops.append(replace(hop, amplitude=-amp,
-                                    phase=normalize_phase(hop.phase + math.pi)))
+                hops.append(replace(hop, amplitude=-amp, phase=hop.phase + math.pi))
         return replace(base, hoppings=tuple(hops))
     if kind == HOPPING_PHASE:
         deltas = rng.uniform(-amplitude, amplitude, len(base.hoppings))
-        hops = tuple(replace(hop, phase=normalize_phase(hop.phase + float(d)))
+        hops = tuple(replace(hop, phase=hop.phase + float(d))
                      for hop, d in zip(base.hoppings, deltas))
         return replace(base, hoppings=hops)
     raise ValueError(f"unknown disorder kind {kind!r}")
@@ -470,13 +468,3 @@ def _concurrences(states: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
     lambdas = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
     return np.maximum(0.0, lambdas[:, 0] - lambdas[:, 1] - lambdas[:, 2] - lambdas[:, 3])
 
-
-def first_peak_time(times: np.ndarray, trace: np.ndarray, threshold: float = 0.5) -> float:
-    """Time of the first local maximum above threshold times the global max."""
-    top = float(np.max(trace))
-    if top <= 0:
-        raise EmptyWindow("trace has no peaks")
-    idx = _first_peak_index(trace, threshold * top)
-    if idx is None:
-        raise EmptyWindow("trace has no peaks above the threshold")
-    return float(times[idx])

@@ -17,47 +17,38 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityOverflow, DimensionMismatch, SpecMismatch, SpinOverflow
-
-BOSON = "boson"
-SPIN = "spin"
+from .errors import CapacityOverflow, DimensionMismatch, SpecMismatch
 
 
 @dataclass(frozen=True)
 class Statistics:
-    """Per-site occupation rule: capped bosons or hard-core spin-1/2.
+    """Per-site occupation cap.  A spin-1/2 site is a boson capped at one
+    (the hard-core lattice-gas mapping).
 
-    ``max_occupation=None`` for bosons means "no explicit cap"; the basis
-    builder then caps at the total excitation number, which is exact for
+    ``max_occupation=None`` means "no explicit cap"; the basis builder then
+    caps at the total excitation number, which is exact for
     number-conserving dynamics.
     """
 
-    kind: str
     max_occupation: int | None = None
 
     def __post_init__(self):
-        if self.kind not in (BOSON, SPIN):
-            raise ValueError(f"unknown statistics kind {self.kind!r}")
-        if self.kind == SPIN and self.max_occupation not in (None, 1):
-            raise ValueError("spin sites hold at most one excitation")
         if self.max_occupation is not None and self.max_occupation < 1:
             raise ValueError("max_occupation must be >= 1")
 
     @classmethod
     def boson(cls, max_occupation: int | None = None) -> "Statistics":
-        return cls(BOSON, max_occupation)
+        return cls(max_occupation)
 
     @classmethod
     def spin(cls) -> "Statistics":
-        return cls(SPIN, 1)
+        return cls(1)
 
     @property
     def is_spin(self) -> bool:
-        return self.kind == SPIN
+        return self.max_occupation == 1
 
     def site_cap(self, n_excitations: int) -> int:
-        if self.kind == SPIN:
-            return 1
         if self.max_occupation is None:
             return n_excitations
         return min(self.max_occupation, n_excitations)
@@ -174,16 +165,6 @@ def _capped_occupations(n_sites: int, n_excitations: int, cap: int) -> list[tupl
     return [state for state in states if max(state) <= cap]
 
 
-def subspace_dimension(n_sites: int, n_excitations: int, statistics: Statistics) -> int:
-    """Closed-form dimension; capped bosons fall back to enumeration."""
-    if statistics.is_spin:
-        return math.comb(n_sites, n_excitations)
-    cap = statistics.site_cap(n_excitations)
-    if cap >= n_excitations:
-        return math.comb(n_sites + n_excitations - 1, n_excitations)
-    return len(_capped_occupations(n_sites, n_excitations, cap))
-
-
 def enumerate_basis(n_sites: int, n_excitations: int, statistics: Statistics) -> SubspaceBasis:
     """Enumerate all occupation vectors with the given total excitation number.
 
@@ -194,18 +175,12 @@ def enumerate_basis(n_sites: int, n_excitations: int, statistics: Statistics) ->
         raise ValueError("n_sites must be >= 1")
     if n_excitations < 0:
         raise ValueError("n_excitations must be >= 0")
-    if statistics.is_spin and n_excitations > n_sites:
-        raise SpinOverflow(
-            f"{n_excitations} excitations do not fit on {n_sites} spin sites"
-        )
-    cap = statistics.site_cap(n_excitations) if n_excitations > 0 else 0
-    if not statistics.is_spin and cap * n_sites < n_excitations:
+    cap = statistics.site_cap(n_excitations)
+    if cap * n_sites < n_excitations:
         raise CapacityOverflow(
             f"cap {cap} on {n_sites} sites cannot hold {n_excitations} excitations"
         )
     states = tuple(_capped_occupations(n_sites, n_excitations, cap))
-    if not states:
-        raise CapacityOverflow("occupation cap leaves the subspace empty")
     index = {state: i for i, state in enumerate(states)}
     return SubspaceBasis(n_sites, n_excitations, statistics, states, index)
 
@@ -216,8 +191,9 @@ def build_hamiltonian(spec, basis: SubspaceBasis) -> HermitianMatrix:
     ``spec`` must expose ``n_sites``, ``hoppings`` (list of :class:`Hopping`),
     ``onsite`` (list of :class:`OnSite`) and ``statistics``.  The result is one
     fixed-excitation block; it commutes with the total number operator by
-    construction.  Hops that would exceed a boson cap are dropped (the target
-    state is outside the basis), which keeps the truncation Hermitian.
+    construction.  Hops that would exceed the occupation cap (a spin site holds
+    one) are dropped, because the target state is outside the basis; that
+    keeps the truncation Hermitian.
     """
     if spec.n_sites != basis.n_sites:
         raise SpecMismatch(
@@ -230,7 +206,6 @@ def build_hamiltonian(spec, basis: SubspaceBasis) -> HermitianMatrix:
     rows: list[int] = []
     cols: list[int] = []
     values: list[complex] = []
-    spin = spec.statistics.is_spin
     for hop in spec.hoppings:
         if not (1 <= hop.j <= spec.n_sites and 1 <= hop.k <= spec.n_sites):
             raise SpecMismatch(f"hopping {hop} references a nonexistent site")
@@ -239,13 +214,11 @@ def build_hamiltonian(spec, basis: SubspaceBasis) -> HermitianMatrix:
         for col, state in enumerate(basis.states):
             if state[s] == 0:
                 continue
-            if spin and state[d] == 1:
-                continue
             moved = list(state)
             moved[s] -= 1
             moved[d] += 1
             row = basis.index.get(tuple(moved))
-            if row is None:  # outside an explicit boson cap
+            if row is None:  # outside the occupation cap
                 continue
             amp = coeff * math.sqrt(state[s]) * math.sqrt(state[d] + 1)
             rows += (row, col)

@@ -100,10 +100,7 @@ class NetworkSpec:
         return {
             "n_network": self.n_network,
             "auxiliary_count": self.auxiliary_count,
-            "statistics": {
-                "kind": self.statistics.kind,
-                "max_occupation": self.statistics.max_occupation,
-            },
+            "statistics": {"max_occupation": self.statistics.max_occupation},
             "hoppings": [[h.j, h.k, h.amplitude, h.phase] for h in self.hoppings],
             "onsite": [[t.j, t.delta_omega, t.kerr_u] for t in self.onsite],
             "labels": list(self.labels),
@@ -118,14 +115,13 @@ class NetworkSpec:
         missing = expected - set(data)
         if missing:
             raise SpecMismatch(f"missing spec keys: {sorted(missing)}")
-        stats = Statistics(data["statistics"]["kind"], data["statistics"]["max_occupation"])
         return cls(
             n_network=int(data["n_network"]),
             auxiliary_count=int(data["auxiliary_count"]),
             hoppings=tuple(Hopping(int(j), int(k), float(a), float(p))
                            for j, k, a, p in data["hoppings"]),
             onsite=tuple(OnSite(int(j), float(d), float(u)) for j, d, u in data["onsite"]),
-            statistics=stats,
+            statistics=Statistics(data["statistics"]["max_occupation"]),
             labels=tuple(str(s) for s in data["labels"]),
         )
 
@@ -267,7 +263,7 @@ def gauge_transform(spec: NetworkSpec, site_phases) -> NetworkSpec:
     if not all(math.isfinite(p) for p in phases):
         raise BadGauge("site phases must be finite")
     hops = tuple(
-        replace(hop, phase=normalize_phase(hop.phase + phases[hop.j - 1] - phases[hop.k - 1]))
+        replace(hop, phase=hop.phase + phases[hop.j - 1] - phases[hop.k - 1])
         for hop in spec.hoppings
     )
     return replace(spec, hoppings=hops)

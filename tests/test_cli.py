@@ -190,9 +190,11 @@ def test_study_floquet_csv(tmp_path):
 
 
 def test_numeric_failure_exits_3(monkeypatch, capsys):
-    # An arithmetic error is a numeric failure too, never exit 1 (a false verdict).
+    # An arithmetic or allocation error is a numeric failure too, never exit 1
+    # (a false verdict).
     for error in (NoPeaks("no node population reaches the peak threshold"),
-                  OverflowError("high - low range exceeds valid bounds")):
+                  OverflowError("high - low range exceeds valid bounds"),
+                  MemoryError("Unable to allocate 298. GiB for an array")):
         def broken(*args, **kwargs):
             raise error
 

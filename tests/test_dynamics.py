@@ -217,6 +217,18 @@ def test_chirality_no_peaks():
         dynamics.chirality_order(traj, [1, 2, 3], peak_threshold=0.0)
 
 
+def test_first_peak_time_refines_a_sampled_cosine():
+    times = np.linspace(0.0, 4.0, 401)
+    peak = 1.2345
+    # An earlier bump below the threshold is skipped; the grid misses the
+    # peak by 0.0045, and the parabola recovers it to about 3e-8.
+    trace = 1.0 + np.cos(2.0 * (times - peak)) + 0.3 * np.exp(-((times - 0.3) / 0.05) ** 2)
+    assert abs(dynamics.first_peak_time(times, trace, 0.8) - peak) <= 1e-6
+    assert dynamics.first_peak_time(times, trace, 0.4) < 0.35
+    with pytest.raises(NoPeaks):
+        dynamics.first_peak_time(times, np.zeros_like(times), 0.8)
+
+
 def test_chirality_none_unless_every_ring_node_is_visited():
     # Only nodes 1 and 2 are coupled: node 3 stays dark, so no orientation.
     h = np.zeros((3, 3))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chiralflow import experiments, hilbert, models
+from chiralflow import dynamics, experiments, hilbert, models
 from chiralflow.errors import BadInitial, ConfigError, NotSpin
 from chiralflow.experiments import DisorderConfig, concurrence
 
@@ -237,9 +237,9 @@ def test_bell_initial_conditions(spin_ring):
 def test_bell_states_counter_propagate(spin_ring):
     psi = experiments.bell_transport(spin_ring, experiments.PSI_PLUS)
     phi = experiments.bell_transport(spin_ring, experiments.PHI_PLUS)
-    t_psi = [experiments.first_peak_time(psi.times, psi.psi_populations[p], 0.8)
+    t_psi = [dynamics.first_peak_time(psi.times, psi.psi_populations[p], 0.8)
              for p in (1, 2)]
-    t_phi = [experiments.first_peak_time(phi.times, phi.phi_populations[p], 0.8)
+    t_phi = [dynamics.first_peak_time(phi.times, phi.phi_populations[p], 0.8)
              for p in (1, 2)]
     # pair order is (12), (23), (31): one initial state reaches (31) before
     # (23), the other the opposite way around
@@ -255,9 +255,9 @@ def test_concurrence_tracks_bell_populations(spin_ring):
     ):
         result = experiments.bell_transport(spin_ring, initial)
         pops = getattr(result, traces)
-        pop_times = [experiments.first_peak_time(result.times, pops[p], 0.8)
+        pop_times = [dynamics.first_peak_time(result.times, pops[p], 0.8)
                      for p in range(3)]
-        conc_times = [experiments.first_peak_time(result.times, result.concurrence[p], 0.8)
+        conc_times = [dynamics.first_peak_time(result.times, result.concurrence[p], 0.8)
                       for p in range(3)]
         assert np.argsort(pop_times).tolist() == np.argsort(conc_times).tolist()
 

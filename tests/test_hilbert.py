@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiralflow import hilbert, models
-from chiralflow.errors import CapacityOverflow, DimensionMismatch, SpecMismatch, SpinOverflow
+from chiralflow.errors import CapacityOverflow, DimensionMismatch, SpecMismatch
 from chiralflow.hilbert import Hopping, OnSite, Statistics
 from conftest import sector_block
 
@@ -93,7 +93,6 @@ def test_dimension_formulas(n_sites, n_exc):
     boson = Statistics.boson()
     basis = hilbert.enumerate_basis(n_sites, n_exc, boson)
     assert len(basis) == math.comb(n_sites + n_exc - 1, n_exc)
-    assert len(basis) == hilbert.subspace_dimension(n_sites, n_exc, boson)
     # independent enumeration: bosonic states are site multisets
     multisets = {
         tuple(combo.count(site) for site in range(n_sites))
@@ -126,14 +125,12 @@ def test_enumeration_is_sorted_filtered_product(statistics):
     for n_sites in range(1, 7):
         for n_exc in range(0, 5):
             expected = brute_force_states(n_sites, n_exc, statistics.site_cap(n_exc))
-            assert hilbert.subspace_dimension(n_sites, n_exc, statistics) == len(expected)
             if expected:
                 basis = hilbert.enumerate_basis(n_sites, n_exc, statistics)
                 assert list(basis.states) == expected
                 continue
             overflows += 1
-            error = SpinOverflow if statistics.is_spin else CapacityOverflow
-            with pytest.raises(error):
+            with pytest.raises(CapacityOverflow):
                 hilbert.enumerate_basis(n_sites, n_exc, statistics)
     assert (overflows > 0) == (statistics.max_occupation is not None)
 
@@ -146,12 +143,22 @@ def test_index_is_inverse_of_states():
 
 
 def test_enumeration_errors():
-    with pytest.raises(SpinOverflow):
+    with pytest.raises(CapacityOverflow):
         hilbert.enumerate_basis(3, 4, Statistics.spin())
     with pytest.raises(CapacityOverflow):
         hilbert.enumerate_basis(2, 5, Statistics.boson(2))
     with pytest.raises(ValueError):
         hilbert.enumerate_basis(0, 1, Statistics.boson())
+
+
+def test_spin_is_a_boson_capped_at_one():
+    assert Statistics.spin() == Statistics.boson(1)
+    assert Statistics.boson(1).is_spin and not Statistics.boson(2).is_spin
+    spec = models.sgf_ring(4, math.pi, statistics=Statistics.spin())
+    own = hilbert.build_hamiltonian(spec, hilbert.enumerate_basis(4, 2, spec.statistics))
+    capped = hilbert.build_hamiltonian(spec, hilbert.enumerate_basis(4, 2, Statistics.boson(1)))
+    for name in ("rows", "cols", "values"):
+        assert np.array_equal(getattr(own, name), getattr(capped, name))
 
 
 def test_single_particle_hop_element():

@@ -276,6 +276,19 @@ def test_spec_serialization_round_trip():
         assert models.NetworkSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
 
+def test_spec_serialization_reads_the_statistics_kind_format():
+    # Specs serialised with a statistics "kind" next to the cap load to the
+    # same statistics: only the cap is read.
+    for kind, cap, statistics in (("spin", 1, Statistics.spin()),
+                                  ("boson", None, Statistics.boson()),
+                                  ("boson", 2, Statistics.boson(2))):
+        spec = models.sgf_ring(4, math.pi, statistics=statistics)
+        data = spec.to_dict()
+        data["statistics"] = {"kind": kind, "max_occupation": cap}
+        assert models.NetworkSpec.from_dict(data) == spec
+        assert spec.to_dict()["statistics"] == {"max_occupation": cap}
+
+
 def test_spec_serialization_rejects_unknown_keys():
     data = models.sgf_ring(3, math.pi).to_dict()
     data["extra"] = 1

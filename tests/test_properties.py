@@ -10,7 +10,7 @@ suite stays reproducible.
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiralflow import criteria, dynamics, hilbert, models
@@ -101,12 +101,3 @@ def test_populations_are_gauge_invariant(case, phases):
     reference = dynamics.simulate(spec, occupation, times).populations
     gauged = dynamics.simulate(transformed, occupation, times).populations
     assert np.allclose(gauged, reference, rtol=0.0, atol=1e-9)
-
-
-@PROPERTY_SETTINGS
-@given(st.integers(1, 5), st.integers(0, 3), statistics)
-def test_subspace_dimension_matches_enumeration(n_sites, n_exc, stats):
-    assume(not (stats.is_spin and n_exc > n_sites))
-    assume(stats.max_occupation is None or stats.max_occupation * n_sites >= n_exc)
-    basis = hilbert.enumerate_basis(n_sites, n_exc, stats)
-    assert hilbert.subspace_dimension(n_sites, n_exc, stats) == len(basis)
