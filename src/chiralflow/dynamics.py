@@ -172,15 +172,8 @@ def evolve(h: HermitianMatrix, psi0, times, basis: SubspaceBasis | None = None,
     modes = system.eigenvectors.T
     modes.setflags(write=False)
     occupations = basis.occupation_matrix() if basis is not None else None
-    parts = []
-    for lo in range(0, times.size, rows):
-        amplitudes = phases[lo:lo + rows] @ modes
-        abs2 = amplitudes.real**2 + amplitudes.imag**2
-        # Negated so that NaN amplitudes (from a non-finite time) fail the check.
-        if not float(np.max(np.abs(abs2.sum(axis=1) - 1.0))) <= NORM_TOL:
-            raise ValueError("evolution failed to conserve the norm")
-        parts.append(abs2 if occupations is None else abs2 @ occupations)
-    populations = np.concatenate(parts)
+    populations = np.concatenate([_populations(phases[lo:lo + rows], modes, occupations)
+                                  for lo in range(0, times.size, rows)])
     if basis is not None:
         node_labels = labels or tuple(f"node_{j}" for j in range(1, basis.n_sites + 1))
     else:
@@ -189,6 +182,24 @@ def evolve(h: HermitianMatrix, psi0, times, basis: SubspaceBasis | None = None,
     for arr in (times, populations, phases):
         arr.setflags(write=False)
     return Trajectory(times, populations, tuple(node_labels), phases, modes)
+
+
+def _populations(phases: np.ndarray, modes: np.ndarray,
+                 occupations: np.ndarray | None) -> np.ndarray:
+    """Populations of the amplitudes ``phases @ modes``, checked for norm.
+
+    ``phases`` is (..., n_times, m) and ``modes`` (..., m, dim), with any
+    leading batch axes; the result is |amplitude|^2 per basis state, or with
+    a (dim, n_nodes) occupation matrix the occupation-weighted node
+    populations.  Raises ValueError when a row's norm is off by more than
+    ``NORM_TOL``.
+    """
+    amplitudes = phases @ modes
+    abs2 = amplitudes.real**2 + amplitudes.imag**2
+    # Negated so that NaN amplitudes (from a non-finite time) fail the check.
+    if not float(np.max(np.abs(abs2 @ np.ones(abs2.shape[-1]) - 1.0))) <= NORM_TOL:
+        raise ValueError("evolution failed to conserve the norm")
+    return abs2 if occupations is None else abs2 @ occupations
 
 
 def _krylov_system(h: HermitianMatrix, start: np.ndarray, span: float) -> RitzSystem | None:
@@ -298,18 +309,25 @@ def _uniform_phases(t0: float, step: float, count: int,
     where P[a] = exp(-i E a K step) and Q[b] = exp(-i E (t0 + b step)).  The
     row-major products of P's and Q's rows, cut to ``count``, are the phase
     table; it costs about 2 sqrt(count) exponentials per energy instead of
-    ``count``.
+    ``count``.  ``energies`` may carry leading batch axes, which P and Q keep
+    in front of their (rows, energies) axes.
     """
     width = math.isqrt(count - 1) + 1
     rows = -(-count // width)
-    big = np.exp(-1j * np.outer(np.arange(rows) * width * step, energies))
-    small = np.exp(-1j * np.outer(t0 + np.arange(width) * step, energies))
+    big = np.exp(-1j * _outer(np.arange(rows) * width * step, energies))
+    small = np.exp(-1j * _outer(t0 + np.arange(width) * step, energies))
     return big, small
+
+
+def _outer(times: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """``np.outer(times, energies)`` for each row of a batch of energies."""
+    return times[:, None] * energies[..., None, :]
 
 
 def _weighted_phases(times: np.ndarray, energies: np.ndarray,
                      weights: np.ndarray) -> np.ndarray:
-    """weights * exp(-i E t) as a (times, energies) table.
+    """weights * exp(-i E t) as a (times, energies) table, with the leading
+    batch axes of ``energies`` and ``weights`` in front.
 
     A grid uniform to rounding, |t_j - (t_0 + j step)| <= 8 eps max(1, max|t|),
     takes the factorised ``_uniform_phases`` with the weights folded into Q;
@@ -319,12 +337,14 @@ def _weighted_phases(times: np.ndarray, energies: np.ndarray,
     count = times.size
     step = (times[-1] - times[0]) / (count - 1) if count > 1 else 0.0
     tol = 8.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(times))))
+    weights = weights[..., None, :]
     # Negated so that NaN or inf times fall to the direct path.
     if not float(np.max(np.abs(times - (times[0] + np.arange(count) * step)))) <= tol:
-        return np.exp(-1j * np.outer(times, energies)) * weights[None, :]
+        return np.exp(-1j * _outer(times, energies)) * weights
     big, small = _uniform_phases(times[0], step, count, energies)
     small *= weights
-    return (big[:, None, :] * small[None, :, :]).reshape(-1, energies.size)[:count]
+    table = big[..., :, None, :] * small[..., None, :, :]
+    return table.reshape(table.shape[:-3] + (-1, energies.shape[-1]))[..., :count, :]
 
 
 def simulate(spec, occupation, times) -> Trajectory:
@@ -360,17 +380,22 @@ def transfer_fidelity(traj: Trajectory, period: float) -> float:
     return float(abs(overlap) ** 2)
 
 
-def average_fidelity(traj: Trajectory, corner_nodes) -> float:
-    """Mean over the given nodes of the peak amplitude modulus on that node.
+def average_fidelity(populations: np.ndarray, corner_nodes):
+    """Mean over the given 1-based nodes of the peak amplitude modulus on that node.
 
-    The per-node modulus is sqrt of the node population, which reduces to
-    |C_j(t)| in a single-excitation sector.
+    ``populations`` is (..., n_times, n_nodes), one trajectory's or a stack
+    of them; the result holds one value per leading index (a float for a
+    single trajectory).  The per-node modulus is sqrt of the node population,
+    which reduces to |C_j(t)| in a single-excitation sector; the root is
+    taken after the time maximum, which is bitwise the same because a
+    correctly rounded sqrt is monotone.
     """
-    corner_nodes = list(corner_nodes)
-    if traj.times.size == 0 or not corner_nodes:
+    corner_nodes = [j - 1 for j in corner_nodes]
+    if populations.shape[-2] == 0 or not corner_nodes:
         raise EmptyWindow("trajectory window or node list is empty")
-    peaks = [float(np.max(np.sqrt(traj.node_population(j)))) for j in corner_nodes]
-    return float(np.mean(peaks))
+    # Indexing copies the columns out node-major, so the time maximum runs
+    # over contiguous memory instead of a strided middle axis.
+    return np.sqrt(populations[..., corner_nodes].max(axis=-2)).mean(axis=-1)
 
 
 def _first_peak_index(trace: np.ndarray, threshold: float) -> int | None:

@@ -64,7 +64,8 @@ class NetworkSpec:
             seen.add(pair)
             if hop.amplitude < 0:
                 raise SpecMismatch("hopping amplitudes must be >= 0")
-            hoppings.append(replace(hop, phase=normalize_phase(hop.phase)))
+            phase = normalize_phase(hop.phase)
+            hoppings.append(hop if phase == hop.phase else replace(hop, phase=phase))
         object.__setattr__(self, "hoppings", tuple(hoppings))
         object.__setattr__(self, "onsite", tuple(self.onsite))
 

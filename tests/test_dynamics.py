@@ -185,11 +185,38 @@ def test_transfer_fidelity_imperfect_on_large_ladder():
 def test_average_fidelity_values():
     times = np.linspace(0.0, math.pi, 1601)
     traj = evolve_spec(models.asgf(4, 2.0, math.pi / 2), times)
-    assert dynamics.average_fidelity(traj, [1, 2, 3, 4]) == pytest.approx(1.0, abs=1e-9)
+    assert dynamics.average_fidelity(traj.populations, [1, 2, 3, 4]) == pytest.approx(1.0, abs=1e-9)
     frozen = dynamics.evolve(hermitian(np.zeros((4, 4))), dynamics.basis_state(4, 0), times)
-    assert dynamics.average_fidelity(frozen, [1, 2, 3, 4]) == pytest.approx(0.25)
+    assert dynamics.average_fidelity(frozen.populations, [1, 2, 3, 4]) == pytest.approx(0.25)
     with pytest.raises(EmptyWindow):
-        dynamics.average_fidelity(traj, [])
+        dynamics.average_fidelity(traj.populations, [])
+
+
+def test_average_fidelity_of_a_stack_is_each_trajectory_alone():
+    stack = np.random.default_rng(5).random((6, 300, 5))
+    values = dynamics.average_fidelity(stack, [4, 1, 2])
+    assert values.shape == (6,)
+    assert values.tolist() == [dynamics.average_fidelity(p, [4, 1, 2]) for p in stack]
+
+
+def test_average_fidelity_rejects_empty_windows_and_node_lists():
+    with pytest.raises(EmptyWindow):
+        dynamics.average_fidelity(np.zeros((3, 0, 4)), [1, 2])
+    with pytest.raises(EmptyWindow):
+        dynamics.average_fidelity(np.zeros((0, 4)), [1])
+    with pytest.raises(EmptyWindow):
+        dynamics.average_fidelity(np.ones((3, 10, 4)), [])
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.one_of(st.just(0.0), st.just(5e-324), st.just(2.2250738585072014e-308),
+                          st.floats(0.0, 1e300, allow_subnormal=True)),
+                min_size=1, max_size=40))
+def test_root_of_the_maximum_is_the_maximum_root(values):
+    # average_fidelity takes sqrt after the time maximum: a correctly rounded
+    # sqrt is monotone, so the order of the two is bitwise immaterial.
+    values = np.array(values)
+    assert np.sqrt(np.max(values)).tobytes() == np.max(np.sqrt(values)).tobytes()
 
 
 def test_chirality_order_perfect_flow():

@@ -70,6 +70,37 @@ def test_hopping_scale_frequency_disorder_beats_tiny_hopping_disorder(base_spec)
     assert hop[0].mean_fidelity > 0.999
 
 
+def reference_sweep(base, cfg, amplitudes):
+    """The per-sample pipeline: simulate each sample alone, average the sqrt
+    of each ring node's peak population, then take mean and standard error."""
+    times = np.linspace(0.0, math.pi, 1601)
+    points = []
+    for a_idx, amplitude in enumerate(amplitudes):
+        fidelities = []
+        for sample_idx in range(cfg.samples):
+            rng = np.random.default_rng((cfg.seed, a_idx, sample_idx))
+            spec = experiments.perturbed_spec(base, cfg.kind, amplitude, rng)
+            traj = dynamics.simulate(spec, hilbert.occupation(spec.n_sites, 1), times)
+            fidelities.append(np.mean([np.max(np.sqrt(traj.node_population(j)))
+                                       for j in spec.ring_nodes]))
+        results = np.array(fidelities)
+        stderr = (float(np.std(results, ddof=1) / math.sqrt(cfg.samples))
+                  if cfg.samples > 1 else 0.0)
+        points.append(experiments.DisorderPoint(amplitude, float(np.mean(results)),
+                                                stderr, cfg.samples))
+    return points
+
+
+@pytest.mark.parametrize("samples", [1, experiments._SAMPLE_BLOCK + 3,
+                                     2 * experiments._SAMPLE_BLOCK + 1])
+@pytest.mark.parametrize("kind", experiments.DISORDER_KINDS)
+def test_blocked_sweep_is_the_per_sample_pipeline_bit_for_bit(base_spec, kind, samples):
+    cfg = DisorderConfig(kind, samples, 4)
+    amplitudes = [0.0, 0.3] + ([30.0] if kind == "frequency" else [])
+    assert (experiments.disorder_sweep(base_spec, cfg, amplitudes)
+            == reference_sweep(base_spec, cfg, amplitudes))
+
+
 def test_perturbed_spec_respects_invariants(base_spec):
     rng = np.random.default_rng(0)
     for kind in experiments.DISORDER_KINDS:

@@ -313,3 +313,13 @@ def test_phases_normalised_at_construction():
     spec = models.sgf_ring(4, 10 * math.pi)  # per-link phase 2.5 pi -> 0.5 pi
     assert all(abs(h.phase) <= math.pi for h in spec.hoppings)
     assert spec.hoppings[0].phase == pytest.approx(math.pi / 2)
+
+
+def test_normalised_hops_are_kept_and_others_wrapped():
+    ring = models.sgf_ring(4, 0.0)
+    inside = Hopping(1, 2, 1.0, 0.5)
+    spec = models.NetworkSpec(4, 0, (inside, Hopping(2, 3, 1.0, -math.pi),
+                                     Hopping(3, 4, 1.0, 3 * math.pi)),
+                              (), ring.statistics, ring.labels)
+    assert spec.hoppings[0] is inside
+    assert [h.phase for h in spec.hoppings[1:]] == [math.pi, math.pi]
