@@ -1,12 +1,15 @@
 """Exact time evolution plus chirality metrics.
 
 ``evolve`` propagates through the Hermitian eigendecomposition of H.  From
-``KRYLOV_MIN_DIM`` states on it decomposes instead the Lanczos tridiagonal
-of H on the Krylov space of the initial state, grown until a certified
-bound puts the state within ``KRYLOV_TOL`` of exact over the whole window
-(or the full H, when that space would cost more).  That branch works on a
-sparse H built from the triplets and forms populations in blocks of time
-steps, so neither a dense H nor the full amplitude table is ever held.
+``KRYLOV_MIN_DIM`` states on it marches through the window in Krylov steps
+instead: each step runs at most ``KRYLOV_DIM`` Lanczos vectors from the
+state at its start, on a sparse H built from the triplets, and lasts as long
+as a certified bound keeps within its share of ``KRYLOV_TOL``, so the state
+is within ``KRYLOV_TOL`` of exact over the whole window.  Populations are
+formed in blocks of time steps in one reused buffer, so neither a dense H
+nor the full amplitude table is ever held, and memory is
+O(``KRYLOV_DIM`` * dim) for any window.  Time is linear in the window, and a
+window of more than ``KRYLOV_MAX_STEPS`` steps is refused up front.
 """
 
 from __future__ import annotations
@@ -14,12 +17,13 @@ from __future__ import annotations
 import functools
 import logging
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyWindow, NoPeaks, OutOfGrid
+from .errors import DimensionMismatch, EmptyWindow, NoPeaks, OutOfGrid, OutOfRange
 from .hilbert import HermitianMatrix, SubspaceBasis, build_hamiltonian, enumerate_basis
 
 log = logging.getLogger(__name__)
@@ -28,21 +32,28 @@ NORM_TOL = 1e-10
 DARK_NODE_FLOOR = 1e-12
 # Krylov propagation in ``evolve``: the dimension from which it replaces the
 # full eigendecomposition (measured crossover on ladder and random sectors
-# at the CLI's default window), the certified bound on ||psi(t) - psi_m(t)||,
-# the first check of that bound and the growth of the space between checks,
-# and the share of the dimension at which the space gives way to the full
-# ``eigh``, so that a window too long for a small space costs at most about
-# 1.2 times the full path.
+# at the CLI's default window), the certified bound on ||psi(t) - psi_m(t)||
+# summed over the steps of a window, the Lanczos vectors of one step (on the
+# 1540-state ladder sector over 2 pi, 32 to 64 vectors cost the same within
+# noise; longer windows gain a little from more, and memory grows with
+# them), the most steps a window may take (cost is linear in the window:
+# 10 000 steps cover about 2400 pi on the three-boson ladder sectors, a
+# minute at 1540 states and 13 at 22 100; a window of 1e300 would never
+# end), and the Taylor order of ``_defect_integral``.
 KRYLOV_MIN_DIM = 400
 KRYLOV_TOL = 1e-13
-KRYLOV_START = 16
-KRYLOV_GROWTH = 1.25
-KRYLOV_MAX_SHARE = 0.4
+KRYLOV_DIM = 40
+KRYLOV_MAX_STEPS = 10_000
 TAYLOR_ORDER = 15
 # Complex entries of one block of amplitudes in ``evolve``'s population loop
 # (16 MB): below KRYLOV_MIN_DIM states, grids of up to 2628 points take a
 # single block.
 POPULATION_BLOCK = 2**20
+
+# One step of a propagation: the grid rows it covers, and factors whose
+# product ``phases @ modes`` is the amplitude table on those rows, with the
+# certified bound the step adds to the error (0 for an exact step).
+Step = tuple[slice, np.ndarray, np.ndarray, float]
 
 
 @dataclass(frozen=True)
@@ -70,36 +81,33 @@ def eigendecompose(h: HermitianMatrix) -> EigenSystem:
 
 
 @dataclass(frozen=True)
-class RitzSystem(EigenSystem):
-    """Ritz pairs of a Krylov space, with the certified bound on
-    ||psi(t) - psi_m(t)|| over the window they were grown for."""
-
-    bound: float
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Time grid with per-node populations and, on demand, the state amplitudes.
 
-    The amplitudes are kept factored as ``phases @ modes``: a (n_times, m)
-    table of weighted phases and an (m, dim) map from eigen- or Ritz modes
-    to basis states, or ``modes=None`` when ``phases`` already holds them.
-    ``amplitudes`` multiplies the factors out on first read, so callers that
-    only read populations never hold the (n_times, dim) table.
+    ``table`` holds the (n_times, dim) amplitudes when they are known up
+    front.  Otherwise ``steps`` re-runs the propagation of ``evolve``: a
+    generator of :data:`Step` tuples whose products ``phases @ modes`` fill
+    the table row block by row block.  ``amplitudes`` multiplies them out on
+    first read, so callers that only read populations never hold the table,
+    and a trajectory keeps no per-step state.
     """
 
     times: np.ndarray
     populations: np.ndarray  # (n_times, n_nodes) real
     labels: tuple[str, ...]
-    phases: np.ndarray  # (n_times, m) complex
-    modes: np.ndarray | None  # (m, dim) complex
+    table: np.ndarray | None  # (n_times, dim) complex
+    steps: Callable[[], Iterator[Step]] | None
 
     @functools.cached_property
     def amplitudes(self) -> np.ndarray:
         """Read-only (n_times, dim) state amplitudes."""
-        if self.modes is None:
-            return self.phases
-        amplitudes = self.phases @ self.modes
+        if self.steps is None:
+            return self.table
+        amplitudes = None
+        for rows, phases, modes, _ in self.steps():
+            if amplitudes is None:
+                amplitudes = np.empty((self.times.size, modes.shape[1]), dtype=complex)
+            np.matmul(phases, modes, out=amplitudes[rows])
         amplitudes.setflags(write=False)
         return amplitudes
 
@@ -127,22 +135,23 @@ def evolve(h: HermitianMatrix, psi0, times, basis: SubspaceBasis | None = None,
            labels: tuple[str, ...] | None = None) -> Trajectory:
     """Evolve a normalised state on a time grid: psi(t) = V e^{-i L t} V^dag psi0.
 
-    Below ``KRYLOV_MIN_DIM`` states, V and L are the full eigensystem of h.
-    Larger operators take the Ritz pairs of ``_krylov_system`` instead: the
-    eigensystem of h on the Krylov space of psi0, grown on a sparse copy of
-    the triplets until psi(t) is within ``KRYLOV_TOL`` of exact for every
-    |t| <= max|times|, or the full eigensystem when that space would cost
-    more.  Populations and the norm check are formed in blocks of
-    ``POPULATION_BLOCK // dim`` time steps; the amplitudes stay factored
-    (see :class:`Trajectory`).
+    Below ``KRYLOV_MIN_DIM`` states, V and L are the full eigensystem of h,
+    in one step over the whole grid.  Larger operators take the steps of
+    ``_krylov_steps``: Ritz pairs of h on a Krylov space of at most
+    ``KRYLOV_DIM`` vectors per step, certified so that psi(t) is within
+    ``KRYLOV_TOL`` of exact at every grid time.  Populations and the norm
+    check are formed in blocks of at most ``POPULATION_BLOCK // dim`` time
+    steps, each multiplied into one reused amplitude buffer; the amplitudes
+    themselves are recomputed on demand (see :class:`Trajectory`).
 
     Without a basis each amplitude is treated as one node (the single
     excitation case); with a basis, node populations are occupation-weighted
     sums over basis states.
     """
     dim = h.dim
-    psi0 = np.asarray(psi0, dtype=complex)
-    times = np.asarray(times, dtype=float)
+    # Copies: a stepped trajectory re-runs its propagation from both later.
+    psi0 = np.array(psi0, dtype=complex)
+    times = np.array(times, dtype=float)
     if psi0.shape != (dim,):
         raise DimensionMismatch(
             f"state has dimension {psi0.shape}, matrix {dim}"
@@ -152,49 +161,55 @@ def evolve(h: HermitianMatrix, psi0, times, basis: SubspaceBasis | None = None,
     norm = float(np.linalg.norm(psi0))
     if not abs(norm - 1.0) <= 1e-9:
         raise ValueError(f"initial state norm {norm} is not 1")
-    rows = max(1, POPULATION_BLOCK // dim)  # time steps per population block
-    system = None
-    if dim >= KRYLOV_MIN_DIM:
-        system = _krylov_system(h, psi0 / norm, float(np.max(np.abs(times))))
-        blocks = -(-times.size // rows)
-        if system is None:
-            log.info("evolve: %d states, Krylov space uncertified within %d vectors, "
-                     "fell back to eigh, %d population blocks",
-                     dim, int(KRYLOV_MAX_SHARE * dim), blocks)
-        else:
-            log.info("evolve: %d states, Krylov m=%d, defect bound %.3g, no eigh "
-                     "fallback, %d population blocks",
-                     dim, system.eigenvalues.size, system.bound, blocks)
-    if system is None:
+    psi0.setflags(write=False)
+    times.setflags(write=False)
+    if dim < KRYLOV_MIN_DIM:
         system = eigendecompose(h)
-    weights = system.eigenvectors.conj().T @ psi0
-    phases = _weighted_phases(times, system.eigenvalues, weights)
-    modes = system.eigenvectors.T
-    modes.setflags(write=False)
+        phases = _weighted_phases(times, system.eigenvalues, system.eigenvectors.conj().T @ psi0)
+        modes = system.eigenvectors.T
+        phases.setflags(write=False)
+
+        def steps() -> Iterator[Step]:
+            yield slice(0, times.size), phases, modes, 0.0
+    else:
+        steps = functools.partial(_krylov_steps, h, psi0, times)
     occupations = basis.occupation_matrix() if basis is not None else None
-    populations = np.concatenate([_populations(phases[lo:lo + rows], modes, occupations)
-                                  for lo in range(0, times.size, rows)])
+    populations = np.empty((times.size, dim if basis is None else basis.n_sites))
+    block = max(1, POPULATION_BLOCK // dim)  # time steps per population block
+    buffer = np.empty((min(block, times.size), dim), dtype=complex)
+    count = blocks = 0
+    bound = 0.0
+    for rows, phases, modes, step_bound in steps():
+        count += 1
+        bound += step_bound
+        for lo in range(0, phases.shape[0], block):
+            hi = min(lo + block, phases.shape[0])
+            populations[rows.start + lo:rows.start + hi] = _populations(
+                phases[lo:hi], modes, occupations, buffer[:hi - lo])
+            blocks += 1
+    if dim >= KRYLOV_MIN_DIM:
+        log.info("evolve: %d states, %d Krylov steps of m<=%d, summed bound %.3g, "
+                 "%d population blocks", dim, count, KRYLOV_DIM, bound, blocks)
     if basis is not None:
         node_labels = labels or tuple(f"node_{j}" for j in range(1, basis.n_sites + 1))
     else:
         node_labels = labels or tuple(f"node_{j}" for j in range(1, dim + 1))
-    times = times.copy()
-    for arr in (times, populations, phases):
-        arr.setflags(write=False)
-    return Trajectory(times, populations, tuple(node_labels), phases, modes)
+    populations.setflags(write=False)
+    return Trajectory(times, populations, tuple(node_labels), None, steps)
 
 
-def _populations(phases: np.ndarray, modes: np.ndarray,
-                 occupations: np.ndarray | None) -> np.ndarray:
+def _populations(phases: np.ndarray, modes: np.ndarray, occupations: np.ndarray | None,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Populations of the amplitudes ``phases @ modes``, checked for norm.
 
     ``phases`` is (..., n_times, m) and ``modes`` (..., m, dim), with any
-    leading batch axes; the result is |amplitude|^2 per basis state, or with
-    a (dim, n_nodes) occupation matrix the occupation-weighted node
+    leading batch axes; the amplitudes are multiplied into ``out`` when it is
+    given.  The result is |amplitude|^2 per basis state, or with a
+    (dim, n_nodes) occupation matrix the occupation-weighted node
     populations.  Raises ValueError when a row's norm is off by more than
     ``NORM_TOL``.
     """
-    amplitudes = phases @ modes
+    amplitudes = np.matmul(phases, modes, out=out)
     abs2 = amplitudes.real**2 + amplitudes.imag**2
     # Negated so that NaN amplitudes (from a non-finite time) fail the check.
     if not float(np.max(np.abs(abs2 @ np.ones(abs2.shape[-1]) - 1.0))) <= NORM_TOL:
@@ -202,71 +217,147 @@ def _populations(phases: np.ndarray, modes: np.ndarray,
     return abs2 if occupations is None else abs2 @ occupations
 
 
-def _krylov_system(h: HermitianMatrix, start: np.ndarray, span: float) -> RitzSystem | None:
-    """Ritz values and vectors of h on the Krylov space of the unit vector
-    ``start``, large enough that V e^{-i L t} V^dag start is within
-    ``KRYLOV_TOL`` of e^{-i h t} start for every |t| <= span.
+def _krylov_steps(h: HermitianMatrix, psi0: np.ndarray, times: np.ndarray) -> Iterator[Step]:
+    """The Krylov steps that carry psi0 from t = 0 across an ascending grid.
 
-    Lanczos with full reorthogonalisation on a CSR copy of h's triplets gives
-    h Q = Q T + beta q e_m^T, and the Krylov state Q e^{-i T t} e_1 is off by
-    at most beta * integral_0^|t| |e_m^T e^{-i T s} e_1| ds (Saad, SIAM J.
-    Numer. Anal. 29, 209 (1992); Hochbruck & Lubich, ibid. 34, 1911 (1997)).
-    The space grows by ``KRYLOV_GROWTH`` between checks of that bound from
-    ``KRYLOV_START`` on; a step whose beta * span is within the tolerance
-    ends it at once, which covers breakdown, eigenvector starts and a zero
-    span.  The array of Lanczos vectors doubles its rows as the space
-    grows.  The result carries the bound it was certified with.  Past
-    ``KRYLOV_MAX_SHARE`` of the dimension it gives up and returns None.
+    Each step runs ``_lanczos`` from the normalised state at its start and
+    lasts as long as ``_step_length`` certifies it within ``KRYLOV_TOL`` *
+    tau / T, T the length of the window from 0, so the bounds of all steps
+    sum to at most ``KRYLOV_TOL``.  It yields the grid rows it reaches, the
+    Ritz phases of t minus its start weighted by V^dag psi and mapped back
+    to the Lanczos basis, and the Lanczos vectors as ``modes``, which the
+    next step overwrites; the next step starts from V (e^{-i L tau} * w).
+    Grid times before 0 take a march backward from psi0.  A march that one
+    space certifies to its end takes one step (eigenvector starts, a zero H,
+    a zero window), and so does a non-finite window, from one vector.
+    Raises OutOfRange, before marching on, once the steps taken and the rest
+    of the window over the current step's length exceed ``KRYLOV_MAX_STEPS``.
     """
     from scipy.sparse import csr_array  # imported here: ~0.2 s, as long as all of CLI start-up
 
-    if not math.isfinite(span):
-        span = math.nan  # no certificate: stop at once; evolve's norm check rejects it
-    limit = int(KRYLOV_MAX_SHARE * h.dim)
     matrix = csr_array((h.values, (h.rows, h.cols)), shape=(h.dim, h.dim))
-    basis = np.empty((1, h.dim), dtype=complex)
-    basis[0] = start
+    vectors = np.empty((KRYLOV_DIM, h.dim), dtype=complex)
+    first = int(np.searchsorted(times, 0.0))  # the rows before it lie before 0
+    window = float(np.maximum(times[-1], 0.0) - np.minimum(times[0], 0.0))
+    if not math.isfinite(window):
+        # No certificate: every check below reads a NaN window as done at
+        # once, which leaves the NaN amplitudes to the norm check.
+        window = math.nan
+    count = 0  # steps taken in both directions
+    for sign, lo, hi in ((-1.0, 0, first), (1.0, first, times.size)):
+        # The rows lo..hi - 1 are still to reach; the march ends at ``end``.
+        state, now, end = psi0, 0.0, float(times[0 if sign < 0 else -1])
+        while lo < hi:
+            system, beta = _lanczos(matrix, state / np.linalg.norm(state), vectors, window)
+            tau, bound = _step_length(system, beta, abs(end - now), window)
+            if tau < abs(end - now) and count + abs(end - now) / tau > KRYLOV_MAX_STEPS:
+                raise OutOfRange(
+                    f"a window of {window:.6g} needs about {count + abs(end - now) / tau:.3g} "
+                    f"Krylov steps of length {tau:.3g}, more than {KRYLOV_MAX_STEPS}")
+            count += 1
+            if not tau < abs(end - now):  # negated so that a NaN window ends here
+                rows = slice(lo, hi)
+            elif sign > 0:
+                rows = slice(lo, int(np.searchsorted(times, now + tau, "right")))
+            else:
+                rows = slice(int(np.searchsorted(times, now - tau, "left")), hi)
+            m = system.dim
+            # V^dag state, V = Q Z the Ritz vectors.
+            weights = system.eigenvectors.conj().T @ (vectors[:m] @ state.conj()).conj()
+            phases = (_weighted_phases(times[rows] - now, system.eigenvalues, weights)
+                      if rows.start < rows.stop else np.empty((0, m), dtype=complex))
+            yield rows, phases @ system.eigenvectors.T, vectors[:m], bound
+            lo, hi = (rows.stop, hi) if sign > 0 else (lo, rows.start)
+            if lo < hi:
+                now += sign * tau
+                step = np.exp(-1j * sign * tau * system.eigenvalues) * weights
+                state = (system.eigenvectors @ step) @ vectors[:m]
+
+
+def _lanczos(matrix, start: np.ndarray, vectors: np.ndarray,
+             window: float) -> tuple[EigenSystem, np.ndarray]:
+    """Lanczos from the unit vector ``start`` on a sparse h: the eigensystem of
+    the tridiagonal T_m, and its off-diagonal entries beta_1..beta_m, where
+    beta_m is the norm of the residual.
+
+    With full reorthogonalisation it fills the rows of ``vectors`` with Q,
+    where h Q = Q T_m + beta_m q e_m^T.  It stops when ``vectors`` is full,
+    or when beta * window is within ``KRYLOV_TOL`` (see ``_step_length``).
+    """
+    vectors[0] = start
     alpha: list[float] = []
     beta: list[float] = []
-    target = KRYLOV_START
-    while target <= limit:
-        if target >= len(basis):  # rows 0..target must fit; keep the len(alpha) + 1 in use
-            grown = np.empty((min(limit + 1, max(2 * len(basis), target + 1)), h.dim),
-                             dtype=complex)
-            grown[:len(alpha) + 1] = basis[:len(alpha) + 1]
-            basis = grown
-        for j in range(len(alpha), target):
-            w = matrix @ basis[j]
-            if j:
-                w -= beta[-1] * basis[j - 1]
-            alpha.append(float(np.vdot(basis[j], w).real))
-            w -= alpha[-1] * basis[j]
-            # Classical Gram-Schmidt against all of Q, repeated when it cancels
-            # more than 1/sqrt(2) of the norm (Daniel, Gragg, Kaufman & Stewart).
-            norm = float(np.linalg.norm(w))
-            for _ in range(2):
-                w -= (basis[:j + 1] @ w.conj()).conj() @ basis[:j + 1]
-                norm, before = float(np.linalg.norm(w)), norm
-                if norm > before / math.sqrt(2.0):
-                    break
-            beta.append(norm)
-            if not norm * span > KRYLOV_TOL:  # negated so that a NaN span stops too
+    for j in range(vectors.shape[0]):
+        w = matrix @ vectors[j]
+        if j:
+            w -= beta[-1] * vectors[j - 1]
+        alpha.append(float(np.vdot(vectors[j], w).real))
+        w -= alpha[-1] * vectors[j]
+        # Classical Gram-Schmidt against all of Q, repeated when it cancels
+        # more than 1/sqrt(2) of the norm (Daniel, Gragg, Kaufman & Stewart).
+        norm = float(np.linalg.norm(w))
+        for _ in range(2):
+            w -= (vectors[:j + 1] @ w.conj()).conj() @ vectors[:j + 1]
+            norm, before = float(np.linalg.norm(w)), norm
+            if norm > before / math.sqrt(2.0):
                 break
-            basis[j + 1] = w / norm
-        # T_m: alpha on the diagonal, beta_1..beta_{m-1} beside it on both sides.
-        k = np.arange(len(alpha))
-        off = beta[:-1]
-        system = eigendecompose(HermitianMatrix(len(alpha), np.r_[k, k[:-1], k[1:]],
-                                                np.r_[k, k[1:], k[:-1]], np.r_[alpha, off, off]))
-        # beta * span bounds the defect too, as |e_m^T e^{-i T s} e_1| <= 1.
-        bound = beta[-1] * span
-        if bound > KRYLOV_TOL:
-            bound = beta[-1] * _defect_integral(system, span)
-        if not bound > KRYLOV_TOL:
-            return RitzSystem(system.eigenvalues, basis[:len(alpha)].T @ system.eigenvectors,
-                              bound)
-        target = math.ceil(target * KRYLOV_GROWTH)
-    return None
+        beta.append(norm)
+        # Negated so that a NaN window stops too.
+        if not norm * window > KRYLOV_TOL or j + 1 == vectors.shape[0]:
+            break
+        vectors[j + 1] = w / norm
+    # T_m: alpha on the diagonal, beta_1..beta_{m-1} beside it on both sides.
+    k = np.arange(len(alpha))
+    off = beta[:-1]
+    system = eigendecompose(HermitianMatrix(len(alpha), np.r_[k, k[:-1], k[1:]],
+                                            np.r_[k, k[1:], k[:-1]], np.r_[alpha, off, off]))
+    return system, np.array(beta)
+
+
+def _step_length(system: EigenSystem, beta: np.ndarray, rest: float,
+                 window: float) -> tuple[float, float]:
+    """A step tau <= rest whose certified bound on the Krylov defect is at
+    most ``KRYLOV_TOL`` * tau / window, and that bound.
+
+    ``system`` is the eigensystem of T_m, and ``beta`` holds T_m's
+    off-diagonal entries and then its residual norm beta_m.  The Krylov
+    state Q e^{-i T t} e_1 is off by at most beta_m * integral_0^|t|
+    |e_m^T e^{-i T s} e_1| ds (Saad, SIAM J. Numer. Anal. 29, 209 (1992);
+    Hochbruck & Lubich, ibid. 34, 1911 (1997)).  The step is the longest one
+    that ``_power_bound`` certifies, which has a closed form; its bound is
+    the smaller of that and ``_defect_integral``.  The Taylor evaluation is
+    the tighter over short windows (it would lengthen a step by about 2% on
+    the 1540-state ladder sector over 2 pi), but its rounding floor rules
+    out the small shares of long windows.  As the integrand is at most 1, a
+    beta_m with beta_m * window within the tolerance certifies the rest of
+    the window at once, as does a zero rest.
+    """
+    if not beta[-1] * window > KRYLOV_TOL or not rest > 0:  # negated: a NaN window too
+        return rest, beta[-1] * rest
+    # beta_m * _power_bound(tau) is beta_m P / m! times tau^m; it meets
+    # KRYLOV_TOL * tau / window where the logs below agree (a hair inside).
+    m = beta.size
+    log_scale = float(np.sum(np.log(beta))) - math.lgamma(m + 1)
+    tau = min(rest, math.exp((math.log(KRYLOV_TOL / window) - log_scale) / (m - 1))
+              * (1.0 - 1e-9))
+    return tau, beta[-1] * min(_power_bound(beta[:-1], tau), _defect_integral(system, tau))
+
+
+def _power_bound(off: np.ndarray, span: float) -> float:
+    """Upper bound on the integral over [0, span] of |g(s)|, where
+    g(s) = e_m^T e^{-i T s} e_1 for a Hermitian tridiagonal T with
+    off-diagonal entries ``off`` = beta_1..beta_{m-1}.
+
+    Decoupling the first site of T by Duhamel's formula gives
+    |g(s)| <= beta_1 integral_0^s |e_m^T e^{-i T r} e_2| dr, with the propagator
+    of the decoupled block of modulus at most 1; repeating it down the chain
+    bounds |g(s)| by P s^(m-1) / (m-1)!, P = beta_1 ... beta_{m-1}, whatever
+    the diagonal.  The integral is P span^m / m!, formed in logs.  Unlike
+    an evaluation of g, it has no rounding floor, so it certifies steps
+    within any share of the tolerance.
+    """
+    m = off.size + 1
+    return math.exp(float(np.sum(np.log(off))) + m * math.log(span) - math.lgamma(m + 1))
 
 
 def _defect_integral(system: EigenSystem, span: float) -> float:
@@ -473,14 +564,15 @@ def rows_to_csv(rows, header: str) -> str:
     """Render rows as CSV under a header line: floats (NumPy ones included)
     with 12 significant digits, anything else through ``str``."""
     lines = [header]
-    for row in rows:
-        lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
+    lines += [",".join([f"{v:.12g}" if isinstance(v, float) else str(v) for v in row])
+              for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Render populations as CSV with 12 significant digits."""
-    rows = ((t, *populations) for t, populations in zip(traj.times, traj.populations))
+    # ``tolist`` hands over Python floats, which format faster than NumPy's.
+    rows = np.column_stack([traj.times, traj.populations]).tolist()
     return rows_to_csv(rows, "t," + ",".join(traj.labels))
 
 

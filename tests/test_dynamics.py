@@ -1,6 +1,7 @@
 import importlib
 import logging
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from chiralflow import cli, dynamics, hilbert, models, oracles
 from chiralflow.dynamics import Direction
-from chiralflow.errors import DimensionMismatch, EmptyWindow, NoPeaks, OutOfGrid
+from chiralflow.errors import DimensionMismatch, EmptyWindow, NoPeaks, OutOfGrid, OutOfRange
 from conftest import evolve_spec, hermitian, spec_hamiltonian
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -102,17 +103,28 @@ def test_evolve_rejects_non_finite_times(bad_time, monkeypatch):
     assert shapes == [(1, 1)]
 
 
+def krylov_steps(h, psi0, times):
+    """(rows, Ritz count, bound) of each Krylov step of ``evolve``."""
+    return [(rows, phases.shape[1], bound)
+            for rows, phases, _, bound in dynamics._krylov_steps(h, psi0, times)]
+
+
 def test_krylov_branch_stops_on_invariant_subspaces():
     n = dynamics.KRYLOV_MIN_DIM
     times = np.linspace(0.0, 5.0, 50)
-    traj = dynamics.evolve(hermitian(np.zeros((n, n))), dynamics.basis_state(n, 7), times)
+    zero = hermitian(np.zeros((n, n)))
+    traj = dynamics.evolve(zero, dynamics.basis_state(n, 7), times)
     assert np.array_equal(traj.amplitudes, np.tile(dynamics.basis_state(n, 7), (times.size, 1)))
+    assert krylov_steps(zero, dynamics.basis_state(n, 7), times) == [(slice(0, 50), 1, 0.0)]
     # The uniform state is an eigenvector (energy 2) of the unit-hopping ring.
     h = uniform_ring(n)
     psi0 = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
-    assert dynamics._krylov_system(h, psi0, 5.0).eigenvalues.size == 1
+    ((rows, size, _),) = krylov_steps(h, psi0, times)
+    assert (rows, size) == (slice(0, 50), 1)
     traj = dynamics.evolve(h, psi0, times)
     assert np.max(np.abs(traj.amplitudes - np.exp(-2j * times)[:, None] * psi0)) <= 1e-12
+    # A zero window is one step of one vector, whatever the start.
+    assert krylov_steps(h, dynamics.basis_state(n, 0), np.zeros(3)) == [(slice(0, 3), 1, 0.0)]
 
 
 def test_norm_and_energy_conservation():
@@ -395,33 +407,40 @@ def test_dense_sector_simulate_stays_sparse(monkeypatch):
     assert peak < 80 * 2**20
 
 
-def test_krylov_array_grows_with_the_space(monkeypatch):
-    # The certified space of the 1540-state sector over 2 pi has about 155
-    # vectors; reserving rows for the 616 of the share limit up front peaks
-    # near 19 MiB.
+def test_krylov_array_stays_at_fixed_size(monkeypatch):
+    # The 1540-state sector over 2 pi: one space grown over the whole window
+    # (about 155 vectors) peaked at 10.8 MiB, and reserving rows for a share
+    # of the dimension near 19 MiB.  The steps hold KRYLOV_DIM vectors (1 MiB)
+    # and peak at 2.2 MiB, with scipy.sparse imported beforehand.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     workloads = importlib.import_module("workloads")
     spec = cli.build_spec(cli.RunConfig(model="ladder", n=workloads.DENSE_CELLS))
     basis = hilbert.enumerate_basis(spec.n_sites, workloads.DENSE_EXCITATIONS, spec.statistics)
     h = hilbert.build_hamiltonian(spec, basis)
     psi0 = basis.unit_vector(tuple(int(c) for c in workloads.dense_pattern(0)))
+    times = np.linspace(0.0, 2.0 * math.pi, workloads.DENSE_GRID)
     tracemalloc.start()
     try:
-        ritz = dynamics._krylov_system(h, psi0, 2.0 * math.pi)
+        steps = krylov_steps(h, psi0, times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ritz is not None
+    assert len(steps) > 1 and sum(bound for *_, bound in steps) <= dynamics.KRYLOV_TOL
     assert peak < 12 * 2**20
 
 
-def test_populations_in_blocks_match_one_shot():
+def test_populations_in_blocks_match_one_shot(caplog):
+    caplog.set_level(logging.INFO, logger="chiralflow.dynamics")
     spec = models.sgf_ring(12, 6 * math.pi / 2, statistics=hilbert.Statistics.spin())
     times = np.linspace(0.0, 3.0, 5000)
     traj = evolve_spec(spec, times, start=(1, 1, 0, 1, 0, 0, 1) + (0,) * 5, n_excitations=4)
-    dim = traj.modes.shape[1]
+    dim = traj.amplitudes.shape[1]
     assert dim >= dynamics.KRYLOV_MIN_DIM
     assert times.size > 2 * (dynamics.POPULATION_BLOCK // dim)
+    # Some step spans more than one population block.
+    steps, blocks = map(int, re.search(r"(\d+) Krylov steps.*, (\d+) population blocks",
+                                       caplog.records[0].getMessage()).groups())
+    assert blocks > steps
     basis = hilbert.enumerate_basis(12, 4, spec.statistics)
     abs2 = traj.amplitudes.real**2 + traj.amplitudes.imag**2
     assert np.max(np.abs(traj.populations - abs2 @ basis.occupation_matrix())) <= 1e-15
@@ -436,27 +455,32 @@ def test_evolve_logs_one_line_per_krylov_call(caplog):
     (record,) = caplog.records
     assert record.levelno == logging.INFO
     message = record.getMessage()
-    assert f"{n} states" in message and "Krylov m=" in message
-    assert "defect bound" in message and "no eigh fallback" in message
+    assert message.startswith(f"evolve: {n} states, 1 Krylov steps of m<={dynamics.KRYLOV_DIM}, ")
+    assert "summed bound" in message
     assert message.endswith(", 1 population blocks")
-    # A window far longer than 0.4 n Lanczos vectors resolve.
+    # A window far longer than one space of KRYLOV_DIM vectors resolves, on
+    # more grid points than one population block holds: each step's few grid
+    # rows make one block.
     caplog.clear()
-    dynamics.evolve(uniform_ring(n), dynamics.basis_state(n, 0), np.linspace(0.0, 500.0, 3000))
+    times = np.linspace(0.0, 500.0, 3000)
+    dynamics.evolve(uniform_ring(n), dynamics.basis_state(n, 0), times)
     (record,) = caplog.records
-    assert "fell back to eigh" in record.getMessage()
-    assert record.getMessage().endswith(", 2 population blocks")
+    steps = krylov_steps(uniform_ring(n), dynamics.basis_state(n, 0), times)
+    assert len(steps) > 2
+    bound = sum(bound for *_, bound in steps)
+    assert bound <= dynamics.KRYLOV_TOL
+    assert record.getMessage() == (
+        f"evolve: {n} states, {len(steps)} Krylov steps of m<={dynamics.KRYLOV_DIM}, "
+        f"summed bound {bound:.3g}, {len(steps)} population blocks")
 
 
 # Sectors just above the Krylov threshold: (sites, excitations, spin).
 KRYLOV_SECTORS = [(12, 4, True), (11, 5, True), (15, 3, True), (9, 4, False), (13, 3, False)]
 
 
-@settings(PROPERTY_SETTINGS, max_examples=20)
-@given(st.sampled_from(KRYLOV_SECTORS), st.integers(0, 2**32 - 1),
-       st.sampled_from(["late-start", "non-uniform", "single-point", "long"]))
-def test_krylov_branch_matches_full_eigh(sector, seed, grid):
+def random_sector(sector, rng):
+    """A random network on one of KRYLOV_SECTORS: its H, basis and full eigensystem."""
     n_sites, n_exc, spin = sector
-    rng = np.random.default_rng(seed)
     stats = hilbert.Statistics.spin() if spin else hilbert.Statistics.boson()
     pairs = [(j, k) for j in range(1, n_sites + 1) for k in range(j + 1, n_sites + 1)
              if rng.random() < 3.0 / n_sites]
@@ -468,11 +492,22 @@ def test_krylov_branch_matches_full_eigh(sector, seed, grid):
                               tuple(f"node_{j}" for j in range(1, n_sites + 1)))
     h, basis = spec_hamiltonian(spec, n_exc)
     assert dynamics.KRYLOV_MIN_DIM <= len(basis) <= 1.25 * dynamics.KRYLOV_MIN_DIM
-    system = dynamics.eigendecompose(h)
-    psi0 = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
-    psi0 /= np.linalg.norm(psi0)
-    # A window for about 0.2 * dim Lanczos vectors: several checks of the
-    # bound, and still below the share where the space gives way to eigh.
+    return h, basis, dynamics.eigendecompose(h)
+
+
+def random_state(dim, rng):
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return psi0 / np.linalg.norm(psi0)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(st.sampled_from(KRYLOV_SECTORS), st.integers(0, 2**32 - 1),
+       st.sampled_from(["late-start", "non-uniform", "single-point", "long"]))
+def test_krylov_branch_matches_full_eigh(sector, seed, grid):
+    rng = np.random.default_rng(seed)
+    h, basis, system = random_sector(sector, rng)
+    psi0 = random_state(len(basis), rng)
+    # A window of about 0.2 * dim / width: several steps of KRYLOV_DIM vectors.
     width = 0.5 * float(system.eigenvalues[-1] - system.eigenvalues[0])
     long = 0.2 * len(basis) / width
     times = {
@@ -481,14 +516,115 @@ def test_krylov_branch_matches_full_eigh(sector, seed, grid):
         "single-point": np.array([0.4 * long]),
         "long": np.linspace(0.0, long, 2001),
     }[grid]
-    ritz = dynamics._krylov_system(h, psi0, float(times[-1]))
-    assert ritz is not None  # certified below the share where it gives way to eigh
+    steps = krylov_steps(h, psi0, times)
+    assert sum(bound for *_, bound in steps) <= dynamics.KRYLOV_TOL
     if grid == "long":
-        assert ritz.eigenvalues.size > dynamics.KRYLOV_START * dynamics.KRYLOV_GROWTH**3
+        assert len(steps) >= 3
     amplitudes, populations = direct_evolution(system, psi0, times, basis)
     traj = dynamics.evolve(h, psi0, times, basis=basis)
     assert np.max(np.abs(traj.amplitudes - amplitudes)) <= 1e-12
     assert np.max(np.abs(traj.populations - populations)) <= 1e-12
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(st.sampled_from(KRYLOV_SECTORS), st.integers(0, 2**32 - 1),
+       st.floats(-1.0, 0.5), st.integers(3, 8))
+def test_krylov_steps_match_full_eigh(sector, seed, start, scale):
+    # Windows of at least 3 steps, some reaching back before t = 0.
+    rng = np.random.default_rng(seed)
+    h, basis, system = random_sector(sector, rng)
+    psi0 = random_state(len(basis), rng)
+    width = 0.5 * float(system.eigenvalues[-1] - system.eigenvalues[0])
+    span = scale * dynamics.KRYLOV_DIM / width
+    times = np.linspace(start * span, (1.0 + start) * span, 701)
+    steps = krylov_steps(h, psi0, times)
+    assert len(steps) >= 3
+    assert sum(bound for *_, bound in steps) <= dynamics.KRYLOV_TOL
+    amplitudes, populations = direct_evolution(system, psi0, times, basis)
+    traj = dynamics.evolve(h, psi0, times, basis=basis)
+    assert np.max(np.abs(traj.amplitudes - amplitudes)) <= 1e-12
+    assert np.max(np.abs(traj.populations - populations)) <= 1e-12
+
+
+def test_krylov_restarts_keep_the_state_over_many_steps():
+    # Each step restarts Lanczos from the normalised state at the previous
+    # step's end; a restart that does not renormalise compounds its error.
+    n = dynamics.KRYLOV_MIN_DIM
+    h = uniform_ring(n)
+    psi0 = random_state(n, np.random.default_rng(7))
+    times = np.linspace(0.0, 400.0, 801)
+    steps = krylov_steps(h, psi0, times)
+    assert len(steps) >= 25
+    assert sum(bound for *_, bound in steps) <= dynamics.KRYLOV_TOL
+    system = dynamics.eigendecompose(h)
+    weights = system.eigenvectors.conj().T @ psi0
+    exact = (np.exp(-1j * np.outer(times, system.eigenvalues)) * weights) @ system.eigenvectors.T
+    traj = dynamics.evolve(h, psi0, times)
+    assert np.max(np.abs(traj.amplitudes - exact)) <= 1e-12
+
+
+def test_overlong_windows_are_refused_before_marching(monkeypatch):
+    n = dynamics.KRYLOV_MIN_DIM
+    h, psi0 = uniform_ring(n), dynamics.basis_state(n, 0)
+    runs = []
+    lanczos = dynamics._lanczos
+    monkeypatch.setattr(dynamics, "_lanczos", lambda *args: runs.append(1) or lanczos(*args))
+    with pytest.raises(OutOfRange, match="Krylov steps"):
+        dynamics.evolve(h, psi0, np.array([0.0, 1e300]))
+    assert len(runs) == 1
+    # The estimate adds the steps taken to the rest of the window over the
+    # current step: a cap of the steps a window takes lets it through, one
+    # less stops it at the first step forward, once the march back is done.
+    times = np.linspace(-200.0, 200.0, 401)
+    steps = krylov_steps(h, psi0, times)
+    back = sum(rows.stop <= 200 for rows, *_ in steps)
+    assert 0 < back < len(steps)
+    monkeypatch.setattr(dynamics, "KRYLOV_MAX_STEPS", len(steps))
+    assert len(krylov_steps(h, psi0, times)) == len(steps)
+    monkeypatch.setattr(dynamics, "KRYLOV_MAX_STEPS", len(steps) - 1)
+    runs.clear()
+    with pytest.raises(OutOfRange, match="Krylov steps"):
+        dynamics.evolve(h, psi0, times)
+    assert len(runs) == back + 1
+
+
+def test_cli_exits_3_on_an_overlong_window(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    out = tmp_path / "traj.csv"
+    argv = ["simulate", "--model", "ladder", "--n", str(workloads.DENSE_CELLS),
+            "--init", workloads.dense_pattern(0), "--tmax", "1e300", "--out", str(out)]
+    assert cli.main(argv) == 3
+    assert not out.exists()
+
+
+def test_stepped_amplitudes_ignore_later_changes_to_the_start():
+    n = dynamics.KRYLOV_MIN_DIM
+    psi0 = dynamics.basis_state(n, 0)
+    times = np.linspace(0.0, 30.0, 61)
+    traj = dynamics.evolve(uniform_ring(n), psi0, times)
+    psi0[:] = dynamics.basis_state(n, 5)
+    abs2 = traj.amplitudes.real**2 + traj.amplitudes.imag**2
+    assert np.max(np.abs(abs2 - traj.populations)) <= 1e-15
+
+
+def test_long_window_on_the_50_site_ladder_holds_a_fixed_krylov_array():
+    # 22 100 three-boson states over 20 pi: the one growing space of the
+    # whole window needed a (4352, 22100) Lanczos array, 1.43 GiB.
+    spec = cli.build_spec(cli.RunConfig(model="ladder", n=16))
+    basis = hilbert.enumerate_basis(spec.n_sites, 3, spec.statistics)
+    h = hilbert.build_hamiltonian(spec, basis)
+    psi0 = basis.unit_vector(hilbert.occupation(spec.n_sites, 2, 25, 26))
+    times = np.linspace(0.0, 20.0 * math.pi, 201)
+    tracemalloc.start()
+    try:
+        traj = dynamics.evolve(h, psi0, times, basis=basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(traj.populations.sum(axis=1) - 3.0)) <= 1e-9
+    # The Lanczos array, one amplitude block, its squares and the sparse H.
+    assert peak < 6 * dynamics.KRYLOV_DIM * len(basis) * 16
 
 
 @PROPERTY_SETTINGS
@@ -503,6 +639,10 @@ def test_defect_integral_bounds_a_fine_quadrature(m, seed, span):
     g = np.abs((np.exp(-1j * np.outer(s, system.eigenvalues)) * system.eigenvectors[0].conj())
                @ system.eigenvectors[-1])
     quadrature = (s[1] - s[0]) * (g.sum() - 0.5 * (g[0] + g[-1]))
+    # The closed form that sets step lengths bounds it too.  It is the leading
+    # term of g's Taylor series and ignores T's diagonal, so it is not a
+    # tight bound over long spans.
+    assert quadrature * (1 - 1e-6) - 1e-15 <= dynamics._power_bound(off, span)
     if math.isinf(bound):  # more than 8 m cells of width 1/max|E|: not evaluated
         assert span * 0.5 * (system.eigenvalues[-1] - system.eigenvalues[0]) > 8 * m - 1
         return
