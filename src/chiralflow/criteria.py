@@ -237,7 +237,7 @@ def hardcore_limit_study(u_over_j: float) -> HardcoreStudy:
 
     basis2 = enumerate_basis(3, 2, spec.statistics)
     system2 = eigendecompose(build_hamiltonian(spec, basis2))
-    single_occ = np.array([1.0 if max(s) == 1 else 0.0 for s in basis2.states])
+    single_occ = (basis2.occupations.max(axis=1) == 1).astype(float)
     weights = (np.abs(system2.eigenvectors) ** 2).T @ single_occ
     band = np.sort(system2.eigenvalues[np.argsort(weights)[-3:]])
     # Asymmetry of the hard-core band about its centroid: zero iff the levels

@@ -561,11 +561,23 @@ def first_peak_time(times: np.ndarray, trace: np.ndarray, threshold: float) -> f
 
 
 def rows_to_csv(rows, header: str) -> str:
-    """Render rows as CSV under a header line: floats (NumPy ones included)
-    with 12 significant digits, anything else through ``str``."""
+    """Render rows as CSV under a header line: floats (``np.float64``
+    included, ``np.float32`` not) with 12 significant digits, anything else
+    through ``str``.
+
+    Each row is formatted by one ``%`` format string, made once per tuple of
+    value types.
+    """
+    formats: dict[tuple[type, ...], str] = {}
     lines = [header]
-    lines += [",".join([f"{v:.12g}" if isinstance(v, float) else str(v) for v in row])
-              for row in rows]
+    for row in rows:
+        row = tuple(row)
+        types = tuple(map(type, row))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = ",".join(
+                ["%.12g" if issubclass(t, float) else "%s" for t in types])
+        lines.append(fmt % row)
     return "\n".join(lines) + "\n"
 
 

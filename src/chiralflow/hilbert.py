@@ -1,9 +1,12 @@
 """Occupation-number bases for fixed-excitation subspaces and operators on them.
 
 Site labels are 1-based throughout the public API (site ``n_sites`` is the
-last one); occupation vectors are plain tuples indexed 0-based.  Basis order
-is lexicographic descending on occupation vectors, so bases are reproducible
-across runs and platforms.  Sector Hamiltonians are kept as COO triplets
+last one).  A basis holds its occupation vectors as one read-only
+(dim, n_sites) unsigned-integer array, indexed 0-based by site, in
+lexicographic descending order, so bases are reproducible across runs and
+platforms.  States are ranked by binary search on byte keys of that order,
+and a Hamiltonian is assembled by applying each hopping to every state at
+once, with no loop over states.  Sector Hamiltonians are kept as COO triplets
 (:class:`HermitianMatrix`), so a large sector never needs a dense dim x dim
 array unless a caller asks for ``.matrix``.
 """
@@ -11,7 +14,6 @@ array unless a caller asks for ``.matrix``.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -78,29 +80,67 @@ class OnSite:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Ordered occupation-vector basis of a fixed-excitation subspace."""
+    """Ordered occupation-vector basis of a fixed-excitation subspace.
+
+    ``occupations`` is the read-only (dim, n_sites) unsigned-integer array of
+    the occupation vectors, row i being basis state i.  The sizes and the
+    statistics determine the states, so bases compare by those alone.
+    ``build_hamiltonian`` keeps the structure of each tuple of hopping pairs
+    and on-site sites it has assembled on the basis, so a later spec with the
+    same ones only fills in values.
+    """
 
     n_sites: int
     n_excitations: int
     statistics: Statistics
-    states: tuple[tuple[int, ...], ...]
-    index: dict = field(repr=False)
+    occupations: np.ndarray = field(repr=False, compare=False)
+    _patterns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.occupations.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return self.occupations.shape[0]
+
+    @functools.cached_property
+    def states(self) -> tuple[tuple[int, ...], ...]:
+        """The occupation vectors as tuples of ints, in basis order."""
+        return tuple(map(tuple, self.occupations.tolist()))
+
+    @functools.cached_property
+    def _keys(self) -> np.ndarray:
+        return _order_keys(self.occupations)
 
     def occupation_matrix(self) -> np.ndarray:
-        """(dim, n_sites) array with occupations of every basis state."""
-        return np.array(self.states, dtype=float).reshape(len(self.states), self.n_sites)
+        """(dim, n_sites) float array with occupations of every basis state."""
+        return self.occupations.astype(float)
 
     def state_index(self, occupations) -> int:
-        return self.index[tuple(int(n) for n in occupations)]
+        """Position of an occupation vector in the basis; KeyError if it is
+        not a state of the basis."""
+        occ = tuple(int(n) for n in occupations)
+        cap = self.statistics.site_cap(self.n_excitations)
+        if (len(occ) != self.n_sites or sum(occ) != self.n_excitations
+                or not all(0 <= n <= cap for n in occ)):
+            raise KeyError(occ)
+        key = _order_keys(np.array([occ], dtype=self.occupations.dtype))
+        return int(np.searchsorted(self._keys, key)[0])
 
     def unit_vector(self, occupations) -> np.ndarray:
         """Basis vector of one occupation pattern, as complex amplitudes."""
-        vec = np.zeros(len(self.states), dtype=complex)
+        vec = np.zeros(len(self), dtype=complex)
         vec[self.state_index(occupations)] = 1.0
         return vec
+
+
+def _order_keys(occupations: np.ndarray) -> np.ndarray:
+    """One bytes key per row of an unsigned occupation array, ascending in
+    the basis order: each occupation n becomes the big-endian bytes of
+    M - n, M the largest value of the dtype, so descending lexicographic
+    order on the rows is ascending byte order on the keys."""
+    flipped = (np.iinfo(occupations.dtype).max - occupations).astype(
+        occupations.dtype.newbyteorder(">"))
+    return flipped.view(f"S{flipped.shape[1] * flipped.itemsize}").ravel()
 
 
 def occupation(n_sites: int, *sites: int) -> tuple[int, ...]:
@@ -156,13 +196,34 @@ class HermitianMatrix:
         return m
 
 
-def _capped_occupations(n_sites: int, n_excitations: int, cap: int) -> list[tuple[int, ...]]:
-    """Occupation vectors in descending lexicographic order: the ascending
-    site multisets that ``itertools`` yields map onto exactly that order."""
-    choose = itertools.combinations if cap == 1 else itertools.combinations_with_replacement
-    multisets = choose(range(1, n_sites + 1), n_excitations)
-    states = (occupation(n_sites, *sites) for sites in multisets)
-    return [state for state in states if max(state) <= cap]
+def _capped_occupations(n_sites: int, n_excitations: int, cap: int) -> np.ndarray:
+    """Occupation vectors with every site at most ``cap``, as a (dim, n_sites)
+    array in descending lexicographic order.
+
+    Built one site at a time: each partial vector branches into the
+    occupations its site can take, largest first, with enough room left on
+    the later sites for the rest, so every branch completes and the branches
+    come out in order.  A site keeps only its branch values and their
+    parents; the vectors are read back from the last site.
+    """
+    left = np.array([n_excitations])  # excitations still to place, per branch
+    levels = []
+    for site in range(n_sites):
+        high = np.minimum(left, cap)
+        low = np.maximum(left - cap * (n_sites - 1 - site), 0)
+        counts = high - low + 1
+        parent = np.repeat(np.arange(left.size), counts)
+        firsts = np.cumsum(counts) - counts
+        value = high[parent] - (np.arange(parent.size) - firsts[parent])
+        left = left[parent] - value
+        levels.append((value, parent))
+    occupations = np.empty((left.size, n_sites), dtype=np.min_scalar_type(cap))
+    branch = np.arange(left.size)
+    for site in reversed(range(n_sites)):
+        value, parent = levels[site]
+        occupations[:, site] = value[branch]
+        branch = parent[branch]
+    return occupations
 
 
 def enumerate_basis(n_sites: int, n_excitations: int, statistics: Statistics) -> SubspaceBasis:
@@ -180,9 +241,55 @@ def enumerate_basis(n_sites: int, n_excitations: int, statistics: Statistics) ->
         raise CapacityOverflow(
             f"cap {cap} on {n_sites} sites cannot hold {n_excitations} excitations"
         )
-    states = tuple(_capped_occupations(n_sites, n_excitations, cap))
-    index = {state: i for i, state in enumerate(states)}
-    return SubspaceBasis(n_sites, n_excitations, statistics, states, index)
+    return SubspaceBasis(n_sites, n_excitations, statistics,
+                         _capped_occupations(n_sites, n_excitations, cap))
+
+
+def _pattern(basis: SubspaceBasis, pairs: tuple[tuple[int, int], ...],
+             sites: tuple[int, ...]):
+    """The structure that hoppings between the (j, k) ``pairs`` and on-site
+    terms on ``sites`` (1-based, like j and k) give on a basis, computed once
+    per pair and site tuple and kept on the basis.
+
+    Returns ``(rows, cols, hop, sqrt_src, sqrt_dst, n)``.  Hopping entry e
+    moves one excitation from site k to site j of state ``cols[2e]`` by
+    hopping ``hop[e]``, landing on state ``rows[2e]``; entries run hop by hop
+    and by state within a hop, and each is followed by its mirror at
+    ``(rows[2e + 1], cols[2e + 1])``.  ``sqrt_src`` and ``sqrt_dst`` are
+    sqrt(n_k) and sqrt(n_j + 1) of the state moved from.  Hops that would
+    exceed the occupation cap land outside the basis and are left out.  The
+    diagonal of each on-site term follows, state by state, and ``n`` holds
+    the float occupations of its site, one row per term.
+    """
+    key = (pairs, sites)
+    pattern = basis._patterns.get(key)
+    if pattern is not None:
+        return pattern
+    occ = basis.occupations
+    cap = basis.statistics.site_cap(basis.n_excitations)
+    dst = np.array([j - 1 for j, _ in pairs], dtype=np.intp)
+    src = np.array([k - 1 for _, k in pairs], dtype=np.intp)
+    movable = (occ[:, src] > 0) & ((occ[:, dst] < cap) | (dst == src))
+    hop, col = np.nonzero(movable.T)  # hop-major, by state within a hop
+    moved = occ[col]
+    entry = np.arange(col.size)
+    moved[entry, src[hop]] -= 1
+    moved[entry, dst[hop]] += 1
+    row = np.searchsorted(basis._keys, _order_keys(moved))
+    diagonal = np.tile(np.arange(len(basis)), len(sites))
+    rows = np.empty(2 * col.size + diagonal.size, dtype=np.intp)
+    cols = np.empty_like(rows)
+    rows[0:2 * col.size:2] = cols[1:2 * col.size:2] = row
+    rows[1:2 * col.size:2] = cols[0:2 * col.size:2] = col
+    rows[2 * col.size:] = cols[2 * col.size:] = diagonal
+    sqrt_src = np.sqrt(occ[col, src[hop]].astype(float))
+    sqrt_dst = np.sqrt(occ[col, dst[hop]].astype(float) + 1.0)
+    n = occ[:, [j - 1 for j in sites]].T.astype(float)
+    pattern = (rows, cols, hop, sqrt_src, sqrt_dst, n)
+    for arr in pattern:
+        arr.setflags(write=False)
+    basis._patterns[key] = pattern
+    return pattern
 
 
 def build_hamiltonian(spec, basis: SubspaceBasis) -> HermitianMatrix:
@@ -193,7 +300,9 @@ def build_hamiltonian(spec, basis: SubspaceBasis) -> HermitianMatrix:
     fixed-excitation block; it commutes with the total number operator by
     construction.  Hops that would exceed the occupation cap (a spin site holds
     one) are dropped, because the target state is outside the basis; that
-    keeps the truncation Hermitian.
+    keeps the truncation Hermitian.  The structure of the block is computed
+    once per basis and tuple of hopping pairs and on-site sites; a later spec
+    with the same ones only fills in the values.
     """
     if spec.n_sites != basis.n_sites:
         raise SpecMismatch(
@@ -201,37 +310,25 @@ def build_hamiltonian(spec, basis: SubspaceBasis) -> HermitianMatrix:
         )
     if spec.statistics != basis.statistics:
         raise SpecMismatch("spec and basis disagree on statistics")
-    # Each hopping entry is followed by its conjugate mirror, and the on-site
-    # terms come last, state by state: the order of a dense ``+=`` loop.
-    rows: list[int] = []
-    cols: list[int] = []
-    values: list[complex] = []
     for hop in spec.hoppings:
         if not (1 <= hop.j <= spec.n_sites and 1 <= hop.k <= spec.n_sites):
             raise SpecMismatch(f"hopping {hop} references a nonexistent site")
-        coeff = hop.coefficient()
-        d, s = hop.j - 1, hop.k - 1
-        for col, state in enumerate(basis.states):
-            if state[s] == 0:
-                continue
-            moved = list(state)
-            moved[s] -= 1
-            moved[d] += 1
-            row = basis.index.get(tuple(moved))
-            if row is None:  # outside the occupation cap
-                continue
-            amp = coeff * math.sqrt(state[s]) * math.sqrt(state[d] + 1)
-            rows += (row, col)
-            cols += (col, row)
-            values += (amp, amp.conjugate())
     for term in spec.onsite:
         if not 1 <= term.j <= spec.n_sites:
             raise SpecMismatch(f"on-site term {term} references a nonexistent site")
-        for i, state in enumerate(basis.states):
-            n = state[term.j - 1]
-            rows.append(i)
-            cols.append(i)
-            values.append(term.delta_omega * n + term.kerr_u * n * n)
+    rows, cols, hop, sqrt_src, sqrt_dst, n = _pattern(
+        basis, tuple((h.j, h.k) for h in spec.hoppings),
+        tuple(term.j for term in spec.onsite))
+    # Each hopping entry is followed by its conjugate mirror, and the on-site
+    # terms come last, state by state: the order of a dense ``+=`` loop.
+    coeffs = np.array([h.coefficient() for h in spec.hoppings], dtype=complex)
+    amp = coeffs[hop] * sqrt_src * sqrt_dst
+    values = np.empty(rows.size, dtype=complex)
+    values[0:2 * amp.size:2] = amp
+    values[1:2 * amp.size:2] = amp.conj()
+    if spec.onsite:
+        terms = np.array([(t.delta_omega, t.kerr_u) for t in spec.onsite], dtype=float)
+        values[2 * amp.size:] = (terms[:, :1] * n + terms[:, 1:] * n * n).ravel()
     return HermitianMatrix(len(basis), rows, cols, values)
 
 
@@ -248,4 +345,8 @@ def full_space_index(state, local_dim: int = 2) -> int:
 
 def embedding_indices(basis: SubspaceBasis, local_dim: int = 2) -> np.ndarray:
     """Full tensor-space index of every basis state, in basis order."""
-    return np.array([full_space_index(s, local_dim) for s in basis.states], dtype=int)
+    top = int(basis.occupations.max())
+    if top >= local_dim:
+        raise CapacityOverflow(f"occupation {top} exceeds local dimension {local_dim}")
+    weights = np.array([local_dim ** p for p in reversed(range(basis.n_sites))], dtype=np.int64)
+    return basis.occupations @ weights

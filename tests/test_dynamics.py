@@ -671,3 +671,30 @@ def first_peak_index_reference(trace, threshold):
 def test_first_peak_index_matches_loop(values, threshold):
     trace = np.array(values, dtype=float)
     assert dynamics._first_peak_index(trace, threshold) == first_peak_index_reference(trace, threshold)
+
+
+def rows_to_csv_reference(rows, header):
+    """F-string form of ``dynamics.rows_to_csv``: ``.12g`` for every float
+    (``np.float64`` is one, ``np.float32`` is not), ``str`` otherwise."""
+    lines = [header]
+    lines += [",".join([f"{v:.12g}" if isinstance(v, float) else str(v) for v in row])
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+special_floats = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                                  -2.2250738585072014e-308, 1e-310, 1.7976931348623157e308])
+csv_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), special_floats,
+    special_floats.map(np.float64), st.floats(width=64).map(np.float64),
+    st.floats(width=32).map(np.float32), st.integers(), st.integers(-9, 9).map(np.int64),
+    st.booleans(), st.text(max_size=5), st.just("%s%%"))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(st.lists(st.lists(csv_values, max_size=6).map(tuple), max_size=8))
+def test_rows_to_csv_matches_the_fstring_writer(rows):
+    # Rows of repeated value types reuse one format string.
+    rows = rows + rows[::-1]
+    assert dynamics.rows_to_csv(rows, "h") == rows_to_csv_reference(rows, "h")
+    assert dynamics.rows_to_csv([list(r) for r in rows], "h") == rows_to_csv_reference(rows, "h")

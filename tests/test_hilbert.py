@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chiralflow import hilbert, models
@@ -66,12 +66,12 @@ def embed_state(amplitudes, basis, local_dim=2):
 
 
 def brute_force_states(n_sites, n_exc, cap):
-    """Independent enumeration: filter the full occupation product."""
-    states = [
-        occ for occ in itertools.product(range(cap + 1), repeat=n_sites)
-        if sum(occ) == n_exc
-    ]
-    return sorted(states, reverse=True)
+    """Independent enumeration: filter the full occupation product, site by
+    site, dropping partial vectors that already hold more than n_exc."""
+    partial = [()]
+    for _ in range(n_sites):
+        partial = [p + (n,) for p in partial for n in range(cap + 1) if sum(p) + n <= n_exc]
+    return sorted((p for p in partial if sum(p) == n_exc), reverse=True)
 
 
 def test_single_excitation_basis():
@@ -138,8 +138,57 @@ def test_enumeration_is_sorted_filtered_product(statistics):
 def test_index_is_inverse_of_states():
     basis = hilbert.enumerate_basis(6, 3, Statistics.boson())
     for i, state in enumerate(basis.states):
-        assert basis.index[state] == i
+        assert basis.state_index(state) == i
+        assert basis.state_index(np.array(state)) == i
     assert len(set(basis.states)) == len(basis)
+    for outside in [(1, 1, 1, 0, 0), (1, 1, 1, 0, 0, 1), (4, 0, 0, 0, 0, -1)]:
+        with pytest.raises(KeyError):
+            basis.state_index(outside)
+    with pytest.raises(KeyError):
+        hilbert.enumerate_basis(4, 2, Statistics.spin()).unit_vector((2, 0, 0, 0))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 9), st.integers(0, 5), st.sampled_from([None, 1, 2, 3]))
+@example(9, 0, None)
+@example(9, 5, None)
+@example(9, 5, 1)
+@example(1, 5, 3)
+def test_array_basis_is_the_brute_force_enumeration(n_sites, n_exc, cap):
+    statistics = Statistics.boson(cap)
+    expected = brute_force_states(n_sites, n_exc, statistics.site_cap(n_exc))
+    if not expected:
+        with pytest.raises(CapacityOverflow):
+            hilbert.enumerate_basis(n_sites, n_exc, statistics)
+        return
+    basis = hilbert.enumerate_basis(n_sites, n_exc, statistics)
+    occ = basis.occupations
+    assert occ.dtype.kind == "u" and not occ.flags.writeable
+    assert occ.shape == (len(expected), n_sites) == (len(basis), n_sites)
+    assert np.array_equal(occ, np.array(expected).reshape(occ.shape))
+    assert basis.states == tuple(expected)
+    assert np.array_equal(basis.occupation_matrix(), occ.astype(float))
+    assert [basis.state_index(state) for state in expected] == list(range(len(expected)))
+
+
+def test_basis_above_255_excitations():
+    basis = hilbert.enumerate_basis(2, 300, Statistics.boson())
+    assert basis.occupations.dtype == np.uint16
+    assert basis.states == tuple((300 - k, k) for k in range(301))
+    assert basis.state_index((45, 255)) == 255 and basis.state_index((0, 300)) == 300
+    spec = SimpleNamespace(n_sites=2, hoppings=(Hopping(1, 2, 0.7, 0.3), Hopping(2, 1, 1.1, -2.0)),
+                           onsite=(OnSite(2, 0.25, 0.5),), statistics=Statistics.boson())
+    h = hilbert.build_hamiltonian(spec, basis)
+    assert_triplets_match_loop(h, spec, basis)
+    assert np.array_equal(h.matrix.view(np.uint64), dense_hamiltonian(spec, basis).view(np.uint64))
+
+
+def test_bases_compare_by_sector_not_by_array():
+    a = hilbert.enumerate_basis(5, 2, Statistics.boson())
+    b = hilbert.enumerate_basis(5, 2, Statistics.boson())
+    assert a == b and hash(a) == hash(b) and a.occupations is not b.occupations
+    assert a != hilbert.enumerate_basis(5, 2, Statistics.boson(1))
+    assert "occupations" not in repr(a)
 
 
 def test_enumeration_errors():
@@ -234,10 +283,12 @@ def test_number_operator_commutes_exactly():
     assert np.max(np.abs(h @ n_op - n_op @ h)) == 0.0
 
 
-def dense_hamiltonian(spec, basis):
-    """The dense assembly loop: each hopping entry and its mirror are added
-    into a zero dim x dim matrix, then the on-site terms, state by state."""
-    h = np.zeros((len(basis), len(basis)), dtype=complex)
+def loop_triplets(spec, basis):
+    """The assembly loop over states: each hopping entry followed by its
+    mirror, hop by hop and state by state, then the on-site terms.  Moved
+    states are ranked through a dict built here from ``basis.states``."""
+    index = {state: i for i, state in enumerate(basis.states)}
+    triplets = []
     for hop in spec.hoppings:
         coeff = hop.coefficient()
         d, s = hop.j - 1, hop.k - 1
@@ -247,17 +298,35 @@ def dense_hamiltonian(spec, basis):
             moved = list(state)
             moved[s] -= 1
             moved[d] += 1
-            row = basis.index.get(tuple(moved))
+            row = index.get(tuple(moved))
             if row is None:
                 continue
             amp = coeff * math.sqrt(state[s]) * math.sqrt(state[d] + 1)
-            h[row, col] += amp
-            h[col, row] += amp.conjugate()
+            triplets += [(row, col, amp), (col, row, amp.conjugate())]
     for term in spec.onsite:
         for i, state in enumerate(basis.states):
             n = state[term.j - 1]
-            h[i, i] += term.delta_omega * n + term.kerr_u * n * n
+            triplets.append((i, i, complex(term.delta_omega * n + term.kerr_u * n * n)))
+    return triplets
+
+
+def dense_hamiltonian(spec, basis):
+    """The dense assembly loop: the triplets of ``loop_triplets`` added in
+    order into a zero dim x dim matrix."""
+    h = np.zeros((len(basis), len(basis)), dtype=complex)
+    for row, col, value in loop_triplets(spec, basis):
+        h[row, col] += value
     return h
+
+
+def assert_triplets_match_loop(h, spec, basis):
+    """Rows, columns and values equal the loop's, bit for bit and in order."""
+    triplets = loop_triplets(spec, basis)
+    rows = np.array([t[0] for t in triplets], dtype=np.intp)
+    cols = np.array([t[1] for t in triplets], dtype=np.intp)
+    values = np.array([t[2] for t in triplets], dtype=complex)
+    assert np.array_equal(h.rows, rows) and np.array_equal(h.cols, cols)
+    assert np.array_equal(h.values.view(np.uint64), values.view(np.uint64))
 
 
 @st.composite
@@ -290,6 +359,39 @@ def test_triplets_scatter_to_the_dense_loop_bit_for_bit(case):
     assert h.dim == len(basis)
     assert np.array_equal(h.matrix.view(np.uint64), expected.view(np.uint64))
     assert not h.matrix.flags.writeable
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(raw_networks(), st.integers(0, 2**32 - 1))
+def test_triplets_are_the_loop_triplets_bit_for_bit(case, seed):
+    spec, n_exc = case
+    rng = np.random.default_rng(seed)
+    # Kerr terms on every site, with zeros of both signs among the values.
+    kerr = tuple(OnSite(j, float(rng.choice([0.0, -0.0, rng.normal()])), float(rng.normal()))
+                 for j in range(1, spec.n_sites + 1))
+    spec = SimpleNamespace(**{**vars(spec), "onsite": spec.onsite + kerr})
+    basis = hilbert.enumerate_basis(spec.n_sites, n_exc, spec.statistics)
+    assert_triplets_match_loop(hilbert.build_hamiltonian(spec, basis), spec, basis)
+
+
+def test_pattern_reuse_fills_values_for_each_spec():
+    basis = hilbert.enumerate_basis(5, 3, Statistics.boson(2))
+    kerr = (OnSite(2, 0.3, 0.7), OnSite(5, -0.1, 0.2))
+    first = SimpleNamespace(n_sites=5, statistics=Statistics.boson(2), onsite=kerr, hoppings=(
+        Hopping(1, 2, 1.0, 0.5), Hopping(2, 3, 0.4, -1.0), Hopping(4, 5, 2.0, 3.0)))
+    # Equal pairs and sites, other amplitudes, phases and on-site values.
+    second = SimpleNamespace(**{**vars(first), "hoppings": tuple(
+        Hopping(h.j, h.k, h.amplitude + 0.25, h.phase - 0.5) for h in first.hoppings),
+        "onsite": tuple(OnSite(t.j, 2.0 * t.kerr_u, t.delta_omega) for t in kerr)})
+    # Other pairs, and other sites, of the same counts.
+    third = SimpleNamespace(**{**vars(first), "hoppings": (
+        Hopping(1, 3, 1.0, 0.5), Hopping(2, 3, 0.4, -1.0), Hopping(5, 4, 2.0, 3.0))})
+    fourth = SimpleNamespace(**{**vars(first), "onsite": (OnSite(1, 0.3, 0.7), OnSite(5, -0.1, 0.2))})
+    for spec in (first, second, third, fourth, first, third):
+        assert_triplets_match_loop(hilbert.build_hamiltonian(spec, basis), spec, basis)
+    # A fresh basis of the same sector gives the same triplets.
+    fresh = hilbert.build_hamiltonian(third, hilbert.enumerate_basis(5, 3, Statistics.boson(2)))
+    assert_triplets_match_loop(fresh, third, basis)
 
 
 def test_hermitian_matrix_rejects_negative_indices():
@@ -367,3 +469,11 @@ def test_full_space_embedding():
     vec = embed_state(np.array([1.0, 2.0, 3.0], dtype=complex), basis)
     assert vec[4] == 1.0 and vec[2] == 2.0 and vec[1] == 3.0
     assert np.sum(np.abs(vec)) == 6.0
+
+
+def test_embedding_indices_are_the_digit_expansion():
+    basis = hilbert.enumerate_basis(4, 3, Statistics.boson())
+    expected = [hilbert.full_space_index(state, 4) for state in basis.states]
+    assert hilbert.embedding_indices(basis, 4).tolist() == expected
+    with pytest.raises(CapacityOverflow):
+        hilbert.embedding_indices(basis, 3)
