@@ -112,8 +112,9 @@ class Trajectory:
         return amplitudes
 
     def node_population(self, node: int) -> np.ndarray:
-        """Population trace of a 1-based node label."""
-        return self.populations[:, node - 1]
+        """Population trace of a 1-based node label; OutOfRange outside
+        1..n_nodes."""
+        return self.populations[:, _node_columns([node], self.populations.shape[-1])[0]]
 
 
 class Direction(Enum):
@@ -199,18 +200,20 @@ def evolve(h: HermitianMatrix, psi0, times, basis: SubspaceBasis | None = None,
 
 
 def _populations(phases: np.ndarray, modes: np.ndarray, occupations: np.ndarray | None,
-                 out: np.ndarray | None = None) -> np.ndarray:
+                 out: np.ndarray | None = None,
+                 abs2_out: np.ndarray | None = None) -> np.ndarray:
     """Populations of the amplitudes ``phases @ modes``, checked for norm.
 
     ``phases`` is (..., n_times, m) and ``modes`` (..., m, dim), with any
-    leading batch axes; the amplitudes are multiplied into ``out`` when it is
-    given.  The result is |amplitude|^2 per basis state, or with a
-    (dim, n_nodes) occupation matrix the occupation-weighted node
-    populations.  Raises ValueError when a row's norm is off by more than
-    ``NORM_TOL``.
+    leading batch axes; the amplitudes are multiplied into ``out``, and
+    their |amplitude|^2 written to ``abs2_out``, when those are given.  The
+    result is |amplitude|^2 per basis state, or with a (dim, n_nodes)
+    occupation matrix the occupation-weighted node populations.  Raises
+    ValueError when a row's norm is off by more than ``NORM_TOL``.
     """
     amplitudes = np.matmul(phases, modes, out=out)
-    abs2 = amplitudes.real**2 + amplitudes.imag**2
+    abs2 = np.square(amplitudes.real, out=abs2_out)
+    abs2 += np.square(amplitudes.imag)
     # Negated so that NaN amplitudes (from a non-finite time) fail the check.
     if not float(np.max(np.abs(abs2 @ np.ones(abs2.shape[-1]) - 1.0))) <= NORM_TOL:
         raise ValueError("evolution failed to conserve the norm")
@@ -418,24 +421,49 @@ def _outer(times: np.ndarray, energies: np.ndarray) -> np.ndarray:
 def _weighted_phases(times: np.ndarray, energies: np.ndarray,
                      weights: np.ndarray) -> np.ndarray:
     """weights * exp(-i E t) as a (times, energies) table, with the leading
-    batch axes of ``energies`` and ``weights`` in front.
+    batch axes of ``energies`` in front; ``weights`` broadcasts against
+    ``energies``.
 
-    A grid uniform to rounding, |t_j - (t_0 + j step)| <= 8 eps max(1, max|t|),
-    takes the factorised ``_uniform_phases`` with the weights folded into Q;
-    any other grid, and any grid with a non-finite time, takes the direct
-    exponential.
+    A grid uniform to rounding takes the factors of ``_grid_factors``
+    multiplied out by ``_factor_table``; any other grid, and any grid with a
+    non-finite time, takes the direct exponential.
     """
+    out = np.empty(energies.shape[:-1] + (times.size, energies.shape[-1]), dtype=complex)
+    factors = _grid_factors(times, energies, weights)
+    if factors is None:
+        return np.multiply(np.exp(-1j * _outer(times, energies)), weights[..., None, :], out=out)
+    return _factor_table(*factors, out)
+
+
+def _grid_factors(times: np.ndarray, energies: np.ndarray,
+                  weights: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The factors P and Q * weights of ``_uniform_phases`` on a grid uniform
+    to rounding, |t_j - (t_0 + j step)| <= 8 eps max(1, max|t|); None on any
+    other grid, and on any grid with a non-finite time."""
     count = times.size
     step = (times[-1] - times[0]) / (count - 1) if count > 1 else 0.0
     tol = 8.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(times))))
-    weights = weights[..., None, :]
     # Negated so that NaN or inf times fall to the direct path.
     if not float(np.max(np.abs(times - (times[0] + np.arange(count) * step)))) <= tol:
-        return np.exp(-1j * _outer(times, energies)) * weights
+        return None
     big, small = _uniform_phases(times[0], step, count, energies)
-    small *= weights
-    table = big[..., :, None, :] * small[..., None, :, :]
-    return table.reshape(table.shape[:-3] + (-1, energies.shape[-1]))[..., :count, :]
+    small *= weights[..., None, :]
+    return big, small
+
+
+def _factor_table(big: np.ndarray, small: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill the (..., count, energies) ``out`` with the row-major products of
+    the rows of P and Q from ``_uniform_phases``: row a*K + b is P[a] * Q[b],
+    K the rows of Q.  The full blocks of K rows come first, then the first
+    rows of the last block."""
+    count, width = out.shape[-2], small.shape[-2]
+    full = count // width
+    head = out[..., :full * width, :]
+    np.multiply(big[..., :full, None, :], small[..., None, :, :],
+                out=head.reshape(head.shape[:-2] + (full, width, head.shape[-1])))
+    np.multiply(big[..., full:full + 1, :], small[..., :count - full * width, :],
+                out=out[..., full * width:, :])
+    return out
 
 
 def simulate(spec, occupation, times) -> Trajectory:
@@ -479,14 +507,24 @@ def average_fidelity(populations: np.ndarray, corner_nodes):
     single trajectory).  The per-node modulus is sqrt of the node population,
     which reduces to |C_j(t)| in a single-excitation sector; the root is
     taken after the time maximum, which is bitwise the same because a
-    correctly rounded sqrt is monotone.
+    correctly rounded sqrt is monotone.  A label outside 1..n_nodes raises
+    OutOfRange.
     """
-    corner_nodes = [j - 1 for j in corner_nodes]
+    corner_nodes = _node_columns(corner_nodes, populations.shape[-1])
     if populations.shape[-2] == 0 or not corner_nodes:
         raise EmptyWindow("trajectory window or node list is empty")
     # Indexing copies the columns out node-major, so the time maximum runs
     # over contiguous memory instead of a strided middle axis.
     return np.sqrt(populations[..., corner_nodes].max(axis=-2)).mean(axis=-1)
+
+
+def _node_columns(nodes, n_nodes: int) -> list[int]:
+    """0-based columns of 1-based node labels; OutOfRange for a label outside
+    1..n_nodes, which would otherwise wrap around to another node."""
+    columns = [j - 1 for j in nodes]
+    if not all(0 <= c < n_nodes for c in columns):
+        raise OutOfRange(f"node labels {[c + 1 for c in columns]} outside 1..{n_nodes}")
+    return columns
 
 
 def _first_peak_index(trace: np.ndarray, threshold: float) -> int | None:

@@ -15,21 +15,24 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import (
+    _factor_table,
+    _grid_factors,
     _populations,
     _uniform_phases,
-    _weighted_phases,
     average_fidelity,
     eigendecompose,
     evolve,
 )
 from .errors import BadInitial, ConfigError, NotSpin
 from .hilbert import (
+    Hopping,
     OnSite,
     build_hamiltonian,
     embedding_indices,
     enumerate_basis,
     full_space_index,
     occupation,
+    stacked_matrices,
 )
 from .models import NetworkSpec, ladder
 
@@ -96,22 +99,26 @@ def perturbed_spec(base: NetworkSpec, kind: str, amplitude: float,
         for hop, d in zip(base.hoppings, deltas):
             amp = hop.amplitude + float(d)
             if amp >= 0:
-                hops.append(replace(hop, amplitude=amp))
+                hops.append(Hopping(hop.j, hop.k, amp, hop.phase))
             else:
-                hops.append(replace(hop, amplitude=-amp, phase=hop.phase + math.pi))
+                hops.append(Hopping(hop.j, hop.k, -amp, hop.phase + math.pi))
         return replace(base, hoppings=tuple(hops))
     if kind == HOPPING_PHASE:
         deltas = rng.uniform(-amplitude, amplitude, len(base.hoppings))
-        hops = tuple(replace(hop, phase=hop.phase + float(d))
+        hops = tuple(Hopping(hop.j, hop.k, hop.amplitude, hop.phase + float(d))
                      for hop, d in zip(base.hoppings, deltas))
         return replace(base, hoppings=hops)
     raise ValueError(f"unknown disorder kind {kind!r}")
 
 
-# Disorder samples carried through assembly, eigh and populations at once.
-# A block's arrays take about 0.5 MB per sample.  On a 2-vCPU host, 2400
-# four-node samples took 0.73 s in blocks of 4 against 0.79 s in blocks of 2;
-# blocks of 8 and 16 were no faster and cost more memory.
+# Disorder samples assembled and diagonalised at once (a chunk), and within a
+# chunk the samples whose populations are formed at once (a block).  A
+# chunk's phase factors take 6.5 kB per sample, a block's buffers 320 kB per
+# sample.  On a 2-vCPU host the 2400 four-node samples of the default study
+# took 0.54 s in chunks of 4, 0.38 s in chunks of 20 or 40 and 0.37 s, the
+# same within noise, in chunks of 80 (medians of 15); in chunks of 40,
+# blocks of 2, 8 and 16 took 0.41-0.44 s.
+_SAMPLE_CHUNK = 40
 _SAMPLE_BLOCK = 4
 
 
@@ -120,11 +127,15 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[D
 
     Every sample redraws all perturbations, evolves one chiral cycle (1601
     points on [0, pi]) from node 1 and records the average over ring nodes
-    of the peak amplitude modulus.  Samples are evaluated in stacked blocks
-    of ``_SAMPLE_BLOCK`` on one shared one-excitation basis: one ``eigh``
-    and one population pass per block.  The sector is small, so the sweep
-    always uses the full eigensystem, never the Krylov branch of ``evolve``;
-    each sample's fidelity is bitwise what ``simulate`` and
+    of the peak amplitude modulus.  The samples of an amplitude run in
+    chunks of ``_SAMPLE_CHUNK`` on one shared one-excitation basis: one
+    stacked assembly and one ``eigh`` per chunk.  Within a chunk the phase
+    table, the amplitudes and their |amplitude|^2 are formed in blocks of
+    ``_SAMPLE_BLOCK`` samples, in buffers allocated once per sweep, so
+    memory does not grow with the sample count.  Basis state i is node
+    i + 1, so the |amplitude|^2 are the node populations.  The sector is small,
+    so the sweep always uses the full eigensystem, never the Krylov branch
+    of ``evolve``; each sample's fidelity is bitwise what ``simulate`` and
     ``average_fidelity`` give it alone.
     """
     times = np.linspace(0.0, math.pi, 1601)
@@ -135,24 +146,27 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[D
             raise ConfigError(f"disorder amplitude {amplitude} must be >= 0, with 2a finite")
     basis = enumerate_basis(base.n_sites, 1, base.statistics)
     psi0 = basis.unit_vector(occupation(base.n_sites, 1))
-    occupations = basis.occupation_matrix()
+    phases = np.empty((min(_SAMPLE_BLOCK, cfg.samples), times.size, len(basis)), dtype=complex)
+    states = np.empty_like(phases)
+    abs2 = np.empty(phases.shape)
     points = []
     for a_idx, amplitude in enumerate(amplitudes):
         results = np.empty(cfg.samples)
-        for lo in range(0, cfg.samples, _SAMPLE_BLOCK):
+        for lo in range(0, cfg.samples, _SAMPLE_CHUNK):
             specs = [perturbed_spec(base, cfg.kind, amplitude,
                                     np.random.default_rng((cfg.seed, a_idx, sample_idx)))
-                     for sample_idx in range(lo, min(lo + _SAMPLE_BLOCK, cfg.samples))]
-            stack = np.array([build_hamiltonian(spec, basis).matrix for spec in specs])
-            energies, vectors = np.linalg.eigh(stack)
+                     for sample_idx in range(lo, min(lo + _SAMPLE_CHUNK, cfg.samples))]
+            energies, vectors = np.linalg.eigh(stacked_matrices(specs, basis))
             modes = vectors.swapaxes(-1, -2)
-            # ``populations`` stays bound until the next block's exist.  Freeing
-            # every array of a block at once let the allocator return the heap
-            # top to the OS after each block; refaulting it cost about 0.3 s
-            # per 2400 samples.
-            populations = _populations(_weighted_phases(times, energies, modes.conj() @ psi0),
-                                       modes, occupations)
-            results[lo:lo + len(specs)] = average_fidelity(populations, base.ring_nodes)
+            big, small = _grid_factors(times, energies, modes.conj() @ psi0)
+            for first in range(0, len(specs), _SAMPLE_BLOCK):
+                n = min(_SAMPLE_BLOCK, len(specs) - first)
+                block = slice(first, first + n)
+                _factor_table(big[block], small[block], phases[:n])
+                # Without an occupation matrix these are |amplitude|^2 per
+                # basis state, which are the node populations.
+                _populations(phases[:n], modes[block], None, out=states[:n], abs2_out=abs2[:n])
+                results[lo + first:lo + first + n] = average_fidelity(abs2[:n], base.ring_nodes)
         mean = float(np.mean(results))
         stderr = float(np.std(results, ddof=1) / math.sqrt(cfg.samples)) if cfg.samples > 1 else 0.0
         points.append(DisorderPoint(amplitude, mean, stderr, cfg.samples))

@@ -8,7 +8,8 @@ platforms.  States are ranked by binary search on byte keys of that order,
 and a Hamiltonian is assembled by applying each hopping to every state at
 once, with no loop over states.  Sector Hamiltonians are kept as COO triplets
 (:class:`HermitianMatrix`), so a large sector never needs a dense dim x dim
-array unless a caller asks for ``.matrix``.
+array unless a caller asks for ``.matrix``, or for the stacked dense
+matrices of many small specs through ``stacked_matrices``.
 """
 
 from __future__ import annotations
@@ -292,18 +293,9 @@ def _pattern(basis: SubspaceBasis, pairs: tuple[tuple[int, int], ...],
     return pattern
 
 
-def build_hamiltonian(spec, basis: SubspaceBasis) -> HermitianMatrix:
-    """Assemble the subspace Hamiltonian of a network spec on a basis.
-
-    ``spec`` must expose ``n_sites``, ``hoppings`` (list of :class:`Hopping`),
-    ``onsite`` (list of :class:`OnSite`) and ``statistics``.  The result is one
-    fixed-excitation block; it commutes with the total number operator by
-    construction.  Hops that would exceed the occupation cap (a spin site holds
-    one) are dropped, because the target state is outside the basis; that
-    keeps the truncation Hermitian.  The structure of the block is computed
-    once per basis and tuple of hopping pairs and on-site sites; a later spec
-    with the same ones only fills in the values.
-    """
+def _check_spec(spec, basis: SubspaceBasis) -> None:
+    """Raise SpecMismatch unless the spec's sizes, statistics and sites fit
+    the basis."""
     if spec.n_sites != basis.n_sites:
         raise SpecMismatch(
             f"spec has {spec.n_sites} sites but basis has {basis.n_sites}"
@@ -316,20 +308,77 @@ def build_hamiltonian(spec, basis: SubspaceBasis) -> HermitianMatrix:
     for term in spec.onsite:
         if not 1 <= term.j <= spec.n_sites:
             raise SpecMismatch(f"on-site term {term} references a nonexistent site")
-    rows, cols, hop, sqrt_src, sqrt_dst, n = _pattern(
-        basis, tuple((h.j, h.k) for h in spec.hoppings),
-        tuple(term.j for term in spec.onsite))
-    # Each hopping entry is followed by its conjugate mirror, and the on-site
-    # terms come last, state by state: the order of a dense ``+=`` loop.
-    coeffs = np.array([h.coefficient() for h in spec.hoppings], dtype=complex)
-    amp = coeffs[hop] * sqrt_src * sqrt_dst
-    values = np.empty(rows.size, dtype=complex)
-    values[0:2 * amp.size:2] = amp
-    values[1:2 * amp.size:2] = amp.conj()
-    if spec.onsite:
-        terms = np.array([(t.delta_omega, t.kerr_u) for t in spec.onsite], dtype=float)
-        values[2 * amp.size:] = (terms[:, :1] * n + terms[:, 1:] * n * n).ravel()
-    return HermitianMatrix(len(basis), rows, cols, values)
+
+
+def _structure(spec) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The (j, k) pair of each hopping and the site of each on-site term."""
+    return tuple((h.j, h.k) for h in spec.hoppings), tuple(term.j for term in spec.onsite)
+
+
+def _fill(pattern, specs) -> np.ndarray:
+    """Triplet values of specs that share one pattern, one row per spec.
+
+    Each hopping entry is followed by its conjugate mirror, and the on-site
+    terms come last, state by state: the order of a dense ``+=`` loop.  Every
+    value is formed by the same operations whatever the number of specs.
+    """
+    rows, _, hop, sqrt_src, sqrt_dst, n = pattern
+    coeffs = np.array([[h.coefficient() for h in spec.hoppings] for spec in specs],
+                      dtype=complex)
+    amp = coeffs[:, hop] * sqrt_src * sqrt_dst
+    values = np.empty((len(specs), rows.size), dtype=complex)
+    values[:, 0:2 * hop.size:2] = amp
+    values[:, 1:2 * hop.size:2] = amp.conj()
+    if n.size:
+        terms = np.array([[(t.delta_omega, t.kerr_u) for t in spec.onsite] for spec in specs],
+                         dtype=float)
+        values[:, 2 * hop.size:] = (terms[..., :1] * n + terms[..., 1:] * n * n).reshape(
+            len(specs), -1)
+    return values
+
+
+def build_hamiltonian(spec, basis: SubspaceBasis) -> HermitianMatrix:
+    """Assemble the subspace Hamiltonian of a network spec on a basis.
+
+    ``spec`` must expose ``n_sites``, ``hoppings`` (list of :class:`Hopping`),
+    ``onsite`` (list of :class:`OnSite`) and ``statistics``.  The result is one
+    fixed-excitation block; it commutes with the total number operator by
+    construction.  Hops that would exceed the occupation cap (a spin site holds
+    one) are dropped, because the target state is outside the basis; that
+    keeps the truncation Hermitian.  The structure of the block is computed
+    once per basis and tuple of hopping pairs and on-site sites; a later spec
+    with the same ones only fills in the values.
+    """
+    _check_spec(spec, basis)
+    pattern = _pattern(basis, *_structure(spec))
+    rows, cols = pattern[:2]
+    return HermitianMatrix(len(basis), rows, cols, _fill(pattern, [spec])[0])
+
+
+def stacked_matrices(specs, basis: SubspaceBasis) -> np.ndarray:
+    """Dense Hamiltonians of a non-empty sequence of specs that share their
+    hopping pairs and on-site sites, as one read-only (len(specs), dim, dim)
+    array.
+
+    Each spec is checked as ``build_hamiltonian`` checks it, and specs with
+    other pairs or sites than the first raise SpecMismatch.  The values are
+    filled for all specs at once and scattered in triplet order, so slice s
+    is bitwise ``build_hamiltonian(specs[s], basis).matrix``.
+    """
+    for spec in specs:
+        _check_spec(spec, basis)
+    structure = _structure(specs[0])
+    if any(_structure(spec) != structure for spec in specs):
+        raise SpecMismatch("stacked specs differ in hopping pairs or on-site sites")
+    pattern = _pattern(basis, *structure)
+    rows, cols = pattern[:2]
+    values = _fill(pattern, specs)
+    if not np.isfinite(values.view(float)).all():
+        raise ValueError("matrix entries must be finite")
+    stack = np.zeros((len(specs), len(basis), len(basis)), dtype=complex)
+    np.add.at(stack, (np.arange(len(specs))[:, None], rows, cols), values)
+    stack.setflags(write=False)
+    return stack
 
 
 def full_space_index(state, local_dim: int = 2) -> int:

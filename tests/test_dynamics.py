@@ -211,6 +211,20 @@ def test_average_fidelity_of_a_stack_is_each_trajectory_alone():
     assert values.tolist() == [dynamics.average_fidelity(p, [4, 1, 2]) for p in stack]
 
 
+def test_node_labels_outside_the_network_raise():
+    # Label 0 used to read column -1, the last node's, without complaint.
+    traj = evolve_spec(models.sgf_ring(3, math.pi / 2), np.linspace(0.0, 1.0, 11))
+    stack = np.stack([traj.populations, traj.populations[::-1]])
+    for label in (0, -1, 4):
+        with pytest.raises(OutOfRange):
+            traj.node_population(label)
+        with pytest.raises(OutOfRange):
+            dynamics.average_fidelity(traj.populations, [label])
+        with pytest.raises(OutOfRange):
+            dynamics.average_fidelity(stack, [1, label])
+    assert np.array_equal(traj.node_population(3), traj.populations[:, 2])
+
+
 def test_average_fidelity_rejects_empty_windows_and_node_lists():
     with pytest.raises(EmptyWindow):
         dynamics.average_fidelity(np.zeros((3, 0, 4)), [1, 2])

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,12 +103,84 @@ def test_blocked_sweep_is_the_per_sample_pipeline_bit_for_bit(base_spec, kind, s
             == reference_sweep(base_spec, cfg, amplitudes))
 
 
+@pytest.mark.parametrize("kind", experiments.DISORDER_KINDS)
+def test_chunked_sweep_is_the_per_sample_pipeline_bit_for_bit(base_spec, kind):
+    # Two chunks, the second ending in a partial block.
+    cfg = DisorderConfig(kind, experiments._SAMPLE_CHUNK + experiments._SAMPLE_BLOCK + 1, 6)
+    amplitudes = [0.3] + ([30.0] if kind == "frequency" else [1.5])
+    assert (experiments.disorder_sweep(base_spec, cfg, amplitudes)
+            == reference_sweep(base_spec, cfg, amplitudes))
+
+
+def replaced_spec(base, kind, amplitude, rng):
+    """A disordered spec drawn as ``perturbed_spec`` draws it, built through
+    ``dataclasses.replace`` of every term."""
+    if kind == "frequency":
+        offsets = rng.uniform(-amplitude, amplitude, base.n_sites)
+        return replace(base, onsite=base.onsite + tuple(
+            hilbert.OnSite(j + 1, float(offsets[j]), 0.0) for j in range(base.n_sites)))
+    deltas = rng.uniform(-amplitude, amplitude, len(base.hoppings))
+    hops = []
+    for hop, d in zip(base.hoppings, deltas):
+        if kind == "hopping_phase":
+            hops.append(replace(hop, phase=hop.phase + float(d)))
+        elif hop.amplitude + float(d) >= 0:
+            hops.append(replace(hop, amplitude=hop.amplitude + float(d)))
+        else:
+            hops.append(replace(hop, amplitude=-(hop.amplitude + float(d)),
+                                phase=hop.phase + math.pi))
+    return replace(base, hoppings=tuple(hops))
+
+
+def spec_bits(spec):
+    """Every field of a spec, floats as their exact hex form (-0.0 apart)."""
+    return (spec.n_network, spec.auxiliary_count, spec.statistics, spec.labels,
+            tuple((h.j, h.k, h.amplitude.hex(), h.phase.hex()) for h in spec.hoppings),
+            tuple((t.j, t.delta_omega.hex(), t.kerr_u.hex()) for t in spec.onsite))
+
+
 def test_perturbed_spec_respects_invariants(base_spec):
     rng = np.random.default_rng(0)
     for kind in experiments.DISORDER_KINDS:
         spec = experiments.perturbed_spec(base_spec, kind, 0.5, rng)
         assert all(h.amplitude >= 0 for h in spec.hoppings)
         assert all(-math.pi < h.phase <= math.pi for h in spec.hoppings)
+    # Strength draws up to 3 cross zero for the unit ring links and the
+    # auxiliary links of 2 (the phase then gains pi and is wrapped).
+    crossed = 0
+    for kind in experiments.DISORDER_KINDS:
+        for amplitude in (0.0, 0.5, 3.0):
+            for seed in range(40):
+                spec = experiments.perturbed_spec(base_spec, kind, amplitude,
+                                                  np.random.default_rng((seed, 1)))
+                expected = replaced_spec(base_spec, kind, amplitude,
+                                         np.random.default_rng((seed, 1)))
+                assert spec_bits(spec) == spec_bits(expected)
+                assert all(h.amplitude >= 0 for h in spec.hoppings)
+                assert all(-math.pi < h.phase <= math.pi for h in spec.hoppings)
+                if kind == "hopping_strength":
+                    crossed += sum(math.cos(h.phase - b.phase) < 0
+                                   for h, b in zip(spec.hoppings, base_spec.hoppings))
+    assert crossed > 40
+
+
+@pytest.mark.parametrize("kind", ["hopping_phase", "frequency"])
+def test_sweep_memory_does_not_grow_with_samples(base_spec, kind):
+    # Eight chunks of samples take the working memory of one, but for the
+    # phase factors of the chunk before (0.25 MiB), which are bound until the
+    # next chunk's exist.  Stacking all 320 samples at once took 3 MiB more.
+    def peak(samples):
+        cfg = DisorderConfig(kind, samples, 2)
+        tracemalloc.start()
+        try:
+            experiments.disorder_sweep(base_spec, cfg, [0.3])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(experiments._SAMPLE_CHUNK)  # the first sweep also sets up NumPy's lazy state
+    one, eight = peak(experiments._SAMPLE_CHUNK), peak(8 * experiments._SAMPLE_CHUNK)
+    assert eight - one < 2**19, (one, eight)
 
 
 def test_revival_fidelity_of_perfect_cell(base_spec):

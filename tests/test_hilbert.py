@@ -394,6 +394,61 @@ def test_pattern_reuse_fills_values_for_each_spec():
     assert_triplets_match_loop(fresh, third, basis)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(raw_networks(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_stacked_matrices_are_each_build_bit_for_bit(case, count, seed):
+    spec, n_exc = case
+    rng = np.random.default_rng(seed)
+    # Specs with the pairs and sites of the drawn one, other values; Kerr terms
+    # on every site, with zeros of both signs among the values.
+    kerr = tuple(OnSite(j, float(rng.choice([0.0, -0.0, rng.normal()])), float(rng.normal()))
+                 for j in range(1, spec.n_sites + 1))
+    specs = [SimpleNamespace(**{**vars(spec), "onsite": spec.onsite + kerr})]
+    for _ in range(count - 1):
+        specs.append(SimpleNamespace(**{**vars(spec), "hoppings": tuple(
+            Hopping(h.j, h.k, float(rng.uniform(-2.0, 2.0)), float(rng.uniform(-4.0, 4.0)))
+            for h in spec.hoppings), "onsite": tuple(
+            OnSite(t.j, float(rng.normal()), float(rng.normal())) for t in specs[0].onsite)}))
+    basis = hilbert.enumerate_basis(spec.n_sites, n_exc, spec.statistics)
+    stack = hilbert.stacked_matrices(specs, basis)
+    assert stack.shape == (count, len(basis), len(basis)) and not stack.flags.writeable
+    for matrix, each in zip(stack, specs):
+        expected = hilbert.build_hamiltonian(each, basis).matrix
+        assert np.array_equal(matrix.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(matrix.view(np.uint64), dense_hamiltonian(each, basis).view(np.uint64))
+
+
+def test_stacked_matrices_reject_specs_that_differ():
+    stats = Statistics.boson(2)
+    basis = hilbert.enumerate_basis(4, 2, stats)
+    first = SimpleNamespace(n_sites=4, statistics=stats, onsite=(OnSite(2, 0.3, 0.7),), hoppings=(
+        Hopping(1, 2, 1.0, 0.5), Hopping(2, 3, 0.4, -1.0)))
+    hops = first.hoppings
+    others = [
+        {"hoppings": (Hopping(1, 3, 1.0, 0.5), hops[1])},  # another pair
+        {"hoppings": (Hopping(2, 1, 1.0, 0.5), hops[1])},  # the pair reversed
+        {"hoppings": hops[:1]},  # fewer pairs
+        {"onsite": (OnSite(3, 0.3, 0.7),)},  # another site
+        {"onsite": ()},  # fewer sites
+        {"statistics": Statistics.spin()},
+        {"statistics": Statistics.boson()},
+        {"n_sites": 5},
+        {"hoppings": (hops[0], Hopping(2, 5, 0.4, -1.0))},  # a site outside the basis
+    ]
+    for change in others:
+        other = SimpleNamespace(**{**vars(first), **change})
+        for specs in ([first, other], [other, first], [first, first, other]):
+            with pytest.raises(SpecMismatch):
+                hilbert.stacked_matrices(specs, basis)
+    # Non-finite values are refused as ``build_hamiltonian`` refuses them.
+    infinite = SimpleNamespace(**{**vars(first), "onsite": (OnSite(2, math.inf, 0.0),)})
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError):
+            hilbert.build_hamiltonian(infinite, basis)
+        with pytest.raises(ValueError):
+            hilbert.stacked_matrices([first, infinite], basis)
+
+
 def test_hermitian_matrix_rejects_negative_indices():
     # A negative index would wrap around to the last row or column.
     with pytest.raises(DimensionMismatch):
