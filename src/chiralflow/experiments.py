@@ -71,6 +71,8 @@ class DisorderConfig:
             raise ConfigError(f"kind must be one of {DISORDER_KINDS}")
         if self.samples < 1:
             raise ConfigError("need at least one sample")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -167,6 +169,8 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[D
                 # basis state, which are the node populations.
                 _populations(phases[:n], modes[block], None, out=states[:n], abs2_out=abs2[:n])
                 results[lo + first:lo + first + n] = average_fidelity(abs2[:n], base.ring_nodes)
+            # Freed now, so that they never coexist with the next chunk's.
+            del specs, energies, vectors, modes, big, small
         mean = float(np.mean(results))
         stderr = float(np.std(results, ddof=1) / math.sqrt(cfg.samples)) if cfg.samples > 1 else 0.0
         points.append(DisorderPoint(amplitude, mean, stderr, cfg.samples))
@@ -178,16 +182,17 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[D
 def revival_fidelity(spec: NetworkSpec, points: int = 4001) -> tuple[float, float]:
     """Return-state fidelity and cycle period of a network started on node 1.
 
-    The cycle period is the maximum of |<psi0|psi(t)>|^2, evaluated on the
-    exact spectral expression, over [0.5, 1.7] times t_est = 2*pi over the
-    slowest populated frequency: the window is scanned on ``points``
-    samples, then the bracket around the best sample is rescanned on 65
-    samples five times; each rescan cuts the spacing 32-fold, to about
-    1e-11 * t_est at the end.  That spacing is finer than the peak can be
-    located: near it F is about 1 - c (t - t*)^2 and flat to rounding, so
-    the period is fixed only to about 1e-8 relative (the uniform one-cell
-    ladder reports 3.1415926467 for the exact period pi).  The fidelity is
-    unaffected.
+    The cycle period is the time of the maximum of
+    F(t) = |A(t)|^2, A(t) = <psi0|psi(t)> = sum_k w_k exp(-i E_k t), over
+    [0.5, 1.7] times t_est = 2*pi over the slowest populated frequency.  The
+    window is scanned on ``points`` samples; the maximum is then the root of
+    F'(t) = 2 Re(conj(A) A') between the neighbours of the best sample,
+    found by Newton's method on the exact spectral sums A, A' and A'', with
+    bisection whenever F'' >= 0 or a step leaves the bracket.  F' crosses
+    zero linearly where F is flat to rounding, so the period is fixed to a
+    few ulps (the uniform one-cell ladder reports pi to 12 digits) and the
+    fidelity is F at that root.  When F' has no sign change across the
+    bracket, as with a maximum at the window's edge, the best sample stands.
     """
     basis = enumerate_basis(spec.n_sites, 1, spec.statistics)
     system = eigendecompose(build_hamiltonian(spec, basis))
@@ -206,19 +211,48 @@ def _revival_peak(eigenvalues: np.ndarray, weights: np.ndarray,
     x_min = float(np.min(np.abs(eigenvalues[populated])))
     t_est = 2.0 * math.pi / x_min
 
-    def overlap_sq(grid):
-        # |(P w) Q^T|^2 row-major is the scan over the uniform grid.
-        step = (grid[-1] - grid[0]) / (grid.size - 1) if grid.size > 1 else 0.0
-        big, small = _uniform_phases(grid[0], step, grid.size, eigenvalues)
-        return np.abs(((big * weights) @ small.T).ravel()[:grid.size]) ** 2
-
     grid = np.linspace(0.5 * t_est, 1.7 * t_est, points)
-    for _ in range(5):
-        best = int(np.argmax(overlap_sq(grid)))
-        grid = np.linspace(grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)], 65)
-    values = overlap_sq(grid)
+    # |(P w) Q^T|^2 row-major is the scan over the uniform grid.
+    step = (grid[-1] - grid[0]) / (grid.size - 1) if grid.size > 1 else 0.0
+    big, small = _uniform_phases(grid[0], step, grid.size, eigenvalues)
+    values = np.abs(((big * weights) @ small.T).ravel()[:grid.size]) ** 2
     best = int(np.argmax(values))
-    return float(values[best]), float(grid[best])
+
+    # s_p = sum_k E_k^p w_k exp(-i E_k t): A = s_0, A' = -i s_1, A'' = -s_2.
+    moments = np.array([weights, weights * eigenvalues, weights * eigenvalues**2],
+                       dtype=complex)
+
+    def derivatives(t: float) -> tuple[float, float, float]:
+        """F, F' and F'' at t."""
+        a, s1, s2 = (moments @ np.exp(eigenvalues * (-1j * t))).tolist()
+        return (abs(a) ** 2, 2.0 * (a.conjugate() * s1).imag,
+                2.0 * (abs(s1) ** 2 - (a.conjugate() * s2).real))
+
+    t = float(grid[best])
+    fidelity, slope, curvature = derivatives(t)
+    other = float(grid[min(best + 1, grid.size - 1)] if slope > 0 else grid[max(best - 1, 0)])
+    if slope * derivatives(other)[1] >= 0:
+        # No root of F' is bracketed: the maximum is at the window's edge, or
+        # the scan does not resolve F here.
+        return float(values[best]), t
+    # F' > 0 at ``rising`` and < 0 at ``falling``: the maximum lies between.
+    rising, falling = (t, other) if slope > 0 else (other, t)
+    for _ in range(64):  # bisection alone reaches 4 ulps in fewer halvings
+        if slope > 0:
+            rising = t
+        elif slope < 0:
+            falling = t
+        else:
+            break
+        # Newton from t, an end of the bracket; where F'' >= 0 it would descend.
+        new = t - slope / curvature if curvature < 0 else math.inf
+        if not min(rising, falling) <= new <= max(rising, falling):
+            new = 0.5 * (rising + falling)
+        if abs(new - t) <= 4.0 * math.ulp(t):
+            break
+        t = new
+        fidelity, slope, curvature = derivatives(t)
+    return fidelity, t
 
 
 @dataclass(frozen=True)
@@ -359,6 +393,8 @@ def optimize_ladder(n_copies: int, budget: int | None = None, seed: int = 0,
     ``budget`` caps the objective evaluations of all starts together.
     Deterministic for a fixed seed.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if n_copies < 1:
         raise ConfigError("need at least one cell")
     n_free = (n_copies + 1) // 2 - 1

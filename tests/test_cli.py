@@ -212,7 +212,11 @@ def test_numeric_failure_exits_3(monkeypatch, capsys):
     pytest.param(["study", "optimize", "--ncopies", "0"], id="optimize-ncopies-0"),
     pytest.param(["study", "optimize", "--ncopies", "2", "--budget=-1"],
                  id="optimize-negative-budget-no-free-cells"),
+    pytest.param(["study", "optimize", "--ncopies", "8", "--seed=-1"], id="optimize-negative-seed"),
+    pytest.param(["study", "optimize", "--ncopies", "1", "--seed=-1"],
+                 id="optimize-negative-seed-no-free-cells"),
     pytest.param(["study", "disorder", "--samples", "0"], id="disorder-samples-0"),
+    pytest.param(["study", "disorder", "--seed=-1"], id="disorder-negative-seed"),
     pytest.param(["study", "disorder", "--amplitudes=-0.1"], id="disorder-negative-amplitude"),
     pytest.param(["study", "disorder", "--amplitudes=0.1,-0.1", "--samples", "2"],
                  id="disorder-negative-amplitude-in-list"),

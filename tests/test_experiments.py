@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chiralflow import dynamics, experiments, hilbert, models
 from chiralflow.errors import BadInitial, ConfigError, NotSpin
@@ -166,9 +168,9 @@ def test_perturbed_spec_respects_invariants(base_spec):
 
 @pytest.mark.parametrize("kind", ["hopping_phase", "frequency"])
 def test_sweep_memory_does_not_grow_with_samples(base_spec, kind):
-    # Eight chunks of samples take the working memory of one, but for the
-    # phase factors of the chunk before (0.25 MiB), which are bound until the
-    # next chunk's exist.  Stacking all 320 samples at once took 3 MiB more.
+    # Eight chunks of samples take the working memory of one (+0.06 MiB): each
+    # chunk's arrays are freed before the next chunk's are formed.  Stacking
+    # all 320 samples at once took 3 MiB more.
     def peak(samples):
         cfg = DisorderConfig(kind, samples, 2)
         tracemalloc.start()
@@ -189,19 +191,37 @@ def test_revival_fidelity_of_perfect_cell(base_spec):
     assert period == pytest.approx(math.pi, abs=1e-6)
 
 
-def _scanned_revival(spec, samples=100_001):
-    """Brute-force maximum of the node-1 return overlap over the search window."""
+def _levels(spec):
+    """Eigenvalues and node-1 weights of the one-excitation sector."""
     basis = hilbert.enumerate_basis(spec.n_sites, 1, spec.statistics)
     values, vectors = np.linalg.eigh(hilbert.build_hamiltonian(spec, basis).matrix)
-    weights = np.abs(vectors[0]) ** 2
+    return values, np.abs(vectors[0]) ** 2
+
+
+def _scan(values, weights, samples):
+    """The search window of ``revival_fidelity`` on ``samples`` points, and the
+    return overlap on each."""
     scale = max(1.0, float(np.max(np.abs(values))))
     populated = (weights > 1e-8) & (np.abs(values) > 1e-9 * scale)
     t_est = 2.0 * math.pi / float(np.min(np.abs(values[populated])))
     times = np.linspace(0.5 * t_est, 1.7 * t_est, samples)
     angles = np.outer(times, values)
-    overlap = (np.cos(angles) @ weights) ** 2 + (np.sin(angles) @ weights) ** 2
+    return times, (np.cos(angles) @ weights) ** 2 + (np.sin(angles) @ weights) ** 2
+
+
+def _scanned_revival(spec, samples=100_001):
+    """Brute-force maximum of the node-1 return overlap over the search window."""
+    times, overlap = _scan(*_levels(spec), samples)
     best = int(np.argmax(overlap))
     return float(overlap[best]), float(times[best]), float(times[1] - times[0])
+
+
+def _derivatives(t, values, weights):
+    """F = |A|^2, F' and F'' at t, A(t) = sum_k w_k exp(-i E_k t)."""
+    a, da, dda = (np.sum((-1j * values) ** p * weights * np.exp(-1j * values * t))
+                  for p in range(3))
+    return (abs(a) ** 2, 2.0 * (a.conjugate() * da).real,
+            2.0 * (abs(da) ** 2 + (a.conjugate() * dda).real))
 
 
 def test_revival_fidelity_matches_brute_force_scan():
@@ -215,6 +235,80 @@ def test_revival_fidelity_matches_brute_force_scan():
             scan_fidelity, scan_period, spacing = _scanned_revival(spec)
             assert fidelity >= scan_fidelity - 1e-12
             assert abs(period - scan_period) <= spacing
+
+
+def test_uniform_one_cell_period_is_pi_to_rounding():
+    fidelity, period = experiments.revival_fidelity(models.ladder(1, [2.0]))
+    assert abs(period - math.pi) <= 1e-14 * math.pi
+    assert fidelity == pytest.approx(1.0, abs=1e-14)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.floats(min_value=0.05, max_value=1.5),
+                         min_size=(n + 1) // 2 - 1, max_size=(n + 1) // 2 - 1))))
+def test_revival_peak_is_a_root_of_the_slope(case):
+    # On monotone ladder profiles the peak is a root of F' to rounding: the
+    # phases E_k t carry a rounding of eps |E_k t| each.  It lies between the
+    # neighbours of the best scanned sample and is no lower than that sample.
+    n, steps = case
+    values, weights = _levels(models.ladder(n, [2.0, *(2.0 + np.cumsum(steps))]))
+    fidelity, t = experiments._revival_peak(values, weights, 2001)
+    _, slope, _ = _derivatives(t, values, weights)
+    eps = np.finfo(float).eps
+    assert abs(slope) <= 16 * eps * np.sum(np.abs(values) * weights * (1 + np.abs(values) * t))
+    times, overlap = _scan(values, weights, 2001)
+    best = int(np.argmax(overlap))
+    assert times[max(best - 1, 0)] <= t <= times[min(best + 1, times.size - 1)]
+    assert fidelity >= overlap[best] - 1e-15
+
+
+@pytest.mark.parametrize("gap,edge", [(0.2, 0.5), (0.5, 1.7)])
+def test_revival_peak_at_the_window_edge_is_the_edge_sample(gap, edge):
+    # F = (1 + cos(gap t)) / 2 over the window [pi, 3.4 pi] (t_est = 2 pi):
+    # for gap 0.2 it falls from the left edge, for gap 0.5 the right edge is
+    # highest.  F' has no root there, so the edge sample stands.
+    values, weights = np.array([1.0, 1.0 + gap]), np.array([0.5, 0.5])
+    fidelity, t = experiments._revival_peak(values, weights, 2001)
+    assert t == edge * 2.0 * math.pi
+    assert fidelity == pytest.approx((1.0 + math.cos(gap * t)) / 2.0, abs=1e-15)
+    assert _derivatives(t, values, weights)[1] != 0.0
+
+
+def test_revival_peak_keeps_the_sample_when_the_slope_does_not_change_sign():
+    # A ripple of frequency 39 on a slow beat is not resolved by 7 samples of
+    # [pi, 3.4 pi]: F' has the same sign at the best sample and at the
+    # neighbour on its climbing side, so no root is bracketed and the sample
+    # stands rather than a lower point between them.
+    values, weights = np.array([1.0, 1.2, 40.0]), np.array([0.45, 0.45, 0.1])
+    times, overlap = _scan(values, weights, 7)
+    best = int(np.argmax(overlap))
+    _, slope, _ = _derivatives(times[best], values, weights)
+    other = times[best + 1] if slope > 0 else times[best - 1]
+    assert slope * _derivatives(other, values, weights)[1] > 0.0
+    fidelity, t = experiments._revival_peak(values, weights, 7)
+    assert t == times[best]
+    assert fidelity == pytest.approx(overlap[best], abs=1e-15)
+
+
+@pytest.mark.parametrize("levels,convex", [(10, True), (9, False)])
+def test_revival_peak_bisects_where_a_newton_step_would_not_climb(levels, convex):
+    # Equal levels 1..K align at t = 2 pi (F = 1) in a peak of half-width
+    # 2 pi / K.  Of 12 samples on [pi, 3.4 pi] the best lies 0.29 past it.
+    # For K = 10 F'' > 0 there, so a Newton step would descend; for K = 9
+    # F'' < 0, but the step overshoots the neighbour on the other side.
+    values, weights = np.arange(1.0, levels + 1.0), np.full(levels, 1.0 / levels)
+    times, overlap = _scan(values, weights, 12)
+    best = int(np.argmax(overlap))
+    assert times[best] - 2.0 * math.pi == pytest.approx(0.2856, abs=1e-4)
+    _, slope, curvature = _derivatives(times[best], values, weights)
+    if convex:
+        assert curvature > 0.0
+    else:
+        assert curvature < 0.0 and times[best] - slope / curvature < times[best - 1]
+    fidelity, t = experiments._revival_peak(values, weights, 12)
+    assert abs(t - 2.0 * math.pi) <= 1e-14 * 2.0 * math.pi
+    assert fidelity == pytest.approx(1.0, abs=1e-14)
 
 
 def test_ladder_curve_decreasing():
