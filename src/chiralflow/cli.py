@@ -308,10 +308,8 @@ def cmd_study_bell(args) -> int:
     spec = models.sgf_ring(3, 3 * math.pi / 2, statistics=hilbert.Statistics.spin())
     initial = experiments.PSI_PLUS if args.initial == "psi" else experiments.PHI_PLUS
     result = experiments.bell_transport(spec, initial)
-    rows = []
-    for i, t in enumerate(result.times):
-        rows.append((t, *result.psi_populations[:, i], *result.phi_populations[:, i],
-                     *result.concurrence[:, i]))
+    rows = np.column_stack([result.times, result.psi_populations.T, result.phi_populations.T,
+                            result.concurrence.T]).tolist()
     header = ("t,p_psi_12,p_psi_23,p_psi_31,p_phi_12,p_phi_23,p_phi_31,"
               "c_12,c_23,c_31")
     _emit(args.out, dynamics.rows_to_csv(rows, header))

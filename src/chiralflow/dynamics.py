@@ -4,12 +4,13 @@
 ``KRYLOV_MIN_DIM`` states on it marches through the window in Krylov steps
 instead: each step runs at most ``KRYLOV_DIM`` Lanczos vectors from the
 state at its start, on a sparse H built from the triplets, and lasts as long
-as a certified bound keeps within its share of ``KRYLOV_TOL``, so the state
-is within ``KRYLOV_TOL`` of exact over the whole window.  Populations are
-formed in blocks of time steps in one reused buffer, so neither a dense H
-nor the full amplitude table is ever held, and memory is
-O(``KRYLOV_DIM`` * dim) for any window.  Time is linear in the window, and a
-window of more than ``KRYLOV_MAX_STEPS`` steps is refused up front.
+as the closed-form defect bound of ``_power_bound`` keeps within its share of
+``KRYLOV_TOL``, so the state is within ``KRYLOV_TOL`` of exact over the whole
+window.  Populations are formed in blocks of time steps in one reused
+buffer, so neither a dense H nor the full amplitude table is ever held, and
+memory is O(``KRYLOV_DIM`` * dim) for any window.  Time is linear in the
+window, and a window of more than ``KRYLOV_MAX_STEPS`` steps is refused up
+front.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyWindow, NoPeaks, OutOfGrid, OutOfRange
+from .errors import DimensionMismatch, EmptyWindow, NoPeaks, OutOfRange
 from .hilbert import HermitianMatrix, SubspaceBasis, build_hamiltonian, enumerate_basis
 
 log = logging.getLogger(__name__)
@@ -32,19 +33,18 @@ NORM_TOL = 1e-10
 DARK_NODE_FLOOR = 1e-12
 # Krylov propagation in ``evolve``: the dimension from which it replaces the
 # full eigendecomposition (measured crossover on ladder and random sectors
-# at the CLI's default window), the certified bound on ||psi(t) - psi_m(t)||
-# summed over the steps of a window, the Lanczos vectors of one step (on the
-# 1540-state ladder sector over 2 pi, 32 to 64 vectors cost the same within
-# noise; longer windows gain a little from more, and memory grows with
-# them), the most steps a window may take (cost is linear in the window:
-# 10 000 steps cover about 2400 pi on the three-boson ladder sectors, a
-# minute at 1540 states and 13 at 22 100; a window of 1e300 would never
-# end), and the Taylor order of ``_defect_integral``.
+# at the CLI's default window), the bound of ``_power_bound`` on
+# ||psi(t) - psi_m(t)|| summed over the steps of a window, the Lanczos
+# vectors of one step (on the 1540-state ladder sector over 2 pi, 32 to 64
+# vectors cost the same within noise; longer windows gain a little from
+# more, and memory grows with them), and the most steps a window may take
+# (cost is linear in the window: 10 000 steps cover about 2400 pi on the
+# three-boson ladder sectors, a minute at 1540 states and 13 at 22 100; a
+# window of 1e300 would never end).
 KRYLOV_MIN_DIM = 400
 KRYLOV_TOL = 1e-13
 KRYLOV_DIM = 40
 KRYLOV_MAX_STEPS = 10_000
-TAYLOR_ORDER = 15
 # Complex entries of one block of amplitudes in ``evolve``'s population loop
 # (16 MB): below KRYLOV_MIN_DIM states, grids of up to 2628 points take a
 # single block.
@@ -134,7 +134,7 @@ class ChiralityVerdict:
 
 def evolve(h: HermitianMatrix, psi0, times, basis: SubspaceBasis | None = None,
            labels: tuple[str, ...] | None = None) -> Trajectory:
-    """Evolve a normalised state on a time grid: psi(t) = V e^{-i L t} V^dag psi0.
+    """Evolve a normalised state on a finite time grid: psi(t) = V e^{-i L t} V^dag psi0.
 
     Below ``KRYLOV_MIN_DIM`` states, V and L are the full eigensystem of h,
     in one step over the whole grid.  Larger operators take the steps of
@@ -159,6 +159,8 @@ def evolve(h: HermitianMatrix, psi0, times, basis: SubspaceBasis | None = None,
         )
     if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) < 0):
         raise ValueError("times must be a non-empty ascending grid")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     norm = float(np.linalg.norm(psi0))
     if not abs(norm - 1.0) <= 1e-9:
         raise ValueError(f"initial state norm {norm} is not 1")
@@ -214,7 +216,7 @@ def _populations(phases: np.ndarray, modes: np.ndarray, occupations: np.ndarray 
     amplitudes = np.matmul(phases, modes, out=out)
     abs2 = np.square(amplitudes.real, out=abs2_out)
     abs2 += np.square(amplitudes.imag)
-    # Negated so that NaN amplitudes (from a non-finite time) fail the check.
+    # Negated so that NaN amplitudes fail the check.
     if not float(np.max(np.abs(abs2 @ np.ones(abs2.shape[-1]) - 1.0))) <= NORM_TOL:
         raise ValueError("evolution failed to conserve the norm")
     return abs2 if occupations is None else abs2 @ occupations
@@ -232,7 +234,7 @@ def _krylov_steps(h: HermitianMatrix, psi0: np.ndarray, times: np.ndarray) -> It
     next step overwrites; the next step starts from V (e^{-i L tau} * w).
     Grid times before 0 take a march backward from psi0.  A march that one
     space certifies to its end takes one step (eigenvector starts, a zero H,
-    a zero window), and so does a non-finite window, from one vector.
+    a zero window).
     Raises OutOfRange, before marching on, once the steps taken and the rest
     of the window over the current step's length exceed ``KRYLOV_MAX_STEPS``.
     """
@@ -242,23 +244,20 @@ def _krylov_steps(h: HermitianMatrix, psi0: np.ndarray, times: np.ndarray) -> It
     vectors = np.empty((KRYLOV_DIM, h.dim), dtype=complex)
     first = int(np.searchsorted(times, 0.0))  # the rows before it lie before 0
     window = float(np.maximum(times[-1], 0.0) - np.minimum(times[0], 0.0))
-    if not math.isfinite(window):
-        # No certificate: every check below reads a NaN window as done at
-        # once, which leaves the NaN amplitudes to the norm check.
-        window = math.nan
     count = 0  # steps taken in both directions
     for sign, lo, hi in ((-1.0, 0, first), (1.0, first, times.size)):
         # The rows lo..hi - 1 are still to reach; the march ends at ``end``.
         state, now, end = psi0, 0.0, float(times[0 if sign < 0 else -1])
         while lo < hi:
             system, beta = _lanczos(matrix, state / np.linalg.norm(state), vectors, window)
-            tau, bound = _step_length(system, beta, abs(end - now), window)
-            if tau < abs(end - now) and count + abs(end - now) / tau > KRYLOV_MAX_STEPS:
+            rest = abs(end - now)
+            tau, bound = _step_length(beta, rest, window)
+            if tau < rest and count + rest / tau > KRYLOV_MAX_STEPS:
                 raise OutOfRange(
-                    f"a window of {window:.6g} needs about {count + abs(end - now) / tau:.3g} "
+                    f"a window of {window:.6g} needs about {count + rest / tau:.3g} "
                     f"Krylov steps of length {tau:.3g}, more than {KRYLOV_MAX_STEPS}")
             count += 1
-            if not tau < abs(end - now):  # negated so that a NaN window ends here
+            if tau >= rest:
                 rows = slice(lo, hi)
             elif sign > 0:
                 rows = slice(lo, int(np.searchsorted(times, now + tau, "right")))
@@ -305,8 +304,7 @@ def _lanczos(matrix, start: np.ndarray, vectors: np.ndarray,
             if norm > before / math.sqrt(2.0):
                 break
         beta.append(norm)
-        # Negated so that a NaN window stops too.
-        if not norm * window > KRYLOV_TOL or j + 1 == vectors.shape[0]:
+        if norm * window <= KRYLOV_TOL or j + 1 == vectors.shape[0]:
             break
         vectors[j + 1] = w / norm
     # T_m: alpha on the diagonal, beta_1..beta_{m-1} beside it on both sides.
@@ -317,25 +315,21 @@ def _lanczos(matrix, start: np.ndarray, vectors: np.ndarray,
     return system, np.array(beta)
 
 
-def _step_length(system: EigenSystem, beta: np.ndarray, rest: float,
-                 window: float) -> tuple[float, float]:
+def _step_length(beta: np.ndarray, rest: float, window: float) -> tuple[float, float]:
     """A step tau <= rest whose certified bound on the Krylov defect is at
     most ``KRYLOV_TOL`` * tau / window, and that bound.
 
-    ``system`` is the eigensystem of T_m, and ``beta`` holds T_m's
-    off-diagonal entries and then its residual norm beta_m.  The Krylov
-    state Q e^{-i T t} e_1 is off by at most beta_m * integral_0^|t|
-    |e_m^T e^{-i T s} e_1| ds (Saad, SIAM J. Numer. Anal. 29, 209 (1992);
-    Hochbruck & Lubich, ibid. 34, 1911 (1997)).  The step is the longest one
-    that ``_power_bound`` certifies, which has a closed form; its bound is
-    the smaller of that and ``_defect_integral``.  The Taylor evaluation is
-    the tighter over short windows (it would lengthen a step by about 2% on
-    the 1540-state ladder sector over 2 pi), but its rounding floor rules
-    out the small shares of long windows.  As the integrand is at most 1, a
-    beta_m with beta_m * window within the tolerance certifies the rest of
-    the window at once, as does a zero rest.
+    ``beta`` holds the off-diagonal entries of the Lanczos tridiagonal T_m
+    and then its residual norm beta_m.  The Krylov state Q e^{-i T t} e_1 is
+    off by at most beta_m * integral_0^|t| |e_m^T e^{-i T s} e_1| ds (Saad,
+    SIAM J. Numer. Anal. 29, 209 (1992); Hochbruck & Lubich, ibid. 34, 1911
+    (1997)).  The step is the longest one that ``_power_bound`` certifies,
+    which has a closed form, and its bound is beta_m times that integral
+    bound.  As the integrand is at most 1, a beta_m with beta_m * window
+    within the tolerance certifies the rest of the window at once, as does a
+    zero rest.
     """
-    if not beta[-1] * window > KRYLOV_TOL or not rest > 0:  # negated: a NaN window too
+    if beta[-1] * window <= KRYLOV_TOL or rest <= 0:
         return rest, beta[-1] * rest
     # beta_m * _power_bound(tau) is beta_m P / m! times tau^m; it meets
     # KRYLOV_TOL * tau / window where the logs below agree (a hair inside).
@@ -343,7 +337,7 @@ def _step_length(system: EigenSystem, beta: np.ndarray, rest: float,
     log_scale = float(np.sum(np.log(beta))) - math.lgamma(m + 1)
     tau = min(rest, math.exp((math.log(KRYLOV_TOL / window) - log_scale) / (m - 1))
               * (1.0 - 1e-9))
-    return tau, beta[-1] * min(_power_bound(beta[:-1], tau), _defect_integral(system, tau))
+    return tau, beta[-1] * _power_bound(beta[:-1], tau)
 
 
 def _power_bound(off: np.ndarray, span: float) -> float:
@@ -361,38 +355,6 @@ def _power_bound(off: np.ndarray, span: float) -> float:
     """
     m = off.size + 1
     return math.exp(float(np.sum(np.log(off))) + m * math.log(span) - math.lgamma(m + 1))
-
-
-def _defect_integral(system: EigenSystem, span: float) -> float:
-    """Upper bound on the integral over [0, span] of |g(s)|, where
-    g(s) = e_m^T e^{-i T s} e_1 for the tridiagonal T with this eigensystem.
-
-    With the levels centred, g(s) = sum_k c_k e^{-i E_k s} where
-    c_k = Z[m, k] conj(Z[1, k]).  [0, span] splits into cells of half-width
-    r <= 1/(2 max|E|) centred on s_j = (2 j + 1) r; on each, |g| is bounded
-    by its Taylor polynomial of order ``TAYLOR_ORDER`` at s_j in absolute
-    values plus the remainder bound sum_k |c_k| |E_k|^{P+1} |s - s_j|^{P+1}/(P+1)!,
-    and those bounds integrate in closed form.  A window of more than 8 m
-    cells is longer than m Lanczos vectors resolve, so it is not evaluated
-    and reads as infinite.
-    """
-    levels = system.eigenvalues
-    energies = levels - 0.5 * (levels[0] + levels[-1])
-    coefficients = system.eigenvectors[-1] * system.eigenvectors[0].conj()
-    cells = max(1, math.ceil(span * float(np.max(np.abs(energies)))))
-    if cells > 8 * levels.size:
-        return math.inf
-    radius = 0.5 * span / cells
-    orders = np.arange(TAYLOR_ORDER + 1)
-    derivatives = coefficients * (-1j * energies) ** orders[:, None]
-    big, small = _uniform_phases(radius, 2.0 * radius, cells, energies)
-    # Row j of the table holds g^(p)(s_j) for p = 0..P.
-    table = big @ (small[:, None, :] * derivatives).reshape(-1, levels.size).T
-    table = table.reshape(-1, orders.size)[:cells]
-    factorials = np.cumprod(np.arange(1.0, orders.size + 2))  # 1!, ..., (P+2)!
-    taylor = float(np.sum(np.abs(table) @ (2.0 * radius ** (orders + 1) / factorials[:-1])))
-    top = float(np.abs(coefficients) @ np.abs(energies) ** orders.size)
-    return taylor + 2.0 * cells * top * radius ** (orders.size + 1) / factorials[-1]
 
 
 def _uniform_phases(t0: float, step: float, count: int,
@@ -425,8 +387,8 @@ def _weighted_phases(times: np.ndarray, energies: np.ndarray,
     ``energies``.
 
     A grid uniform to rounding takes the factors of ``_grid_factors``
-    multiplied out by ``_factor_table``; any other grid, and any grid with a
-    non-finite time, takes the direct exponential.
+    multiplied out by ``_factor_table``; any other grid takes the direct
+    exponential.
     """
     out = np.empty(energies.shape[:-1] + (times.size, energies.shape[-1]), dtype=complex)
     factors = _grid_factors(times, energies, weights)
@@ -439,7 +401,7 @@ def _grid_factors(times: np.ndarray, energies: np.ndarray,
                   weights: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The factors P and Q * weights of ``_uniform_phases`` on a grid uniform
     to rounding, |t_j - (t_0 + j step)| <= 8 eps max(1, max|t|); None on any
-    other grid, and on any grid with a non-finite time."""
+    other grid."""
     count = times.size
     step = (times[-1] - times[0]) / (count - 1) if count > 1 else 0.0
     tol = 8.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(times))))
@@ -487,16 +449,6 @@ def cluster_levels(values: np.ndarray, tol: float) -> list[list[int]]:
         else:
             clusters.append([i])
     return clusters
-
-
-def transfer_fidelity(traj: Trajectory, period: float) -> float:
-    """Squared overlap with the initial state at the grid time nearest to period."""
-    times = traj.times
-    if period < times[0] - 1e-12 or period > times[-1] + 1e-12:
-        raise OutOfGrid(f"time {period} outside grid [{times[0]}, {times[-1]}]")
-    idx = int(np.argmin(np.abs(times - period)))
-    overlap = np.vdot(traj.amplitudes[0], traj.amplitudes[idx])
-    return float(abs(overlap) ** 2)
 
 
 def average_fidelity(populations: np.ndarray, corner_nodes):

@@ -21,10 +21,6 @@ class DimensionMismatch(ChiralFlowError):
     """Operands have incompatible dimensions."""
 
 
-class OutOfGrid(ChiralFlowError):
-    """Requested time lies outside the trajectory grid."""
-
-
 class EmptyWindow(ChiralFlowError):
     """Trajectory window contains no usable samples."""
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from chiralflow import cli, dynamics, hilbert, models, oracles
 from chiralflow.dynamics import Direction
-from chiralflow.errors import DimensionMismatch, EmptyWindow, NoPeaks, OutOfGrid, OutOfRange
+from chiralflow.errors import DimensionMismatch, EmptyWindow, NoPeaks, OutOfRange
 from conftest import evolve_spec, hermitian, spec_hamiltonian
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -83,24 +83,18 @@ def uniform_ring(n):
     return hermitian(h)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad_time", [np.nan, np.inf])
 def test_evolve_rejects_non_finite_times(bad_time, monkeypatch):
-    decompose = dynamics.eigendecompose
-    shapes = []
-    monkeypatch.setattr(dynamics, "eigendecompose",
-                        lambda m: shapes.append(m.matrix.shape) or decompose(m))
+    # Refused up front, on both branches: nothing is decomposed.
+    calls = []
+    monkeypatch.setattr(dynamics, "eigendecompose", calls.append)
     h, _ = spec_hamiltonian(models.sgf_ring(3, math.pi / 2))
-    with pytest.raises(ValueError, match="norm"):
+    with pytest.raises(ValueError, match="finite"):
         dynamics.evolve(h, dynamics.basis_state(3, 0), np.array([0.0, bad_time]))
-    assert shapes == [(3, 3)]
-    # Above the threshold the Krylov space stops at its first vector: it
-    # neither grows nor gives way to the full eigendecomposition.
-    shapes.clear()
     n = dynamics.KRYLOV_MIN_DIM
-    with pytest.raises(ValueError, match="norm"):
+    with pytest.raises(ValueError, match="finite"):
         dynamics.evolve(uniform_ring(n), dynamics.basis_state(n, 0), np.array([0.0, bad_time]))
-    assert shapes == [(1, 1)]
+    assert calls == []
 
 
 def krylov_steps(h, psi0, times):
@@ -172,26 +166,6 @@ def test_evolution_matches_runge_kutta(make_spec):
     traj = dynamics.evolve(h, psi0, times)
     reference = rk4_reference(h, psi0, times)
     assert np.max(np.abs(traj.amplitudes - reference)) <= 1e-6
-
-
-def test_transfer_fidelity_full_cycle():
-    times = np.linspace(0.0, math.pi, 1601)
-    traj = evolve_spec(models.asgf(4, 2.0, math.pi / 2), times)
-    assert dynamics.transfer_fidelity(traj, math.pi) == pytest.approx(1.0, abs=1e-9)
-    assert dynamics.transfer_fidelity(traj, 0.0) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(OutOfGrid):
-        dynamics.transfer_fidelity(traj, 2 * math.pi)
-
-
-def test_transfer_fidelity_imperfect_on_large_ladder():
-    from chiralflow import experiments
-
-    spec = models.ladder(6, [2.0])
-    _, period = experiments.revival_fidelity(spec)
-    times = np.linspace(0.0, 1.1 * period, 3001)
-    traj = evolve_spec(spec, times)
-    value = dynamics.transfer_fidelity(traj, period)
-    assert 0.5 < value < 1.0 - 1e-3
 
 
 def test_average_fidelity_values():
@@ -643,25 +617,37 @@ def test_long_window_on_the_50_site_ladder_holds_a_fixed_krylov_array():
 
 @PROPERTY_SETTINGS
 @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.floats(0.01, 20.0))
-def test_defect_integral_bounds_a_fine_quadrature(m, seed, span):
+def test_power_bound_bounds_a_fine_quadrature(m, seed, span):
     rng = np.random.default_rng(seed)
     off = rng.uniform(0.1, 2.0, m - 1)
     t = np.diag(rng.uniform(-3.0, 3.0, m)) + np.diag(off, 1) + np.diag(off, -1)
     system = dynamics.eigendecompose(hermitian(t))
-    bound = dynamics._defect_integral(system, span)
     s = np.linspace(0.0, span, 20001)
     g = np.abs((np.exp(-1j * np.outer(s, system.eigenvalues)) * system.eigenvectors[0].conj())
                @ system.eigenvectors[-1])
     quadrature = (s[1] - s[0]) * (g.sum() - 0.5 * (g[0] + g[-1]))
-    # The closed form that sets step lengths bounds it too.  It is the leading
-    # term of g's Taylor series and ignores T's diagonal, so it is not a
-    # tight bound over long spans.
+    # The closed form is the leading term of g's Taylor series and ignores
+    # T's diagonal, so it is not a tight bound over long spans.
     assert quadrature * (1 - 1e-6) - 1e-15 <= dynamics._power_bound(off, span)
-    if math.isinf(bound):  # more than 8 m cells of width 1/max|E|: not evaluated
-        assert span * 0.5 * (system.eigenvalues[-1] - system.eigenvalues[0]) > 8 * m - 1
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=39),
+       st.floats(-20.0, 1.0), st.floats(1e-3, 1e3), st.floats(0.0, 1.0))
+def test_step_length_is_certified_by_the_power_bound(off, exponent, window, share):
+    # m = 2..40 Lanczos vectors; the residual norm's exponent spans values
+    # small enough to certify the whole window at once.
+    last = 10.0 ** exponent
+    beta = np.array(off + [last])
+    rest = share * window
+    tau, bound = dynamics._step_length(beta, rest, window)
+    if last * window <= dynamics.KRYLOV_TOL or rest == 0.0:
+        # A small residual, or nothing left to march, ends the march at once.
+        assert (tau, bound) == (rest, last * rest)
         return
-    # An upper bound, and not a loose one: |g| rounds to about 1e-16.
-    assert quadrature * (1 - 1e-6) - 1e-15 <= bound <= 3.0 * quadrature + 1e-15
+    assert 0.0 < tau <= rest
+    assert bound == last * dynamics._power_bound(beta[:-1], tau)
+    assert bound <= dynamics.KRYLOV_TOL * tau / window
 
 
 def first_peak_index_reference(trace, threshold):
