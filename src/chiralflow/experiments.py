@@ -299,33 +299,27 @@ def _ladder_objective(n_copies: int):
     """Ladder cycle fidelity and its gradient in the log-increments of
     ``_profile_from_increments``.
 
-    H(b) = H_ring + sum_d b_d A_d.  The triplets of ``ladder(n_copies, ones)``
-    are built once; each evaluation scales every cell's triplets by its b_d
-    and makes one ``eigendecompose``.  At the revival time t* (envelope
-    theorem) the return amplitude A = <0|exp(-iHt*)|0> has the Daleckii-Krein
-    derivative
+    H(b) = H_0 + sum_d b_d A_d on one triplet pattern.  Every profile of
+    ``ladder`` emits the same hopping pairs, so H_0 = ``ladder(n_copies,
+    zeros)`` and each unit profile ``ladder(n_copies, e_d)`` share their rows
+    and cols, and the generator A_d is the difference of their value vectors.
+    Each evaluation adds sum_d b_d A_d to the values of H_0 and makes one
+    ``eigendecompose``.  At the revival time t* (envelope theorem) the return
+    amplitude A = <0|exp(-iHt*)|0> has the Daleckii-Krein derivative
     dA/db_d = sum_km V_0k (V^dag A_d V)_km Phi_km conj(V_0m),
     Phi_km = (e^{-iE_k t} - e^{-iE_m t}) / (E_k - E_m), or -it e^{-iE_k t}
     for degenerate levels; dF/db_d = 2 Re(conj(A) dA/db_d).
     """
     n_profiles = (n_copies + 1) // 2
-    ring = ladder(n_copies, [0.0] * n_profiles)
-    basis = enumerate_basis(ring.n_sites, 1, ring.statistics)
-    h_ring = build_hamiltonian(ring, basis).matrix
-    couplings = np.array([
-        build_hamiltonian(ladder(n_copies, np.eye(n_profiles)[d]), basis).matrix - h_ring
-        for d in range(n_profiles)
-    ])
-    free = couplings[1:]  # the end cells keep coupling 2
-    template = build_hamiltonian(ladder(n_copies, [1.0] * n_profiles), basis)
-    # Triplet i scales by b_{cell[i]}; the ring's triplets (cell n_profiles) by 1.
-    in_cell = couplings[:, template.rows, template.cols] != 0
-    cell = np.where(in_cell.any(axis=0), in_cell.argmax(axis=0), n_profiles)
+    spec = ladder(n_copies, [0.0] * n_profiles)
+    basis = enumerate_basis(spec.n_sites, 1, spec.statistics)
+    h0 = build_hamiltonian(spec, basis)
+    generators = np.array([build_hamiltonian(ladder(n_copies, unit), basis).values - h0.values
+                           for unit in np.eye(n_profiles)])
 
     def objective(increments: np.ndarray) -> tuple[float, np.ndarray]:
         profile = np.array(_profile_from_increments(increments))
-        scales = np.append(profile, 1.0)[cell]
-        system = eigendecompose(replace(template, values=template.values * scales))
+        system = eigendecompose(replace(h0, values=h0.values + profile @ generators))
         values, vectors = system.eigenvalues, system.eigenvectors
         lead = vectors[0]
         weights = np.abs(lead) ** 2
@@ -336,10 +330,11 @@ def _ladder_objective(n_copies: int):
         near = np.abs(gaps) < 1e-9
         phi = np.where(near, -1j * t * phases[:, None],
                        (phases[:, None] - phases[None, :]) / np.where(near, 1.0, gaps))
-        # sum_km (V^dag A_d V)_km G_km = sum_ij (A_d)_ij (V G^T V^dag)_ji
+        # sum_km (V^dag A_d V)_km G_km = sum_ij (A_d)_ij (V G^T V^dag)_ji,
+        # summed over the triplets (i, j); the end cells keep coupling 2.
         g = phi * np.outer(lead, lead.conj())
         w = vectors @ g.T @ vectors.conj().T
-        d_amplitude = np.einsum("dij,ji->d", free, w)
+        d_amplitude = generators[1:] @ w[h0.cols, h0.rows]
         d_profile = 2.0 * np.real(np.conj(amplitude) * d_amplitude)
         # b_i = b_{i-1} + MIN_INCREMENT + exp(x_i) moves every b_j with j >= i.
         grad = np.exp(increments) * np.cumsum(d_profile[::-1])[::-1]

@@ -86,16 +86,12 @@ class SubspaceBasis:
     ``occupations`` is the read-only (dim, n_sites) unsigned-integer array of
     the occupation vectors, row i being basis state i.  The sizes and the
     statistics determine the states, so bases compare by those alone.
-    ``build_hamiltonian`` keeps the structure of each tuple of hopping pairs
-    and on-site sites it has assembled on the basis, so a later spec with the
-    same ones only fills in values.
     """
 
     n_sites: int
     n_excitations: int
     statistics: Statistics
     occupations: np.ndarray = field(repr=False, compare=False)
-    _patterns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.occupations.setflags(write=False)
@@ -162,8 +158,9 @@ class HermitianMatrix:
     conjugate mirror; the constructor checks shapes, finiteness and that
     every index lies in ``range(dim)``, not Hermiticity.  ``build_hamiltonian``
     emits each entry next to its mirror, and ``models.three_body_spin``
-    checks its dense matrix before passing its nonzero entries.  Scaling the
-    values by a real factor (``dataclasses.replace``) keeps it Hermitian.
+    checks its dense matrix before passing its nonzero entries.  A real
+    linear combination of value vectors on one pattern (rows and cols), put
+    in with ``dataclasses.replace``, keeps it Hermitian.
     """
 
     dim: int
@@ -249,8 +246,7 @@ def enumerate_basis(n_sites: int, n_excitations: int, statistics: Statistics) ->
 def _pattern(basis: SubspaceBasis, pairs: tuple[tuple[int, int], ...],
              sites: tuple[int, ...]):
     """The structure that hoppings between the (j, k) ``pairs`` and on-site
-    terms on ``sites`` (1-based, like j and k) give on a basis, computed once
-    per pair and site tuple and kept on the basis.
+    terms on ``sites`` (1-based, like j and k) give on a basis.
 
     Returns ``(rows, cols, hop, sqrt_src, sqrt_dst, n)``.  Hopping entry e
     moves one excitation from site k to site j of state ``cols[2e]`` by
@@ -262,10 +258,6 @@ def _pattern(basis: SubspaceBasis, pairs: tuple[tuple[int, int], ...],
     diagonal of each on-site term follows, state by state, and ``n`` holds
     the float occupations of its site, one row per term.
     """
-    key = (pairs, sites)
-    pattern = basis._patterns.get(key)
-    if pattern is not None:
-        return pattern
     occ = basis.occupations
     cap = basis.statistics.site_cap(basis.n_excitations)
     dst = np.array([j - 1 for j, _ in pairs], dtype=np.intp)
@@ -286,11 +278,7 @@ def _pattern(basis: SubspaceBasis, pairs: tuple[tuple[int, int], ...],
     sqrt_src = np.sqrt(occ[col, src[hop]].astype(float))
     sqrt_dst = np.sqrt(occ[col, dst[hop]].astype(float) + 1.0)
     n = occ[:, [j - 1 for j in sites]].T.astype(float)
-    pattern = (rows, cols, hop, sqrt_src, sqrt_dst, n)
-    for arr in pattern:
-        arr.setflags(write=False)
-    basis._patterns[key] = pattern
-    return pattern
+    return rows, cols, hop, sqrt_src, sqrt_dst, n
 
 
 def _check_spec(spec, basis: SubspaceBasis) -> None:
@@ -345,9 +333,9 @@ def build_hamiltonian(spec, basis: SubspaceBasis) -> HermitianMatrix:
     fixed-excitation block; it commutes with the total number operator by
     construction.  Hops that would exceed the occupation cap (a spin site holds
     one) are dropped, because the target state is outside the basis; that
-    keeps the truncation Hermitian.  The structure of the block is computed
-    once per basis and tuple of hopping pairs and on-site sites; a later spec
-    with the same ones only fills in the values.
+    keeps the truncation Hermitian.  Specs with the same hopping pairs and
+    on-site sites give the same rows and cols, so their value vectors combine
+    on one pattern.
     """
     _check_spec(spec, basis)
     pattern = _pattern(basis, *_structure(spec))

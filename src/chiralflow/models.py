@@ -16,7 +16,7 @@ Phases are normalised to (-pi, pi] at construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -272,10 +272,11 @@ def gauge_transform(spec: NetworkSpec, site_phases) -> NetworkSpec:
 
 @dataclass(frozen=True)
 class ChiralOperator:
-    """Unitary involution C with C H C^-1 = -H for pi/2-phase networks."""
+    """Unitary C with C H C^-1 = -H for pi/2-phase networks; ``involutive``
+    (C^2 = 1) is computed from the matrix."""
 
     matrix: np.ndarray
-    involutive: bool = True
+    involutive: bool = field(init=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)

@@ -374,7 +374,7 @@ def test_triplets_are_the_loop_triplets_bit_for_bit(case, seed):
     assert_triplets_match_loop(hilbert.build_hamiltonian(spec, basis), spec, basis)
 
 
-def test_pattern_reuse_fills_values_for_each_spec():
+def test_consecutive_builds_on_one_basis_are_each_their_own_build():
     basis = hilbert.enumerate_basis(5, 3, Statistics.boson(2))
     kerr = (OnSite(2, 0.3, 0.7), OnSite(5, -0.1, 0.2))
     first = SimpleNamespace(n_sites=5, statistics=Statistics.boson(2), onsite=kerr, hoppings=(

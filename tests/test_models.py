@@ -226,6 +226,15 @@ def test_chiral_operator_is_involution(n):
         assert np.allclose(op.matrix @ op.matrix, np.eye(op.dim), atol=1e-14)
 
 
+def test_chiral_operator_reports_a_non_involutive_unitary():
+    # The 3-cycle shift is unitary with C^2 != 1; involutive is computed,
+    # never passed in.
+    shift = np.roll(np.eye(3), 1, axis=0)
+    assert models.ChiralOperator(shift).involutive is False
+    with pytest.raises(TypeError):
+        models.ChiralOperator(np.eye(3), involutive=False)
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_chiral_operator_inverts_spectrum(n):
     spec = models.asgf(n, 1.3, math.pi / 2)
