@@ -27,14 +27,17 @@ from .errors import BadInitial, ConfigError, NotSpin
 from .hilbert import (
     Hopping,
     OnSite,
+    _coefficients,
+    _fill,
+    _spec_pattern,
+    _spec_terms,
     build_hamiltonian,
     embedding_indices,
     enumerate_basis,
     full_space_index,
     occupation,
-    stacked_matrices,
 )
-from .models import NetworkSpec, ladder
+from .models import NetworkSpec, ladder, normalize_phases
 
 log = logging.getLogger(__name__)
 
@@ -83,43 +86,75 @@ class DisorderPoint:
     samples: int
 
 
+def _draw(base: NetworkSpec, kind: str, amplitude: float,
+          rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The disordered copies of ``base`` that ``perturbed_spec`` draws, one
+    per generator, as arrays: hopping amplitudes and phases of shape
+    (len(rngs), n_hoppings) and on-site (delta_omega, kerr_u) of shape
+    (len(rngs), n_terms, 2), the base's terms before the drawn ones.
+
+    A strength that crosses zero keeps its modulus and gains pi of phase, and
+    every phase is normalised as ``NetworkSpec`` normalises it.
+    """
+    if kind not in DISORDER_KINDS:
+        raise ValueError(f"unknown disorder kind {kind!r}")
+    amplitudes, phases, terms = _spec_terms(base)
+    count = len(rngs)
+    size = base.n_sites if kind == FREQUENCY else amplitudes.size
+    deltas = np.array([rng.uniform(-amplitude, amplitude, size) for rng in rngs])
+    amplitudes = np.broadcast_to(amplitudes, (count, amplitudes.size))
+    phases = np.broadcast_to(phases, (count, phases.size))
+    terms = np.broadcast_to(terms, (count,) + terms.shape)
+    if kind == FREQUENCY:
+        terms = np.concatenate([terms, np.stack([deltas, np.zeros_like(deltas)], axis=-1)], axis=1)
+    elif kind == HOPPING_STRENGTH:
+        amplitudes = amplitudes + deltas
+        kept = amplitudes >= 0
+        amplitudes = np.where(kept, amplitudes, -amplitudes)
+        phases = np.where(kept, phases, phases + math.pi)
+    else:
+        phases = phases + deltas
+    return amplitudes, normalize_phases(phases), terms
+
+
 def perturbed_spec(base: NetworkSpec, kind: str, amplitude: float,
                    rng: np.random.Generator) -> NetworkSpec:
     """Draw one disordered copy of a network spec.
 
     Frequency disorder adds an offset per node, hopping disorder an additive
     amplitude (in base-hopping units) or phase shift per link, each sampled
-    uniformly from [-amplitude, amplitude].
+    uniformly from [-amplitude, amplitude].  A strength that crosses zero
+    keeps its modulus and gains pi of phase.
     """
-    if kind == FREQUENCY:
-        offsets = rng.uniform(-amplitude, amplitude, base.n_sites)
-        extra = tuple(OnSite(j + 1, float(offsets[j]), 0.0) for j in range(base.n_sites))
-        return replace(base, onsite=base.onsite + extra)
-    if kind == HOPPING_STRENGTH:
-        deltas = rng.uniform(-amplitude, amplitude, len(base.hoppings))
-        hops = []
-        for hop, d in zip(base.hoppings, deltas):
-            amp = hop.amplitude + float(d)
-            if amp >= 0:
-                hops.append(Hopping(hop.j, hop.k, amp, hop.phase))
-            else:
-                hops.append(Hopping(hop.j, hop.k, -amp, hop.phase + math.pi))
-        return replace(base, hoppings=tuple(hops))
-    if kind == HOPPING_PHASE:
-        deltas = rng.uniform(-amplitude, amplitude, len(base.hoppings))
-        hops = tuple(Hopping(hop.j, hop.k, hop.amplitude, hop.phase + float(d))
-                     for hop, d in zip(base.hoppings, deltas))
-        return replace(base, hoppings=hops)
-    raise ValueError(f"unknown disorder kind {kind!r}")
+    amplitudes, phases, terms = (rows[0].tolist() for rows in _draw(base, kind, amplitude, [rng]))
+    drawn = range(1, base.n_sites + 1) if kind == FREQUENCY else ()
+    sites = [term.j for term in base.onsite] + list(drawn)
+    return replace(base,
+                   hoppings=tuple(Hopping(hop.j, hop.k, amp, phase) for hop, amp, phase
+                                  in zip(base.hoppings, amplitudes, phases)),
+                   onsite=tuple(OnSite(j, delta, kerr) for j, (delta, kerr) in zip(sites, terms)))
+
+
+def _disordered_values(base: NetworkSpec, kind: str, amplitude: float, pattern,
+                       rngs) -> np.ndarray:
+    """Triplet values of the disordered copies of ``base``, one row per
+    generator, on ``pattern``, the ``_spec_pattern`` of any one copy: row s is
+    bitwise ``build_hamiltonian(perturbed_spec(base, kind, amplitude,
+    rngs[s]), basis).values``.  ValueError unless every value is finite."""
+    amplitudes, phases, terms = _draw(base, kind, amplitude, rngs)
+    values = _fill(pattern, _coefficients(amplitudes, phases), terms)
+    if not np.isfinite(values.view(float)).all():
+        raise ValueError("matrix entries must be finite")
+    return values
 
 
 # Disorder samples assembled and diagonalised at once (a chunk), and within a
 # chunk the samples whose populations are formed at once (a block).  A
 # chunk's phase factors take 6.5 kB per sample, a block's buffers 320 kB per
-# sample.  On a 2-vCPU host the 2400 four-node samples of the default study
-# took 0.54 s in chunks of 4, 0.38 s in chunks of 20 or 40 and 0.37 s, the
-# same within noise, in chunks of 80 (medians of 15); in chunks of 40,
-# blocks of 2, 8 and 16 took 0.41-0.44 s.
+# sample.  On a 2-vCPU Xeon host the 2400 four-node samples of the default
+# study took 0.53 s in chunks of 4, 0.41 s in chunks of 20, 0.36 s in chunks
+# of 40 and 0.37 s in chunks of 80 (medians of 15, blocks of 4); in chunks of
+# 40, blocks of 2, 8 and 16 took 0.41, 0.37 and 0.37 s.
 _SAMPLE_CHUNK = 40
 _SAMPLE_BLOCK = 4
 
@@ -130,8 +165,11 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[D
     Every sample redraws all perturbations, evolves one chiral cycle (1601
     points on [0, pi]) from node 1 and records the average over ring nodes
     of the peak amplitude modulus.  The samples of an amplitude run in
-    chunks of ``_SAMPLE_CHUNK`` on one shared one-excitation basis: one
-    stacked assembly and one ``eigh`` per chunk.  Within a chunk the phase
+    chunks of ``_SAMPLE_CHUNK`` on one shared one-excitation basis and one
+    triplet pattern, taken from a single ``perturbed_spec`` copy: each chunk
+    draws its perturbations as arrays, fills one row of triplet values per
+    sample, scatters them into stacked dense matrices and makes one ``eigh``,
+    with no spec object per sample.  Within a chunk the phase
     table, the amplitudes and their |amplitude|^2 are formed in blocks of
     ``_SAMPLE_BLOCK`` samples, in buffers allocated once per sweep, so
     memory does not grow with the sample count.  Basis state i is node
@@ -153,16 +191,23 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[D
     abs2 = np.empty(phases.shape)
     points = []
     for a_idx, amplitude in enumerate(amplitudes):
+        # Every copy has the hopping pairs and on-site sites of this one.
+        pattern = _spec_pattern(perturbed_spec(base, cfg.kind, amplitude,
+                                               np.random.default_rng((cfg.seed, a_idx, 0))), basis)
+        rows, cols = pattern[:2]
         results = np.empty(cfg.samples)
         for lo in range(0, cfg.samples, _SAMPLE_CHUNK):
-            specs = [perturbed_spec(base, cfg.kind, amplitude,
-                                    np.random.default_rng((cfg.seed, a_idx, sample_idx)))
-                     for sample_idx in range(lo, min(lo + _SAMPLE_CHUNK, cfg.samples))]
-            energies, vectors = np.linalg.eigh(stacked_matrices(specs, basis))
+            rngs = [np.random.default_rng((cfg.seed, a_idx, sample_idx))
+                    for sample_idx in range(lo, min(lo + _SAMPLE_CHUNK, cfg.samples))]
+            values = _disordered_values(base, cfg.kind, amplitude, pattern, rngs)
+            # Scattered in triplet order, as ``HermitianMatrix.matrix`` is.
+            stack = np.zeros((len(rngs), len(basis), len(basis)), dtype=complex)
+            np.add.at(stack, (np.arange(len(rngs))[:, None], rows, cols), values)
+            energies, vectors = np.linalg.eigh(stack)
             modes = vectors.swapaxes(-1, -2)
             big, small = _grid_factors(times, energies, modes.conj() @ psi0)
-            for first in range(0, len(specs), _SAMPLE_BLOCK):
-                n = min(_SAMPLE_BLOCK, len(specs) - first)
+            for first in range(0, len(rngs), _SAMPLE_BLOCK):
+                n = min(_SAMPLE_BLOCK, len(rngs) - first)
                 block = slice(first, first + n)
                 _factor_table(big[block], small[block], phases[:n])
                 # Without an occupation matrix these are |amplitude|^2 per
@@ -170,7 +215,7 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[D
                 _populations(phases[:n], modes[block], None, out=states[:n], abs2_out=abs2[:n])
                 results[lo + first:lo + first + n] = average_fidelity(abs2[:n], base.ring_nodes)
             # Freed now, so that they never coexist with the next chunk's.
-            del specs, energies, vectors, modes, big, small
+            del rngs, values, stack, energies, vectors, modes, big, small
         mean = float(np.mean(results))
         stderr = float(np.std(results, ddof=1) / math.sqrt(cfg.samples)) if cfg.samples > 1 else 0.0
         points.append(DisorderPoint(amplitude, mean, stderr, cfg.samples))

@@ -8,8 +8,9 @@ platforms.  States are ranked by binary search on byte keys of that order,
 and a Hamiltonian is assembled by applying each hopping to every state at
 once, with no loop over states.  Sector Hamiltonians are kept as COO triplets
 (:class:`HermitianMatrix`), so a large sector never needs a dense dim x dim
-array unless a caller asks for ``.matrix``, or for the stacked dense
-matrices of many small specs through ``stacked_matrices``.
+array unless a caller asks for ``.matrix``.  The triplet values are filled
+from arrays of hopping coefficients and on-site terms, one row per spec, so
+specs that share their hopping pairs and on-site sites fill at once.
 """
 
 from __future__ import annotations
@@ -281,9 +282,10 @@ def _pattern(basis: SubspaceBasis, pairs: tuple[tuple[int, int], ...],
     return rows, cols, hop, sqrt_src, sqrt_dst, n
 
 
-def _check_spec(spec, basis: SubspaceBasis) -> None:
-    """Raise SpecMismatch unless the spec's sizes, statistics and sites fit
-    the basis."""
+def _spec_pattern(spec, basis: SubspaceBasis):
+    """The ``_pattern`` of a spec's hopping pairs and on-site sites on a
+    basis; SpecMismatch unless the spec's sizes, statistics and sites fit the
+    basis."""
     if spec.n_sites != basis.n_sites:
         raise SpecMismatch(
             f"spec has {spec.n_sites} sites but basis has {basis.n_sites}"
@@ -296,32 +298,51 @@ def _check_spec(spec, basis: SubspaceBasis) -> None:
     for term in spec.onsite:
         if not 1 <= term.j <= spec.n_sites:
             raise SpecMismatch(f"on-site term {term} references a nonexistent site")
+    return _pattern(basis, tuple((h.j, h.k) for h in spec.hoppings),
+                    tuple(term.j for term in spec.onsite))
 
 
-def _structure(spec) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """The (j, k) pair of each hopping and the site of each on-site term."""
-    return tuple((h.j, h.k) for h in spec.hoppings), tuple(term.j for term in spec.onsite)
+def _spec_terms(spec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The amplitudes and phases of a spec's hoppings, as float arrays, and
+    the (delta_omega, kerr_u) of its on-site terms, as an (n_terms, 2) one."""
+    amplitudes = np.array([h.amplitude for h in spec.hoppings], dtype=float)
+    phases = np.array([h.phase for h in spec.hoppings], dtype=float)
+    terms = np.array([(t.delta_omega, t.kerr_u) for t in spec.onsite], dtype=float)
+    return amplitudes, phases, terms.reshape(-1, 2)
 
 
-def _fill(pattern, specs) -> np.ndarray:
-    """Triplet values of specs that share one pattern, one row per spec.
+def _coefficients(amplitudes: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """``Hopping.coefficient`` elementwise, bit for bit.
+
+    Python multiplies the float amplitude a into cos + i sin as the complex
+    a + 0i.  A part that underflows to zero takes its sign from the products
+    of that zero, where NumPy's fused complex product would keep the sign of
+    the underflowed one.
+    """
+    cos, sin = np.cos(phases), np.sin(phases)
+    coefficients = np.empty(np.shape(phases), dtype=complex)
+    coefficients.real = amplitudes * cos - 0.0 * sin
+    coefficients.imag = amplitudes * sin + 0.0 * cos
+    return coefficients
+
+
+def _fill(pattern, coefficients: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Triplet values on one pattern, one row per spec, from the (n_specs,
+    n_hoppings) hopping coefficients and the (n_specs, n_terms, 2) on-site
+    (delta_omega, kerr_u).
 
     Each hopping entry is followed by its conjugate mirror, and the on-site
     terms come last, state by state: the order of a dense ``+=`` loop.  Every
     value is formed by the same operations whatever the number of specs.
     """
     rows, _, hop, sqrt_src, sqrt_dst, n = pattern
-    coeffs = np.array([[h.coefficient() for h in spec.hoppings] for spec in specs],
-                      dtype=complex)
-    amp = coeffs[:, hop] * sqrt_src * sqrt_dst
-    values = np.empty((len(specs), rows.size), dtype=complex)
+    amp = coefficients[:, hop] * sqrt_src * sqrt_dst
+    values = np.empty((len(coefficients), rows.size), dtype=complex)
     values[:, 0:2 * hop.size:2] = amp
     values[:, 1:2 * hop.size:2] = amp.conj()
     if n.size:
-        terms = np.array([[(t.delta_omega, t.kerr_u) for t in spec.onsite] for spec in specs],
-                         dtype=float)
         values[:, 2 * hop.size:] = (terms[..., :1] * n + terms[..., 1:] * n * n).reshape(
-            len(specs), -1)
+            len(coefficients), -1)
     return values
 
 
@@ -337,36 +358,10 @@ def build_hamiltonian(spec, basis: SubspaceBasis) -> HermitianMatrix:
     on-site sites give the same rows and cols, so their value vectors combine
     on one pattern.
     """
-    _check_spec(spec, basis)
-    pattern = _pattern(basis, *_structure(spec))
-    rows, cols = pattern[:2]
-    return HermitianMatrix(len(basis), rows, cols, _fill(pattern, [spec])[0])
-
-
-def stacked_matrices(specs, basis: SubspaceBasis) -> np.ndarray:
-    """Dense Hamiltonians of a non-empty sequence of specs that share their
-    hopping pairs and on-site sites, as one read-only (len(specs), dim, dim)
-    array.
-
-    Each spec is checked as ``build_hamiltonian`` checks it, and specs with
-    other pairs or sites than the first raise SpecMismatch.  The values are
-    filled for all specs at once and scattered in triplet order, so slice s
-    is bitwise ``build_hamiltonian(specs[s], basis).matrix``.
-    """
-    for spec in specs:
-        _check_spec(spec, basis)
-    structure = _structure(specs[0])
-    if any(_structure(spec) != structure for spec in specs):
-        raise SpecMismatch("stacked specs differ in hopping pairs or on-site sites")
-    pattern = _pattern(basis, *structure)
-    rows, cols = pattern[:2]
-    values = _fill(pattern, specs)
-    if not np.isfinite(values.view(float)).all():
-        raise ValueError("matrix entries must be finite")
-    stack = np.zeros((len(specs), len(basis), len(basis)), dtype=complex)
-    np.add.at(stack, (np.arange(len(specs))[:, None], rows, cols), values)
-    stack.setflags(write=False)
-    return stack
+    pattern = _spec_pattern(spec, basis)
+    amplitudes, phases, terms = _spec_terms(spec)
+    values = _fill(pattern, _coefficients(amplitudes, phases)[None], terms[None])[0]
+    return HermitianMatrix(len(basis), pattern[0], pattern[1], values)
 
 
 def full_space_index(state, local_dim: int = 2) -> int:

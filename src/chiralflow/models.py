@@ -36,6 +36,14 @@ def normalize_phase(theta: float) -> float:
     return theta
 
 
+def normalize_phases(theta: np.ndarray) -> np.ndarray:
+    """``normalize_phase`` of every angle of an array, by the same float
+    operations."""
+    theta = np.fmod(theta, TWO_PI)
+    return np.where(theta <= -math.pi, theta + TWO_PI,
+                    np.where(theta > math.pi, theta - TWO_PI, theta))
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Declarative network graph: ring size, auxiliaries, hoppings, on-site terms."""

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -15,6 +16,13 @@ from chiralflow.experiments import DisorderConfig, concurrence
 @pytest.fixture(scope="module")
 def base_spec():
     return models.asgf(4, 2.0, math.pi / 2)
+
+
+@pytest.fixture(scope="module")
+def onsite_spec(base_spec):
+    """The base on spins, with a detuning and a Kerr term."""
+    return replace(base_spec, statistics=hilbert.Statistics.spin(),
+                   onsite=(hilbert.OnSite(2, 0.4, 0.0), hilbert.OnSite(5, -0.3, 0.8)))
 
 
 def test_zero_disorder_is_perfect(base_spec):
@@ -74,16 +82,17 @@ def test_hopping_scale_frequency_disorder_beats_tiny_hopping_disorder(base_spec)
     assert hop[0].mean_fidelity > 0.999
 
 
-def reference_sweep(base, cfg, amplitudes):
-    """The per-sample pipeline: simulate each sample alone, average the sqrt
-    of each ring node's peak population, then take mean and standard error."""
+def reference_sweep(base, cfg, amplitudes, draw=experiments.perturbed_spec):
+    """The per-sample pipeline: simulate each sample, a spec drawn by
+    ``draw``, alone, average the sqrt of each ring node's peak population,
+    then take mean and standard error."""
     times = np.linspace(0.0, math.pi, 1601)
     points = []
     for a_idx, amplitude in enumerate(amplitudes):
         fidelities = []
         for sample_idx in range(cfg.samples):
             rng = np.random.default_rng((cfg.seed, a_idx, sample_idx))
-            spec = experiments.perturbed_spec(base, cfg.kind, amplitude, rng)
+            spec = draw(base, cfg.kind, amplitude, rng)
             traj = dynamics.simulate(spec, hilbert.occupation(spec.n_sites, 1), times)
             fidelities.append(np.mean([np.max(np.sqrt(traj.node_population(j)))
                                        for j in spec.ring_nodes]))
@@ -114,6 +123,34 @@ def test_chunked_sweep_is_the_per_sample_pipeline_bit_for_bit(base_spec, kind):
             == reference_sweep(base_spec, cfg, amplitudes))
 
 
+@pytest.mark.parametrize("kind", experiments.DISORDER_KINDS)
+def test_sweep_with_onsite_terms_is_the_per_sample_pipeline_bit_for_bit(onsite_spec, kind):
+    # Frequency disorder appends its offsets after the base's terms.  Strength
+    # draws of 3 cross zero; phase draws of 4 wrap past pi.  The reference
+    # builds each sample by ``dataclasses.replace``, apart from the sweep's
+    # array draw.
+    cfg = DisorderConfig(kind, experiments._SAMPLE_BLOCK + 3, 5)
+    amplitudes = [0.0, 0.3, 4.0 if kind == "hopping_phase" else 3.0]
+    assert (experiments.disorder_sweep(onsite_spec, cfg, amplitudes)
+            == reference_sweep(onsite_spec, cfg, amplitudes, draw=replaced_spec))
+
+
+@pytest.mark.parametrize("kind", experiments.DISORDER_KINDS)
+def test_sweep_draws_one_spec_per_amplitude(base_spec, kind, monkeypatch):
+    # The other samples are drawn as arrays, with no spec of their own.
+    drawn = []
+
+    def counted(base, kind, amplitude, rng):
+        drawn.append(amplitude)
+        return perturbed_spec(base, kind, amplitude, rng)
+
+    perturbed_spec = experiments.perturbed_spec
+    monkeypatch.setattr(experiments, "perturbed_spec", counted)
+    cfg = DisorderConfig(kind, 2 * experiments._SAMPLE_CHUNK + 1, 0)
+    experiments.disorder_sweep(base_spec, cfg, [0.0, 0.1, 0.3])
+    assert drawn == [0.0, 0.1, 0.3]
+
+
 def replaced_spec(base, kind, amplitude, rng):
     """A disordered spec drawn as ``perturbed_spec`` draws it, built through
     ``dataclasses.replace`` of every term."""
@@ -141,28 +178,29 @@ def spec_bits(spec):
             tuple((t.j, t.delta_omega.hex(), t.kerr_u.hex()) for t in spec.onsite))
 
 
-def test_perturbed_spec_respects_invariants(base_spec):
+def test_perturbed_spec_respects_invariants(base_spec, onsite_spec):
     rng = np.random.default_rng(0)
     for kind in experiments.DISORDER_KINDS:
         spec = experiments.perturbed_spec(base_spec, kind, 0.5, rng)
         assert all(h.amplitude >= 0 for h in spec.hoppings)
         assert all(-math.pi < h.phase <= math.pi for h in spec.hoppings)
     # Strength draws up to 3 cross zero for the unit ring links and the
-    # auxiliary links of 2 (the phase then gains pi and is wrapped).
+    # auxiliary links of 2 (the phase then gains pi and is wrapped).  On a
+    # base with on-site terms, the drawn offsets come after them.
     crossed = 0
-    for kind in experiments.DISORDER_KINDS:
+    for kind, base in itertools.product(experiments.DISORDER_KINDS, (base_spec, onsite_spec)):
         for amplitude in (0.0, 0.5, 3.0):
             for seed in range(40):
-                spec = experiments.perturbed_spec(base_spec, kind, amplitude,
+                spec = experiments.perturbed_spec(base, kind, amplitude,
                                                   np.random.default_rng((seed, 1)))
-                expected = replaced_spec(base_spec, kind, amplitude,
+                expected = replaced_spec(base, kind, amplitude,
                                          np.random.default_rng((seed, 1)))
                 assert spec_bits(spec) == spec_bits(expected)
                 assert all(h.amplitude >= 0 for h in spec.hoppings)
                 assert all(-math.pi < h.phase <= math.pi for h in spec.hoppings)
                 if kind == "hopping_strength":
                     crossed += sum(math.cos(h.phase - b.phase) < 0
-                                   for h, b in zip(spec.hoppings, base_spec.hoppings))
+                                   for h, b in zip(spec.hoppings, base.hoppings))
     assert crossed > 40
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chiralflow import hilbert, models
+from chiralflow import experiments, hilbert, models
 from chiralflow.errors import CapacityOverflow, DimensionMismatch, SpecMismatch
 from chiralflow.hilbert import Hopping, OnSite, Statistics
 from conftest import sector_block
@@ -394,59 +394,78 @@ def test_consecutive_builds_on_one_basis_are_each_their_own_build():
     assert_triplets_match_loop(fresh, third, basis)
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(finite, finite), min_size=1, max_size=8))
+def test_coefficients_are_each_hopping_coefficient_bit_for_bit(pairs):
+    # Tiny amplitudes and phases make parts that underflow to zeros of
+    # either sign; zero amplitudes of both signs are among the draws.
+    amplitudes, phases = map(np.array, zip(*pairs))
+    coefficients = hilbert._coefficients(amplitudes, phases)
+    expected = np.array([Hopping(1, 2, a, p).coefficient() for a, p in pairs])
+    assert np.array_equal(coefficients.view(np.uint64), expected.view(np.uint64))
+
+
+def as_network_spec(raw):
+    """A ``NetworkSpec`` of a raw network: the first hopping of each site
+    pair, its amplitude made non-negative, and every on-site term."""
+    hops = {}
+    for hop in raw.hoppings:
+        hops.setdefault(frozenset((hop.j, hop.k)), Hopping(hop.j, hop.k, abs(hop.amplitude), hop.phase))
+    return models.NetworkSpec(raw.n_sites, 0, tuple(hops.values()), raw.onsite, raw.statistics,
+                              tuple(f"node_{j}" for j in range(1, raw.n_sites + 1)))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(raw_networks(), st.integers(1, 5), st.integers(0, 2**32 - 1))
-def test_stacked_matrices_are_each_build_bit_for_bit(case, count, seed):
-    spec, n_exc = case
+@given(raw_networks(), st.sampled_from(experiments.DISORDER_KINDS),
+       st.sampled_from([0.0, 0.3, 3.0, 4.0]), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_disordered_rows_are_each_build_bit_for_bit(case, kind, amplitude, count, seed):
+    raw, n_exc = case
     rng = np.random.default_rng(seed)
-    # Specs with the pairs and sites of the drawn one, other values; Kerr terms
-    # on every site, with zeros of both signs among the values.
+    # Kerr terms on every site, with zeros of both signs among the values,
+    # before the drawn ones of frequency disorder.
     kerr = tuple(OnSite(j, float(rng.choice([0.0, -0.0, rng.normal()])), float(rng.normal()))
-                 for j in range(1, spec.n_sites + 1))
-    specs = [SimpleNamespace(**{**vars(spec), "onsite": spec.onsite + kerr})]
-    for _ in range(count - 1):
-        specs.append(SimpleNamespace(**{**vars(spec), "hoppings": tuple(
-            Hopping(h.j, h.k, float(rng.uniform(-2.0, 2.0)), float(rng.uniform(-4.0, 4.0)))
-            for h in spec.hoppings), "onsite": tuple(
-            OnSite(t.j, float(rng.normal()), float(rng.normal())) for t in specs[0].onsite)}))
-    basis = hilbert.enumerate_basis(spec.n_sites, n_exc, spec.statistics)
-    stack = hilbert.stacked_matrices(specs, basis)
-    assert stack.shape == (count, len(basis), len(basis)) and not stack.flags.writeable
-    for matrix, each in zip(stack, specs):
-        expected = hilbert.build_hamiltonian(each, basis).matrix
-        assert np.array_equal(matrix.view(np.uint64), expected.view(np.uint64))
-        assert np.array_equal(matrix.view(np.uint64), dense_hamiltonian(each, basis).view(np.uint64))
+                 for j in range(1, raw.n_sites + 1))
+    base = as_network_spec(SimpleNamespace(**{**vars(raw), "onsite": raw.onsite + kerr}))
+    basis = hilbert.enumerate_basis(base.n_sites, n_exc, base.statistics)
+
+    def generators():
+        return [np.random.default_rng((seed, sample)) for sample in range(count)]
+
+    # Strength draws of 3 cross zero and phase draws of 4 wrap past pi.
+    pattern = hilbert._spec_pattern(
+        experiments.perturbed_spec(base, kind, amplitude, generators()[-1]), basis)
+    values = experiments._disordered_values(base, kind, amplitude, pattern, generators())
+    assert values.shape == (count, pattern[0].size)
+    for row, generator in zip(values, generators()):
+        spec = experiments.perturbed_spec(base, kind, amplitude, generator)
+        h = hilbert.build_hamiltonian(spec, basis)
+        assert np.array_equal(h.rows, pattern[0]) and np.array_equal(h.cols, pattern[1])
+        assert np.array_equal(row.view(np.uint64), h.values.view(np.uint64))
+        assert_triplets_match_loop(h, spec, basis)
 
 
-def test_stacked_matrices_reject_specs_that_differ():
-    stats = Statistics.boson(2)
-    basis = hilbert.enumerate_basis(4, 2, stats)
-    first = SimpleNamespace(n_sites=4, statistics=stats, onsite=(OnSite(2, 0.3, 0.7),), hoppings=(
-        Hopping(1, 2, 1.0, 0.5), Hopping(2, 3, 0.4, -1.0)))
-    hops = first.hoppings
-    others = [
-        {"hoppings": (Hopping(1, 3, 1.0, 0.5), hops[1])},  # another pair
-        {"hoppings": (Hopping(2, 1, 1.0, 0.5), hops[1])},  # the pair reversed
-        {"hoppings": hops[:1]},  # fewer pairs
-        {"onsite": (OnSite(3, 0.3, 0.7),)},  # another site
-        {"onsite": ()},  # fewer sites
-        {"statistics": Statistics.spin()},
-        {"statistics": Statistics.boson()},
-        {"n_sites": 5},
-        {"hoppings": (hops[0], Hopping(2, 5, 0.4, -1.0))},  # a site outside the basis
-    ]
-    for change in others:
-        other = SimpleNamespace(**{**vars(first), **change})
-        for specs in ([first, other], [other, first], [first, first, other]):
-            with pytest.raises(SpecMismatch):
-                hilbert.stacked_matrices(specs, basis)
-    # Non-finite values are refused as ``build_hamiltonian`` refuses them.
-    infinite = SimpleNamespace(**{**vars(first), "onsite": (OnSite(2, math.inf, 0.0),)})
-    with np.errstate(invalid="ignore"):
+@pytest.mark.parametrize("kind, hop, term", [
+    # A base amplitude near the float max whose drawn strength overflows.
+    ("hopping_strength", Hopping(1, 2, 1.79e308, 0.5), OnSite(2, 0.3, 0.7)),
+    # An infinite detuning times an empty site.
+    ("frequency", Hopping(1, 2, 1.0, 0.5), OnSite(2, math.inf, 0.0)),
+])
+def test_disordered_values_refuse_non_finite_entries(kind, hop, term):
+    base = models.NetworkSpec(3, 0, (hop,), (term,), Statistics.boson(), ("a", "b", "c"))
+    basis = hilbert.enumerate_basis(3, 1, base.statistics)
+    generators = [np.random.default_rng((0, sample)) for sample in range(8)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        pattern = hilbert._spec_pattern(base, basis)
         with pytest.raises(ValueError):
-            hilbert.build_hamiltonian(infinite, basis)
+            experiments._disordered_values(base, kind, 1e307, pattern, generators)
+        # A sample's own build refuses it as well.
         with pytest.raises(ValueError):
-            hilbert.stacked_matrices([first, infinite], basis)
+            for generator in generators:
+                hilbert.build_hamiltonian(
+                    experiments.perturbed_spec(base, kind, 1e307, generator), basis)
 
 
 def test_hermitian_matrix_rejects_negative_indices():
@@ -514,6 +533,13 @@ def test_build_rejects_bad_sites():
         hilbert.build_hamiltonian(bad, basis)
     with pytest.raises(SpecMismatch):
         hilbert.build_hamiltonian(spec, hilbert.enumerate_basis(4, 1, spec.statistics))
+    with pytest.raises(SpecMismatch):
+        hilbert.build_hamiltonian(spec, hilbert.enumerate_basis(3, 1, Statistics.spin()))
+    # A hopping to a site outside the basis, which a NetworkSpec refuses.
+    outside = SimpleNamespace(n_sites=3, statistics=spec.statistics, onsite=(),
+                              hoppings=(Hopping(2, 5, 1.0, 0.0),))
+    with pytest.raises(SpecMismatch):
+        hilbert.build_hamiltonian(outside, basis)
 
 
 def test_full_space_embedding():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chiralflow import dynamics, hilbert, models
 from chiralflow.errors import BadGauge, ConfigError, ProfileLength, SpecMismatch
@@ -332,3 +334,14 @@ def test_normalised_hops_are_kept_and_others_wrapped():
                               (), ring.statistics, ring.labels)
     assert spec.hoppings[0] is inside
     assert [h.phase for h in spec.hoppings[1:]] == [math.pi, math.pi]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.floats(-8.0, 8.0), st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([math.pi, -math.pi, models.TWO_PI, -models.TWO_PI])),
+                min_size=1, max_size=8))
+def test_normalize_phases_is_normalize_phase_bit_for_bit(angles):
+    phases = models.normalize_phases(np.array(angles))
+    expected = np.array([models.normalize_phase(theta) for theta in angles])
+    assert np.array_equal(phases.view(np.uint64), expected.view(np.uint64))
+    assert np.all((-math.pi < phases) & (phases <= math.pi))

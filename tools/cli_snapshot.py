@@ -31,6 +31,12 @@ COMMANDS = {
     "spectrum-chiral-6": ["spectrum", "--model", "chiral", "--n", "6"],
     "criteria-sgf-4": ["criteria", "--model", "sgf", "--n", "4"],
     "disorder": ["study", "disorder", "--samples", "20", "--out", "disorder.csv"],
+    # Strength draws of 3 cross zero (the phase gains pi); phase draws of 4
+    # wrap past pi.
+    "disorder-strength-cross": ["study", "disorder", "--kind", "hopping_strength",
+                                "--amplitudes", "0,3", "--samples", "50", "--out", "disorder.csv"],
+    "disorder-phase-wrap": ["study", "disorder", "--kind", "hopping_phase",
+                            "--amplitudes", "4", "--samples", "50", "--out", "disorder.csv"],
     "ladder": ["study", "ladder", "--nrange", "1:6", "--out", "ladder.csv"],
     "oracle-check": ["oracle-check"],
     "optimize": ["study", "optimize", "--ncopies", "8", "--budget", "1500", "--seed", "0",
