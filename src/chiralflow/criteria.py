@@ -17,25 +17,16 @@ import numpy as np
 from .dynamics import (
     Direction,
     Trajectory,
+    _node_columns,
     chirality_order,
     cluster_levels,
     eigendecompose,
-    evolve,
     simulate,
 )
 from .errors import DimensionMismatch, NotSpin
 from .hilbert import HermitianMatrix, OnSite, build_hamiltonian, enumerate_basis, occupation
 from .models import ChiralOperator, NetworkSpec, sgf_ring
 from .oracles import ring_mode_numbers
-
-
-@dataclass(frozen=True)
-class ChiralModeTag:
-    """Winding classification of one eigenmode on the ring sites."""
-
-    winding: int | None
-    uniform_modulus: bool
-    phase_ramp_residual: float
 
 
 @dataclass(frozen=True)
@@ -46,7 +37,7 @@ class CriteriaReport:
     max_spacing_deviation: float
     degenerate_levels: int
     chiral_modes_complete: bool
-    mode_tags: tuple[ChiralModeTag, ...]
+    windings: tuple[int | None, ...]  # one per level, None where no plane wave fits
     verdict: bool
 
     def summary(self) -> str:
@@ -57,51 +48,24 @@ class CriteriaReport:
             f" (max deviation {self.max_spacing_deviation:.3e},"
             f" degenerate levels {self.degenerate_levels})",
             f"chiral_modes_complete: {str(self.chiral_modes_complete).lower()}"
-            f" (windings {[t.winding for t in self.mode_tags]})",
+            f" (windings {list(self.windings)})",
             f"verdict: {str(self.verdict).lower()}",
         ]
         return "\n".join(lines)
 
 
-def _ring_plane_wave(dim: int, ring_idx: list[int], winding: int) -> np.ndarray:
-    n = len(ring_idx)
-    vec = np.zeros(dim, dtype=complex)
-    for pos, site in enumerate(ring_idx):
-        vec[site] = np.exp(2j * math.pi * winding * pos / n) / math.sqrt(n)
-    return vec
-
-
-def _classify_single(vector: np.ndarray, ring_idx: list[int], mod_tol: float) -> ChiralModeTag:
-    restricted = vector[ring_idx]
-    norm = float(np.linalg.norm(restricted))
-    n = len(ring_idx)
-    if norm < 1e-9:
-        return ChiralModeTag(None, False, math.inf)
-    r = restricted / norm
-    moduli = np.abs(r)
-    uniform = float(np.max(np.abs(moduli - 1.0 / math.sqrt(n)))) <= mod_tol
-    # Match against every plane wave; the residual is the out-of-mode weight
-    # of the best match, which avoids branch cuts in per-link phase steps.
-    positions = np.arange(n)
-    best_m = None
-    best_residual = math.inf
-    for m in ring_mode_numbers(n):
-        wave = np.exp(2j * math.pi * m * positions / n) / math.sqrt(n)
-        overlap = abs(np.vdot(wave, r))
-        residual = math.sqrt(max(0.0, 1.0 - overlap * overlap))
-        if residual < best_residual:
-            best_m, best_residual = m, residual
-    if not uniform or best_residual > mod_tol:
-        return ChiralModeTag(None, uniform, best_residual)
-    return ChiralModeTag(best_m, uniform, best_residual)
-
-
 def check_criteria(h: HermitianMatrix, ring_nodes) -> CriteriaReport:
     """Evaluate the two chiral-flow criteria on one excitation block.
 
-    ``ring_nodes`` are the 1-based ring site labels; any remaining rows are
-    treated as auxiliary.  The spectral tests use the relative tolerance
-    1e-9; the eigenvector modulus and phase-ramp tests use sqrt(1e-9).
+    ``ring_nodes`` are the 1-based ring site labels, OutOfRange outside
+    1..dim; any remaining rows are treated as auxiliary.  The spectral tests
+    use the relative tolerance 1e-9.  The ring part of each eigen-cluster is
+    matched against one table of the n plane waves
+    exp(2 pi i m j / n) / sqrt(n): a single level takes the best-matching
+    wave when its renormalised ring part has uniform moduli and a residual
+    sqrt(1 - overlap^2) both within sqrt(1e-9); a degenerate cluster takes,
+    in mode order, every wave whose projection onto it has norm at least
+    1 - sqrt(1e-9).  Levels left unmatched have winding None.
     """
     tol = 1e-9
     system = eigendecompose(h)
@@ -125,29 +89,33 @@ def check_criteria(h: HermitianMatrix, ring_nodes) -> CriteriaReport:
         spacing_dev = 0.0
     equally_spaced = degenerate == 0 and spacing_dev <= tol
 
-    ring_idx = [node - 1 for node in ring_nodes]
-    n = len(ring_idx)
-    tags: list[ChiralModeTag] = []
+    ring = _node_columns(ring_nodes, dim)
+    n = len(ring)
+    modes = ring_mode_numbers(n)
+    waves = np.exp(2j * math.pi * np.outer(modes, np.arange(n)) / n) / math.sqrt(n)
+    windings: list[int | None] = []
     for cluster in clusters:
-        if len(cluster) == 1:
-            tags.append(_classify_single(system.eigenvectors[:, cluster[0]], ring_idx, mod_tol))
+        block = system.eigenvectors[np.ix_(ring, cluster)]
+        if len(cluster) > 1:
+            weights = np.linalg.norm(waves.conj() @ block, axis=1)
+            matched = [m for m, w in zip(modes, weights) if w >= 1.0 - mod_tol]
+            windings += matched + [None] * (len(cluster) - len(matched))
             continue
-        # Degenerate block: rotate back to plane waves by projecting each
-        # candidate winding onto the block before classification.
-        block = system.eigenvectors[:, cluster]
-        matched = 0
-        for m in ring_mode_numbers(n):
-            wave = _ring_plane_wave(dim, ring_idx, m)
-            weight = float(np.linalg.norm(block.conj().T @ wave))
-            if weight >= 1.0 - mod_tol:
-                tags.append(ChiralModeTag(m, True, 0.0))
-                matched += 1
-        for _ in range(len(cluster) - matched):
-            tags.append(ChiralModeTag(None, False, math.inf))
+        norm = float(np.linalg.norm(block))
+        if norm < 1e-9:
+            windings.append(None)
+            continue
+        part = block[:, 0] / norm
+        uniform = float(np.max(np.abs(np.abs(part) - 1.0 / math.sqrt(n)))) <= mod_tol
+        # The residual is the out-of-mode weight of the best match, which
+        # avoids branch cuts in per-link phase steps.
+        overlaps = np.abs(waves.conj() @ part)
+        best = int(np.argmax(overlaps))
+        residual = math.sqrt(max(0.0, 1.0 - overlaps[best] * overlaps[best]))
+        windings.append(modes[best] if uniform and residual <= mod_tol else None)
 
-    windings = [t.winding for t in tags if t.winding is not None]
-    needed = set(ring_mode_numbers(n))
-    complete = (len(windings) == dim) and needed <= set(windings)
+    found = [m for m in windings if m is not None]
+    complete = len(found) == dim and set(modes) <= set(found)
 
     return CriteriaReport(
         spectrum_symmetric=symmetric,
@@ -156,7 +124,7 @@ def check_criteria(h: HermitianMatrix, ring_nodes) -> CriteriaReport:
         max_spacing_deviation=spacing_dev,
         degenerate_levels=degenerate,
         chiral_modes_complete=complete,
-        mode_tags=tuple(tags),
+        windings=tuple(windings),
         verdict=symmetric and equally_spaced and complete,
     )
 
@@ -181,25 +149,17 @@ def check_time_reversal_spin(spec: NetworkSpec, times=None) -> bool:
     Evolving the globally spin-flipped image of the excitation on site 1
     under the same Hamiltonian must reproduce the original excitation traces
     with the flow direction reversed, P_flip_j(t) = 1 - P_orig_j(-t), to
-    within 1e-9.  ``times`` defaults to 1601 points on [0, 12].
+    within 1e-9.  Both runs go through ``simulate``: the flipped state on
+    ``times``, the original on the negated grid read back in reverse.
+    ``times`` is an ascending grid and defaults to 1601 points on [0, 12].
     """
     if not spec.statistics.is_spin:
         raise NotSpin("time-reversal mirroring is defined for spin networks")
-    n = spec.n_sites
-    if times is None:
-        times = np.linspace(0.0, 12.0, 1601)
-    initial = occupation(n, 1)
-
-    def run(state, sign):
-        basis = enumerate_basis(n, sum(state), spec.statistics)
-        h = build_hamiltonian(spec, basis)
-        h = replace(h, values=h.values * sign)
-        return evolve(h, basis.unit_vector(state), times, basis=basis)
-
-    forward_flipped = run(flipped_state(initial), +1.0)
-    backward_original = run(initial, -1.0)  # populations of the original at -t
-    mirror = 1.0 - backward_original.populations
-    return float(np.max(np.abs(forward_flipped.populations - mirror))) <= 1e-9
+    times = np.linspace(0.0, 12.0, 1601) if times is None else np.asarray(times, float)
+    initial = occupation(spec.n_sites, 1)
+    forward_flipped = simulate(spec, flipped_state(initial), times).populations
+    backward_original = simulate(spec, initial, -times[::-1]).populations[::-1]
+    return float(np.max(np.abs(forward_flipped - (1.0 - backward_original)))) <= 1e-9
 
 
 def hole_view(traj: Trajectory) -> Trajectory:

@@ -193,12 +193,9 @@ def evolve(h: HermitianMatrix, psi0, times, basis: SubspaceBasis | None = None,
     if dim >= KRYLOV_MIN_DIM:
         log.info("evolve: %d states, %d Krylov steps of m<=%d, summed bound %.3g, "
                  "%d population blocks", dim, count, KRYLOV_DIM, bound, blocks)
-    if basis is not None:
-        node_labels = labels or tuple(f"node_{j}" for j in range(1, basis.n_sites + 1))
-    else:
-        node_labels = labels or tuple(f"node_{j}" for j in range(1, dim + 1))
+    labels = labels or tuple(f"node_{j}" for j in range(1, populations.shape[1] + 1))
     populations.setflags(write=False)
-    return Trajectory(times, populations, tuple(node_labels), None, steps)
+    return Trajectory(times, populations, tuple(labels), None, steps)
 
 
 def _populations(phases: np.ndarray, modes: np.ndarray, occupations: np.ndarray | None,

@@ -6,7 +6,7 @@ import pytest
 
 from chiralflow import criteria, dynamics, models
 from chiralflow.dynamics import Direction
-from chiralflow.errors import DimensionMismatch, NotSpin
+from chiralflow.errors import DimensionMismatch, NotSpin, OutOfRange
 from chiralflow.hilbert import OnSite, Statistics
 from conftest import evolve_spec, spec_hamiltonian
 
@@ -55,9 +55,18 @@ def test_detuned_centre_coupling_fails():
 @pytest.mark.parametrize("n", range(3, 9))
 def test_ring_winding_numbers_complete(n):
     report = report_for(models.sgf_ring(n, n * math.pi / 2))
-    windings = sorted(t.winding for t in report.mode_tags if t.winding is not None)
+    windings = sorted(m for m in report.windings if m is not None)
     assert windings == sorted(set(range(-(n // 2) + (0 if n % 2 else 1), n // 2 + 1)))
     assert report.chiral_modes_complete
+
+
+@pytest.mark.parametrize("ring_nodes", [[0, 1, 2, 3], [1, 2, 3, 6]])
+def test_ring_labels_outside_the_block_are_refused(ring_nodes):
+    # On the 5-row block, label 0 would wrap round to the auxiliary row and
+    # label 6 would run past the end.
+    h, _ = spec_hamiltonian(models.asgf(4, 2.0, math.pi / 2))
+    with pytest.raises(OutOfRange):
+        criteria.check_criteria(h, ring_nodes)
 
 
 def test_verdict_matches_observed_flow():

@@ -101,3 +101,40 @@ def test_populations_are_gauge_invariant(case, phases):
     reference = dynamics.simulate(spec, occupation, times).populations
     gauged = dynamics.simulate(transformed, occupation, times).populations
     assert np.allclose(gauged, reference, rtol=0.0, atol=1e-9)
+
+
+def _fold(m, n):
+    """The winding number of m in -n/2 < m <= n/2."""
+    r = m % n
+    return r - n if 2 * r > n else r
+
+
+@st.composite
+def criteria_networks(draw):
+    """A perfect chiral network, a quarter-phase ring (degenerate for even n)
+    or a random auxiliary-node network."""
+    n = draw(st.integers(4, 12))
+    kind = draw(st.sampled_from(["chiral", "sgf", "asgf"]))
+    if kind == "chiral":
+        return models.chiral_n_node(n)
+    if kind == "sgf":
+        return models.sgf_ring(n, n * math.pi / 2)
+    return models.asgf(draw(st.integers(3, 12)), draw(st.floats(0.0, 3.0)), draw(angles))
+
+
+@PROPERTY_SETTINGS
+@given(criteria_networks(), st.integers(-12, 12))
+def test_windings_follow_a_ring_gauge_shift(spec, k):
+    n = spec.n_network
+    shift = [2 * math.pi * k * (j - 1) / n for j in spec.ring_nodes]
+    gauged = models.gauge_transform(spec, shift + [0.0] * spec.auxiliary_count)
+    reports = []
+    for network in (spec, gauged):
+        basis = hilbert.enumerate_basis(network.n_sites, 1, network.statistics)
+        reports.append(criteria.check_criteria(hilbert.build_hamiltonian(network, basis),
+                                               network.ring_nodes))
+    before, after = reports
+    assert sorted(_fold(m + k, n) for m in before.windings if m is not None) == sorted(
+        m for m in after.windings if m is not None)
+    assert before.windings.count(None) == after.windings.count(None)
+    assert before.verdict == after.verdict

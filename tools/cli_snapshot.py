@@ -30,6 +30,8 @@ COMMANDS = {
                           "--out", "traj.csv"],
     "spectrum-chiral-6": ["spectrum", "--model", "chiral", "--n", "6"],
     "criteria-sgf-4": ["criteria", "--model", "sgf", "--n", "4"],
+    # A true verdict: every winding, the two hybridised m = 0 levels included.
+    "criteria-chiral-12": ["criteria", "--model", "chiral", "--n", "12"],
     "disorder": ["study", "disorder", "--samples", "20", "--out", "disorder.csv"],
     # Strength draws of 3 cross zero (the phase gains pi); phase draws of 4
     # wrap past pi.
