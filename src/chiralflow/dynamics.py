@@ -1,16 +1,19 @@
 """Exact time evolution plus chirality metrics.
 
-``evolve`` propagates through the Hermitian eigendecomposition of H.  From
-``KRYLOV_MIN_DIM`` states on it marches through the window in Krylov steps
-instead: each step runs at most ``KRYLOV_DIM`` Lanczos vectors from the
-state at its start, on a sparse H built from the triplets, and lasts as long
-as the closed-form defect bound of ``_power_bound`` keeps within its share of
-``KRYLOV_TOL``, so the state is within ``KRYLOV_TOL`` of exact over the whole
-window.  Populations are formed in blocks of time steps in one reused
-buffer, so neither a dense H nor the full amplitude table is ever held, and
-memory is O(``KRYLOV_DIM`` * dim) for any window.  Time is linear in the
-window, and a window of more than ``KRYLOV_MAX_STEPS`` steps is refused up
-front.
+``evolve`` propagates through the Hermitian eigendecomposition of H.  On a
+uniform grid the phases e^{-iEt} factor into P[a] * Q[b] for t = t_{aK+b}
+(``_uniform_phases``); where Q folded into the modes is smaller than the
+phase table, ``_phase_modes`` contracts P with that fold and the table is
+never built.  From ``KRYLOV_MIN_DIM`` states on ``evolve`` marches through
+the window in Krylov steps instead: each step runs at most ``KRYLOV_DIM``
+Lanczos vectors from the state at its start, on a sparse H built from the
+triplets, and lasts as long as the closed-form defect bound of
+``_power_bound`` keeps within its share of ``KRYLOV_TOL``, so the state is
+within ``KRYLOV_TOL`` of exact over the whole window.  Populations are
+formed in blocks of time steps in one reused buffer, so neither a dense H
+nor the full amplitude table is ever held, and memory is O(``KRYLOV_DIM`` *
+dim) for any window.  Time is linear in the window, and a window of more
+than ``KRYLOV_MAX_STEPS`` steps is refused up front.
 """
 
 from __future__ import annotations
@@ -50,9 +53,10 @@ KRYLOV_MAX_STEPS = 10_000
 # single block.
 POPULATION_BLOCK = 2**20
 
-# One step of a propagation: the grid rows it covers, and factors whose
-# product ``phases @ modes`` is the amplitude table on those rows, with the
-# certified bound the step adds to the error (0 for an exact step).
+# One step of a propagation: the grid rows it covers, factors (R, m)
+# ``phases`` and (m, K, dim) ``modes`` whose product is the amplitude table
+# on those rows (see ``_amplitudes``), and the certified bound the step adds
+# to the error (0 for an exact step).
 Step = tuple[slice, np.ndarray, np.ndarray, float]
 
 
@@ -86,10 +90,10 @@ class Trajectory:
 
     ``table`` holds the (n_times, dim) amplitudes when they are known up
     front.  Otherwise ``steps`` re-runs the propagation of ``evolve``: a
-    generator of :data:`Step` tuples whose products ``phases @ modes`` fill
-    the table row block by row block.  ``amplitudes`` multiplies them out on
-    first read, so callers that only read populations never hold the table,
-    and a trajectory keeps no per-step state.
+    generator of :data:`Step` tuples whose factors, contracted by
+    ``_amplitudes``, fill the table row block by row block.  ``amplitudes``
+    multiplies them out on first read, so callers that only read populations
+    never hold the table, and a trajectory keeps no per-step state.
     """
 
     times: np.ndarray
@@ -106,8 +110,8 @@ class Trajectory:
         amplitudes = None
         for rows, phases, modes, _ in self.steps():
             if amplitudes is None:
-                amplitudes = np.empty((self.times.size, modes.shape[1]), dtype=complex)
-            np.matmul(phases, modes, out=amplitudes[rows])
+                amplitudes = np.empty((self.times.size, modes.shape[-1]), dtype=complex)
+            amplitudes[rows] = _amplitudes(phases, modes, rows.stop - rows.start)
         amplitudes.setflags(write=False)
         return amplitudes
 
@@ -137,13 +141,17 @@ def evolve(h: HermitianMatrix, psi0, times, basis: SubspaceBasis | None = None,
     """Evolve a normalised state on a finite time grid: psi(t) = V e^{-i L t} V^dag psi0.
 
     Below ``KRYLOV_MIN_DIM`` states, V and L are the full eigensystem of h,
-    in one step over the whole grid.  Larger operators take the steps of
+    in one step over the whole grid, factored by ``_phase_modes``: on a
+    uniform grid where K * dim < n_times, the phases P of every K-th time
+    against the modes V with the K phases Q between folded in, otherwise the
+    phase table against V.  Larger operators take the steps of
     ``_krylov_steps``: Ritz pairs of h on a Krylov space of at most
     ``KRYLOV_DIM`` vectors per step, certified so that psi(t) is within
     ``KRYLOV_TOL`` of exact at every grid time.  Populations and the norm
-    check are formed in blocks of at most ``POPULATION_BLOCK // dim`` time
-    steps, each multiplied into one reused amplitude buffer; the amplitudes
-    themselves are recomputed on demand (see :class:`Trajectory`).
+    check are formed in blocks of rows of the phases, at most
+    ``POPULATION_BLOCK`` amplitudes each, multiplied into one reused
+    amplitude buffer; the amplitudes themselves are recomputed on demand
+    (see :class:`Trajectory`).
 
     Without a basis each amplitude is treated as one node (the single
     excitation case); with a basis, node populations are occupation-weighted
@@ -168,9 +176,10 @@ def evolve(h: HermitianMatrix, psi0, times, basis: SubspaceBasis | None = None,
     times.setflags(write=False)
     if dim < KRYLOV_MIN_DIM:
         system = eigendecompose(h)
-        phases = _weighted_phases(times, system.eigenvalues, system.eigenvectors.conj().T @ psi0)
-        modes = system.eigenvectors.T
+        phases, modes = _phase_modes(times, system.eigenvalues,
+                                     system.eigenvectors.conj().T @ psi0, system.eigenvectors.T)
         phases.setflags(write=False)
+        modes.setflags(write=False)
 
         def steps() -> Iterator[Step]:
             yield slice(0, times.size), phases, modes, 0.0
@@ -178,17 +187,21 @@ def evolve(h: HermitianMatrix, psi0, times, basis: SubspaceBasis | None = None,
         steps = functools.partial(_krylov_steps, h, psi0, times)
     occupations = basis.occupation_matrix() if basis is not None else None
     populations = np.empty((times.size, dim if basis is None else basis.n_sites))
-    block = max(1, POPULATION_BLOCK // dim)  # time steps per population block
-    buffer = np.empty((min(block, times.size), dim), dtype=complex)
+    buffer = None
     count = blocks = 0
     bound = 0.0
     for rows, phases, modes, step_bound in steps():
         count += 1
         bound += step_bound
+        fold = modes.shape[-2]  # time steps per row of phases
+        block = max(1, POPULATION_BLOCK // (fold * dim))  # rows of phases per block
+        if buffer is None:
+            buffer = np.empty((min(block, -(-times.size // fold)), fold * dim), dtype=complex)
         for lo in range(0, phases.shape[0], block):
             hi = min(lo + block, phases.shape[0])
-            populations[rows.start + lo:rows.start + hi] = _populations(
-                phases[lo:hi], modes, occupations, buffer[:hi - lo])
+            first, last = rows.start + lo * fold, min(rows.start + hi * fold, rows.stop)
+            populations[first:last] = _populations(
+                phases[lo:hi], modes, occupations, last - first, buffer[:hi - lo])
             blocks += 1
     if dim >= KRYLOV_MIN_DIM:
         log.info("evolve: %d states, %d Krylov steps of m<=%d, summed bound %.3g, "
@@ -198,20 +211,28 @@ def evolve(h: HermitianMatrix, psi0, times, basis: SubspaceBasis | None = None,
     return Trajectory(times, populations, tuple(labels), None, steps)
 
 
-def _populations(phases: np.ndarray, modes: np.ndarray, occupations: np.ndarray | None,
-                 out: np.ndarray | None = None,
-                 abs2_out: np.ndarray | None = None) -> np.ndarray:
-    """Populations of the amplitudes ``phases @ modes``, checked for norm.
+def _amplitudes(phases: np.ndarray, modes: np.ndarray, count: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """The first ``count`` rows of the amplitude table of factors (..., R, m)
+    ``phases`` and (..., m, K, dim) ``modes``, with any leading batch axes:
+    row a*K + b is phases[a] @ modes[:, b].  The (R, K*dim) product is
+    multiplied into ``out`` when that is given."""
+    *batch, m, fold, dim = modes.shape
+    product = np.matmul(phases, modes.reshape(*batch, m, fold * dim), out=out)
+    return product.reshape(*batch, -1, dim)[..., :count, :]
 
-    ``phases`` is (..., n_times, m) and ``modes`` (..., m, dim), with any
-    leading batch axes; the amplitudes are multiplied into ``out``, and
-    their |amplitude|^2 written to ``abs2_out``, when those are given.  The
-    result is |amplitude|^2 per basis state, or with a (dim, n_nodes)
+
+def _populations(phases: np.ndarray, modes: np.ndarray, occupations: np.ndarray | None,
+                 count: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Populations of the first ``count`` rows of the amplitudes of
+    ``_amplitudes``, checked for norm.
+
+    The result is |amplitude|^2 per basis state, or with a (dim, n_nodes)
     occupation matrix the occupation-weighted node populations.  Raises
     ValueError when a row's norm is off by more than ``NORM_TOL``.
     """
-    amplitudes = np.matmul(phases, modes, out=out)
-    abs2 = np.square(amplitudes.real, out=abs2_out)
+    amplitudes = _amplitudes(phases, modes, count, out)
+    abs2 = np.square(amplitudes.real)
     abs2 += np.square(amplitudes.imag)
     # Negated so that NaN amplitudes fail the check.
     if not float(np.max(np.abs(abs2 @ np.ones(abs2.shape[-1]) - 1.0))) <= NORM_TOL:
@@ -227,8 +248,8 @@ def _krylov_steps(h: HermitianMatrix, psi0: np.ndarray, times: np.ndarray) -> It
     tau / T, T the length of the window from 0, so the bounds of all steps
     sum to at most ``KRYLOV_TOL``.  It yields the grid rows it reaches, the
     Ritz phases of t minus its start weighted by V^dag psi and mapped back
-    to the Lanczos basis, and the Lanczos vectors as ``modes``, which the
-    next step overwrites; the next step starts from V (e^{-i L tau} * w).
+    to the Lanczos basis, and the Lanczos vectors as ``modes`` with K = 1,
+    which the next step overwrites; the next step starts from V (e^{-i L tau} * w).
     Grid times before 0 take a march backward from psi0.  A march that one
     space certifies to its end takes one step (eigenvector starts, a zero H,
     a zero window).
@@ -265,7 +286,7 @@ def _krylov_steps(h: HermitianMatrix, psi0: np.ndarray, times: np.ndarray) -> It
             weights = system.eigenvectors.conj().T @ (vectors[:m] @ state.conj()).conj()
             phases = (_weighted_phases(times[rows] - now, system.eigenvalues, weights)
                       if rows.start < rows.stop else np.empty((0, m), dtype=complex))
-            yield rows, phases @ system.eigenvectors.T, vectors[:m], bound
+            yield rows, phases @ system.eigenvectors.T, vectors[:m, None], bound
             lo, hi = (rows.stop, hi) if sign > 0 else (lo, rows.start)
             if lo < hi:
                 now += sign * tau
@@ -365,16 +386,44 @@ def _uniform_phases(t0: float, step: float, count: int,
     ``count``.  ``energies`` may carry leading batch axes, which P and Q keep
     in front of their (rows, energies) axes.
     """
-    width = math.isqrt(count - 1) + 1
+    width = _fold(count)
     rows = -(-count // width)
     big = np.exp(-1j * _outer(np.arange(rows) * width * step, energies))
     small = np.exp(-1j * _outer(t0 + np.arange(width) * step, energies))
     return big, small
 
 
+def _fold(count: int) -> int:
+    """K of ``_uniform_phases`` on ``count`` grid points: ceil(sqrt(count))."""
+    return math.isqrt(count - 1) + 1
+
+
 def _outer(times: np.ndarray, energies: np.ndarray) -> np.ndarray:
     """``np.outer(times, energies)`` for each row of a batch of energies."""
     return times[:, None] * energies[..., None, :]
+
+
+def _phase_modes(times: np.ndarray, energies: np.ndarray, weights: np.ndarray,
+                 modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factors (phases, (..., m, K, dim) modes) of ``_amplitudes`` for the
+    amplitude table (weights * exp(-i E t)) @ modes on a grid, ``modes`` an
+    (..., m, dim) array with the batch axes of ``energies``.
+
+    On a grid uniform to rounding where K * dim < len(times), K of
+    ``_uniform_phases``, they are P and the fold Q[b, m] * weights[m] *
+    modes[m] at [m, b]: that fold is smaller than the phase table, and its
+    product with P has the table's multiply-add count.  Otherwise they are
+    the table of ``_weighted_phases`` and the modes with K = 1.
+    """
+    if _fold(times.size) * modes.shape[-1] < times.size:
+        factors = _grid_factors(times, energies, weights)
+        if factors is not None:
+            big, small = factors
+            *batch, m, dim = modes.shape
+            folded = np.empty((*batch, m, small.shape[-2], dim), dtype=complex)
+            np.multiply(np.swapaxes(small, -1, -2)[..., None], modes[..., None, :], out=folded)
+            return big, folded
+    return _weighted_phases(times, energies, weights), modes[..., None, :]
 
 
 def _weighted_phases(times: np.ndarray, energies: np.ndarray,
@@ -463,8 +512,12 @@ def average_fidelity(populations: np.ndarray, corner_nodes):
     if populations.shape[-2] == 0 or not corner_nodes:
         raise EmptyWindow("trajectory window or node list is empty")
     # Indexing copies the columns out node-major, so the time maximum runs
-    # over contiguous memory instead of a strided middle axis.
-    return np.sqrt(populations[..., corner_nodes].max(axis=-2)).mean(axis=-1)
+    # over contiguous memory instead of a strided middle axis.  Its node-major
+    # result is laid out row by row again, so that each row's mean sums in
+    # the order of a single trajectory's (a strided mean over more than 8
+    # nodes rounds differently).
+    peaks = np.ascontiguousarray(populations[..., corner_nodes].max(axis=-2))
+    return np.sqrt(peaks).mean(axis=-1)
 
 
 def _node_columns(nodes, n_nodes: int) -> list[int]:

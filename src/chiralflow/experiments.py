@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import (
-    _factor_table,
-    _grid_factors,
+    _phase_modes,
     _populations,
     _uniform_phases,
     average_fidelity,
@@ -148,13 +147,16 @@ def _disordered_values(base: NetworkSpec, kind: str, amplitude: float, pattern,
     return values
 
 
-# Disorder samples assembled and diagonalised at once (a chunk), and within a
-# chunk the samples whose populations are formed at once (a block).  A
-# chunk's phase factors take 6.5 kB per sample, a block's buffers 320 kB per
-# sample.  On a 2-vCPU Xeon host the 2400 four-node samples of the default
-# study took 0.53 s in chunks of 4, 0.41 s in chunks of 20, 0.36 s in chunks
-# of 40 and 0.37 s in chunks of 80 (medians of 15, blocks of 4); in chunks of
-# 40, blocks of 2, 8 and 16 took 0.41, 0.37 and 0.37 s.
+# Disorder samples assembled, diagonalised and factored at once (a chunk),
+# and within a chunk the samples whose amplitudes and populations are formed
+# at once (a block).  On the four-node ring a chunk's phase factors and
+# folded modes take 20 kB per sample and a block 320 kB per sample
+# (tracemalloc).  On a 2-vCPU Xeon host whose speed drifts by a third from
+# run to run, two runs of interleaved passes of the default study (medians
+# of 15 and 21) took 0.28 and 0.32 s in chunks of 40 with blocks of 4, 0.24
+# and 0.36 s in chunks of 80 and 0.31 and 0.34 s in chunks of 20; blocks of
+# 2 and 8 took 0.27-0.34 and 0.27-0.43 s, blocks of 16 0.44 s.  Factoring
+# block by block took 16% longer (30 interleaved in-process sweeps).
 _SAMPLE_CHUNK = 40
 _SAMPLE_BLOCK = 4
 
@@ -169,14 +171,18 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[D
     triplet pattern, taken from a single ``perturbed_spec`` copy: each chunk
     draws its perturbations as arrays, fills one row of triplet values per
     sample, scatters them into stacked dense matrices and makes one ``eigh``,
-    with no spec object per sample.  Within a chunk the phase
-    table, the amplitudes and their |amplitude|^2 are formed in blocks of
-    ``_SAMPLE_BLOCK`` samples, in buffers allocated once per sweep, so
-    memory does not grow with the sample count.  Basis state i is node
-    i + 1, so the |amplitude|^2 are the node populations.  The sector is small,
-    so the sweep always uses the full eigensystem, never the Krylov branch
-    of ``evolve``; each sample's fidelity is bitwise what ``simulate`` and
-    ``average_fidelity`` give it alone.
+    with no spec object per sample.  ``dynamics._phase_modes`` factors the
+    chunk as ``evolve`` factors one sample: K is 41 on this grid, so a basis
+    of up to 39 states folds the phases Q into the modes and no phase table
+    is built, while larger bases take the phase table.  Either takes about
+    1601 * dim complex numbers per sample near 40 states, 40 MB per chunk.
+    The amplitudes and |amplitude|^2 are formed in blocks of
+    ``_SAMPLE_BLOCK`` samples, so memory does not grow with the sample
+    count.  Basis state i is node i + 1, so the |amplitude|^2 are the
+    node populations.  The sector is small, so the sweep always uses the
+    full eigensystem, never the Krylov branch of ``evolve``; each sample's
+    fidelity is bitwise what ``simulate`` and ``average_fidelity`` give it
+    alone.
     """
     times = np.linspace(0.0, math.pi, 1601)
     amplitudes = [float(a) for a in amplitudes]
@@ -186,9 +192,6 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[D
             raise ConfigError(f"disorder amplitude {amplitude} must be >= 0, with 2a finite")
     basis = enumerate_basis(base.n_sites, 1, base.statistics)
     psi0 = basis.unit_vector(occupation(base.n_sites, 1))
-    phases = np.empty((min(_SAMPLE_BLOCK, cfg.samples), times.size, len(basis)), dtype=complex)
-    states = np.empty_like(phases)
-    abs2 = np.empty(phases.shape)
     points = []
     for a_idx, amplitude in enumerate(amplitudes):
         # Every copy has the hopping pairs and on-site sites of this one.
@@ -205,17 +208,16 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[D
             np.add.at(stack, (np.arange(len(rngs))[:, None], rows, cols), values)
             energies, vectors = np.linalg.eigh(stack)
             modes = vectors.swapaxes(-1, -2)
-            big, small = _grid_factors(times, energies, modes.conj() @ psi0)
+            phases, modes = _phase_modes(times, energies, modes.conj() @ psi0, modes)
             for first in range(0, len(rngs), _SAMPLE_BLOCK):
                 n = min(_SAMPLE_BLOCK, len(rngs) - first)
                 block = slice(first, first + n)
-                _factor_table(big[block], small[block], phases[:n])
                 # Without an occupation matrix these are |amplitude|^2 per
                 # basis state, which are the node populations.
-                _populations(phases[:n], modes[block], None, out=states[:n], abs2_out=abs2[:n])
-                results[lo + first:lo + first + n] = average_fidelity(abs2[:n], base.ring_nodes)
+                populations = _populations(phases[block], modes[block], None, times.size)
+                results[lo + first:lo + first + n] = average_fidelity(populations, base.ring_nodes)
             # Freed now, so that they never coexist with the next chunk's.
-            del rngs, values, stack, energies, vectors, modes, big, small
+            del rngs, values, stack, energies, vectors, modes, phases, populations
         mean = float(np.mean(results))
         stderr = float(np.std(results, ddof=1) / math.sqrt(cfg.samples)) if cfg.samples > 1 else 0.0
         points.append(DisorderPoint(amplitude, mean, stderr, cfg.samples))
@@ -443,9 +445,9 @@ def optimize_ladder(n_copies: int, budget: int | None = None, seed: int = 0,
     if budget < 50 * n_free:
         raise ConfigError(f"budget must be at least {50 * n_free} for {n_free} parameters")
     if n_free == 0:
-        spec = ladder(n_copies, [2.0])
-        fidelity, period = revival_fidelity(spec)
-        return OptimizationResult((2.0,), fidelity, period, 1, True, False)
+        # Nothing to optimise: no objective is evaluated.
+        fidelity, period = revival_fidelity(ladder(n_copies, [2.0]))
+        return OptimizationResult((2.0,), fidelity, period, 0, True, False)
 
     objective = _ladder_objective(n_copies)
     evaluations = 0

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chiralflow import cli, dynamics, hilbert, models, oracles
@@ -335,6 +335,36 @@ def test_uniform_phases_match_direct_exponential(count, t0, span, energies):
     assert np.max(np.abs(table - np.exp(-1j * np.outer(times, energies)))) <= tol
 
 
+@PROPERTY_SETTINGS
+@given(st.integers(1, 60), st.integers(1, 3000), st.floats(-20.0, 20.0), st.floats(0.0, 40.0),
+       st.integers(0, 2**32 - 1))
+# 39 states fold on 1601 points (K = 41), 40 states take the table; 5 states
+# fold from 31 points on (K = 6).
+@example(39, 1601, 0.0, math.pi, 0)
+@example(40, 1601, 0.0, math.pi, 0)
+@example(5, 30, -1.0, 2.0, 1)
+@example(5, 31, -1.0, 2.0, 1)
+def test_evolve_matches_direct_exponential_on_both_sides_of_the_fold(dim, count, t0, span, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, (dim, dim)) + 1j * rng.uniform(-1.0, 1.0, (dim, dim))
+    h = hermitian((a + a.conj().T) / 2)
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi0 /= np.linalg.norm(psi0)
+    times = np.linspace(t0, t0 + span, count)
+    system = dynamics.eigendecompose(h)
+    weights = system.eigenvectors.conj().T @ psi0
+    amplitudes = (np.exp(-1j * np.outer(times, system.eigenvalues)) * weights) @ system.eigenvectors.T
+    traj = dynamics.evolve(h, psi0, times)
+    # Both sides round each phase E*t to a few ulps, so the bar grows with
+    # the largest phase.  On 1500 random cases of this domain the worst
+    # deviation was 2.1 units of ``scale`` for the amplitudes and 3.5 for
+    # the populations with the fold, 0.5 and 0.3 with the table.
+    scale = np.finfo(float).eps * max(1.0, float(np.max(np.abs(system.eigenvalues)))
+                                      * float(np.max(np.abs(times))))
+    assert np.max(np.abs(traj.amplitudes - amplitudes)) <= 16 * scale
+    assert np.max(np.abs(traj.populations - np.abs(amplitudes) ** 2)) <= 16 * scale
+
+
 @pytest.mark.parametrize("times", [
     np.array([0.0, 0.1, 0.3, 0.35, 1.2, 2.0]),
     np.geomspace(1e-3, 10.0, 300),
@@ -415,6 +445,17 @@ def test_krylov_array_stays_at_fixed_size(monkeypatch):
         tracemalloc.stop()
     assert len(steps) > 1 and sum(bound for *_, bound in steps) <= dynamics.KRYLOV_TOL
     assert peak < 12 * 2**20
+
+
+def test_stacked_average_fidelity_is_each_trajectory_alone():
+    # More than 8 corner nodes: a strided mean over the nodes of a stack
+    # would sum them in another order than a single trajectory's mean.
+    rng = np.random.default_rng(3)
+    populations = rng.random((5, 200, 40))
+    nodes = range(2, 40)
+    stacked = dynamics.average_fidelity(populations, nodes)
+    assert [float(f).hex() for f in stacked] == [
+        float(dynamics.average_fidelity(p, nodes)).hex() for p in populations]
 
 
 def test_populations_in_blocks_match_one_shot(caplog):

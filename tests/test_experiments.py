@@ -123,6 +123,19 @@ def test_chunked_sweep_is_the_per_sample_pipeline_bit_for_bit(base_spec, kind):
             == reference_sweep(base_spec, cfg, amplitudes))
 
 
+@pytest.mark.parametrize("n_ring", [38, 39], ids=["fold", "table"])
+def test_sweep_on_either_side_of_the_fold_is_the_per_sample_pipeline_bit_for_bit(n_ring):
+    # On 1601 points K is 41: 39 states fold Q into the modes (41 * 39 <
+    # 1601), 40 states multiply out the phase table (41 * 40 >= 1601).
+    base = models.asgf(n_ring, 2.0, math.pi / 2)
+    dim = base.n_sites
+    assert (dynamics._fold(1601) * dim < 1601) == (n_ring == 38)
+    cfg = DisorderConfig("hopping_phase", experiments._SAMPLE_BLOCK + 1, 2)
+    amplitudes = [0.0, 0.3]
+    assert (experiments.disorder_sweep(base, cfg, amplitudes)
+            == reference_sweep(base, cfg, amplitudes))
+
+
 @pytest.mark.parametrize("kind", experiments.DISORDER_KINDS)
 def test_sweep_with_onsite_terms_is_the_per_sample_pipeline_bit_for_bit(onsite_spec, kind):
     # Frequency disorder appends its offsets after the base's terms.  Strength
@@ -397,6 +410,20 @@ def test_ladder_objective_decomposes_through_eigendecompose(monkeypatch):
     monkeypatch.setattr(experiments, "eigendecompose", counting)
     result = experiments.optimize_ladder(4, seed=0, restarts=2)
     assert len(calls) == result.iterations + 1
+
+
+@pytest.mark.parametrize("n_copies", [1, 2])
+def test_ladder_without_free_coupling_evaluates_no_objective(n_copies, monkeypatch):
+    # The one eigendecompose is the final revival_fidelity, so a budget of 0
+    # holds and no evaluation is reported.
+    calls = []
+    original = experiments.eigendecompose
+    monkeypatch.setattr(experiments, "eigendecompose", lambda h: calls.append(1) or original(h))
+    result = experiments.optimize_ladder(n_copies, budget=0, seed=0)
+    assert result.iterations == 0
+    assert len(calls) == result.iterations + 1
+    assert result.beta_profile == (2.0,)
+    assert not result.budget_exhausted
 
 
 def test_ladder_objective_operator_is_the_built_hamiltonian(monkeypatch):

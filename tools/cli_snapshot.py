@@ -43,6 +43,9 @@ COMMANDS = {
     "oracle-check": ["oracle-check"],
     "optimize": ["study", "optimize", "--ncopies", "8", "--budget", "1500", "--seed", "0",
                  "--out", "optimize.csv"],
+    # A 120-state sector: the dense branch with the multiplied-out phase table.
+    "simulate-ladder-3b": ["simulate", "--model", "ladder", "--n", "2", "--init", "11100000",
+                           "--out", "traj.csv"],
     # A 1540-state sector: the Krylov branch of evolve.
     "dense-sector": ["simulate", "--model", "ladder", "--n", "6",
                      "--init", "01000000000011000000", "--out", "traj.csv"],
