@@ -2,10 +2,10 @@
 
 ``evolve`` propagates through the Hermitian eigendecomposition of H.  On a
 uniform grid the phases e^{-iEt} factor into P[a] * Q[b] for t = t_{aK+b}
-(``_uniform_phases``); where Q folded into the modes is smaller than the
-phase table, ``_phase_modes`` contracts P with that fold and the table is
-never built.  From ``KRYLOV_MIN_DIM`` states on ``evolve`` marches through
-the window in Krylov steps instead: each step runs at most ``KRYLOV_DIM``
+(``_uniform_phases``), and ``_phase_modes`` folds Q into the modes, with K
+cut so that the fold is never larger than the phase table; the table itself
+is never built.  From ``KRYLOV_MIN_DIM`` states on ``evolve`` marches
+through the window in Krylov steps instead: each step runs at most ``KRYLOV_DIM``
 Lanczos vectors from the state at its start, on a sparse H built from the
 triplets, and lasts as long as the closed-form defect bound of
 ``_power_bound`` keeps within its share of ``KRYLOV_TOL``, so the state is
@@ -142,12 +142,12 @@ def evolve(h: HermitianMatrix, psi0, times, basis: SubspaceBasis | None = None,
 
     Below ``KRYLOV_MIN_DIM`` states, V and L are the full eigensystem of h,
     in one step over the whole grid, factored by ``_phase_modes``: on a
-    uniform grid where K * dim < n_times, the phases P of every K-th time
-    against the modes V with the K phases Q between folded in, otherwise the
-    phase table against V.  Larger operators take the steps of
-    ``_krylov_steps``: Ritz pairs of h on a Krylov space of at most
-    ``KRYLOV_DIM`` vectors per step, certified so that psi(t) is within
-    ``KRYLOV_TOL`` of exact at every grid time.  Populations and the norm
+    uniform grid, the phases P of every K-th time against the modes V with
+    the K phases Q between folded in, otherwise the direct phases against V.
+    Larger operators take the steps of ``_krylov_steps``: Ritz pairs of h on
+    a Krylov space of at most ``KRYLOV_DIM`` vectors per step, certified so
+    that psi(t) is within ``KRYLOV_TOL`` of exact at every grid time, each
+    factored by ``_phase_modes`` in turn.  Populations and the norm
     check are formed in blocks of rows of the phases, at most
     ``POPULATION_BLOCK`` amplitudes each, multiplied into one reused
     amplitude buffer; the amplitudes themselves are recomputed on demand
@@ -248,8 +248,10 @@ def _krylov_steps(h: HermitianMatrix, psi0: np.ndarray, times: np.ndarray) -> It
     tau / T, T the length of the window from 0, so the bounds of all steps
     sum to at most ``KRYLOV_TOL``.  It yields the grid rows it reaches, the
     Ritz phases of t minus its start weighted by V^dag psi and mapped back
-    to the Lanczos basis, and the Lanczos vectors as ``modes`` with K = 1,
-    which the next step overwrites; the next step starts from V (e^{-i L tau} * w).
+    to the Lanczos basis (their ``_phase_modes`` factors multiplied out by
+    ``_amplitudes``, at most ``KRYLOV_DIM`` wide), and the Lanczos vectors as
+    ``modes`` with K = 1, which the next step overwrites; the next step
+    starts from V (e^{-i L tau} * w).
     Grid times before 0 take a march backward from psi0.  A march that one
     space certifies to its end takes one step (eigenvector starts, a zero H,
     a zero window).
@@ -284,9 +286,12 @@ def _krylov_steps(h: HermitianMatrix, psi0: np.ndarray, times: np.ndarray) -> It
             m = system.dim
             # V^dag state, V = Q Z the Ritz vectors.
             weights = system.eigenvectors.conj().T @ (vectors[:m] @ state.conj()).conj()
-            phases = (_weighted_phases(times[rows] - now, system.eigenvalues, weights)
-                      if rows.start < rows.stop else np.empty((0, m), dtype=complex))
-            yield rows, phases @ system.eigenvectors.T, vectors[:m, None], bound
+            # Coefficients of the step's states on the Lanczos vectors.
+            reached = rows.stop - rows.start
+            ritz = (_amplitudes(*_phase_modes(times[rows] - now, system.eigenvalues, weights,
+                                              system.eigenvectors.T), reached)
+                    if reached else np.empty((0, m), dtype=complex))
+            yield rows, ritz, vectors[:m, None], bound
             lo, hi = (rows.stop, hi) if sign > 0 else (lo, rows.start)
             if lo < hi:
                 now += sign * tau
@@ -375,27 +380,29 @@ def _power_bound(off: np.ndarray, span: float) -> float:
     return math.exp(float(np.sum(np.log(off))) + m * math.log(span) - math.lgamma(m + 1))
 
 
-def _uniform_phases(t0: float, step: float, count: int,
+def _uniform_phases(t0: float, step: float, count: int, width: int,
                     energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factors of exp(-i E t_j) on the uniform grid t_j = t0 + j*step, j < count.
 
-    With K = ceil(sqrt(count)) and j = a*K + b, exp(-i E t_j) = P[a] * Q[b],
-    where P[a] = exp(-i E a K step) and Q[b] = exp(-i E (t0 + b step)).  The
+    With K = ``width`` and j = a*K + b, exp(-i E t_j) = P[a] * Q[b], where
+    P[a] = exp(-i E a K step) and Q[b] = exp(-i E (t0 + b step)); the
     row-major products of P's and Q's rows, cut to ``count``, are the phase
-    table; it costs about 2 sqrt(count) exponentials per energy instead of
+    table.  They cost about count / K + K exponentials per energy instead of
     ``count``.  ``energies`` may carry leading batch axes, which P and Q keep
     in front of their (rows, energies) axes.
     """
-    width = _fold(count)
     rows = -(-count // width)
     big = np.exp(-1j * _outer(np.arange(rows) * width * step, energies))
     small = np.exp(-1j * _outer(t0 + np.arange(width) * step, energies))
     return big, small
 
 
-def _fold(count: int) -> int:
-    """K of ``_uniform_phases`` on ``count`` grid points: ceil(sqrt(count))."""
-    return math.isqrt(count - 1) + 1
+def _fold(count: int, dim: int) -> int:
+    """K of ``_phase_modes`` on ``count`` grid points against modes of
+    ``dim`` entries: ceil(sqrt(count)), cut where needed so that K * dim <
+    count, and at least 1.  The (m, K, dim) fold is then never larger than
+    the (count, m) phase table, and at K = 1 it is the size of the modes."""
+    return max(1, min(math.isqrt(count - 1) + 1, (count - 1) // dim))
 
 
 def _outer(times: np.ndarray, energies: np.ndarray) -> np.ndarray:
@@ -409,69 +416,24 @@ def _phase_modes(times: np.ndarray, energies: np.ndarray, weights: np.ndarray,
     amplitude table (weights * exp(-i E t)) @ modes on a grid, ``modes`` an
     (..., m, dim) array with the batch axes of ``energies``.
 
-    On a grid uniform to rounding where K * dim < len(times), K of
-    ``_uniform_phases``, they are P and the fold Q[b, m] * weights[m] *
-    modes[m] at [m, b]: that fold is smaller than the phase table, and its
-    product with P has the table's multiply-add count.  Otherwise they are
-    the table of ``_weighted_phases`` and the modes with K = 1.
+    On a grid uniform to rounding, |t_j - (t_0 + j step)| <= 8 eps max(1,
+    max|t|), they are P of ``_uniform_phases`` with K = ``_fold`` and the
+    fold Q[b, m] * weights[m] * modes[m] at [m, b], whose product with P has
+    the phase table's multiply-add count.  On any other grid they are the
+    direct weights * exp(-i E t) and the modes with K = 1.
     """
-    if _fold(times.size) * modes.shape[-1] < times.size:
-        factors = _grid_factors(times, energies, weights)
-        if factors is not None:
-            big, small = factors
-            *batch, m, dim = modes.shape
-            folded = np.empty((*batch, m, small.shape[-2], dim), dtype=complex)
-            np.multiply(np.swapaxes(small, -1, -2)[..., None], modes[..., None, :], out=folded)
-            return big, folded
-    return _weighted_phases(times, energies, weights), modes[..., None, :]
-
-
-def _weighted_phases(times: np.ndarray, energies: np.ndarray,
-                     weights: np.ndarray) -> np.ndarray:
-    """weights * exp(-i E t) as a (times, energies) table, with the leading
-    batch axes of ``energies`` in front; ``weights`` broadcasts against
-    ``energies``.
-
-    A grid uniform to rounding takes the factors of ``_grid_factors``
-    multiplied out by ``_factor_table``; any other grid takes the direct
-    exponential.
-    """
-    out = np.empty(energies.shape[:-1] + (times.size, energies.shape[-1]), dtype=complex)
-    factors = _grid_factors(times, energies, weights)
-    if factors is None:
-        return np.multiply(np.exp(-1j * _outer(times, energies)), weights[..., None, :], out=out)
-    return _factor_table(*factors, out)
-
-
-def _grid_factors(times: np.ndarray, energies: np.ndarray,
-                  weights: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The factors P and Q * weights of ``_uniform_phases`` on a grid uniform
-    to rounding, |t_j - (t_0 + j step)| <= 8 eps max(1, max|t|); None on any
-    other grid."""
     count = times.size
     step = (times[-1] - times[0]) / (count - 1) if count > 1 else 0.0
     tol = 8.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(times))))
     # Negated so that NaN or inf times fall to the direct path.
     if not float(np.max(np.abs(times - (times[0] + np.arange(count) * step)))) <= tol:
-        return None
-    big, small = _uniform_phases(times[0], step, count, energies)
+        return np.exp(-1j * _outer(times, energies)) * weights[..., None, :], modes[..., None, :]
+    *batch, m, dim = modes.shape
+    big, small = _uniform_phases(times[0], step, count, _fold(count, dim), energies)
     small *= weights[..., None, :]
-    return big, small
-
-
-def _factor_table(big: np.ndarray, small: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill the (..., count, energies) ``out`` with the row-major products of
-    the rows of P and Q from ``_uniform_phases``: row a*K + b is P[a] * Q[b],
-    K the rows of Q.  The full blocks of K rows come first, then the first
-    rows of the last block."""
-    count, width = out.shape[-2], small.shape[-2]
-    full = count // width
-    head = out[..., :full * width, :]
-    np.multiply(big[..., :full, None, :], small[..., None, :, :],
-                out=head.reshape(head.shape[:-2] + (full, width, head.shape[-1])))
-    np.multiply(big[..., full:full + 1, :], small[..., :count - full * width, :],
-                out=out[..., full * width:, :])
-    return out
+    folded = np.empty((*batch, m, small.shape[-2], dim), dtype=complex)
+    np.multiply(np.swapaxes(small, -1, -2)[..., None], modes[..., None, :], out=folded)
+    return big, folded
 
 
 def simulate(spec, occupation, times) -> Trajectory:

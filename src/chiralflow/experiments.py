@@ -172,10 +172,11 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[D
     draws its perturbations as arrays, fills one row of triplet values per
     sample, scatters them into stacked dense matrices and makes one ``eigh``,
     with no spec object per sample.  ``dynamics._phase_modes`` factors the
-    chunk as ``evolve`` factors one sample: K is 41 on this grid, so a basis
-    of up to 39 states folds the phases Q into the modes and no phase table
-    is built, while larger bases take the phase table.  Either takes about
-    1601 * dim complex numbers per sample near 40 states, 40 MB per chunk.
+    chunk as ``evolve`` factors one sample, folding the phases Q into the
+    modes: K is 41 on this grid for bases of up to 39 states and is cut to
+    keep K * dim < 1601 on larger ones, so no phase table is built.  The
+    fold takes about 1601 * dim complex numbers per sample near 40 states,
+    40 MB per chunk.
     The amplitudes and |amplitude|^2 are formed in blocks of
     ``_SAMPLE_BLOCK`` samples, so memory does not grow with the sample
     count.  Basis state i is node i + 1, so the |amplitude|^2 are the
@@ -219,7 +220,10 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[D
             # Freed now, so that they never coexist with the next chunk's.
             del rngs, values, stack, energies, vectors, modes, phases, populations
         mean = float(np.mean(results))
-        stderr = float(np.std(results, ddof=1) / math.sqrt(cfg.samples)) if cfg.samples > 1 else 0.0
+        # Shifted by the first sample: the spread is the same, and equal
+        # samples give exactly 0 (their mean need not round back to their value).
+        stderr = (float(np.std(results - results[0], ddof=1) / math.sqrt(cfg.samples))
+                  if cfg.samples > 1 else 0.0)
         points.append(DisorderPoint(amplitude, mean, stderr, cfg.samples))
         log.info("disorder kind=%s amplitude=%.4f mean=%.6f stderr=%.2e",
                  cfg.kind, amplitude, mean, stderr)
@@ -259,9 +263,12 @@ def _revival_peak(eigenvalues: np.ndarray, weights: np.ndarray,
     t_est = 2.0 * math.pi / x_min
 
     grid = np.linspace(0.5 * t_est, 1.7 * t_est, points)
-    # |(P w) Q^T|^2 row-major is the scan over the uniform grid.
+    # |(P w) Q^T|^2 row-major is the scan over the uniform grid, with K =
+    # ceil(sqrt(points)): the grid is uniform by construction, so it skips
+    # the check of ``_phase_modes``, which each objective evaluation would repeat.
     step = (grid[-1] - grid[0]) / (grid.size - 1) if grid.size > 1 else 0.0
-    big, small = _uniform_phases(grid[0], step, grid.size, eigenvalues)
+    big, small = _uniform_phases(grid[0], step, grid.size, math.isqrt(grid.size - 1) + 1,
+                                 eigenvalues)
     values = np.abs(((big * weights) @ small.T).ravel()[:grid.size]) ** 2
     best = int(np.argmax(values))
 

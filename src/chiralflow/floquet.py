@@ -309,6 +309,8 @@ def integrate_tdse(drive: CouplerDrive | BusDrive, psi0, t_final: float, dt: flo
         raise StepTooLarge(
             f"dt={dt} too coarse for drive frequency {nu_max}"
         )
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt={dt} must be finite and > 0")
     if not 0.0 < t_final < math.inf or record_points < 2:
         raise ValueError("need a finite t_final > 0 and at least 2 record points")
     psi = np.asarray(psi0, dtype=complex)

@@ -325,10 +325,10 @@ def direct_evolution(system, psi0, times, basis):
 def test_uniform_phases_match_direct_exponential(count, t0, span, energies):
     energies = np.array(energies)
     times = np.linspace(t0, t0 + span, count)
-    step = (times[-1] - times[0]) / (count - 1) if count > 1 else 0.0
-    big, small = dynamics._uniform_phases(t0, step, count, energies)
-    table = (big[:, None, :] * small[None, :, :]).reshape(-1, energies.size)[:count]
-    assert np.array_equal(dynamics._weighted_phases(times, energies, np.ones(energies.size)), table)
+    # Against identity modes the amplitudes are the phase table.
+    identity = np.eye(energies.size, dtype=complex)
+    table = dynamics._amplitudes(
+        *dynamics._phase_modes(times, energies, np.ones(energies.size), identity), count)
     # The direct table rounds each phase E*t to half an ulp, so the bound
     # grows with the largest phase (5500 rad at the corner of this domain).
     tol = max(1e-13, 4 * np.finfo(float).eps * (t0 + span) * float(np.max(np.abs(energies))))
@@ -336,14 +336,32 @@ def test_uniform_phases_match_direct_exponential(count, t0, span, energies):
 
 
 @PROPERTY_SETTINGS
+@given(st.integers(1, 10**7), st.integers(1, 2000))
+@example(1601, 39)
+@example(1601, 40)
+@example(1, 1)
+def test_fold_is_the_root_wherever_it_fits_and_never_outgrows_the_table(count, dim):
+    width = dynamics._fold(count, dim)
+    root = math.isqrt(count - 1) + 1
+    assert (root - 1) ** 2 < count <= root ** 2  # root = ceil(sqrt(count))
+    assert width >= 1
+    assert width == 1 or width * dim < count
+    assert root * dim >= count or width == root
+
+
+@PROPERTY_SETTINGS
 @given(st.integers(1, 60), st.integers(1, 3000), st.floats(-20.0, 20.0), st.floats(0.0, 40.0),
        st.integers(0, 2**32 - 1))
-# 39 states fold on 1601 points (K = 41), 40 states take the table; 5 states
-# fold from 31 points on (K = 6).
+# On 1601 points K is 41 for 39 states and is cut to 40 for 40 states; 5
+# states take K = 5 on 30 points and K = 6 on 31; 60 states on 50 points
+# take K = 1.
 @example(39, 1601, 0.0, math.pi, 0)
 @example(40, 1601, 0.0, math.pi, 0)
+@example(40, 1601, -20.0, 40.0, 2)
 @example(5, 30, -1.0, 2.0, 1)
 @example(5, 31, -1.0, 2.0, 1)
+@example(60, 50, -1.0, 2.0, 3)
+@example(60, 50, 20.0, 40.0, 4)
 def test_evolve_matches_direct_exponential_on_both_sides_of_the_fold(dim, count, t0, span, seed):
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, (dim, dim)) + 1j * rng.uniform(-1.0, 1.0, (dim, dim))
@@ -357,8 +375,8 @@ def test_evolve_matches_direct_exponential_on_both_sides_of_the_fold(dim, count,
     traj = dynamics.evolve(h, psi0, times)
     # Both sides round each phase E*t to a few ulps, so the bar grows with
     # the largest phase.  On 1500 random cases of this domain the worst
-    # deviation was 2.1 units of ``scale`` for the amplitudes and 3.5 for
-    # the populations with the fold, 0.5 and 0.3 with the table.
+    # deviation was 2.2 units of ``scale`` for the amplitudes and 3.3 for
+    # the populations, and 0.6 and 0.3 where K is cut below ceil(sqrt(count)).
     scale = np.finfo(float).eps * max(1.0, float(np.max(np.abs(system.eigenvalues)))
                                       * float(np.max(np.abs(times))))
     assert np.max(np.abs(traj.amplitudes - amplitudes)) <= 16 * scale

@@ -32,6 +32,15 @@ def test_zero_disorder_is_perfect(base_spec):
     assert points[0].stderr == 0.0
 
 
+@pytest.mark.parametrize("samples", [20, 200])
+@pytest.mark.parametrize("kind", experiments.DISORDER_KINDS)
+def test_equal_samples_have_zero_stderr(base_spec, kind, samples):
+    # At amplitude 0 every sample is the clean network, bitwise; a mean of
+    # equal values that does not round back to the value must not leak in.
+    points = experiments.disorder_sweep(base_spec, DisorderConfig(kind, samples, 0), [0.0])
+    assert points[0].stderr == 0.0
+
+
 def test_disorder_reproducible(base_spec):
     cfg = DisorderConfig("hopping_phase", 40, 42)
     first = experiments.disorder_sweep(base_spec, cfg, amplitudes=[0.1, 0.3])
@@ -97,7 +106,7 @@ def reference_sweep(base, cfg, amplitudes, draw=experiments.perturbed_spec):
             fidelities.append(np.mean([np.max(np.sqrt(traj.node_population(j)))
                                        for j in spec.ring_nodes]))
         results = np.array(fidelities)
-        stderr = (float(np.std(results, ddof=1) / math.sqrt(cfg.samples))
+        stderr = (float(np.std(results - results[0], ddof=1) / math.sqrt(cfg.samples))
                   if cfg.samples > 1 else 0.0)
         points.append(experiments.DisorderPoint(amplitude, float(np.mean(results)),
                                                 stderr, cfg.samples))
@@ -125,11 +134,11 @@ def test_chunked_sweep_is_the_per_sample_pipeline_bit_for_bit(base_spec, kind):
 
 @pytest.mark.parametrize("n_ring", [38, 39], ids=["fold", "table"])
 def test_sweep_on_either_side_of_the_fold_is_the_per_sample_pipeline_bit_for_bit(n_ring):
-    # On 1601 points K is 41: 39 states fold Q into the modes (41 * 39 <
-    # 1601), 40 states multiply out the phase table (41 * 40 >= 1601).
+    # On 1601 points K is 41 for 39 states (41 * 39 < 1601), and is cut to
+    # 40 for 40 states (41 * 40 >= 1601).
     base = models.asgf(n_ring, 2.0, math.pi / 2)
     dim = base.n_sites
-    assert (dynamics._fold(1601) * dim < 1601) == (n_ring == 38)
+    assert dynamics._fold(1601, dim) == (41 if n_ring == 38 else 40)
     cfg = DisorderConfig("hopping_phase", experiments._SAMPLE_BLOCK + 1, 2)
     amplitudes = [0.0, 0.3]
     assert (experiments.disorder_sweep(base, cfg, amplitudes)

@@ -174,6 +174,18 @@ def test_step_size_guard():
     psi0 = dynamics.basis_state(5, 0)
     with pytest.raises(StepTooLarge):
         floquet.integrate_tdse(drive, psi0, 1.0, 1.0)
+    with pytest.raises(StepTooLarge):
+        floquet.integrate_tdse(drive, psi0, 1.0, math.inf)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-6, math.nan])
+def test_rejects_a_step_that_is_not_positive_and_finite(dt, monkeypatch):
+    drive = floquet.tunable_coupler_asgf4(ratio=20.0)
+    psi0 = dynamics.basis_state(5, 0)
+    # Refused up front: no RK4 map is built.
+    monkeypatch.setattr(floquet, "_propagators", None)
+    with pytest.raises(ValueError, match="dt="):
+        floquet.integrate_tdse(drive, psi0, 1.0, dt)
 
 
 def test_rejects_empty_time_range():

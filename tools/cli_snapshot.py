@@ -43,9 +43,13 @@ COMMANDS = {
     "oracle-check": ["oracle-check"],
     "optimize": ["study", "optimize", "--ncopies", "8", "--budget", "1500", "--seed", "0",
                  "--out", "optimize.csv"],
-    # A 120-state sector: the dense branch with the multiplied-out phase table.
+    # A 120-state sector: the dense branch, with K cut to 16 so that the fold
+    # of the phases into the modes is no larger than the phase table.
     "simulate-ladder-3b": ["simulate", "--model", "ladder", "--n", "2", "--init", "11100000",
                            "--out", "traj.csv"],
+    # The same sector on 100 points: K = 1, the fold is the size of the modes.
+    "simulate-ladder-3b-short": ["simulate", "--model", "ladder", "--n", "2", "--init", "11100000",
+                                 "--grid", "100", "--out", "traj.csv"],
     # A 1540-state sector: the Krylov branch of evolve.
     "dense-sector": ["simulate", "--model", "ladder", "--n", "6",
                      "--init", "01000000000011000000", "--out", "traj.csv"],
