@@ -288,8 +288,8 @@ def _krylov_steps(h: HermitianMatrix, psi0: np.ndarray, times: np.ndarray) -> It
             weights = system.eigenvectors.conj().T @ (vectors[:m] @ state.conj()).conj()
             # Coefficients of the step's states on the Lanczos vectors.
             reached = rows.stop - rows.start
-            ritz = (_amplitudes(*_phase_modes(times[rows] - now, system.eigenvalues, weights,
-                                              system.eigenvectors.T), reached)
+            ritz = (_amplitudes(*_phase_modes(times[rows], system.eigenvalues, weights,
+                                              system.eigenvectors.T, now), reached)
                     if reached else np.empty((0, m), dtype=complex))
             yield rows, ritz, vectors[:m, None], bound
             lo, hi = (rows.stop, hi) if sign > 0 else (lo, rows.start)
@@ -411,20 +411,23 @@ def _outer(times: np.ndarray, energies: np.ndarray) -> np.ndarray:
 
 
 def _phase_modes(times: np.ndarray, energies: np.ndarray, weights: np.ndarray,
-                 modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                 modes: np.ndarray, origin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Factors (phases, (..., m, K, dim) modes) of ``_amplitudes`` for the
-    amplitude table (weights * exp(-i E t)) @ modes on a grid, ``modes`` an
-    (..., m, dim) array with the batch axes of ``energies``.
+    amplitude table (weights * exp(-i E t)) @ modes on a grid, t the grid
+    times less ``origin``, ``modes`` an (..., m, dim) array with the batch
+    axes of ``energies``.
 
     On a grid uniform to rounding, |t_j - (t_0 + j step)| <= 8 eps max(1,
-    max|t|), they are P of ``_uniform_phases`` with K = ``_fold`` and the
+    max|times|), they are P of ``_uniform_phases`` with K = ``_fold`` and the
     fold Q[b, m] * weights[m] * modes[m] at [m, b], whose product with P has
     the phase table's multiply-add count.  On any other grid they are the
-    direct weights * exp(-i E t) and the modes with K = 1.
+    direct weights * exp(-i E t) and the modes with K = 1.  The tolerance
+    scales with the grid times before the shift, as their rounding does.
     """
     count = times.size
-    step = (times[-1] - times[0]) / (count - 1) if count > 1 else 0.0
     tol = 8.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(times))))
+    times = times - origin
+    step = (times[-1] - times[0]) / (count - 1) if count > 1 else 0.0
     # Negated so that NaN or inf times fall to the direct path.
     if not float(np.max(np.abs(times - (times[0] + np.arange(count) * step)))) <= tol:
         return np.exp(-1j * _outer(times, energies)) * weights[..., None, :], modes[..., None, :]

@@ -335,6 +335,42 @@ def test_uniform_phases_match_direct_exponential(count, t0, span, energies):
     assert np.max(np.abs(table - np.exp(-1j * np.outer(times, energies)))) <= tol
 
 
+def test_grid_far_from_zero_folds_when_shifted_by_its_origin():
+    # 400 points of a uniform grid near t = 1500, less a start just before
+    # them. The grid rounds at the scale of 1500; the shifted times are near
+    # 0, and a tolerance taken from them would send the grid to the direct path.
+    times = np.linspace(0.0, 2000.0, 200001)[150000:150400]
+    now = times[0] - 0.0037
+    energies = np.array([-1.3, 0.2, 2.9])
+    identity = np.eye(energies.size, dtype=complex)
+    shifted = dynamics._phase_modes(times - now, energies, np.ones(energies.size), identity)
+    assert shifted[1].shape[-2] == 1
+    phases, modes = dynamics._phase_modes(times, energies, np.ones(energies.size), identity, now)
+    assert modes.shape[-2] == dynamics._fold(times.size, energies.size) > 1
+    table = dynamics._amplitudes(phases, modes, times.size)
+    # The grid is uniform within 8 eps max|t|, which the phases carry times
+    # max|E| (1.2e-12 here; measured 4.0e-13).
+    tol = 8 * np.finfo(float).eps * float(np.max(times)) * float(np.max(np.abs(energies)))
+    assert np.max(np.abs(table - np.exp(-1j * np.outer(times - now, energies)))) <= tol
+
+
+def test_every_krylov_step_of_a_uniform_grid_folds(monkeypatch):
+    # With the tolerance taken from the shifted times, only 15 of these 76
+    # steps were factorised.
+    calls = []
+    uniform_phases = dynamics._uniform_phases
+
+    def counted(*args):
+        calls.append(args[2])
+        return uniform_phases(*args)
+
+    monkeypatch.setattr(dynamics, "_uniform_phases", counted)
+    n = dynamics.KRYLOV_MIN_DIM
+    steps = krylov_steps(uniform_ring(n), dynamics.basis_state(n, 0), np.linspace(0.0, 500.0, 3000))
+    assert len(steps) > 50
+    assert calls == [rows.stop - rows.start for rows, *_ in steps]
+
+
 @PROPERTY_SETTINGS
 @given(st.integers(1, 10**7), st.integers(1, 2000))
 @example(1601, 39)
