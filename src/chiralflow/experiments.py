@@ -172,11 +172,9 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[D
     draws its perturbations as arrays, fills one row of triplet values per
     sample, scatters them into stacked dense matrices and makes one ``eigh``,
     with no spec object per sample.  ``dynamics._phase_modes`` factors the
-    chunk as ``evolve`` factors one sample, folding the phases Q into the
-    modes: K is 41 on this grid for bases of up to 39 states and is cut to
-    keep K * dim < 1601 on larger ones, so no phase table is built.  The
-    fold takes about 1601 * dim complex numbers per sample near 40 states,
-    40 MB per chunk.
+    chunk as ``evolve`` factors one sample, folding the phases into the
+    modes, so no phase table is built; ``_phase_modes`` gives the fold's
+    size, never more than a sample's 1601 x dim phase table.
     The amplitudes and |amplitude|^2 are formed in blocks of
     ``_SAMPLE_BLOCK`` samples, so memory does not grow with the sample
     count.  Basis state i is node i + 1, so the |amplitude|^2 are the

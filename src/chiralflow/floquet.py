@@ -377,9 +377,14 @@ def integrate_tdse(drive: CouplerDrive | BusDrive, psi0, t_final: float, dt: flo
     if period is None or period >= t_final:
         period = t_final
     times = np.linspace(0.0, t_final, record_points)
-    # Rounding the phase to 12 digits merges offsets that differ only by the
-    # rounding of the grid, and sends t = m T - 1e-17 to (m, 0).
-    cycles, phase = np.divmod(np.round(times / period, 12), 1.0)
+    # Rounding the phase after the divmod merges offsets that differ only by
+    # the rounding of the grid; a phase that rounds to 1 (t = m T - 1e-17)
+    # starts the next cycle.
+    cycles, phase = np.divmod(times / period, 1.0)
+    phase = np.round(phase, 12)
+    wrap = phase == 1.0
+    cycles[wrap] += 1.0
+    phase[wrap] = 0.0
     offsets, which = np.unique(phase, return_inverse=True)
     u, count = _propagators(drive.hamiltonian, n, np.append(offsets, 1.0) * period, dt)
     stroboscopic = [psi]

@@ -177,7 +177,7 @@ def sgf_ring(n: int, total_flux: float,
     ``gauge_transform`` or ``landau_gauge``.
     """
     if n < 3:
-        raise ValueError("need at least 3 ring sites")
+        raise ConfigError(f"need at least 3 ring sites, got {n}")
     theta = total_flux / n
     hops = [Hopping(j, j % n + 1, 1.0, theta) for j in range(1, n + 1)]
     return NetworkSpec(n, 0, tuple(hops), (), statistics, _ring_labels(n))
@@ -193,7 +193,7 @@ def asgf(n: int, beta_c: float, nn_phase: float,
     the two constructors agree in that limit.
     """
     if n < 3:
-        raise ValueError("need at least 3 ring sites")
+        raise ConfigError(f"need at least 3 ring sites, got {n}")
     if beta_c < 0:
         raise ValueError("beta_c must be >= 0")
     if beta_c == 0:
@@ -237,7 +237,7 @@ def ladder(n_copies: int, beta_profile, statistics: Statistics = Statistics.boso
     applied symmetrically from both ends.  A length-1 profile is uniform.
     """
     if n_copies < 1:
-        raise ConfigError("need at least one cell")
+        raise ConfigError(f"need at least one cell, got {n_copies}")
     beta_profile = [float(b) for b in beta_profile]
     n_profiles = (n_copies + 1) // 2
     if len(beta_profile) == 1:

@@ -1,9 +1,11 @@
 """Closed-form reference dynamics for the ring and ladder networks.
 
-Every function here evaluates an analytic expression only (no matrix
+The ring functions evaluate an analytic expression only (no matrix
 exponentials), so the results can be compared against the numeric evolution
-as an independent check.  Times are in units of the inverse base hopping
-rate and the base rate itself is set to 1.
+as an independent check.  ``ladder_resolvent`` and the functions built on it
+take their poles and residues from an eigendecomposition, so they are not
+independent of it.  Times are in units of the inverse base hopping rate and
+the base rate itself is set to 1.
 """
 
 from __future__ import annotations
@@ -167,11 +169,14 @@ def ladder_resolvent(n_copies: int, omega0: float = 0.0) -> PoleSet:
     The hopping graph is split into the corner-incident part and the rest;
     the corner block of the resolvent is ``(omega - Sigma(omega))^{-1}`` with
     the one-step self-energy ``Sigma = V + V Q (omega - H0)^{-1} Q V``.
-    Residues at every simple pole are computed from the adjugate and the
-    derivative of the denominator determinant, and cross-checked against the
-    projected eigendecomposition of the full network; the routine raises if
-    the two routes disagree.  Levels whose corner weight stays below 1e-8
-    are dark at the corners and carry no pole.
+    The poles and residues returned are those of the projected
+    eigendecomposition of the full network.  The adjugate and the derivative
+    of the denominator determinant only check them, at every pole where the
+    self-energy is regular, and the routine raises if the two routes
+    disagree; a pole on a level of the decoupled rest (one per ladder for
+    n = 1..6) goes unchecked.  So a reconstruction from this pole set is not
+    an independent closed form for the ladder's dynamics.  Levels whose
+    corner weight stays below 1e-8 are dark at the corners and carry no pole.
     """
     spec = ladder(n_copies, [2.0])
     spec = replace(spec, onsite=tuple(OnSite(j, omega0) for j in range(1, spec.n_sites + 1)))

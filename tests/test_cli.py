@@ -291,11 +291,31 @@ def test_large_node_label_is_not_a_bit_pattern(tmp_path):
     assert float(first_row[10]) == 1.0  # excitation starts on node 10
 
 
+@pytest.mark.parametrize("command", ["simulate", "spectrum", "criteria"])
+@pytest.mark.parametrize("model, n", [("sgf", 2), ("asgf", 2), ("spin-sgf", 2),
+                                      ("spin-asgf", 1), ("ladder", 0)])
+def test_out_of_range_n_exits_2_without_output(command, model, n, tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out = ["--out", "never.csv"] if command != "criteria" else []
+    assert run_cli([command, "--model", model, "--n", str(n), *out]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+ORACLE_CASES = (["three_node_ring"]
+                + [f"four_node_ring_theta={theta}" for theta in ("0.785", "1.571", "1.178")]
+                + [f"four_node_centre_beta={beta}" for beta in (1, 2, 3)]
+                + ["six_node_centre"]
+                + [f"ring_plane_waves_n={n}" for n in range(3, 9)]
+                + ["ladder_resolvent"])
+
+
 def test_oracle_check_passes(capsys):
     assert run_cli(["oracle-check"]) == 0
-    output = capsys.readouterr().out
-    assert "ladder_resolvent" in output
-    assert "FAIL" not in output
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ORACLE_CASES
+    assert all(line.endswith(" OK") for line in lines)
 
 
 def test_svg_chart_is_self_contained():

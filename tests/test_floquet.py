@@ -422,10 +422,10 @@ def test_integrate_tdse_logs_one_line(caplog):
                          record.getMessage())
     assert match
     steps, blocks, offsets = map(int, match.groups()[:3])
-    # Ten periods on 1201 points put at least 120 distinct offsets in a
-    # period; each segment between them takes at most one step more than
-    # its length in dt.
-    assert 120 <= offsets <= 1200
+    # Ten periods on 1201 points put 120 distinct offsets in a period, with
+    # no copies a rounding apart; each segment between them takes at most one
+    # step more than its length in dt.
+    assert offsets == 120
     assert drive.period() / dt <= steps <= drive.period() / dt + offsets
     assert blocks == -(-steps // BLOCK)
     assert float(match[4]) <= 1e-8
