@@ -116,16 +116,17 @@ class RunConfig:
                 raise ConfigError(f"config {name} must be {fields[name].type}, got {value!r}")
         return cls(**data)
 
-    @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config document must be a JSON object")
-        return cls.from_dict(data)
+
+def _read_config(path: str) -> dict:
+    """The JSON object of a config file, not yet validated."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config document must be a JSON object")
+    return data
 
 
 def build_spec(cfg: RunConfig) -> models.NetworkSpec:
@@ -348,7 +349,9 @@ def cmd_oracle_check(_args) -> int:
 
 
 def _config_from_args(args) -> RunConfig:
-    data = RunConfig.from_file(args.config).to_dict() if getattr(args, "config", None) else {}
+    """The ``--config`` file's keys overridden by the flags given, validated
+    once as a whole, so a flag may replace a value the file gets wrong."""
+    data = _read_config(args.config) if getattr(args, "config", None) else {}
     data.update({name: getattr(args, name) for name in RunConfig.__dataclass_fields__
                  if getattr(args, name, None) is not None})
     return RunConfig.from_dict(data)

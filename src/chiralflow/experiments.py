@@ -1,9 +1,10 @@
 """Reproducible studies: disorder robustness, ladder fidelity and coupling
 optimisation, and entangled-state transport on the spin ring.
 
-All randomness is driven by per-sample generators seeded with
-``(seed, amplitude_index, sample_index)``, so every sample is fixed by the
-seed and its position alone.
+The disorder sweep draws from one generator per amplitude, seeded with
+``(seed, amplitude_index)``: sample s takes the next block of doubles of that
+stream, so every sample is fixed by the seed, the amplitude index and its own
+position alone.
 """
 
 from __future__ import annotations
@@ -85,12 +86,13 @@ class DisorderPoint:
     samples: int
 
 
-def _draw(base: NetworkSpec, kind: str, amplitude: float,
-          rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The disordered copies of ``base`` that ``perturbed_spec`` draws, one
-    per generator, as arrays: hopping amplitudes and phases of shape
-    (len(rngs), n_hoppings) and on-site (delta_omega, kerr_u) of shape
-    (len(rngs), n_terms, 2), the base's terms before the drawn ones.
+def _draw(base: NetworkSpec, kind: str, amplitude: float, rng: np.random.Generator,
+          count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``count`` disordered copies of ``base``, drawn one after another from
+    ``rng`` as ``count`` calls of ``perturbed_spec`` on it would draw them, as
+    arrays: hopping amplitudes and phases of shape (count, n_hoppings) and
+    on-site (delta_omega, kerr_u) of shape (count, n_terms, 2), the base's
+    terms before the drawn ones.
 
     A strength that crosses zero keeps its modulus and gains pi of phase, and
     every phase is normalised as ``NetworkSpec`` normalises it.
@@ -98,9 +100,8 @@ def _draw(base: NetworkSpec, kind: str, amplitude: float,
     if kind not in DISORDER_KINDS:
         raise ValueError(f"unknown disorder kind {kind!r}")
     amplitudes, phases, terms = _spec_terms(base)
-    count = len(rngs)
     size = base.n_sites if kind == FREQUENCY else amplitudes.size
-    deltas = np.array([rng.uniform(-amplitude, amplitude, size) for rng in rngs])
+    deltas = rng.uniform(-amplitude, amplitude, (count, size))
     amplitudes = np.broadcast_to(amplitudes, (count, amplitudes.size))
     phases = np.broadcast_to(phases, (count, phases.size))
     terms = np.broadcast_to(terms, (count,) + terms.shape)
@@ -125,7 +126,7 @@ def perturbed_spec(base: NetworkSpec, kind: str, amplitude: float,
     uniformly from [-amplitude, amplitude].  A strength that crosses zero
     keeps its modulus and gains pi of phase.
     """
-    amplitudes, phases, terms = (rows[0].tolist() for rows in _draw(base, kind, amplitude, [rng]))
+    amplitudes, phases, terms = (rows[0].tolist() for rows in _draw(base, kind, amplitude, rng, 1))
     drawn = range(1, base.n_sites + 1) if kind == FREQUENCY else ()
     sites = [term.j for term in base.onsite] + list(drawn)
     return replace(base,
@@ -135,28 +136,31 @@ def perturbed_spec(base: NetworkSpec, kind: str, amplitude: float,
 
 
 def _disordered_values(base: NetworkSpec, kind: str, amplitude: float, pattern,
-                       rngs) -> np.ndarray:
-    """Triplet values of the disordered copies of ``base``, one row per
-    generator, on ``pattern``, the ``_spec_pattern`` of any one copy: row s is
-    bitwise ``build_hamiltonian(perturbed_spec(base, kind, amplitude,
-    rngs[s]), basis).values``.  ValueError unless every value is finite."""
-    amplitudes, phases, terms = _draw(base, kind, amplitude, rngs)
+                       rng: np.random.Generator, count: int) -> np.ndarray:
+    """Triplet values of ``count`` disordered copies of ``base`` drawn in turn
+    from ``rng``, one row per copy, on ``pattern``, the ``_spec_pattern`` of
+    any one copy: row s is bitwise ``build_hamiltonian(perturbed_spec(base,
+    kind, amplitude, rng), basis).values`` for the (s + 1)-th such call on a
+    generator in ``rng``'s state.  ValueError unless every value is finite."""
+    amplitudes, phases, terms = _draw(base, kind, amplitude, rng, count)
     values = _fill(pattern, _coefficients(amplitudes, phases), terms)
     if not np.isfinite(values.view(float)).all():
         raise ValueError("matrix entries must be finite")
     return values
 
 
-# Disorder samples assembled, diagonalised and factored at once (a chunk),
-# and within a chunk the samples whose amplitudes and populations are formed
-# at once (a block).  On the four-node ring a chunk's phase factors and
-# folded modes take 20 kB per sample and a block 320 kB per sample
-# (tracemalloc).  On a 2-vCPU Xeon host whose speed drifts by a third from
-# run to run, two runs of interleaved passes of the default study (medians
-# of 15 and 21) took 0.28 and 0.32 s in chunks of 40 with blocks of 4, 0.24
-# and 0.36 s in chunks of 80 and 0.31 and 0.34 s in chunks of 20; blocks of
-# 2 and 8 took 0.27-0.34 and 0.27-0.43 s, blocks of 16 0.44 s.  Factoring
-# block by block took 16% longer (30 interleaved in-process sweeps).
+# Disorder samples drawn, assembled, diagonalised and factored at once (a
+# chunk, drawn as one array from the amplitude's stream, so the draws do not
+# depend on its size), and within a chunk the samples whose amplitudes and
+# populations are formed at once (a block).  On the four-node ring a chunk's
+# phase factors and folded modes take 20 kB per sample and a block 320 kB
+# per sample (tracemalloc).  On a 2-vCPU Xeon host whose speed drifts by a
+# third from run to run, two runs of interleaved passes of the default study
+# (medians of 15 and 21) took 0.28 and 0.32 s in chunks of 40 with blocks of
+# 4, 0.24 and 0.36 s in chunks of 80 and 0.31 and 0.34 s in chunks of 20;
+# blocks of 2 and 8 took 0.27-0.34 and 0.27-0.43 s, blocks of 16 0.44 s.
+# Factoring block by block took 16% longer (30 interleaved in-process
+# sweeps).
 _SAMPLE_CHUNK = 40
 _SAMPLE_BLOCK = 4
 
@@ -166,10 +170,15 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[D
 
     Every sample redraws all perturbations, evolves one chiral cycle (1601
     points on [0, pi]) from node 1 and records the average over ring nodes
-    of the peak amplitude modulus.  The samples of an amplitude run in
-    chunks of ``_SAMPLE_CHUNK`` on one shared one-excitation basis and one
-    triplet pattern, taken from a single ``perturbed_spec`` copy: each chunk
-    draws its perturbations as arrays, fills one row of triplet values per
+    of the peak amplitude modulus.  Amplitude a_idx draws its samples in
+    order from one generator seeded with ``(cfg.seed, a_idx)``: sample s is
+    the doubles s * size ... (s + 1) * size - 1 of that stream, size the
+    drawn offsets per copy, so a run with fewer samples draws the same first
+    samples.  The samples of an amplitude run in chunks of
+    ``_SAMPLE_CHUNK`` on one shared one-excitation basis and one triplet
+    pattern, taken from a single ``perturbed_spec`` copy drawn from a
+    generator of its own: each chunk draws its perturbations as one array
+    from the amplitude's stream, fills one row of triplet values per
     sample, scatters them into stacked dense matrices and makes one ``eigh``,
     with no spec object per sample.  ``dynamics._phase_modes`` factors the
     chunk as ``evolve`` factors one sample, folding the phases into the
@@ -193,30 +202,32 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[D
     psi0 = basis.unit_vector(occupation(base.n_sites, 1))
     points = []
     for a_idx, amplitude in enumerate(amplitudes):
-        # Every copy has the hopping pairs and on-site sites of this one.
+        # Every copy has the hopping pairs and on-site sites of this one, a
+        # copy of sample 0 drawn from a generator of its own, so that it does
+        # not advance the samples' stream.
         pattern = _spec_pattern(perturbed_spec(base, cfg.kind, amplitude,
-                                               np.random.default_rng((cfg.seed, a_idx, 0))), basis)
+                                               np.random.default_rng((cfg.seed, a_idx))), basis)
         rows, cols = pattern[:2]
+        rng = np.random.default_rng((cfg.seed, a_idx))
         results = np.empty(cfg.samples)
         for lo in range(0, cfg.samples, _SAMPLE_CHUNK):
-            rngs = [np.random.default_rng((cfg.seed, a_idx, sample_idx))
-                    for sample_idx in range(lo, min(lo + _SAMPLE_CHUNK, cfg.samples))]
-            values = _disordered_values(base, cfg.kind, amplitude, pattern, rngs)
+            count = min(_SAMPLE_CHUNK, cfg.samples - lo)
+            values = _disordered_values(base, cfg.kind, amplitude, pattern, rng, count)
             # Scattered in triplet order, as ``HermitianMatrix.matrix`` is.
-            stack = np.zeros((len(rngs), len(basis), len(basis)), dtype=complex)
-            np.add.at(stack, (np.arange(len(rngs))[:, None], rows, cols), values)
+            stack = np.zeros((count, len(basis), len(basis)), dtype=complex)
+            np.add.at(stack, (np.arange(count)[:, None], rows, cols), values)
             energies, vectors = np.linalg.eigh(stack)
             modes = vectors.swapaxes(-1, -2)
             phases, modes = _phase_modes(times, energies, modes.conj() @ psi0, modes)
-            for first in range(0, len(rngs), _SAMPLE_BLOCK):
-                n = min(_SAMPLE_BLOCK, len(rngs) - first)
+            for first in range(0, count, _SAMPLE_BLOCK):
+                n = min(_SAMPLE_BLOCK, count - first)
                 block = slice(first, first + n)
                 # Without an occupation matrix these are |amplitude|^2 per
                 # basis state, which are the node populations.
                 populations = _populations(phases[block], modes[block], None, times.size)
                 results[lo + first:lo + first + n] = average_fidelity(populations, base.ring_nodes)
             # Freed now, so that they never coexist with the next chunk's.
-            del rngs, values, stack, energies, vectors, modes, phases, populations
+            del values, stack, energies, vectors, modes, phases, populations
         mean = float(np.mean(results))
         # Shifted by the first sample: the spread is the same, and equal
         # samples give exactly 0 (their mean need not round back to their value).

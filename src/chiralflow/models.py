@@ -194,8 +194,8 @@ def asgf(n: int, beta_c: float, nn_phase: float,
     """
     if n < 3:
         raise ConfigError(f"need at least 3 ring sites, got {n}")
-    if beta_c < 0:
-        raise ValueError("beta_c must be >= 0")
+    if not 0 <= beta_c < math.inf:
+        raise ConfigError(f"beta_c {beta_c!r} must be finite and >= 0")
     if beta_c == 0:
         return sgf_ring(n, n * nn_phase, statistics)
     hops = [Hopping(j, j % n + 1, 1.0, nn_phase) for j in range(1, n + 1)]

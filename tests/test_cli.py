@@ -123,6 +123,22 @@ def test_config_wrong_json_type_exits_2_without_output(config, tmp_path, capsys)
     assert "config error" in capsys.readouterr().err
 
 
+def test_config_flags_override_the_file_before_validation(tmp_path, capsys):
+    # The file is validated only after the flags are merged into it, so a
+    # flag mends a value the file gets wrong; the file alone still fails.
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"model": "sgf", "n": 3, "tmax": "0.1pi", "grid": 1}))
+    assert run_cli(["simulate", "--config", str(path), "--grid", "10"]) == 0
+    assert capsys.readouterr().out.count("\n") == 11
+    assert run_cli(["simulate", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    # Type errors and unknown keys in the file stand whatever the flags say.
+    for config in ({"n": "3"}, {"bogus": 1}):
+        path.write_text(json.dumps(config))
+        assert run_cli(["simulate", "--config", str(path), "--grid", "11"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
 def test_config_accepts_numbers_for_angles_and_profile(tmp_path, capsys):
     config = {"model": "asgf", "n": 4, "beta": 2, "nn_phase": math.pi / 2, "flux": 1,
               "profile": 2, "tmax": 1, "grid": 11}

@@ -93,14 +93,15 @@ def test_hopping_scale_frequency_disorder_beats_tiny_hopping_disorder(base_spec)
 
 def reference_sweep(base, cfg, amplitudes, draw=experiments.perturbed_spec):
     """The per-sample pipeline: simulate each sample, a spec drawn by
-    ``draw``, alone, average the sqrt of each ring node's peak population,
+    ``draw`` from the amplitude's one generator in sample order, alone, average the sqrt of each ring node's peak population,
     then take mean and standard error."""
     times = np.linspace(0.0, math.pi, 1601)
     points = []
     for a_idx, amplitude in enumerate(amplitudes):
         fidelities = []
-        for sample_idx in range(cfg.samples):
-            rng = np.random.default_rng((cfg.seed, a_idx, sample_idx))
+        # One stream per amplitude, each sample drawn after the one before.
+        rng = np.random.default_rng((cfg.seed, a_idx))
+        for _ in range(cfg.samples):
             spec = draw(base, cfg.kind, amplitude, rng)
             traj = dynamics.simulate(spec, hilbert.occupation(spec.n_sites, 1), times)
             fidelities.append(np.mean([np.max(np.sqrt(traj.node_population(j)))
@@ -130,6 +131,38 @@ def test_chunked_sweep_is_the_per_sample_pipeline_bit_for_bit(base_spec, kind):
     amplitudes = [0.3] + ([30.0] if kind == "frequency" else [1.5])
     assert (experiments.disorder_sweep(base_spec, cfg, amplitudes)
             == reference_sweep(base_spec, cfg, amplitudes))
+
+
+@pytest.mark.parametrize("kind", experiments.DISORDER_KINDS)
+def test_sweep_does_not_depend_on_the_chunk_size(base_spec, kind, monkeypatch):
+    # One sample per chunk, chunks that do not divide the samples, and one
+    # chunk with a partial second one: the draws are the same stream.
+    cfg = DisorderConfig(kind, 45, 8)
+    amplitudes = [0.3, 30.0 if kind == "frequency" else 1.5]
+    sweeps = []
+    for chunk in (1, 7, 40):
+        monkeypatch.setattr(experiments, "_SAMPLE_CHUNK", chunk)
+        sweeps.append(experiments.disorder_sweep(base_spec, cfg, amplitudes))
+    assert sweeps[0] == sweeps[1] == sweeps[2]
+
+
+@pytest.mark.parametrize("kind", experiments.DISORDER_KINDS)
+@pytest.mark.parametrize("sample", [0, 1, 6, 41])
+def test_sample_s_is_the_amplitude_stream_advanced_past_s_samples(base_spec, onsite_spec,
+                                                                  kind, sample):
+    # Sample s of amplitude a_idx is a copy drawn from the (seed, a_idx)
+    # stream after s copies' worth of doubles, whatever the sample count.
+    seed, a_idx, amplitude = 3, 2, 0.4
+    for base in (base_spec, onsite_spec):
+        basis = hilbert.enumerate_basis(base.n_sites, 1, base.statistics)
+        size = base.n_sites if kind == "frequency" else len(base.hoppings)
+        stream = np.random.PCG64(np.random.SeedSequence((seed, a_idx))).advance(sample * size)
+        spec = experiments.perturbed_spec(base, kind, amplitude, np.random.Generator(stream))
+        h = hilbert.build_hamiltonian(spec, basis)
+        values = experiments._disordered_values(
+            base, kind, amplitude, hilbert._spec_pattern(spec, basis),
+            np.random.default_rng((seed, a_idx)), sample + 3)
+        assert np.array_equal(values[sample].view(np.uint64), h.values.view(np.uint64))
 
 
 @pytest.mark.parametrize("n_ring", [38, 39], ids=["fold", "table"])

@@ -431,16 +431,16 @@ def test_disordered_rows_are_each_build_bit_for_bit(case, kind, amplitude, count
     base = as_network_spec(SimpleNamespace(**{**vars(raw), "onsite": raw.onsite + kerr}))
     basis = hilbert.enumerate_basis(base.n_sites, n_exc, base.statistics)
 
-    def generators():
-        return [np.random.default_rng((seed, sample)) for sample in range(count)]
+    def copies(stream):
+        """``count`` specs drawn one after another from ``stream``."""
+        return [experiments.perturbed_spec(base, kind, amplitude, stream) for _ in range(count)]
 
     # Strength draws of 3 cross zero and phase draws of 4 wrap past pi.
-    pattern = hilbert._spec_pattern(
-        experiments.perturbed_spec(base, kind, amplitude, generators()[-1]), basis)
-    values = experiments._disordered_values(base, kind, amplitude, pattern, generators())
+    pattern = hilbert._spec_pattern(copies(np.random.default_rng(seed))[-1], basis)
+    values = experiments._disordered_values(base, kind, amplitude, pattern,
+                                            np.random.default_rng(seed), count)
     assert values.shape == (count, pattern[0].size)
-    for row, generator in zip(values, generators()):
-        spec = experiments.perturbed_spec(base, kind, amplitude, generator)
+    for row, spec in zip(values, copies(np.random.default_rng(seed))):
         h = hilbert.build_hamiltonian(spec, basis)
         assert np.array_equal(h.rows, pattern[0]) and np.array_equal(h.cols, pattern[1])
         assert np.array_equal(row.view(np.uint64), h.values.view(np.uint64))
@@ -456,16 +456,17 @@ def test_disordered_rows_are_each_build_bit_for_bit(case, kind, amplitude, count
 def test_disordered_values_refuse_non_finite_entries(kind, hop, term):
     base = models.NetworkSpec(3, 0, (hop,), (term,), Statistics.boson(), ("a", "b", "c"))
     basis = hilbert.enumerate_basis(3, 1, base.statistics)
-    generators = [np.random.default_rng((0, sample)) for sample in range(8)]
     with np.errstate(over="ignore", invalid="ignore"):
         pattern = hilbert._spec_pattern(base, basis)
         with pytest.raises(ValueError):
-            experiments._disordered_values(base, kind, 1e307, pattern, generators)
+            experiments._disordered_values(base, kind, 1e307, pattern,
+                                           np.random.default_rng(0), 8)
         # A sample's own build refuses it as well.
+        stream = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            for generator in generators:
+            for _ in range(8):
                 hilbert.build_hamiltonian(
-                    experiments.perturbed_spec(base, kind, 1e307, generator), basis)
+                    experiments.perturbed_spec(base, kind, 1e307, stream), basis)
 
 
 def test_hermitian_matrix_rejects_negative_indices():

@@ -49,6 +49,13 @@ def test_asgf_zero_coupling_reduces_to_ring():
     assert models.asgf(5, 0.0, 0.3) == models.sgf_ring(5, 5 * 0.3)
 
 
+@pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf])
+def test_asgf_rejects_negative_or_non_finite_coupling(beta):
+    # A configuration error (exit 2 at the CLI), naming the value.
+    with pytest.raises(ConfigError, match=repr(beta)):
+        models.asgf(4, beta, math.pi / 2)
+
+
 def test_asgf_subtriangle_fluxes_are_quarter_flux():
     spec = models.asgf(4, 2.0, math.pi / 2)
     fluxes = [spec.loop_flux([j, j % 4 + 1, 5]) for j in range(1, 5)]

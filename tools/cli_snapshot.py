@@ -33,6 +33,8 @@ COMMANDS = {
     # A true verdict: every winding, the two hybridised m = 0 levels included.
     "criteria-chiral-12": ["criteria", "--model", "chiral", "--n", "12"],
     "disorder": ["study", "disorder", "--samples", "20", "--out", "disorder.csv"],
+    # The benchmark's command: 12 rows of 200 samples.
+    "disorder-default": ["study", "disorder", "--seed", "0", "--out", "disorder.csv"],
     # Strength draws of 3 cross zero (the phase gains pi); phase draws of 4
     # wrap past pi.
     "disorder-strength-cross": ["study", "disorder", "--kind", "hopping_strength",
