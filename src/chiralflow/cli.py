@@ -1,9 +1,9 @@
 """Command-line front door: model catalogue, studies, CSV/SVG emission.
 
 Exit codes: 0 success, 1 criteria verdict false, 2 configuration error
-(any bad argument), 3 numeric failure.  All file writes are atomic (temp
-file then rename).  Angles accept a ``pi`` suffix ("0.5pi"); times are in
-inverse base-hopping units.
+(any bad argument or unwritable output path), 3 numeric failure.  Each file
+is written whole or not at all (temp file then rename).  Angles accept a
+``pi`` suffix ("0.5pi"); times are in inverse base-hopping units.
 """
 
 from __future__ import annotations
@@ -13,9 +13,10 @@ import json
 import logging
 import math
 import os
+import stat
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,9 +99,6 @@ class RunConfig:
         if not all(0 <= b < math.inf for b in parse_float_list(self.profile)):
             raise ConfigError(f"profile {self.profile!r} entries must be finite and >= 0")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         fields = cls.__dataclass_fields__
@@ -163,15 +161,29 @@ def initial_state(cfg: RunConfig, spec: models.NetworkSpec):
 
 
 def write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".chiralflow-", suffix=".tmp")
+    """Write text to path whole or not at all: a temp file beside it gets
+    the mode ``open(path, "w")`` would leave (the file's own, else 0o666
+    less the umask) and is renamed over it.  A failed write removes the
+    temp file; an ``OSError`` (say, a missing directory) is a ``ConfigError``."""
+    tmp = None
     try:
+        if os.path.isfile(path):
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        else:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".chiralflow-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            os.chmod(tmp, mode)
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 
@@ -294,7 +306,7 @@ def cmd_study_ladder(args) -> int:
 
 def cmd_study_optimize(args) -> int:
     result = experiments.optimize_ladder(args.ncopies, budget=args.budget, seed=args.seed)
-    rows = [(args.ncopies, result.fidelity, result.period, result.iterations,
+    rows = [(args.ncopies, result.fidelity, result.period, result.evaluations,
              str(result.monotone).lower(), str(result.budget_exhausted).lower(),
              ";".join(f"{b:.6g}" for b in result.beta_profile))]
     header = "n_copies,fidelity,period,evaluations,monotone,budget_exhausted,profile"

@@ -139,10 +139,6 @@ def check_chiral_symmetry(h: HermitianMatrix, operator: ChiralOperator) -> float
     return float(np.max(np.abs(residual)))
 
 
-def flipped_state(occupations) -> tuple[int, ...]:
-    return tuple(1 - n for n in occupations)
-
-
 def check_time_reversal_spin(spec: NetworkSpec, times=None) -> bool:
     """Behavioural time-reversal check for spin networks.
 
@@ -157,7 +153,7 @@ def check_time_reversal_spin(spec: NetworkSpec, times=None) -> bool:
         raise NotSpin("time-reversal mirroring is defined for spin networks")
     times = np.linspace(0.0, 12.0, 1601) if times is None else np.asarray(times, float)
     initial = occupation(spec.n_sites, 1)
-    forward_flipped = simulate(spec, flipped_state(initial), times).populations
+    forward_flipped = simulate(spec, tuple(1 - n for n in initial), times).populations
     backward_original = simulate(spec, initial, -times[::-1]).populations[::-1]
     return float(np.max(np.abs(forward_flipped - (1.0 - backward_original)))) <= 1e-9
 

@@ -341,7 +341,7 @@ class OptimizationResult:
     beta_profile: tuple[float, ...]
     fidelity: float
     period: float
-    iterations: int
+    evaluations: int
     monotone: bool
     budget_exhausted: bool
 
@@ -440,16 +440,15 @@ def _bfgs_ascent(evaluate, x: np.ndarray, budget: int):
     return x, f, used, False
 
 
-def optimize_ladder(n_copies: int, budget: int | None = None, seed: int = 0,
-                    restarts: int = 5) -> OptimizationResult:
+def optimize_ladder(n_copies: int, budget: int | None = None, seed: int = 0) -> OptimizationResult:
     """Maximise the ladder cycle fidelity over a monotone coupling profile.
 
     The end cells keep coupling 2; inner couplings are parametrised through
     log-increments, b_i = b_{i-1} + MIN_INCREMENT + exp(x_i), so every
-    candidate satisfies 2 = b_0 < b_1 < ... < b_m.  Each of the seeded
-    starts runs BFGS on the exact gradient of ``_ladder_objective``;
-    ``budget`` caps the objective evaluations of all starts together.
-    Deterministic for a fixed seed.
+    candidate satisfies 2 = b_0 < b_1 < ... < b_m.  Each of five starts
+    (x_i = log 0.3, then four drawn from the seed) runs BFGS on the exact
+    gradient of ``_ladder_objective``; ``budget`` caps the objective
+    evaluations of all starts together.  Deterministic for a fixed seed.
     """
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
@@ -471,7 +470,7 @@ def optimize_ladder(n_copies: int, budget: int | None = None, seed: int = 0,
     rng = np.random.default_rng(seed)
     best_x = None
     best_f = -1.0
-    for restart in range(restarts):
+    for restart in range(5):
         if restart == 0:
             x = np.full(n_free, math.log(0.3))
         else:

@@ -101,7 +101,6 @@ class CouplerDrive:
     omegas: tuple[float, ...]
     links: tuple[CouplerLink, ...] = ()
     base_rate: float = 1.0
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         numbers = [*self.omegas, self.base_rate]
@@ -177,7 +176,6 @@ class BusDrive:
     gs: tuple[float, ...]
     omega_r: float = 0.0
     base_rate: float = 1.0
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         _require_finite([self.nu, self.delta, *self.phis, *self.gs, self.omega_r,
@@ -243,26 +241,15 @@ def tunable_coupler_asgf4(g: float = 1.0, ratio: float = 20.0) -> CouplerDrive:
         links.append(CouplerLink(j, k, g, omegas[j - 1] - omegas[k - 1], -math.pi / 2))
     for j in range(1, 5):
         links.append(CouplerLink(j, 5, 2.0 * g, omegas[j - 1] - omegas[4], 0.0))
-    return CouplerDrive(
-        omegas=omegas,
-        links=tuple(links),
-        base_rate=g,
-        labels=("node_1", "node_2", "node_3", "node_4", "aux_1"),
-    )
+    return CouplerDrive(omegas=omegas, links=tuple(links), base_rate=g)
 
 
 def bus_resonator_ring(n: int = 4, g: float = 1.0, nu: float = 40.0) -> BusDrive:
     """Bus scheme with node phases phi_j = j pi/2: equal-strength NN hops,
     no next-nearest-neighbour coupling.  The drive ratio delta / nu is the
     first Bessel zero, which removes the static bus coupling."""
-    return BusDrive(
-        nu=nu,
-        delta=first_bessel_zero() * nu,
-        phis=tuple(j * math.pi / 2 for j in range(1, n + 1)),
-        gs=(g,) * n,
-        base_rate=g,
-        labels=tuple(f"node_{j}" for j in range(1, n + 1)) + ("bus",),
-    )
+    return BusDrive(nu=nu, delta=first_bessel_zero() * nu, gs=(g,) * n, base_rate=g,
+                    phis=tuple(j * math.pi / 2 for j in range(1, n + 1)))
 
 
 def _rk4_maps(h_of, starts: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -400,7 +387,7 @@ def integrate_tdse(drive: CouplerDrive | BusDrive, psi0, t_final: float, dt: flo
 
     amplitudes = drive.to_lab_frame(times, states)
     populations = np.abs(amplitudes) ** 2
-    labels = drive.labels or tuple(f"node_{j}" for j in range(1, n + 1))
+    labels = tuple(f"node_{j}" for j in range(1, n + 1))
     for arr in (times, amplitudes, populations):
         arr.setflags(write=False)
     return Trajectory(times, populations, labels, amplitudes, None)

@@ -11,13 +11,13 @@ the base rate itself is set to 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import cluster_levels, eigendecompose
 from .errors import SingularProjection
-from .hilbert import OnSite, build_hamiltonian, enumerate_basis
+from .hilbert import build_hamiltonian, enumerate_basis
 from .models import ladder, ladder_corners
 
 
@@ -150,7 +150,6 @@ class PoleSet:
 
     poles: tuple[float, ...]
     residues: tuple[np.ndarray, ...]
-    omega0: float = 0.0
 
 
 def _adjugate(m: np.ndarray) -> np.ndarray:
@@ -163,7 +162,7 @@ def _adjugate(m: np.ndarray) -> np.ndarray:
     return adj
 
 
-def ladder_resolvent(n_copies: int, omega0: float = 0.0) -> PoleSet:
+def ladder_resolvent(n_copies: int) -> PoleSet:
     """Corner-subspace resolvent of the ladder network with uniform coupling 2.
 
     The hopping graph is split into the corner-incident part and the rest;
@@ -179,7 +178,6 @@ def ladder_resolvent(n_copies: int, omega0: float = 0.0) -> PoleSet:
     corner weight stays below 1e-8 are dark at the corners and carry no pole.
     """
     spec = ladder(n_copies, [2.0])
-    spec = replace(spec, onsite=tuple(OnSite(j, omega0) for j in range(1, spec.n_sites + 1)))
     basis = enumerate_basis(spec.n_sites, 1, spec.statistics)
     hamiltonian = build_hamiltonian(spec, basis)
     h = hamiltonian.matrix
@@ -190,7 +188,6 @@ def ladder_resolvent(n_copies: int, omega0: float = 0.0) -> PoleSet:
     other_idx = [i for i in range(h.shape[0]) if i not in corner_idx]
 
     v_pp = h[np.ix_(corner_idx, corner_idx)].astype(complex)
-    np.fill_diagonal(v_pp, 0.0)  # the corner diagonal (omega0) belongs to H0
     h0_qq = h[np.ix_(other_idx, other_idx)]
     coupling = h[np.ix_(corner_idx, other_idx)]
     q_vals, q_vecs = np.linalg.eigh(h0_qq)
@@ -198,7 +195,7 @@ def ladder_resolvent(n_copies: int, omega0: float = 0.0) -> PoleSet:
 
     def m_of(omega: float) -> np.ndarray:
         sigma = v_pp + (bridge / (omega - q_vals)) @ bridge.conj().T
-        return (omega - omega0) * np.eye(4, dtype=complex) - sigma
+        return omega * np.eye(4, dtype=complex) - sigma
 
     def m_prime(omega: float) -> np.ndarray:
         return np.eye(4, dtype=complex) + (bridge / (omega - q_vals) ** 2) @ bridge.conj().T
@@ -232,7 +229,6 @@ def ladder_resolvent(n_copies: int, omega0: float = 0.0) -> PoleSet:
     return PoleSet(
         poles=tuple(poles[i] for i in order),
         residues=tuple(residues[i] for i in order),
-        omega0=omega0,
     )
 
 
@@ -257,11 +253,10 @@ def cosine_expansion(pole_set: PoleSet) -> tuple[float, list[tuple[float, float]
     terms = []
     for pole, residue in zip(pole_set.poles, pole_set.residues):
         value = residue[0, 0]
-        shifted = pole - pole_set.omega0
-        if abs(shifted) < 1e-10:
+        if abs(pole) < 1e-10:
             constant += float(value.real)
-        elif shifted > 0:
-            terms.append((float(shifted), 2.0 * float(value.real)))
+        elif pole > 0:
+            terms.append((float(pole), 2.0 * float(value.real)))
     terms.sort()
     return constant, terms
 

@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +29,8 @@ def test_parse_angle():
 
 def test_config_round_trip():
     cfg = cli.RunConfig(model="asgf", n=4, beta=2.0, tmax="1pi", grid=101)
-    assert cli.RunConfig.from_dict(cfg.to_dict()) == cfg
-    assert cli.RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+    assert cli.RunConfig.from_dict(asdict(cfg)) == cfg
+    assert cli.RunConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
 
 def test_config_rejects_unknown_keys():
@@ -69,6 +71,42 @@ def test_malformed_flux_exits_2_without_output(tmp_path, capsys):
     assert code == 2
     assert not out.exists()
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+@pytest.mark.parametrize("target", ["missing directory", "existing directory"])
+def test_unwritable_output_exits_2_without_temp_files(flag, target, tmp_path, capsys):
+    # A missing directory fails in mkstemp, a directory at the path in the
+    # rename; either is a configuration error, not a false verdict (exit 1).
+    (tmp_path / "taken").mkdir()
+    bad = tmp_path / ("nodir/x" if target == "missing directory" else "taken")
+    paths = {"--out": tmp_path / "run.csv", "--svg": tmp_path / "run.svg", flag: bad}
+    code = run_cli(["simulate", "--model", "asgf", "--n", "4", "--grid", "11",
+                    "--out", str(paths["--out"]), "--svg", str(paths["--svg"])])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {bad}: ") and err.count("\n") == 1
+    assert not list(tmp_path.rglob(".chiralflow-*"))
+    assert not list((tmp_path / "taken").iterdir())
+    # Each file is written whole or not at all: a failing --svg leaves the CSV.
+    assert (tmp_path / "run.csv").exists() == (flag == "--svg")
+    assert not (tmp_path / "run.svg").exists()
+
+
+def test_output_files_get_the_mode_open_would_leave(tmp_path):
+    # A new file gets 0o666 less the umask, an overwritten one keeps its mode.
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("stale\n")
+    old.chmod(0o640)
+    umask = os.umask(0o022)
+    try:
+        for out in (new, old):
+            assert run_cli(["spectrum", "--model", "sgf", "--n", "3", "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o644
+    assert stat.S_IMODE(old.stat().st_mode) == 0o640
+    assert old.read_text().startswith("index,eigenvalue\n")
 
 
 def test_bad_bit_pattern_exits_2(tmp_path):
@@ -339,6 +377,31 @@ def test_svg_chart_is_self_contained():
     chart = cli.svg_line_chart(x, [np.sin(x), np.cos(x)], ["a", "b"], "demo")
     assert chart.count("<polyline") == 2
     assert "xmlns" in chart
+
+
+# Runs in a fresh interpreter: imports one module, prints the chiralflow
+# modules then loaded.
+IMPORT_PROBE = """
+import importlib, json, sys
+importlib.import_module(sys.argv[1])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "chiralflow")))
+"""
+
+
+@pytest.mark.parametrize("module", ["chiralflow.hilbert", "chiralflow.cli"])
+def test_importing_a_module_loads_only_what_it_imports(module):
+    # The package re-exports nothing, so hilbert brings only errors along,
+    # while the CLI still loads every module of the package.
+    package = Path(cli.__file__).resolve().parent
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, module],
+                          env={**os.environ, "PYTHONPATH": str(package.parent)},
+                          capture_output=True, text=True, timeout=60, check=True)
+    if module == "chiralflow.cli":
+        expected = ["chiralflow"] + [f"chiralflow.{p.stem}" for p in package.glob("*.py")
+                                     if p.stem != "__init__"]
+    else:
+        expected = ["chiralflow", "chiralflow.errors", "chiralflow.hilbert"]
+    assert json.loads(proc.stdout) == sorted(expected)
 
 
 # Runs in a fresh interpreter, so nothing the test session imported counts.

@@ -432,7 +432,7 @@ def test_optimize_without_free_parameters_returns_uniform():
 
 def test_optimize_improves_on_uniform():
     uniform = experiments.ladder_fidelity_curve([4])[0]
-    result = experiments.optimize_ladder(4, seed=0, restarts=2)
+    result = experiments.optimize_ladder(4, seed=0)
     assert result.fidelity > uniform.fidelity + 1e-3
     assert result.monotone
     assert result.beta_profile[0] == 2.0
@@ -450,8 +450,8 @@ def test_ladder_objective_decomposes_through_eigendecompose(monkeypatch):
         return original(h)
 
     monkeypatch.setattr(experiments, "eigendecompose", counting)
-    result = experiments.optimize_ladder(4, seed=0, restarts=2)
-    assert len(calls) == result.iterations + 1
+    result = experiments.optimize_ladder(4, seed=0)
+    assert len(calls) == result.evaluations + 1
 
 
 @pytest.mark.parametrize("n_copies", [1, 2])
@@ -462,8 +462,8 @@ def test_ladder_without_free_coupling_evaluates_no_objective(n_copies, monkeypat
     original = experiments.eigendecompose
     monkeypatch.setattr(experiments, "eigendecompose", lambda h: calls.append(1) or original(h))
     result = experiments.optimize_ladder(n_copies, budget=0, seed=0)
-    assert result.iterations == 0
-    assert len(calls) == result.iterations + 1
+    assert result.evaluations == 0
+    assert len(calls) == result.evaluations + 1
     assert result.beta_profile == (2.0,)
     assert not result.budget_exhausted
 
@@ -552,10 +552,10 @@ def test_ladder_gradient_matches_central_differences():
 def test_optimize_respects_budget():
     # Eight cells have three free couplings, so the smallest budget is 150.
     full = experiments.optimize_ladder(8, budget=1500, seed=0)
-    assert 150 < full.iterations <= 1500
+    assert 150 < full.evaluations <= 1500
     assert not full.budget_exhausted
     cut = experiments.optimize_ladder(8, budget=150, seed=0)
-    assert cut.iterations <= 150
+    assert cut.evaluations <= 150
     assert cut.budget_exhausted
     assert cut.monotone
     with pytest.raises(ConfigError):
@@ -563,8 +563,8 @@ def test_optimize_respects_budget():
 
 
 def test_optimize_is_deterministic():
-    first = experiments.optimize_ladder(3, seed=5, restarts=2)
-    second = experiments.optimize_ladder(3, seed=5, restarts=2)
+    first = experiments.optimize_ladder(3, seed=5)
+    second = experiments.optimize_ladder(3, seed=5)
     assert first == second
 
 

@@ -38,11 +38,7 @@ PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, d
 
 
 def static_pair_drive():
-    return floquet.CouplerDrive(
-        omegas=(0.0, 20.0, 45.0),
-        links=(),
-        labels=("node_1", "node_2", "node_3"),
-    )
+    return floquet.CouplerDrive(omegas=(0.0, 20.0, 45.0), links=())
 
 
 def incommensurate_drive():

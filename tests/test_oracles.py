@@ -154,16 +154,6 @@ def test_resolvent_reconstruction_matches_numeric(n_cells):
     assert np.max(np.abs(traj.node_population(1) - reconstruction)) <= 1e-9
 
 
-def test_resolvent_origin_shift_invariance():
-    t = np.linspace(0.0, 8.0, 500)
-    base = np.abs(oracles.corner_amplitudes(oracles.ladder_resolvent(3), t)[0]) ** 2
-    shifted_set = oracles.ladder_resolvent(3, omega0=1.7)
-    shifted = np.abs(oracles.corner_amplitudes(shifted_set, t)[0]) ** 2
-    assert np.max(np.abs(base - shifted)) <= 1e-12
-    assert np.allclose(np.array(shifted_set.poles) - 1.7,
-                       np.array(oracles.ladder_resolvent(3).poles), atol=1e-9)
-
-
 def test_oracle_populations_bounded_and_normalised():
     t = np.linspace(0.0, 10.0, 400)
     pops = oracles.four_node_sgf_populations(0.9, t)
