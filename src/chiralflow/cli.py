@@ -348,8 +348,8 @@ def cmd_oracle_check(_args) -> int:
     cases += [(f"ring_plane_waves_n={n}", models.sgf_ring(n, n * math.pi / 2),
                [np.abs(oracles.n_node_sgf_solution(n, j, t)) ** 2 for j in range(1, n + 1)])
               for n in range(3, 9)]
-    cases.append(("ladder_resolvent", models.ladder(3, [2.0]),
-                  [oracles.ladder_return_population(3, t)]))
+    cases.append(("ladder_three_cells", models.ladder(3, [2.0]),
+                  [oracles.three_cell_ladder_amplitude(t) ** 2]))
     code = 0
     for name, spec, oracle in cases:
         oracle = np.asarray(oracle)

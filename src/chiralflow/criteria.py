@@ -1,10 +1,15 @@
 """Spectral criteria for perfect chiral flow and the symmetry checks behind them.
 
-A network supports a perfect single-subspace chiral flow when (i) the
-spectrum is symmetric about zero and harmonic (every nonzero level an
-integer multiple of the smallest one, no degeneracies) and (ii) the
-eigenvectors restricted to the ring form a complete set of uniform-modulus
-plane waves, one winding number per mode.
+A perfect single-subspace chiral flow needs (i) a spectrum symmetric about
+zero and harmonic (every nonzero level an integer multiple of the smallest
+one, no degeneracies) and (ii) eigenvectors whose restrictions to the ring
+form a complete set of uniform-modulus plane waves, one winding number per
+mode.  These are necessary, not sufficient: sufficiency also needs each
+level linear in its winding mod n, so that at the step time the phase each
+plane wave gains is that of one common site shift.  A 5-node ring
+circulant whose windings m = 0..4 carry the levels 0, 1, -1, 2, -2 meets
+(i) and (ii), yet for no shift does the shifted site's population ever
+exceed 0.6.  The verdict tests (i) and (ii) only.
 """
 
 from __future__ import annotations

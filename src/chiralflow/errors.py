@@ -29,10 +29,6 @@ class NoPeaks(ChiralFlowError):
     """No node population ever exceeds the peak threshold."""
 
 
-class SingularProjection(ChiralFlowError):
-    """Projector construction failed (invalid corner labels)."""
-
-
 class NotSpin(ChiralFlowError):
     """Operation requires a spin (hard-core) network."""
 

@@ -257,11 +257,6 @@ def ladder(n_copies: int, beta_profile, statistics: Statistics = Statistics.boso
                        _ring_labels(n_ring, n_copies))
 
 
-def ladder_corners(n_copies: int) -> tuple[int, int, int, int]:
-    """Corner site labels of the ladder, in chiral visiting order."""
-    return (1, n_copies + 1, n_copies + 2, 2 * n_copies + 2)
-
-
 def gauge_transform(spec: NetworkSpec, site_phases) -> NetworkSpec:
     """Relabel every site j by the local phase phi_j: each stored hopping
     phase becomes theta_jk + phi_j - phi_k.  Loop fluxes are unchanged and so

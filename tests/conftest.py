@@ -24,6 +24,20 @@ def spec_hamiltonian(spec, n_excitations=1):
     return hilbert.build_hamiltonian(spec, basis), basis
 
 
+def return_weights(spec):
+    """Single-excitation levels of spec, clustered, and the weight |V_1k|^2 of
+    site 1 summed per cluster: the return amplitude on site 1 is
+    sum_k weight_k exp(-i level_k t)."""
+    h, basis = spec_hamiltonian(spec)
+    system = dynamics.eigendecompose(h)
+    start = basis.state_index(hilbert.occupation(spec.n_sites, 1))
+    weight = np.abs(system.eigenvectors[start]) ** 2
+    scale = max(1.0, float(np.max(np.abs(system.eigenvalues))))
+    clusters = dynamics.cluster_levels(system.eigenvalues, 1e-9 * scale)
+    return (np.array([np.mean(system.eigenvalues[c]) for c in clusters]),
+            np.array([np.sum(weight[c]) for c in clusters]))
+
+
 def sector_block(full_matrix, basis, local_dim=2):
     """Restrict a full tensor-space operator to a fixed-excitation basis."""
     full_matrix = np.asarray(full_matrix)

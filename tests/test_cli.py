@@ -362,7 +362,7 @@ ORACLE_CASES = (["three_node_ring"]
                 + [f"four_node_centre_beta={beta}" for beta in (1, 2, 3)]
                 + ["six_node_centre"]
                 + [f"ring_plane_waves_n={n}" for n in range(3, 9)]
-                + ["ladder_resolvent"])
+                + ["ladder_three_cells"])
 
 
 def test_oracle_check_passes(capsys):
@@ -388,10 +388,11 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "chiralflow
 """
 
 
-@pytest.mark.parametrize("module", ["chiralflow.hilbert", "chiralflow.cli"])
+@pytest.mark.parametrize("module", ["chiralflow.hilbert", "chiralflow.oracles", "chiralflow.cli"])
 def test_importing_a_module_loads_only_what_it_imports(module):
-    # The package re-exports nothing, so hilbert brings only errors along,
-    # while the CLI still loads every module of the package.
+    # The package re-exports nothing, so hilbert brings only errors along and
+    # the closed forms of oracles bring nothing, while the CLI still loads
+    # every module of the package.
     package = Path(cli.__file__).resolve().parent
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, module],
                           env={**os.environ, "PYTHONPATH": str(package.parent)},
@@ -399,6 +400,8 @@ def test_importing_a_module_loads_only_what_it_imports(module):
     if module == "chiralflow.cli":
         expected = ["chiralflow"] + [f"chiralflow.{p.stem}" for p in package.glob("*.py")
                                      if p.stem != "__init__"]
+    elif module == "chiralflow.oracles":
+        expected = ["chiralflow", "chiralflow.oracles"]
     else:
         expected = ["chiralflow", "chiralflow.errors", "chiralflow.hilbert"]
     assert json.loads(proc.stdout) == sorted(expected)

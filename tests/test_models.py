@@ -134,7 +134,6 @@ def test_ladder_single_cell_is_asgf():
 def test_ladder_four_cells_structure():
     spec = models.ladder(4, [2.0])
     assert spec.n_network == 10 and spec.auxiliary_count == 4
-    assert models.ladder_corners(4) == (1, 5, 6, 10)
     ring_pairs = {frozenset((h.j, h.k)) for h in spec.hoppings if h.j <= 10 and h.k <= 10}
     assert ring_pairs == {frozenset((j, j % 10 + 1)) for j in range(1, 11)}
     # shared vertical pairs carry no hopping

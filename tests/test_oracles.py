@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chiralflow import dynamics, models, oracles
-from conftest import evolve_spec, spec_hamiltonian
+from conftest import evolve_spec, return_weights, spec_hamiltonian
 
 T0 = 2.0 * math.pi / (3.0 * math.sqrt(3.0))
 
@@ -121,37 +121,28 @@ EXPECTED_POLES = (math.sqrt(2.0), 2.0 * math.sqrt(2.0), 3.0 * math.sqrt(2.0),
 EXPECTED_COEFFS = (3.0 / 8.0, 11.0 / 40.0, 1.0 / 8.0, 1.0 / 35.0)
 
 
-def test_ladder_resolvent_reference_model():
+def test_ladder_three_cell_reference_model():
     # Reference constants correspond to the ladder whose rows hold four
-    # nodes, i.e. three shared-corner cells.
-    pole_set = oracles.ladder_resolvent(3)
-    constant, terms = oracles.cosine_expansion(pole_set)
-    assert constant == pytest.approx(11.0 / 56.0, abs=1e-12)
-    assert len(terms) == 4
-    for (pole, coeff), expected_pole, expected_coeff in zip(terms, EXPECTED_POLES,
-                                                            EXPECTED_COEFFS):
-        assert pole == pytest.approx(expected_pole, abs=1e-9)
-        assert coeff == pytest.approx(expected_coeff, abs=1e-9)
-    assert constant + sum(c for _, c in terms) == pytest.approx(1.0, abs=1e-12)
+    # nodes, i.e. three shared-corner cells: corner 1's weights per level
+    # are the coefficients of its return amplitude, a symmetric pole set
+    # with equal weights at +x and -x, so the amplitude is real.
+    levels, weights = return_weights(models.ladder(3, [2.0]))
+    expected = np.concatenate([-np.array(EXPECTED_POLES[::-1]), [0.0], EXPECTED_POLES])
+    assert levels.shape == (9,)
+    assert np.max(np.abs(levels - expected)) <= 1e-9
+    assert np.max(np.abs(weights - weights[::-1])) <= 1e-9
+    assert weights[4] == pytest.approx(11.0 / 56.0, abs=1e-12)
+    coeffs = weights[5:] + weights[3::-1]
+    assert coeffs == pytest.approx(EXPECTED_COEFFS, abs=1e-9)
+    assert weights[4] + coeffs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_ladder_resolvent_pole_symmetry():
-    pole_set = oracles.ladder_resolvent(3)
-    poles = np.array(pole_set.poles)
-    assert np.allclose(poles, -poles[::-1], atol=1e-9)
-    by_pole = dict(zip(np.round(poles, 9), pole_set.residues))
-    for pole in poles[poles > 1e-9]:
-        plus = by_pole[round(float(pole), 9)]
-        minus = by_pole[round(float(-pole), 9)]
-        assert np.allclose(plus, minus.conj(), atol=1e-9)
-
-
-@pytest.mark.parametrize("n_cells", [1, 2, 3, 4])
-def test_resolvent_reconstruction_matches_numeric(n_cells):
-    t = np.linspace(0.0, 10.0, 1000)
-    traj = evolve_spec(models.ladder(n_cells, [2.0]), t)
-    reconstruction = oracles.ladder_return_population(n_cells, t)
-    assert np.max(np.abs(traj.node_population(1) - reconstruction)) <= 1e-9
+def test_three_cell_ladder_amplitude_matches_numeric():
+    # oracle-check's grid
+    t = np.linspace(0.0, 12.0, 1200)
+    traj = evolve_spec(models.ladder(3, [2.0]), t)
+    oracle = oracles.three_cell_ladder_amplitude(t) ** 2
+    assert np.max(np.abs(traj.node_population(1) - oracle)) <= 1e-12
 
 
 def test_oracle_populations_bounded_and_normalised():
