@@ -316,8 +316,7 @@ def cmd_study_optimize(args) -> int:
 
 def cmd_study_bell(args) -> int:
     spec = models.sgf_ring(3, 3 * math.pi / 2, statistics=hilbert.Statistics.spin())
-    initial = experiments.PSI_PLUS if args.initial == "psi" else experiments.PHI_PLUS
-    result = experiments.bell_transport(spec, initial)
+    result = experiments.bell_transport(spec, args.initial)
     rows = np.column_stack([result.times, result.psi_populations.T, result.phi_populations.T,
                             result.concurrence.T]).tolist()
     header = ("t,p_psi_12,p_psi_23,p_psi_31,p_phi_12,p_phi_23,p_phi_31,"

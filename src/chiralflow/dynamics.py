@@ -62,18 +62,18 @@ Step = tuple[slice, np.ndarray, np.ndarray, float]
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Ascending eigenvalues with orthonormal eigenvector columns."""
+    """Ascending eigenvalues with orthonormal eigenvector columns, stacked for a stack."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
 
 def eigendecompose(h: HermitianMatrix) -> EigenSystem:
-    """Read-only ``eigh`` of the dense form of h.
+    """Read-only ``eigh`` of the dense form of h, matrix by matrix for a stack.
 
     Eigenvector phases are whatever LAPACK returns; every consumer uses
     phase-invariant quantities (|V^dag psi|^2, V e^{-i L t} V^dag, moduli).
@@ -82,6 +82,15 @@ def eigendecompose(h: HermitianMatrix) -> EigenSystem:
     values.setflags(write=False)
     vectors.setflags(write=False)
     return EigenSystem(values, vectors)
+
+
+def _eigen_phase_modes(h: HermitianMatrix, psi0: np.ndarray,
+                       times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_phase_modes`` factors of V e^{-i L t} V^dag psi0, V and L the full
+    eigensystem of h; for a stack of matrices they carry its leading axes."""
+    system = eigendecompose(h)
+    modes = np.swapaxes(system.eigenvectors, -1, -2)
+    return _phase_modes(times, system.eigenvalues, modes.conj() @ psi0, modes)
 
 
 @dataclass(frozen=True)
@@ -141,7 +150,7 @@ def evolve(h: HermitianMatrix, psi0, times, basis: SubspaceBasis | None = None,
     """Evolve a normalised state on a finite time grid: psi(t) = V e^{-i L t} V^dag psi0.
 
     Below ``KRYLOV_MIN_DIM`` states, V and L are the full eigensystem of h,
-    in one step over the whole grid, factored by ``_phase_modes``: on a
+    in one step over the whole grid, factored by ``_eigen_phase_modes``: on a
     uniform grid, the phases P of every K-th time against the modes V with
     the K phases Q between folded in, otherwise the direct phases against V.
     Larger operators take the steps of ``_krylov_steps``: Ritz pairs of h on
@@ -161,10 +170,9 @@ def evolve(h: HermitianMatrix, psi0, times, basis: SubspaceBasis | None = None,
     # Copies: a stepped trajectory re-runs its propagation from both later.
     psi0 = np.array(psi0, dtype=complex)
     times = np.array(times, dtype=float)
-    if psi0.shape != (dim,):
-        raise DimensionMismatch(
-            f"state has dimension {psi0.shape}, matrix {dim}"
-        )
+    if psi0.shape != (dim,) or h.values.ndim != 1:
+        raise DimensionMismatch(f"state of shape {psi0.shape} for a matrix of "
+                                f"shape {h.values.shape[:-1] + (dim, dim)}")
     if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) < 0):
         raise ValueError("times must be a non-empty ascending grid")
     if not np.all(np.isfinite(times)):
@@ -175,9 +183,7 @@ def evolve(h: HermitianMatrix, psi0, times, basis: SubspaceBasis | None = None,
     psi0.setflags(write=False)
     times.setflags(write=False)
     if dim < KRYLOV_MIN_DIM:
-        system = eigendecompose(h)
-        phases, modes = _phase_modes(times, system.eigenvalues,
-                                     system.eigenvectors.conj().T @ psi0, system.eigenvectors.T)
+        phases, modes = _eigen_phase_modes(h, psi0, times)
         phases.setflags(write=False)
         modes.setflags(write=False)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import (
-    _phase_modes,
+    _eigen_phase_modes,
     _populations,
     _uniform_phases,
     average_fidelity,
@@ -25,6 +25,7 @@ from .dynamics import (
 )
 from .errors import BadInitial, ConfigError, NotSpin
 from .hilbert import (
+    HermitianMatrix,
     Hopping,
     OnSite,
     _coefficients,
@@ -135,20 +136,6 @@ def perturbed_spec(base: NetworkSpec, kind: str, amplitude: float,
                    onsite=tuple(OnSite(j, delta, kerr) for j, (delta, kerr) in zip(sites, terms)))
 
 
-def _disordered_values(base: NetworkSpec, kind: str, amplitude: float, pattern,
-                       rng: np.random.Generator, count: int) -> np.ndarray:
-    """Triplet values of ``count`` disordered copies of ``base`` drawn in turn
-    from ``rng``, one row per copy, on ``pattern``, the ``_spec_pattern`` of
-    any one copy: row s is bitwise ``build_hamiltonian(perturbed_spec(base,
-    kind, amplitude, rng), basis).values`` for the (s + 1)-th such call on a
-    generator in ``rng``'s state.  ValueError unless every value is finite."""
-    amplitudes, phases, terms = _draw(base, kind, amplitude, rng, count)
-    values = _fill(pattern, _coefficients(amplitudes, phases), terms)
-    if not np.isfinite(values.view(float)).all():
-        raise ValueError("matrix entries must be finite")
-    return values
-
-
 # Disorder samples drawn, assembled, diagonalised and factored at once (a
 # chunk, drawn as one array from the amplitude's stream, so the draws do not
 # depend on its size), and within a chunk the samples whose amplitudes and
@@ -178,17 +165,15 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[D
     ``_SAMPLE_CHUNK`` on one shared one-excitation basis and one triplet
     pattern, taken from a single ``perturbed_spec`` copy drawn from a
     generator of its own: each chunk draws its perturbations as one array
-    from the amplitude's stream, fills one row of triplet values per
-    sample, scatters them into stacked dense matrices and makes one ``eigh``,
-    with no spec object per sample.  ``dynamics._phase_modes`` factors the
-    chunk as ``evolve`` factors one sample, folding the phases into the
-    modes, so no phase table is built; ``_phase_modes`` gives the fold's
-    size, never more than a sample's 1601 x dim phase table.
-    The amplitudes and |amplitude|^2 are formed in blocks of
+    from the amplitude's stream and fills one row of triplet values per
+    sample, with no spec object per sample.  The rows make one stacked
+    ``HermitianMatrix``, which goes through one ``eigendecompose`` and is
+    factored by ``evolve``'s own ``_eigen_phase_modes``, so no phase table
+    is built.  The amplitudes and |amplitude|^2 are formed in blocks of
     ``_SAMPLE_BLOCK`` samples, so memory does not grow with the sample
-    count.  Basis state i is node i + 1, so the |amplitude|^2 are the
-    node populations.  The sector is small, so the sweep always uses the
-    full eigensystem, never the Krylov branch of ``evolve``; each sample's
+    count.  Basis state i is node i + 1, so the |amplitude|^2 are the node
+    populations.  The sector is small, so the sweep always uses the full
+    eigensystem, never the Krylov branch of ``evolve``; each sample's
     fidelity is bitwise what ``simulate`` and ``average_fidelity`` give it
     alone.
     """
@@ -207,18 +192,14 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[D
         # not advance the samples' stream.
         pattern = _spec_pattern(perturbed_spec(base, cfg.kind, amplitude,
                                                np.random.default_rng((cfg.seed, a_idx))), basis)
-        rows, cols = pattern[:2]
         rng = np.random.default_rng((cfg.seed, a_idx))
         results = np.empty(cfg.samples)
         for lo in range(0, cfg.samples, _SAMPLE_CHUNK):
             count = min(_SAMPLE_CHUNK, cfg.samples - lo)
-            values = _disordered_values(base, cfg.kind, amplitude, pattern, rng, count)
-            # Scattered in triplet order, as ``HermitianMatrix.matrix`` is.
-            stack = np.zeros((count, len(basis), len(basis)), dtype=complex)
-            np.add.at(stack, (np.arange(count)[:, None], rows, cols), values)
-            energies, vectors = np.linalg.eigh(stack)
-            modes = vectors.swapaxes(-1, -2)
-            phases, modes = _phase_modes(times, energies, modes.conj() @ psi0, modes)
+            drawn, angles, terms = _draw(base, cfg.kind, amplitude, rng, count)
+            h = HermitianMatrix(len(basis), *pattern[:2],
+                                _fill(pattern, _coefficients(drawn, angles), terms))
+            phases, modes = _eigen_phase_modes(h, psi0, times)
             for first in range(0, count, _SAMPLE_BLOCK):
                 n = min(_SAMPLE_BLOCK, count - first)
                 block = slice(first, first + n)
@@ -227,7 +208,7 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[D
                 populations = _populations(phases[block], modes[block], None, times.size)
                 results[lo + first:lo + first + n] = average_fidelity(populations, base.ring_nodes)
             # Freed now, so that they never coexist with the next chunk's.
-            del values, stack, energies, vectors, modes, phases, populations
+            del h, modes, phases, populations
         mean = float(np.mean(results))
         # Shifted by the first sample: the spread is the same, and equal
         # samples give exactly 0 (their mean need not round back to their value).
@@ -494,10 +475,8 @@ def optimize_ladder(n_copies: int, budget: int | None = None, seed: int = 0) -> 
 
 
 PAIRS = ((1, 2), (2, 3), (3, 1))
-PSI_PLUS = "psi_plus"
-PHI_PLUS = "phi_plus"
 # Occupation patterns superposed with equal weight in each Bell state.
-_BELL_PATTERNS = {PSI_PLUS: ((1, 0, 0), (0, 1, 0)), PHI_PLUS: ((0, 0, 0), (1, 1, 0))}
+_BELL_PATTERNS = {"psi": ((1, 0, 0), (0, 1, 0)), "phi": ((0, 0, 0), (1, 1, 0))}
 
 
 @dataclass(frozen=True)
@@ -512,13 +491,13 @@ def bell_transport(spec: NetworkSpec, initial: str) -> BellTransportResult:
     """Evolve a Bell pair on sites 1,2 of a three-site spin ring over three
     cycles, 1801 points on [0, 6 pi / sqrt(3)].
 
-    The one-excitation Bell state (|up down> + |down up>)/sqrt(2) lives in a
-    single number sector; the parity Bell state (|down down> + |up up>)/sqrt(2)
-    superposes the empty and doubly-excited sectors.  Each number sector of
-    the initial state is evolved on its own and scattered into the full
-    eight-dimensional space, which retains the relative phase of the
-    sectors.  Both Bell projector families and the pairwise concurrence are
-    tracked for every pair.
+    The one-excitation Bell state ``"psi"``, (|up down> + |down up>)/sqrt(2),
+    lives in a single number sector; the parity Bell state ``"phi"``,
+    (|down down> + |up up>)/sqrt(2), superposes the empty and doubly-excited
+    sectors.  Each number sector of the initial state is evolved on its own
+    and scattered into the full eight-dimensional space, which retains the
+    relative phase of the sectors.  Both Bell projector families and the
+    pairwise concurrence are tracked for every pair.
     """
     if not spec.statistics.is_spin:
         raise NotSpin("Bell transport runs on spin networks")

@@ -1,10 +1,11 @@
 """Driven lab-frame models that synthesise the chiral ring couplings.
 
 Two schemes are covered: parametrically modulated couplers (``CouplerDrive``,
-one drive per link, at the link detuning) and a common bus resonator with
-modulated node frequencies (``BusDrive``), where the effective hoppings follow
-a Bessel-function series.  Each drive type supplies its interaction-picture
-Hamiltonian, its period and the map back to the lab frame.
+one drive per link, at the detuning of its nodes) and a common bus resonator
+with modulated node frequencies (``BusDrive``), where the effective hoppings
+follow a Bessel-function series.  Each drive type supplies its
+interaction-picture Hamiltonian, its period and the map back to the lab frame,
+all in base-hopping units, as the target networks are.
 Lab-frame integration is done in the exact interaction picture of the
 time-dependent diagonal, which leaves populations untouched and keeps the
 integrator error independent of the large carrier frequencies.
@@ -12,6 +13,7 @@ integrator error independent of the large carrier frequencies.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import warnings
@@ -32,6 +34,9 @@ log = logging.getLogger(__name__)
 # one "period" the whole run. On a ratio 10,20 scan, 1024-step blocks took
 # 3 MB more peak RSS and a quarter more time.
 RK4_BLOCK = 256
+# Drive periods in one integration: U(T)^m psi0 is formed one product at a
+# time, about 1.3 us per period on a 2-vCPU host, so 1e7 periods take 13 s.
+MAX_CYCLES = 10**7
 
 
 def bessel_j(order: int, x: float) -> float:
@@ -84,7 +89,6 @@ class CouplerLink:
     j: int
     k: int
     g: float
-    nu: float
     phi: float
 
 
@@ -96,41 +100,40 @@ def _require_finite(numbers) -> None:
 @dataclass(frozen=True)
 class CouplerDrive:
     """Parametrically driven couplers between nodes at static frequencies
-    ``omegas``; each link is driven at the detuning of its two nodes."""
+    ``omegas``; link l is driven at the detuning nu_l = omega_j - omega_k of
+    its two nodes."""
 
     omegas: tuple[float, ...]
     links: tuple[CouplerLink, ...] = ()
-    base_rate: float = 1.0
 
     def __post_init__(self):
-        numbers = [*self.omegas, self.base_rate]
+        numbers = list(self.omegas)
         for link in self.links:
-            numbers += [link.j, link.k, link.g, link.nu, link.phi]
+            numbers += [link.j, link.k, link.g, link.phi]
         _require_finite(numbers)
         n = len(self.omegas)
         for link in self.links:
             if link.j == link.k or not (1 <= link.j <= n and 1 <= link.k <= n):
                 raise ValueError(f"link ({link.j},{link.k}) needs two distinct nodes in 1..{n}")
-            detuning = self.omegas[link.j - 1] - self.omegas[link.k - 1]
-            if abs(link.nu - detuning) > 1e-9 * max(1.0, abs(detuning)):
-                raise ValueError(
-                    f"link ({link.j},{link.k}) drive frequency {link.nu} "
-                    f"is not the node detuning {detuning}"
-                )
 
     @property
     def n_modes(self) -> int:
         return len(self.omegas)
 
+    @functools.cached_property
+    def detunings(self) -> tuple[float, ...]:
+        """The drive frequency nu_l of each link."""
+        return tuple(self.omegas[link.j - 1] - self.omegas[link.k - 1] for link in self.links)
+
     @property
     def max_frequency(self) -> float:
-        return max((abs(link.nu) for link in self.links), default=0.0)
+        return max(map(abs, self.detunings), default=0.0)
 
     def period(self) -> float | None:
         """Period of the interaction-picture Hamiltonian, or None if it has
         none: carriers oscillate at 2 nu_l, so it is pi / gcd |nu_l| over the
         driven links."""
-        freqs = [abs(link.nu) for link in self.links if link.nu != 0.0]
+        freqs = [abs(nu) for nu in self.detunings if nu != 0.0]
         if not freqs:
             return None
         base, tol = freqs[0], 1e-9 * max(freqs)
@@ -151,7 +154,7 @@ class CouplerDrive:
         rows = np.array([link.j - 1 for link in self.links], dtype=int)
         cols = np.array([link.k - 1 for link in self.links], dtype=int)
         gs = np.array([link.g for link in self.links])
-        nus = np.array([link.nu for link in self.links])
+        nus = np.array(self.detunings)
         phis = np.array([link.phi for link in self.links])
         t = np.asarray(t, dtype=float)[..., None]
         values = gs * (np.exp(1j * (2.0 * nus * t + phis)) + np.exp(-1j * phis))
@@ -167,19 +170,17 @@ class CouplerDrive:
 
 @dataclass(frozen=True)
 class BusDrive:
-    """Nodes coupled with strengths ``gs`` to a common bus at ``omega_r``,
-    their frequencies modulated as delta cos(nu t - phi_j)."""
+    """Nodes coupled with strengths ``gs`` to a common bus, their frequencies
+    modulated about the bus's as delta cos(nu t - phi_j); the lab frame
+    rotates with the bus."""
 
     nu: float
     delta: float
     phis: tuple[float, ...]
     gs: tuple[float, ...]
-    omega_r: float = 0.0
-    base_rate: float = 1.0
 
     def __post_init__(self):
-        _require_finite([self.nu, self.delta, *self.phis, *self.gs, self.omega_r,
-                         self.base_rate])
+        _require_finite([self.nu, self.delta, *self.phis, *self.gs])
         if len(self.phis) != len(self.gs):
             raise DimensionMismatch("need one phase per bus coupling")
         if self.nu <= 0:
@@ -220,35 +221,31 @@ class BusDrive:
     def to_lab_frame(self, times: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
         """Undo the interaction-picture phases of a (times, modes) amplitude array."""
         node_part = amplitudes[:, :-1] * np.exp(-1j * self._node_phases(times[:, None]))
-        amplitudes = np.concatenate([node_part, amplitudes[:, -1:]], axis=1)
-        return amplitudes * np.exp(-1j * self.omega_r * times)[:, None]
+        return np.concatenate([node_part, amplitudes[:, -1:]], axis=1)
 
 
-def tunable_coupler_asgf4(g: float = 1.0, ratio: float = 20.0) -> CouplerDrive:
+def tunable_coupler_asgf4(ratio: float = 20.0) -> CouplerDrive:
     """Coupler drives that synthesise the perfect four-node chiral network.
 
-    Ring links are driven with phase -pi/2 and strength g, the centre links
-    with strength 2g and phase 0, so the rotating-frame model has unit-ring
-    hopping phase +pi/2 and centre coupling 2 in units of g.  Node
-    frequencies sit on a ladder with all pairwise detunings distinct and the
-    smallest equal to ratio * g.
+    Ring links are driven with phase -pi/2 and strength 1, the centre links
+    with strength 2 and phase 0, so the rotating-frame model has unit ring
+    hopping with phase +pi/2 and centre coupling 2.  Node frequencies sit on
+    a ladder with all pairwise detunings distinct and the smallest equal to
+    ``ratio``.
     """
     spacing = (0, 1, 3, 7, 12)  # pairwise-distinct multiples of the base detuning
-    omegas = tuple(s * ratio * g for s in spacing)
-    links = []
-    for j in range(1, 5):
-        k = j % 4 + 1
-        links.append(CouplerLink(j, k, g, omegas[j - 1] - omegas[k - 1], -math.pi / 2))
-    for j in range(1, 5):
-        links.append(CouplerLink(j, 5, 2.0 * g, omegas[j - 1] - omegas[4], 0.0))
-    return CouplerDrive(omegas=omegas, links=tuple(links), base_rate=g)
+    omegas = tuple(s * ratio for s in spacing)
+    links = [CouplerLink(j, j % 4 + 1, 1.0, -math.pi / 2) for j in range(1, 5)]
+    links += [CouplerLink(j, 5, 2.0, 0.0) for j in range(1, 5)]
+    return CouplerDrive(omegas=omegas, links=tuple(links))
 
 
-def bus_resonator_ring(n: int = 4, g: float = 1.0, nu: float = 40.0) -> BusDrive:
-    """Bus scheme with node phases phi_j = j pi/2: equal-strength NN hops,
-    no next-nearest-neighbour coupling.  The drive ratio delta / nu is the
-    first Bessel zero, which removes the static bus coupling."""
-    return BusDrive(nu=nu, delta=first_bessel_zero() * nu, gs=(g,) * n, base_rate=g,
+def bus_resonator_ring(n: int = 4, nu: float = 40.0) -> BusDrive:
+    """Bus scheme with unit couplings and node phases phi_j = j pi/2:
+    equal-strength NN hops, no next-nearest-neighbour coupling.  The drive
+    ratio delta / nu is the first Bessel zero, which removes the static bus
+    coupling."""
+    return BusDrive(nu=nu, delta=first_bessel_zero() * nu, gs=(1.0,) * n,
                     phis=tuple(j * math.pi / 2 for j in range(1, n + 1)))
 
 
@@ -339,11 +336,13 @@ def integrate_tdse(drive: CouplerDrive | BusDrive, psi0, t_final: float, dt: flo
     (``t_final`` itself when the drive has no period shorter than it).  One
     fixed-step RK4 pass over [0, T] gives the propagator U(tau) at every
     in-period offset of the grid and U(T); each time t = m T + tau then gets
-    psi(t) = U(tau) U(T)^m psi0.  The pass multiplies its RK4 maps in blocks
-    of ``RK4_BLOCK`` steps, each folded into a few batched products (see
-    ``_landed_products``), so its memory does not grow with T / dt.  The
-    step must resolve the fastest drive: dt <= 2 pi / (200 nu_max).  One
-    INFO line logs the steps, blocks, offsets and the norm drift.
+    psi(t) = U(tau) U(T)^m psi0, keeping only the powers of the cycles m the
+    grid reaches, at most ``MAX_CYCLES``.  The pass multiplies its RK4 maps
+    in blocks of ``RK4_BLOCK`` steps, each folded into a few batched products
+    (see ``_landed_products``), so its memory grows neither with T / dt nor
+    with t_final / T.  The step must resolve the fastest drive: dt <= 2 pi /
+    (200 nu_max).  One INFO line logs the steps, blocks, offsets and the
+    norm drift.
     """
     nu_max = drive.max_frequency
     if dt > 2.0 * math.pi / (200.0 * max(nu_max, 1e-30)):
@@ -363,6 +362,8 @@ def integrate_tdse(drive: CouplerDrive | BusDrive, psi0, t_final: float, dt: flo
     period = drive.period()
     if period is None or period >= t_final:
         period = t_final
+    if not t_final / period <= MAX_CYCLES:
+        raise OutOfRange(f"t_final spans {t_final / period:.3g} drive periods, over {MAX_CYCLES}")
     times = np.linspace(0.0, t_final, record_points)
     # Rounding the phase after the divmod merges offsets that differ only by
     # the rounding of the grid; a phase that rounds to 1 (t = m T - 1e-17)
@@ -374,10 +375,13 @@ def integrate_tdse(drive: CouplerDrive | BusDrive, psi0, t_final: float, dt: flo
     phase[wrap] = 0.0
     offsets, which = np.unique(phase, return_inverse=True)
     u, count = _propagators(drive.hamiltonian, n, np.append(offsets, 1.0) * period, dt)
-    stroboscopic = [psi]
-    for _ in range(int(cycles[-1])):
-        stroboscopic.append(u[-1] @ stroboscopic[-1])
-    states = np.einsum("tab,tb->ta", u[which], np.asarray(stroboscopic)[cycles.astype(int)])
+    reached, cycle = np.unique(cycles.astype(int), return_inverse=True)
+    powers = [psi]
+    for gap in np.diff(reached).tolist():
+        for _ in range(gap):
+            psi = u[-1] @ psi
+        powers.append(psi)
+    states = np.einsum("tab,tb->ta", u[which], np.asarray(powers)[cycle])
     drift = abs(float(np.linalg.norm(states[-1])) - 1.0)
     log.info("integrate_tdse: %d modes, %d RK4 steps per period in %d blocks of <=%d, "
              "%d in-period offsets, norm drift %.3g", n, count, -(-count // RK4_BLOCK),
@@ -394,29 +398,25 @@ def integrate_tdse(drive: CouplerDrive | BusDrive, psi0, t_final: float, dt: flo
 
 
 def compare_effective(drive: CouplerDrive | BusDrive, target: NetworkSpec,
-                      t_final: float | None = None) -> float:
+                      t_final: float = math.pi) -> float:
     """Max population deviation between the lab-frame drive and the target
     network, both started on the first mode, over one chiral cycle (or up to
     ``t_final``).
 
-    The target spec is interpreted in units of the drive's base rate: it runs
-    through ``simulate`` on the lab times scaled by that rate.  The drive is
-    integrated with steps dt = 2 pi / (800 nu_max).
+    Drive and target share the base-hopping units, so the target runs
+    through ``simulate`` on the lab times.  The drive is integrated with
+    steps dt = 2 pi / (800 nu_max).
     """
-    if t_final is None:
-        t_final = math.pi / drive.base_rate
     dt = 2.0 * math.pi / (800.0 * drive.max_frequency)
-    n = drive.n_modes
-    psi0 = basis_state(n, 0)
-    lab = integrate_tdse(drive, psi0, t_final, dt)
-    eff = simulate(target, occupation(target.n_sites, 1), lab.times * drive.base_rate)
-    n_cmp = min(target.n_sites, n)
+    lab = integrate_tdse(drive, basis_state(drive.n_modes, 0), t_final, dt)
+    eff = simulate(target, occupation(target.n_sites, 1), lab.times)
+    n_cmp = min(target.n_sites, drive.n_modes)
     diff = np.abs(lab.populations[:, :n_cmp] - eff.populations[:, :n_cmp])
     return float(np.max(diff))
 
 
 def rwa_deviation_scan(ratios) -> list[tuple[float, float]]:
-    """Deviation of the coupler scheme (coupling g = 1) from the ideal
+    """Deviation of the coupler scheme (unit coupling) from the ideal
     four-node chiral model as a function of the drive-to-coupling ratio."""
     ratios = [float(r) for r in ratios]
     for ratio in ratios:

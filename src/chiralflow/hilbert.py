@@ -10,7 +10,8 @@ once, with no loop over states.  Sector Hamiltonians are kept as COO triplets
 (:class:`HermitianMatrix`), so a large sector never needs a dense dim x dim
 array unless a caller asks for ``.matrix``.  The triplet values are filled
 from arrays of hopping coefficients and on-site terms, one row per spec, so
-specs that share their hopping pairs and on-site sites fill at once.
+specs that share their hopping pairs and on-site sites fill at once, as one
+stacked :class:`HermitianMatrix`.
 """
 
 from __future__ import annotations
@@ -151,17 +152,18 @@ def occupation(n_sites: int, *sites: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """Hermitian dim x dim operator as COO triplets: entry ``values[i]`` at
-    ``(rows[i], cols[i])``, duplicates summed in triplet order.  It is the
+    """Hermitian dim x dim operator as COO triplets: entry ``values[..., i]``
+    at ``(rows[i], cols[i])``, duplicates summed in triplet order.  It is the
     only operator type the spectral and propagation layers take.
 
-    The triplets must hold every off-diagonal entry together with its
-    conjugate mirror; the constructor checks shapes, finiteness and that
-    every index lies in ``range(dim)``, not Hermiticity.  ``build_hamiltonian``
-    emits each entry next to its mirror, and ``models.three_body_spin``
-    checks its dense matrix before passing its nonzero entries.  A real
-    linear combination of value vectors on one pattern (rows and cols), put
-    in with ``dataclasses.replace``, keeps it Hermitian.
+    Leading axes of ``values`` make a stack of matrices on one pattern (rows
+    and cols), one row of values each.  The triplets must hold every
+    off-diagonal entry with its conjugate mirror; the constructor checks
+    shapes, finiteness and that every index lies in ``range(dim)``, not
+    Hermiticity.  ``build_hamiltonian`` emits each entry next to its mirror,
+    and ``models.three_body_spin`` checks its dense matrix before passing
+    its nonzero entries.  A real linear combination of value vectors on one
+    pattern, put in with ``dataclasses.replace``, keeps it Hermitian.
     """
 
     dim: int
@@ -172,8 +174,8 @@ class HermitianMatrix:
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.intp)
         cols = np.asarray(self.cols, dtype=np.intp)
-        values = np.asarray(self.values, dtype=complex)
-        if rows.ndim != 1 or rows.shape != cols.shape or rows.shape != values.shape:
+        values = np.ascontiguousarray(self.values, dtype=complex)
+        if rows.ndim != 1 or rows.shape != cols.shape or rows.shape != values.shape[-1:]:
             raise DimensionMismatch(
                 f"triplets of shapes {rows.shape}, {cols.shape}, {values.shape}")
         # Viewed as unsigned, a negative index exceeds any dim.
@@ -187,10 +189,12 @@ class HermitianMatrix:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        """Read-only dense form; the triplets are added in order, as a dense
-        ``h[row, col] += value`` loop would."""
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        np.add.at(m, (self.rows, self.cols), self.values)
+        """Read-only dense form, (..., dim, dim) for a stack; each row's
+        triplets are added in order, as a dense ``h[row, col] += value`` loop
+        would."""
+        m = np.zeros(self.values.shape[:-1] + (self.dim, self.dim), dtype=complex)
+        stack = [i[..., None] for i in np.indices(m.shape[:-2], sparse=True)]
+        np.add.at(m, (*stack, self.rows, self.cols), self.values)
         m.setflags(write=False)
         return m
 

@@ -53,12 +53,9 @@ class NetworkSpec:
     hoppings: tuple[Hopping, ...]
     onsite: tuple[OnSite, ...]
     statistics: Statistics
-    labels: tuple[str, ...]
 
     def __post_init__(self):
         n = self.n_network + self.auxiliary_count
-        if len(self.labels) != n:
-            raise SpecMismatch("one label per site required")
         seen = set()
         hoppings = []
         for hop in self.hoppings:
@@ -84,6 +81,11 @@ class NetworkSpec:
     @property
     def ring_nodes(self) -> tuple[int, ...]:
         return tuple(range(1, self.n_network + 1))
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return (tuple(f"node_{j}" for j in self.ring_nodes)
+                + tuple(f"aux_{i}" for i in range(1, self.auxiliary_count + 1)))
 
     def directed_phase(self, src: int, dst: int) -> float:
         """Phase acquired moving src -> dst along a stored hopping."""
@@ -112,33 +114,29 @@ class NetworkSpec:
             "statistics": {"max_occupation": self.statistics.max_occupation},
             "hoppings": [[h.j, h.k, h.amplitude, h.phase] for h in self.hoppings],
             "onsite": [[t.j, t.delta_omega, t.kerr_u] for t in self.onsite],
-            "labels": list(self.labels),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "NetworkSpec":
-        expected = {"n_network", "auxiliary_count", "statistics", "hoppings", "onsite", "labels"}
-        unknown = set(data) - expected
+        # Older dicts carry a "labels" key, which must name the derived labels.
+        expected = {"n_network", "auxiliary_count", "statistics", "hoppings", "onsite"}
+        unknown = set(data) - expected - {"labels"}
         if unknown:
             raise SpecMismatch(f"unknown spec keys: {sorted(unknown)}")
         missing = expected - set(data)
         if missing:
             raise SpecMismatch(f"missing spec keys: {sorted(missing)}")
-        return cls(
+        spec = cls(
             n_network=int(data["n_network"]),
             auxiliary_count=int(data["auxiliary_count"]),
             hoppings=tuple(Hopping(int(j), int(k), float(a), float(p))
                            for j, k, a, p in data["hoppings"]),
             onsite=tuple(OnSite(int(j), float(d), float(u)) for j, d, u in data["onsite"]),
             statistics=Statistics(data["statistics"]["max_occupation"]),
-            labels=tuple(str(s) for s in data["labels"]),
         )
-
-
-def _ring_labels(n: int, auxiliary_count: int = 0) -> tuple[str, ...]:
-    labels = [f"node_{j}" for j in range(1, n + 1)]
-    labels += [f"aux_{i}" for i in range(1, auxiliary_count + 1)]
-    return tuple(labels)
+        if "labels" in data and tuple(map(str, data["labels"])) != spec.labels:
+            raise SpecMismatch(f"labels {data['labels']} are not the spec's {list(spec.labels)}")
+        return spec
 
 
 def _ring_positions(n: int) -> np.ndarray:
@@ -180,7 +178,7 @@ def sgf_ring(n: int, total_flux: float,
         raise ConfigError(f"need at least 3 ring sites, got {n}")
     theta = total_flux / n
     hops = [Hopping(j, j % n + 1, 1.0, theta) for j in range(1, n + 1)]
-    return NetworkSpec(n, 0, tuple(hops), (), statistics, _ring_labels(n))
+    return NetworkSpec(n, 0, tuple(hops), (), statistics)
 
 
 def asgf(n: int, beta_c: float, nn_phase: float,
@@ -200,7 +198,7 @@ def asgf(n: int, beta_c: float, nn_phase: float,
         return sgf_ring(n, n * nn_phase, statistics)
     hops = [Hopping(j, j % n + 1, 1.0, nn_phase) for j in range(1, n + 1)]
     hops += [Hopping(j, n + 1, beta_c, 0.0) for j in range(1, n + 1)]
-    return NetworkSpec(n, 1, tuple(hops), (), statistics, _ring_labels(n, 1))
+    return NetworkSpec(n, 1, tuple(hops), (), statistics)
 
 
 def chiral_n_node(n: int, statistics: Statistics = Statistics.boson()) -> NetworkSpec:
@@ -224,7 +222,7 @@ def chiral_n_node(n: int, statistics: Statistics = Statistics.boson()) -> Networ
     hops = [Hopping(j, (j + d - 1) % n + 1, abs(s_d / s[0]), math.copysign(math.pi / 2, s_d))
             for d, s_d in enumerate(s, start=1) for j in range(1, n + 1)]
     hops += [Hopping(j, n + 1, beta, math.pi) for j in range(1, n + 1)]
-    return NetworkSpec(n, 1, tuple(hops), (), statistics, _ring_labels(n, 1))
+    return NetworkSpec(n, 1, tuple(hops), (), statistics)
 
 
 def ladder(n_copies: int, beta_profile, statistics: Statistics = Statistics.boson()) -> NetworkSpec:
@@ -253,8 +251,7 @@ def ladder(n_copies: int, beta_profile, statistics: Statistics = Statistics.boso
         cell = (i, i + 1, 2 * n_copies + 2 - i, 2 * n_copies + 3 - i)
         beta = beta_profile[min(i - 1, n_copies - i)]
         hops += [Hopping(j, aux, beta, 0.0) for j in cell]
-    return NetworkSpec(n_ring, n_copies, tuple(hops), (), statistics,
-                       _ring_labels(n_ring, n_copies))
+    return NetworkSpec(n_ring, n_copies, tuple(hops), (), statistics)
 
 
 def gauge_transform(spec: NetworkSpec, site_phases) -> NetworkSpec:

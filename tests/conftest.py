@@ -1,6 +1,6 @@
 import numpy as np
 
-from chiralflow import dynamics, hilbert
+from chiralflow import dynamics, experiments, hilbert
 from chiralflow.errors import DimensionMismatch
 
 
@@ -17,6 +17,15 @@ def hermitian(array):
     assert np.array_equal(array, array.conj().T)
     rows, cols = np.nonzero(array)
     return hilbert.HermitianMatrix(array.shape[0], rows, cols, array[rows, cols])
+
+
+def disordered_stack(base, kind, amplitude, basis, pattern, rng, count):
+    """The stacked operator of ``count`` disordered copies of ``base`` drawn
+    in turn from ``rng``, on the triplet ``pattern`` of any one copy, built
+    as a chunk of ``experiments.disorder_sweep`` builds it."""
+    amplitudes, phases, terms = experiments._draw(base, kind, amplitude, rng, count)
+    values = hilbert._fill(pattern, hilbert._coefficients(amplitudes, phases), terms)
+    return hilbert.HermitianMatrix(len(basis), *pattern[:2], values)
 
 
 def spec_hamiltonian(spec, n_excitations=1):

@@ -188,8 +188,8 @@ def test_criterion_07_spin_chirality_and_bell_transport():
                                                   Direction.COUNTERCLOCKWISE}
 
     ring = models.sgf_ring(3, 3 * math.pi / 2, statistics=spin)
-    psi = experiments.bell_transport(ring, experiments.PSI_PLUS)
-    phi = experiments.bell_transport(ring, experiments.PHI_PLUS)
+    psi = experiments.bell_transport(ring, "psi")
+    phi = experiments.bell_transport(ring, "phi")
     assert psi.psi_populations[0, 0] == pytest.approx(1.0, abs=1e-9)
     assert phi.phi_populations[0, 0] == pytest.approx(1.0, abs=1e-9)
     t_psi = [dynamics.first_peak_time(psi.times, psi.psi_populations[p], 0.8)
@@ -287,7 +287,7 @@ def test_criterion_12_floquet_synthesis():
     assert deviations[20.0] <= 0.05
     assert deviations[10.0] > deviations[20.0] > deviations[40.0]
 
-    drive = floquet.bus_resonator_ring(4, g=1.0, nu=40.0)
+    drive = floquet.bus_resonator_ring(4, nu=40.0)
     f = drive.delta / drive.nu
     nn = [abs(floquet.bus_effective_coupling(1.0, 1.0, drive.nu, f,
                                              drive.phis[j - 1], drive.phis[j % 4]))

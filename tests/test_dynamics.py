@@ -73,6 +73,10 @@ def test_evolve_dimension_mismatch():
     h, _ = spec_hamiltonian(models.sgf_ring(3, math.pi / 2))
     with pytest.raises(DimensionMismatch):
         dynamics.evolve(h, dynamics.basis_state(4, 0), np.linspace(0, 1, 5))
+    # A stack of matrices is refused, as its factors would be stacked too.
+    stack = hilbert.HermitianMatrix(3, h.rows, h.cols, np.stack([h.values, h.values]))
+    with pytest.raises(DimensionMismatch):
+        dynamics.evolve(stack, dynamics.basis_state(3, 0), np.linspace(0, 1, 5))
 
 
 def uniform_ring(n):
@@ -571,8 +575,7 @@ def random_sector(sector, rng):
                  for j, k in pairs)
     onsite = tuple(hilbert.OnSite(j, rng.uniform(-1.0, 1.0), rng.uniform(-0.5, 0.5))
                    for j in range(1, n_sites + 1))
-    spec = models.NetworkSpec(n_sites, 0, hops, onsite, stats,
-                              tuple(f"node_{j}" for j in range(1, n_sites + 1)))
+    spec = models.NetworkSpec(n_sites, 0, hops, onsite, stats)
     h, basis = spec_hamiltonian(spec, n_exc)
     assert dynamics.KRYLOV_MIN_DIM <= len(basis) <= 1.25 * dynamics.KRYLOV_MIN_DIM
     return h, basis, dynamics.eigendecompose(h)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from chiralflow import dynamics, experiments, hilbert, models
 from chiralflow.errors import BadInitial, ConfigError, NotSpin
 from chiralflow.experiments import DisorderConfig, concurrence
+from conftest import disordered_stack
 
 
 @pytest.fixture(scope="module")
@@ -159,9 +160,8 @@ def test_sample_s_is_the_amplitude_stream_advanced_past_s_samples(base_spec, ons
         stream = np.random.PCG64(np.random.SeedSequence((seed, a_idx))).advance(sample * size)
         spec = experiments.perturbed_spec(base, kind, amplitude, np.random.Generator(stream))
         h = hilbert.build_hamiltonian(spec, basis)
-        values = experiments._disordered_values(
-            base, kind, amplitude, hilbert._spec_pattern(spec, basis),
-            np.random.default_rng((seed, a_idx)), sample + 3)
+        values = disordered_stack(base, kind, amplitude, basis, hilbert._spec_pattern(spec, basis),
+                                  np.random.default_rng((seed, a_idx)), sample + 3).values
         assert np.array_equal(values[sample].view(np.uint64), h.values.view(np.uint64))
 
 
@@ -574,17 +574,17 @@ def spin_ring():
 
 
 def test_bell_initial_conditions(spin_ring):
-    psi = experiments.bell_transport(spin_ring, experiments.PSI_PLUS)
+    psi = experiments.bell_transport(spin_ring, "psi")
     assert psi.psi_populations[0, 0] == pytest.approx(1.0, abs=1e-9)
     assert psi.concurrence[0, 0] == pytest.approx(1.0, abs=1e-6)
-    phi = experiments.bell_transport(spin_ring, experiments.PHI_PLUS)
+    phi = experiments.bell_transport(spin_ring, "phi")
     assert phi.phi_populations[0, 0] == pytest.approx(1.0, abs=1e-9)
     assert phi.concurrence[0, 0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_bell_states_counter_propagate(spin_ring):
-    psi = experiments.bell_transport(spin_ring, experiments.PSI_PLUS)
-    phi = experiments.bell_transport(spin_ring, experiments.PHI_PLUS)
+    psi = experiments.bell_transport(spin_ring, "psi")
+    phi = experiments.bell_transport(spin_ring, "phi")
     t_psi = [dynamics.first_peak_time(psi.times, psi.psi_populations[p], 0.8)
              for p in (1, 2)]
     t_phi = [dynamics.first_peak_time(phi.times, phi.phi_populations[p], 0.8)
@@ -598,8 +598,8 @@ def test_bell_states_counter_propagate(spin_ring):
 
 def test_concurrence_tracks_bell_populations(spin_ring):
     for initial, traces in (
-        (experiments.PSI_PLUS, "psi_populations"),
-        (experiments.PHI_PLUS, "phi_populations"),
+        ("psi", "psi_populations"),
+        ("phi", "phi_populations"),
     ):
         result = experiments.bell_transport(spin_ring, initial)
         pops = getattr(result, traces)
@@ -614,8 +614,7 @@ def test_bell_transport_validation(spin_ring):
     with pytest.raises(BadInitial):
         experiments.bell_transport(spin_ring, "ghz")
     with pytest.raises(NotSpin):
-        experiments.bell_transport(models.sgf_ring(3, 3 * math.pi / 2),
-                                   experiments.PSI_PLUS)
+        experiments.bell_transport(models.sgf_ring(3, 3 * math.pi / 2), "psi")
 
 
 def test_concurrence_reference_values():

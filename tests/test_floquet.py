@@ -46,8 +46,7 @@ def incommensurate_drive():
     omegas = (0.0, 1.0, 1.0 + math.sqrt(2.0))
     return floquet.CouplerDrive(
         omegas=omegas,
-        links=(floquet.CouplerLink(1, 2, 1.0, -1.0, 0.3),
-               floquet.CouplerLink(2, 3, 0.7, -math.sqrt(2.0), -1.1)),
+        links=(floquet.CouplerLink(1, 2, 1.0, 0.3), floquet.CouplerLink(2, 3, 0.7, -1.1)),
     )
 
 
@@ -116,7 +115,7 @@ def test_bus_coupling_warns_off_zero():
 
 
 def test_bus_ring_kills_next_nearest_neighbours():
-    drive = floquet.bus_resonator_ring(4, g=1.0, nu=40.0)
+    drive = floquet.bus_resonator_ring(4, nu=40.0)
     f = drive.delta / drive.nu
     nn = [floquet.bus_effective_coupling(1.0, 1.0, drive.nu, f,
                                          drive.phis[j - 1], drive.phis[j % 4])
@@ -129,19 +128,11 @@ def test_bus_ring_kills_next_nearest_neighbours():
     assert all(abs(c) <= 1e-12 for c in nnn)
 
 
-def test_drive_spec_validates_detunings():
-    with pytest.raises(ValueError):
-        floquet.CouplerDrive(
-            omegas=(0.0, 10.0),
-            links=(floquet.CouplerLink(1, 2, 1.0, 3.0, 0.0),),
-        )
-
-
 @pytest.mark.parametrize("omegas, link", [
     # Unchecked, site 0 would index omegas[-1] and couple the last node.
-    pytest.param((0.0, 10.0, 30.0), floquet.CouplerLink(0, 1, 1.0, 30.0, 0.0), id="site-0"),
-    pytest.param((0.0, 10.0), floquet.CouplerLink(1, 3, 1.0, -10.0, 0.0), id="site-past-end"),
-    pytest.param((0.0, 10.0), floquet.CouplerLink(2, 2, 1.0, 0.0, 0.0), id="self-link"),
+    pytest.param((0.0, 10.0, 30.0), floquet.CouplerLink(0, 1, 1.0, 0.0), id="site-0"),
+    pytest.param((0.0, 10.0), floquet.CouplerLink(1, 3, 1.0, 0.0), id="site-past-end"),
+    pytest.param((0.0, 10.0), floquet.CouplerLink(2, 2, 1.0, 0.0), id="self-link"),
 ])
 def test_coupler_drive_rejects_bad_link_sites(omegas, link):
     with pytest.raises(ValueError, match="two distinct nodes"):
@@ -149,15 +140,13 @@ def test_coupler_drive_rejects_bad_link_sites(omegas, link):
 
 
 @pytest.mark.parametrize("kwargs", [
-    # A NaN node frequency slips past the detuning check (NaN compares False)
-    # and used to yield NaN lab-frame populations without an error.
-    dict(omegas=(0.0, math.nan), links=(floquet.CouplerLink(1, 2, 1.0, 5.0, 0.0),)),
-    dict(omegas=(0.0, 5.0), links=(floquet.CouplerLink(1, 2, math.inf, 5.0, 0.0),)),
-    dict(omegas=(0.0, 5.0), links=(floquet.CouplerLink(1, 2, 1.0, 5.0, math.nan),)),
-    dict(omegas=(0.0, 5.0), base_rate=math.nan),
+    # A NaN node frequency used to yield NaN lab-frame populations without
+    # an error.
+    dict(omegas=(0.0, math.nan), links=(floquet.CouplerLink(1, 2, 1.0, 0.0),)),
+    dict(omegas=(0.0, 5.0), links=(floquet.CouplerLink(1, 2, math.inf, 0.0),)),
+    dict(omegas=(0.0, 5.0), links=(floquet.CouplerLink(1, 2, 1.0, math.nan),)),
     dict(delta=math.inf, nu=40.0, phis=(0.0,), gs=(1.0,)),
     dict(delta=96.0, nu=40.0, phis=(math.nan,), gs=(1.0,)),
-    dict(delta=96.0, nu=40.0, phis=(0.0,), gs=(1.0,), omega_r=-math.inf),
 ])
 def test_drive_spec_rejects_non_finite_numbers(kwargs):
     # Cases with bus couplings describe a bus drive, the others a coupler drive.
@@ -192,6 +181,15 @@ def test_rejects_a_step_that_is_not_positive_and_finite(dt, monkeypatch):
         floquet.integrate_tdse(drive, psi0, 1.0, dt)
 
 
+def test_rejects_more_cycles_than_it_can_step(monkeypatch):
+    # About 1e200 drive periods in one chiral cycle: refused up front, before
+    # any RK4 map is built, where the powers of U(T) would never end.
+    drive = floquet.tunable_coupler_asgf4(ratio=1e200)
+    monkeypatch.setattr(floquet, "_propagators", None)
+    with pytest.raises(OutOfRange, match="drive periods"):
+        floquet.integrate_tdse(drive, dynamics.basis_state(5, 0), math.pi, 1e-204)
+
+
 def test_rejects_empty_time_range():
     drive = floquet.tunable_coupler_asgf4(ratio=10.0)
     psi0 = dynamics.basis_state(5, 0)
@@ -201,7 +199,7 @@ def test_rejects_empty_time_range():
 
 
 def test_integrator_norm_and_convergence():
-    drive = floquet.tunable_coupler_asgf4(g=1.0, ratio=10.0)
+    drive = floquet.tunable_coupler_asgf4(ratio=10.0)
     psi0 = dynamics.basis_state(5, 0)
     dt = 2.0 * math.pi / (800.0 * drive.max_frequency)
     coarse = floquet.integrate_tdse(drive, psi0, 0.5, dt)
@@ -211,7 +209,7 @@ def test_integrator_norm_and_convergence():
 
 
 def test_coupler_drive_parameter_set():
-    drive = floquet.tunable_coupler_asgf4(g=1.0, ratio=20.0)
+    drive = floquet.tunable_coupler_asgf4(ratio=20.0)
     ring = [link for link in drive.links if link.k != 5]
     centre = [link for link in drive.links if link.k == 5]
     assert len(ring) == 4 and len(centre) == 4
@@ -222,11 +220,11 @@ def test_coupler_drive_parameter_set():
     detunings = {abs(drive.omegas[a] - drive.omegas[b])
                  for a in range(5) for b in range(a + 1, 5)}
     assert len(detunings) == 10  # all pairwise detunings distinct
-    assert min(abs(link.nu) for link in drive.links) == pytest.approx(20.0)
+    assert min(map(abs, drive.detunings)) == pytest.approx(20.0)
 
 
 def test_coupler_scheme_tracks_effective_model():
-    drive = floquet.tunable_coupler_asgf4(g=1.0, ratio=20.0)
+    drive = floquet.tunable_coupler_asgf4(ratio=20.0)
     target = models.asgf(4, 2.0, math.pi / 2)
     assert floquet.compare_effective(drive, target) <= 0.05
 
@@ -239,19 +237,21 @@ def test_rwa_deviation_decreases_with_ratio():
 
 def test_weak_coupling_limit_matches_effective():
     # With the drive frequencies held at the ratio-20 ladder and the
-    # couplings scaled down tenfold, the residual deviation shrinks.
+    # couplings scaled down tenfold, the residual deviation shrinks.  In
+    # base-hopping units that drive is the ratio-200 ladder, and a lab time
+    # of 1 in units of the ratio-20 coupling is 0.1.
     strong = floquet.compare_effective(
-        floquet.tunable_coupler_asgf4(g=1.0, ratio=20.0),
+        floquet.tunable_coupler_asgf4(ratio=20.0),
         models.asgf(4, 2.0, math.pi / 2), t_final=1.0)
     weak = floquet.compare_effective(
-        floquet.tunable_coupler_asgf4(g=0.1, ratio=200.0),
-        models.asgf(4, 2.0, math.pi / 2), t_final=1.0)
+        floquet.tunable_coupler_asgf4(ratio=200.0),
+        models.asgf(4, 2.0, math.pi / 2), t_final=0.1)
     assert weak < strong
     assert weak < 0.01
 
 
 def test_bus_integration_smoke():
-    drive = floquet.bus_resonator_ring(4, g=1.0, nu=60.0)
+    drive = floquet.bus_resonator_ring(4, nu=60.0)
     psi0 = dynamics.basis_state(5, 0)
     dt = 2.0 * math.pi / (400.0 * drive.nu)
     traj = floquet.integrate_tdse(drive, psi0, 2.0, dt, record_points=201)
@@ -298,12 +298,28 @@ def test_one_period_propagator_matches_rk4_reference(drive, t_final, dt, psi0):
 
 
 def test_drive_period():
-    for g, ratio in ((1.0, 10.0), (1.0, 20.0), (0.1, 200.0), (1.3, 10.5)):
-        period = floquet.tunable_coupler_asgf4(g=g, ratio=ratio).period()
-        assert period == pytest.approx(math.pi / (ratio * g), rel=1e-12)
+    for ratio in (10.0, 20.0, 200.0, 13.65):
+        period = floquet.tunable_coupler_asgf4(ratio=ratio).period()
+        assert period == pytest.approx(math.pi / ratio, rel=1e-12)
     assert floquet.bus_resonator_ring(4, nu=60.0).period() == 2.0 * math.pi / 60.0
     assert incommensurate_drive().period() is None
     assert static_pair_drive().period() is None
+
+
+@pytest.mark.parametrize("ratio, detunings, max_frequency, period", [
+    (10.0, (-10.0, -20.0, -40.0, 70.0, -120.0, -110.0, -90.0, -50.0), 120.0,
+     float.fromhex("0x1.41b2f769cf0e0p-2")),
+    (20.0, (-20.0, -40.0, -80.0, 140.0, -240.0, -220.0, -180.0, -100.0), 240.0,
+     float.fromhex("0x1.41b2f769cf0e0p-3")),
+    (40.0, (-40.0, -80.0, -160.0, 280.0, -480.0, -440.0, -360.0, -200.0), 480.0,
+     float.fromhex("0x1.41b2f769cf0e0p-4")),
+])
+def test_coupler_drive_frequencies_are_pinned(ratio, detunings, max_frequency, period):
+    # The doubles the drive had when each link stored its own frequency.
+    drive = floquet.tunable_coupler_asgf4(ratio=ratio)
+    assert drive.detunings == detunings
+    assert drive.max_frequency == max_frequency
+    assert drive.period() == period
 
 
 BLOCK = floquet.RK4_BLOCK

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chiralflow import experiments, hilbert, models
+from chiralflow import dynamics, experiments, hilbert, models
 from chiralflow.errors import CapacityOverflow, DimensionMismatch, SpecMismatch
 from chiralflow.hilbert import Hopping, OnSite, Statistics
-from conftest import sector_block
+from conftest import disordered_stack, sector_block
 
 
 def matrix_element(bra, ket, term, statistics=Statistics.boson()):
@@ -414,8 +414,7 @@ def as_network_spec(raw):
     hops = {}
     for hop in raw.hoppings:
         hops.setdefault(frozenset((hop.j, hop.k)), Hopping(hop.j, hop.k, abs(hop.amplitude), hop.phase))
-    return models.NetworkSpec(raw.n_sites, 0, tuple(hops.values()), raw.onsite, raw.statistics,
-                              tuple(f"node_{j}" for j in range(1, raw.n_sites + 1)))
+    return models.NetworkSpec(raw.n_sites, 0, tuple(hops.values()), raw.onsite, raw.statistics)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -437,8 +436,8 @@ def test_disordered_rows_are_each_build_bit_for_bit(case, kind, amplitude, count
 
     # Strength draws of 3 cross zero and phase draws of 4 wrap past pi.
     pattern = hilbert._spec_pattern(copies(np.random.default_rng(seed))[-1], basis)
-    values = experiments._disordered_values(base, kind, amplitude, pattern,
-                                            np.random.default_rng(seed), count)
+    values = disordered_stack(base, kind, amplitude, basis, pattern,
+                              np.random.default_rng(seed), count).values
     assert values.shape == (count, pattern[0].size)
     for row, spec in zip(values, copies(np.random.default_rng(seed))):
         h = hilbert.build_hamiltonian(spec, basis)
@@ -454,13 +453,12 @@ def test_disordered_rows_are_each_build_bit_for_bit(case, kind, amplitude, count
     ("frequency", Hopping(1, 2, 1.0, 0.5), OnSite(2, math.inf, 0.0)),
 ])
 def test_disordered_values_refuse_non_finite_entries(kind, hop, term):
-    base = models.NetworkSpec(3, 0, (hop,), (term,), Statistics.boson(), ("a", "b", "c"))
+    base = models.NetworkSpec(3, 0, (hop,), (term,), Statistics.boson())
     basis = hilbert.enumerate_basis(3, 1, base.statistics)
     with np.errstate(over="ignore", invalid="ignore"):
         pattern = hilbert._spec_pattern(base, basis)
         with pytest.raises(ValueError):
-            experiments._disordered_values(base, kind, 1e307, pattern,
-                                           np.random.default_rng(0), 8)
+            disordered_stack(base, kind, 1e307, basis, pattern, np.random.default_rng(0), 8)
         # A sample's own build refuses it as well.
         stream = np.random.default_rng(0)
         with pytest.raises(ValueError):
@@ -479,6 +477,36 @@ def test_hermitian_matrix_rejects_indices_past_dim():
     with pytest.raises(DimensionMismatch):
         hilbert.HermitianMatrix(2, [2, 0], [0, 2], [1.0, 1.0])
     assert hilbert.HermitianMatrix(2, [1, 0], [0, 1], [1.0, 1.0]).matrix.shape == (2, 2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5), st.integers(1, 4),
+       st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=8),
+       st.integers(0, 2**32 - 1))
+@example(dim=3, count=2, pairs=[], seed=0)
+@example(dim=2, count=3, pairs=[(0, 1), (1, 1), (0, 1), (1, 1)], seed=1)
+def test_a_stack_is_each_row_own_matrix_bit_for_bit(dim, count, pairs, seed):
+    # Repeated pairs put duplicate triplets on one entry, summed in order.
+    rng = np.random.default_rng(seed)
+    rows, cols, values = [], [], []
+    for r, c in ((r % dim, c % dim) for r, c in pairs):
+        column = rng.normal(size=count) + (1j * rng.normal(size=count) if r != c else 0.0)
+        rows += [r, c] if r != c else [r]
+        cols += [c, r] if r != c else [c]
+        values += [column, column.conj()] if r != c else [column]
+    values = np.array(values, dtype=complex).reshape(-1, count).T
+    stack = hilbert.HermitianMatrix(dim, rows, cols, values)
+    own = [hilbert.HermitianMatrix(dim, rows, cols, row) for row in values]
+    assert stack.matrix.shape == (count, dim, dim)
+    assert np.array_equal(stack.matrix.view(np.uint64),
+                          np.stack([h.matrix for h in own]).view(np.uint64))
+    system = dynamics.eigendecompose(stack)
+    assert system.dim == dim
+    for i, h in enumerate(own):
+        alone = dynamics.eigendecompose(h)
+        assert np.array_equal(system.eigenvalues[i].view(np.uint64), alone.eigenvalues.view(np.uint64))
+        assert np.array_equal(np.ascontiguousarray(system.eigenvectors[i]).view(np.uint64),
+                              np.ascontiguousarray(alone.eigenvectors).view(np.uint64))
 
 
 def full_space_hamiltonian(spec, local_dim):
@@ -514,7 +542,7 @@ def test_subspace_block_matches_full_space(statistics, n_exc):
     spec = models.sgf_ring(4, 2 * math.pi, statistics=statistics)
     spec = models.NetworkSpec(
         spec.n_network, spec.auxiliary_count, spec.hoppings,
-        (OnSite(1, 0.3, 0.7), OnSite(3, -0.2, 0.1)), spec.statistics, spec.labels,
+        (OnSite(1, 0.3, 0.7), OnSite(3, -0.2, 0.1)), spec.statistics,
     )
     basis = hilbert.enumerate_basis(4, n_exc, statistics)
     block = hilbert.build_hamiltonian(spec, basis).matrix
@@ -526,9 +554,7 @@ def test_subspace_block_matches_full_space(statistics, n_exc):
 
 def test_build_rejects_bad_sites():
     spec = models.sgf_ring(3, math.pi / 2)
-    bad = models.NetworkSpec(
-        3, 0, spec.hoppings, (OnSite(7, 1.0, 0.0),), spec.statistics, spec.labels
-    )
+    bad = models.NetworkSpec(3, 0, spec.hoppings, (OnSite(7, 1.0, 0.0),), spec.statistics)
     basis = hilbert.enumerate_basis(3, 1, spec.statistics)
     with pytest.raises(SpecMismatch):
         hilbert.build_hamiltonian(bad, basis)

@@ -306,6 +306,19 @@ def test_spec_serialization_reads_the_statistics_kind_format():
         assert spec.to_dict()["statistics"] == {"max_occupation": cap}
 
 
+def test_spec_serialization_reads_the_labels_format():
+    # Specs serialised with their labels load when the labels are the
+    # derived ones, and are refused otherwise; none are written.
+    spec = models.ladder(2, [2.0])
+    data = {**spec.to_dict(), "labels": ["node_1", "node_2", "node_3", "node_4", "node_5",
+                                         "node_6", "aux_1", "aux_2"]}
+    assert "labels" not in spec.to_dict()
+    assert models.NetworkSpec.from_dict(json.loads(json.dumps(data))) == spec
+    for labels in (data["labels"][:-1], data["labels"][::-1], ["a"] * 8):
+        with pytest.raises(SpecMismatch):
+            models.NetworkSpec.from_dict({**data, "labels": labels})
+
+
 def test_spec_serialization_rejects_unknown_keys():
     data = models.sgf_ring(3, math.pi).to_dict()
     data["extra"] = 1
@@ -316,14 +329,11 @@ def test_spec_serialization_rejects_unknown_keys():
 def test_spec_validation():
     ring = models.sgf_ring(3, math.pi)
     with pytest.raises(SpecMismatch):
-        models.NetworkSpec(3, 0, ring.hoppings + (Hopping(1, 2, 1.0, 0.0),),
-                           (), ring.statistics, ring.labels)
+        models.NetworkSpec(3, 0, ring.hoppings + (Hopping(1, 2, 1.0, 0.0),), (), ring.statistics)
     with pytest.raises(SpecMismatch):
-        models.NetworkSpec(3, 0, (Hopping(1, 1, 1.0, 0.0),), (), ring.statistics,
-                           ring.labels)
+        models.NetworkSpec(3, 0, (Hopping(1, 1, 1.0, 0.0),), (), ring.statistics)
     with pytest.raises(SpecMismatch):
-        models.NetworkSpec(3, 0, (Hopping(1, 9, 1.0, 0.0),), (), ring.statistics,
-                           ring.labels)
+        models.NetworkSpec(3, 0, (Hopping(1, 9, 1.0, 0.0),), (), ring.statistics)
 
 
 def test_phases_normalised_at_construction():
@@ -337,7 +347,7 @@ def test_normalised_hops_are_kept_and_others_wrapped():
     inside = Hopping(1, 2, 1.0, 0.5)
     spec = models.NetworkSpec(4, 0, (inside, Hopping(2, 3, 1.0, -math.pi),
                                      Hopping(3, 4, 1.0, 3 * math.pi)),
-                              (), ring.statistics, ring.labels)
+                              (), ring.statistics)
     assert spec.hoppings[0] is inside
     assert [h.phase for h in spec.hoppings[1:]] == [math.pi, math.pi]
 

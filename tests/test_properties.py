@@ -40,8 +40,7 @@ def networks(draw):
                 amplitude = draw(st.floats(min_value=0.0, max_value=2.0, allow_nan=False))
                 hops.append(hilbert.Hopping(j, k, amplitude, draw(angles)))
     onsite = tuple(hilbert.OnSite(j, draw(finite), draw(finite)) for j in range(1, n + 1))
-    spec = models.NetworkSpec(n, 0, tuple(hops), onsite, stats,
-                              tuple(f"node_{j}" for j in range(1, n + 1)))
+    spec = models.NetworkSpec(n, 0, tuple(hops), onsite, stats)
     states = hilbert.enumerate_basis(n, n_exc, stats).states
     occupation = states[draw(st.integers(0, len(states) - 1))]
     times = np.linspace(0.0, draw(st.floats(min_value=0.1, max_value=5.0)), 21)
