@@ -145,6 +145,8 @@ def test_coupler_drive_rejects_bad_link_sites(omegas, link):
     dict(omegas=(0.0, math.nan), links=(floquet.CouplerLink(1, 2, 1.0, 0.0),)),
     dict(omegas=(0.0, 5.0), links=(floquet.CouplerLink(1, 2, math.inf, 0.0),)),
     dict(omegas=(0.0, 5.0), links=(floquet.CouplerLink(1, 2, 1.0, math.nan),)),
+    # A NaN bus frequency would slip past the nu > 0 check (NaN compares False).
+    dict(delta=96.0, nu=math.nan, phis=(0.0,), gs=(1.0,)),
     dict(delta=math.inf, nu=40.0, phis=(0.0,), gs=(1.0,)),
     dict(delta=96.0, nu=40.0, phis=(math.nan,), gs=(1.0,)),
 ])
