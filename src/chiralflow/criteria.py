@@ -2,14 +2,16 @@
 
 A perfect single-subspace chiral flow needs (i) a spectrum symmetric about
 zero and harmonic (every nonzero level an integer multiple of the smallest
-one, no degeneracies) and (ii) eigenvectors whose restrictions to the ring
-form a complete set of uniform-modulus plane waves, one winding number per
-mode.  These are necessary, not sufficient: sufficiency also needs each
-level linear in its winding mod n, so that at the step time the phase each
-plane wave gains is that of one common site shift.  A 5-node ring
-circulant whose windings m = 0..4 carry the levels 0, 1, -1, 2, -2 meets
-(i) and (ii), yet for no shift does the shifted site's population ever
-exceed 0.6.  The verdict tests (i) and (ii) only.
+one, the unit, with no degeneracies), (ii) eigenvectors whose restrictions
+to the ring form a complete set of uniform-modulus plane waves, one winding
+number per mode, and (iii) each level linear in its winding mod n: some
+stride s coprime to n and some c with level / unit = s m + c (mod n) for
+every level of winding m.  Then at the step time tau = 2 pi / (n unit) every
+plane wave gains the phase of one common shift by s sites, and the
+excitation steps from site j to site j + s.  A 5-node ring circulant whose
+windings m = 0..4 carry the levels 0, 1, -1, 2, -2 meets (i) and (ii) but
+not (iii), and for no shift does the shifted site's population ever exceed
+0.6.  The verdict needs all three.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ class CriteriaReport:
     degenerate_levels: int
     chiral_modes_complete: bool
     windings: tuple[int | None, ...]  # one per level, None where no plane wave fits
+    stride: int | None  # s of criterion (iii), None where no s fits
+    step_time: float | None  # tau = 2 pi / (n unit), None without a positive level
     verdict: bool
 
     def summary(self) -> str:
@@ -54,13 +58,16 @@ class CriteriaReport:
             f" degenerate levels {self.degenerate_levels})",
             f"chiral_modes_complete: {str(self.chiral_modes_complete).lower()}"
             f" (windings {list(self.windings)})",
+            f"levels_linear_in_winding: {str(self.stride is not None).lower()}"
+            f" (stride {'none' if self.stride is None else self.stride}, step time"
+            f" {'none' if self.step_time is None else format(self.step_time, '.6g')})",
             f"verdict: {str(self.verdict).lower()}",
         ]
         return "\n".join(lines)
 
 
 def check_criteria(h: HermitianMatrix, ring_nodes) -> CriteriaReport:
-    """Evaluate the two chiral-flow criteria on one excitation block.
+    """Evaluate the three chiral-flow criteria on one excitation block.
 
     ``ring_nodes`` are the 1-based ring site labels, OutOfRange outside
     1..dim; any remaining rows are treated as auxiliary.  The spectral tests
@@ -70,7 +77,9 @@ def check_criteria(h: HermitianMatrix, ring_nodes) -> CriteriaReport:
     wave when its renormalised ring part has uniform moduli and a residual
     sqrt(1 - overlap^2) both within sqrt(1e-9); a degenerate cluster takes,
     in mode order, every wave whose projection onto it has norm at least
-    1 - sqrt(1e-9).  Levels left unmatched have winding None.
+    1 - sqrt(1e-9).  Levels left unmatched have winding None.  The stride
+    of criterion (iii) is the smallest that fits every matched level, each
+    level / unit rounded to an integer.
     """
     tol = 1e-9
     system = eigendecompose(h)
@@ -86,6 +95,7 @@ def check_criteria(h: HermitianMatrix, ring_nodes) -> CriteriaReport:
     clusters = cluster_levels(values, level_tol)
     degenerate = sum(1 for c in clusters if len(c) > 1)
     positive = values[values > level_tol]
+    unit = None
     if positive.size:
         unit = float(np.min(positive))
         ratios = positive / unit
@@ -121,6 +131,7 @@ def check_criteria(h: HermitianMatrix, ring_nodes) -> CriteriaReport:
 
     found = [m for m in windings if m is not None]
     complete = len(found) == dim and set(modes) <= set(found)
+    stride = None if unit is None else _stride(values / unit, windings, n)
 
     return CriteriaReport(
         spectrum_symmetric=symmetric,
@@ -130,8 +141,23 @@ def check_criteria(h: HermitianMatrix, ring_nodes) -> CriteriaReport:
         degenerate_levels=degenerate,
         chiral_modes_complete=complete,
         windings=tuple(windings),
-        verdict=symmetric and equally_spaced and complete,
+        stride=stride,
+        step_time=None if unit is None else 2.0 * math.pi / (n * unit),
+        verdict=symmetric and equally_spaced and complete and stride is not None,
     )
+
+
+def _stride(ratios: np.ndarray, windings, n: int) -> int | None:
+    """The smallest s coprime to n for which some c gives round(ratio) =
+    s m + c (mod n) for every level with a winding m, or None."""
+    pairs = [(round(float(r)), m) for r, m in zip(ratios, windings) if m is not None]
+    if not pairs:
+        return None
+    k0, m0 = pairs[0]
+    for s in range(1, n):
+        if math.gcd(s, n) == 1 and all((k - k0 - s * (m - m0)) % n == 0 for k, m in pairs):
+            return s
+    return None
 
 
 def check_chiral_symmetry(h: HermitianMatrix, operator: ChiralOperator) -> float:

@@ -52,6 +52,16 @@ KRYLOV_MAX_STEPS = 10_000
 # (16 MB): below KRYLOV_MIN_DIM states, grids of up to 2628 points take a
 # single block.
 POPULATION_BLOCK = 2**20
+# ``window_peaks``: the certificate it aims for, relative to each node's
+# ceiling (sum_k |c_k|)^2 and well above the rounding of F (about 1e-16 of
+# it); the halvings of a scan step after which bisection stops (40 halvings
+# leave 1e-12 of the step; at the tolerance the interval bound of a scan
+# step with W h <= 1 is met after about 20); and the intervals one node may
+# bisect at once, per scan interval (plus 64), so that memory stays within
+# a small multiple of the scan's when the scan is far coarser than 1 / W.
+PEAK_TOL = 1e-12
+_MAX_HALVINGS = 40
+_MAX_INTERVALS = 2
 
 # One step of a propagation: the grid rows it covers, factors (R, m)
 # ``phases`` and (m, K, dim) ``modes`` whose product is the amplitude table
@@ -84,13 +94,15 @@ def eigendecompose(h: HermitianMatrix) -> EigenSystem:
     return EigenSystem(values, vectors)
 
 
-def _eigen_phase_modes(h: HermitianMatrix, psi0: np.ndarray,
-                       times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_phase_modes`` factors of V e^{-i L t} V^dag psi0, V and L the full
-    eigensystem of h; for a stack of matrices they carry its leading axes."""
+def _eigen_phase_modes(h: HermitianMatrix, psi0: np.ndarray, times: np.ndarray
+                       ) -> tuple[EigenSystem, np.ndarray, np.ndarray, np.ndarray]:
+    """The full eigensystem V, L of h, the weights V^dag psi0, and the
+    ``_phase_modes`` factors of V e^{-i L t} V^dag psi0; for a stack of
+    matrices they carry its leading axes."""
     system = eigendecompose(h)
     modes = np.swapaxes(system.eigenvectors, -1, -2)
-    return _phase_modes(times, system.eigenvalues, modes.conj() @ psi0, modes)
+    weights = modes.conj() @ psi0
+    return (system, weights) + _phase_modes(times, system.eigenvalues, weights, modes)
 
 
 @dataclass(frozen=True)
@@ -183,7 +195,7 @@ def evolve(h: HermitianMatrix, psi0, times, basis: SubspaceBasis | None = None,
     psi0.setflags(write=False)
     times.setflags(write=False)
     if dim < KRYLOV_MIN_DIM:
-        phases, modes = _eigen_phase_modes(h, psi0, times)
+        _, _, phases, modes = _eigen_phase_modes(h, psi0, times)
         phases.setflags(write=False)
         modes.setflags(write=False)
 
@@ -491,6 +503,242 @@ def average_fidelity(populations: np.ndarray, corner_nodes):
     return np.sqrt(peaks).mean(axis=-1)
 
 
+@dataclass(frozen=True)
+class WindowPeaks:
+    """Per-node maxima of a spectral sum on a window (see ``window_peaks``).
+
+    ``certificates`` holds an upper bound on each true maximum less the
+    value returned.  ``refined`` counts the nodes whose Newton solve had a
+    bracket, ``bisected`` the nodes that bisection still had to search.
+    """
+
+    values: np.ndarray  # (..., n_nodes)
+    times: np.ndarray
+    certificates: np.ndarray
+    refined: int
+    bisected: int
+
+
+# Overflowing levels make bounds inf or NaN, which then certify nothing.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def window_peaks(energies, coefficients, t0: float, step: float, scan) -> WindowPeaks:
+    """Certified maximum of F_j(t) = |A_j(t)|^2, A_j = sum_k c_jk e^{-i E_k t},
+    over a window, per node j.
+
+    ``energies`` is (..., m), ``coefficients`` the (..., n, m) c_jk, such as
+    V_jk (V^dag psi0)_k, and ``scan`` the (..., T, n) values F_j(t0 + i step),
+    i < T, such as populations already checked for norm; the window is
+    [t0, t0 + (T - 1) step].  Per node, with Q = sum_k |c_k| (E_k - E)^2
+    about the |c|-weighted mean level E (so |A''| <= Q), with
+    M = sum_kl |c_k||c_l| (E_k - E_l)^2 = 2 Q sum_k |c_k| (so |F''| <= M) and
+    with L = sum_kl |c_k||c_l||E_k - E_l|^3 (so |F'''| <= L):
+
+    - on an interval of width h, sqrt(F) = |A| is at most its larger end
+      value plus Q h^2 / 8 (``_interval_bounds``), and intervals whose bound
+      is within the tolerance of the best value are set aside;
+    - a safeguarded Newton solve of F' = 0 starts from the best sample, on
+      the bracket of its neighbour on the climbing side, as in
+      ``experiments._revival_peak``.  Where it ends at t* with F''(t*) < 0,
+      the cubic Taylor bound keeps F below F(t*) + |F'(t*)| r within
+      r = -3 F''(t*) / L of t*.  Where the best sample is at an edge of the
+      window and F' points out of it, F stays below that sample within
+      2 |F'| / M of the edge;
+    - every interval still above the best value by more than the tolerance
+      is bisected, at most ``_MAX_HALVINGS`` times, while the node has at
+      most ``_MAX_INTERVALS`` intervals per scan interval (plus 64) and a
+      finite bound on each.
+
+    The tolerance is ``PEAK_TOL`` times the node's ceiling (sum_k |c_k|)^2,
+    which F never exceeds, and a node whose best value comes within it of
+    the ceiling stops.  The certificate is the largest bound of any part of
+    the window, capped by the ceiling, less the value returned: at most the
+    tolerance, rounding of F (about 1e-16 of the ceiling) apart, unless a
+    limit of the bisection stopped the node, as on a scan far coarser than
+    1 / W (W the spectral width) or with overflowing levels.  On
+    sqrt(F) that is at most sqrt(tolerance), as sqrt(F + g) - sqrt(F) <=
+    sqrt(g), and at most tolerance / (2 sqrt(F)).  Each step is elementwise
+    per node or a sum over that node's levels, so a node's result does not
+    depend on the rest of the batch.
+    """
+    coefficients = np.asarray(coefficients, dtype=complex)
+    *shape, m = coefficients.shape
+    count = scan.shape[-2]
+    c = coefficients.reshape(-1, m)
+    levels = np.broadcast_to(np.asarray(energies, dtype=float)[..., None, :],
+                             coefficients.shape).reshape(-1, m)
+    samples = np.swapaxes(scan, -1, -2).reshape(-1, count)
+    size = np.abs(c)
+    total = size.sum(axis=-1)
+    ceiling = np.square(total)
+    tol = PEAK_TOL * ceiling
+    # |A''| <= bend about the |c|-weighted mean level, which leaves |A| = sqrt(F)
+    # unchanged, and M = 2 * total * bend.
+    mean = np.divide((size * levels).sum(axis=-1), total, out=np.zeros_like(total),
+                     where=total > 0)
+    bend = (size * np.square(levels - mean[:, None])).sum(axis=-1)
+    curvature = 2.0 * total * bend
+    jerk = np.zeros(c.shape[0])  # L
+    for k in range(m):
+        gap = np.abs(levels - levels[:, k, None])
+        jerk += (size[:, k, None] * size * gap * gap * gap).sum(axis=-1)
+
+    index = samples.argmax(axis=-1)
+    best = samples[np.arange(index.size), index]
+    is_open = best < ceiling - tol
+    open_nodes = np.flatnonzero(is_open)
+    best_t = t0 + index * step
+    # The certified region of each Newton solve: F <= top within radius of centre.
+    centre = np.full(index.size, np.nan)
+    radius = np.zeros(index.size)
+    top = np.full(index.size, np.inf)
+    refined = 0
+    if count > 1 and open_nodes.size:
+        sel = open_nodes
+        t, f, slope, curv, bracketed = _newton_peaks(c[sel], levels[sel], t0, step, count,
+                                                     index[sel])
+        refined = int(np.count_nonzero(bracketed))
+        interior = bracketed & (curv < 0)
+        # A best sample at an edge whose slope points out of the window.
+        edge = ~bracketed & (((index[sel] == 0) & (slope < 0))
+                             | ((index[sel] == count - 1) & (slope > 0)))
+        # Zero bounds leave no region: F is then constant, and so are the
+        # interval bounds.
+        radius[sel] = np.where(interior & (jerk[sel] > 0), -3.0 * curv / jerk[sel],
+                               np.where(edge & (curvature[sel] > 0),
+                                        2.0 * np.abs(slope) / curvature[sel], 0.0))
+        centre[sel] = t
+        top[sel] = f + np.where(interior, np.abs(slope) * radius[sel], 0.0)
+        gain = f > best[sel]
+        best[sel[gain]] = f[gain]
+        best_t[sel[gain]] = t[gain]
+
+    # The scan intervals within the tolerance of the best value are set
+    # aside at once, and the largest of their bounds kept; the ceiling
+    # settles the nodes left out of the search.  The rest go on as (node,
+    # interval) rows.
+    bound = _interval_bounds(samples[:, :-1], samples[:, 1:],
+                             (bend * (0.125 * step * step))[:, None])
+    keep = (bound > (best + tol)[:, None]) & is_open[:, None]
+    bound[keep] = -np.inf
+    upper = np.where(is_open, bound.max(axis=-1, initial=-np.inf), np.inf)
+    node, cols = np.nonzero(keep)
+    lo = t0 + cols * step
+    f_lo, f_hi = samples[node, cols], samples[node, cols + 1]
+    width = step
+    bisected = 0
+    for level in range(_MAX_HALVINGS + 1):
+        bound = _interval_bounds(f_lo, f_hi, bend[node] * (0.125 * width * width))
+        inside = ((lo >= centre[node] - radius[node])
+                  & (lo + width <= centre[node] + radius[node]))
+        bound = np.where(inside, np.fmin(bound, top[node]), bound)
+        keep = (bound > best[node] + tol[node]) & (best[node] < ceiling[node] - tol[node])
+        # An interval whose bound overflowed stays set aside, as do the
+        # intervals of a node that would outgrow ``_MAX_INTERVALS`` scans (as
+        # where the scan is far coarser than 1 / W), and every node's after the
+        # last halving: their bounds enter the certificates.
+        keep &= np.isfinite(bound)
+        keep &= (np.bincount(node[keep], minlength=index.size)[node]
+                 <= _MAX_INTERVALS * (count - 1) + 64)
+        if level == _MAX_HALVINGS:
+            keep[:] = False
+        np.maximum.at(upper, node[~keep], bound[~keep])
+        node, lo, f_lo, f_hi = node[keep], lo[keep], f_lo[keep], f_hi[keep]
+        if not node.size:
+            break
+        if level == 0:
+            bisected = np.unique(node).size
+        width *= 0.5
+        mid = lo + width
+        (f_mid,) = _spectral(c[node], levels[node], mid, derivatives=False)
+        # The largest midpoint of each node, the earliest among equals.
+        order = np.lexsort((-f_mid, node))
+        first = order[np.concatenate(([True], node[order[1:]] != node[order[:-1]]))]
+        first = first[f_mid[first] > best[node[first]]]
+        best[node[first]] = f_mid[first]
+        best_t[node[first]] = mid[first]
+        # The halves of each interval, in time order.
+        node = np.repeat(node, 2)
+        lo, f_lo, f_hi = _interleave(lo, mid), _interleave(f_lo, f_mid), _interleave(f_mid, f_hi)
+    certificates = np.maximum(np.minimum(np.maximum(upper, best), ceiling) - best, 0.0)
+    return WindowPeaks(best.reshape(shape), best_t.reshape(shape),
+                       certificates.reshape(shape), refined, bisected)
+
+
+def _interval_bounds(f_lo: np.ndarray, f_hi: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """Upper bounds on F = |A|^2 over intervals with end values f_lo and
+    f_hi: a linear interpolation of A between the ends is no longer than
+    the longer end, and A is off it by at most |A''| h^2 / 8 = ``gap``.
+    That is max(f_lo, f_hi) + M h^2 / 8 less 2 gap (sqrt(ceiling) -
+    sqrt(f)) - gap^2, so far tighter where F peaks well below its ceiling."""
+    bound = np.maximum(f_lo, f_hi)
+    np.sqrt(bound, out=bound)
+    bound += gap
+    np.square(bound, out=bound)
+    # A NaN end value or gap bounds nothing.
+    bound[np.isnan(bound)] = np.inf
+    return bound
+
+
+def _interleave(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """first[0], second[0], first[1], second[1], ..."""
+    out = np.empty(2 * first.size)
+    out[0::2] = first
+    out[1::2] = second
+    return out
+
+
+def _newton_peaks(c: np.ndarray, levels: np.ndarray, t0: float, step: float, count: int,
+                  index: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Safeguarded Newton on F' = 0 for each row, from the scan sample
+    ``index`` of t0 + i step, i < count: ``experiments._revival_peak``'s
+    loop, one row per node, run under ``window_peaks``'s floating-point error
+    state.  Returns t, F, F', F'' at the end and whether a root was
+    bracketed (where not, t is the sample)."""
+    t = t0 + index * step
+    f, slope, curv = _spectral(c, levels, t)
+    other = t0 + np.where(slope > 0, np.minimum(index + 1, count - 1),
+                          np.maximum(index - 1, 0)) * step
+    # Where F' has no sign change, the maximum is at the window's edge, or
+    # the scan does not resolve F there.
+    bracketed = slope * _spectral(c, levels, other)[1] < 0
+    # F' > 0 at ``rising`` and < 0 at ``falling``: a maximum lies between.
+    rising = np.where(slope > 0, t, other)
+    falling = np.where(slope > 0, other, t)
+    active = np.flatnonzero(bracketed)
+    for _ in range(64):  # bisection alone reaches 4 ulps in fewer halvings
+        if not active.size:
+            break
+        now, rate, bend = t[active], slope[active], curv[active]
+        rising[active] = np.where(rate > 0, now, rising[active])
+        falling[active] = np.where(rate < 0, now, falling[active])
+        ends = rising[active], falling[active]
+        # Newton from t, an end of the bracket; where F'' >= 0 it would descend.
+        new = np.where(bend < 0, now - rate / bend, np.inf)
+        new = np.where((np.minimum(*ends) <= new) & (new <= np.maximum(*ends)),
+                       new, 0.5 * (ends[0] + ends[1]))
+        moving = (rate != 0) & (np.abs(new - now) > 4.0 * np.spacing(np.abs(now)))
+        active = active[moving]
+        t[active] = new[moving]
+        f[active], slope[active], curv[active] = _spectral(c[active], levels[active], t[active])
+    return t, f, slope, curv, bracketed
+
+
+def _spectral(c: np.ndarray, levels: np.ndarray, t: np.ndarray,
+              derivatives: bool = True) -> tuple[np.ndarray, ...]:
+    """F = |A|^2, A = sum_k c_k e^{-i E_k t}, row by row at the times t, and
+    with ``derivatives`` F' and F''.  With s_p = sum_k E_k^p c_k e^{-i E_k t},
+    A' = -i s_1 and A'' = -s_2."""
+    terms = c * np.exp(-1j * (levels * t[:, None]))
+    a = terms.sum(axis=-1)
+    f = np.square(a.real) + np.square(a.imag)
+    if not derivatives:
+        return (f,)
+    s1 = (terms * levels).sum(axis=-1)
+    s2 = (terms * (levels * levels)).sum(axis=-1)
+    return (f, 2.0 * (a.conj() * s1).imag,
+            2.0 * (np.square(s1.real) + np.square(s1.imag) - (a.conj() * s2).real))
+
+
 def _node_columns(nodes, n_nodes: int) -> list[int]:
     """0-based columns of 1-based node labels; OutOfRange for a label outside
     1..n_nodes, which would otherwise wrap around to another node."""
@@ -553,22 +801,6 @@ def _cyclic_direction(order, ring_nodes) -> Direction:
     if steps == {k - 1}:
         return Direction.COUNTERCLOCKWISE
     return Direction.NONE
-
-
-def first_peak_time(times: np.ndarray, trace: np.ndarray, threshold: float) -> float:
-    """Parabolically refined time of the first local maximum of a trace that
-    reaches ``threshold`` times its global maximum."""
-    top = float(np.max(trace))
-    idx = _first_peak_index(trace, threshold * top) if top > 0 else None
-    if idx is None:
-        raise NoPeaks("trace never peaks above the threshold")
-    if 0 < idx < trace.size - 1:
-        y0, y1, y2 = trace[idx - 1], trace[idx], trace[idx + 1]
-        denom = y0 - 2.0 * y1 + y2
-        if denom != 0:
-            shift = 0.5 * (y0 - y2) / denom
-            return float(times[idx] + shift * (times[idx + 1] - times[idx]))
-    return float(times[idx])
 
 
 def rows_to_csv(rows, header: str) -> str:

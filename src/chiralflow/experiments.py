@@ -22,6 +22,7 @@ from .dynamics import (
     average_fidelity,
     eigendecompose,
     evolve,
+    window_peaks,
 )
 from .errors import BadInitial, ConfigError, NotSpin
 from .hilbert import (
@@ -136,48 +137,97 @@ def perturbed_spec(base: NetworkSpec, kind: str, amplitude: float,
                    onsite=tuple(OnSite(j, delta, kerr) for j, (delta, kerr) in zip(sites, terms)))
 
 
-# Disorder samples drawn, assembled, diagonalised and factored at once (a
-# chunk, drawn as one array from the amplitude's stream, so the draws do not
-# depend on its size), and within a chunk the samples whose amplitudes and
-# populations are formed at once (a block).  On the four-node ring a chunk's
-# phase factors and folded modes take 20 kB per sample and a block 320 kB
-# per sample (tracemalloc).  On a 2-vCPU Xeon host whose speed drifts by a
-# third from run to run, two runs of interleaved passes of the default study
-# (medians of 15 and 21) took 0.28 and 0.32 s in chunks of 40 with blocks of
-# 4, 0.24 and 0.36 s in chunks of 80 and 0.31 and 0.34 s in chunks of 20;
-# blocks of 2 and 8 took 0.27-0.34 and 0.27-0.43 s, blocks of 16 0.44 s.
-# Factoring block by block took 16% longer (30 interleaved in-process
-# sweeps).
-_SAMPLE_CHUNK = 40
-_SAMPLE_BLOCK = 4
+# The largest phase W h that one step h of the sweep's scan of [0, pi] may
+# span, W a bound on the spectral width (see ``_scan_points``): 1 gives the
+# default study 27-42 points, where no node needs bisection.  In-process
+# passes of the default study (2-vCPU host, one BLAS thread, best of 7
+# interleaved) took 0.105 s at 0.3 (85-136 points), 0.062 s at 1 and
+# 0.051 s at 2 (14-22 points); criterion 9's frequency row (amplitude
+# 391.6, 200 samples, scans of 8287, 2487 and 1244 points) took 0.43,
+# 0.33 and 0.23 s.  At 30 (84 points) that row ran out of bisection
+# intervals, and its certificates (up to 9.4e-7) said so.
+_SCAN_PHASE = 1.0
+# The longest scan: W = 2e4 would need 62 833 points.  Beyond it the
+# search certifies the maximum by bisecting more intervals.
+_SCAN_POINTS_MAX = 2**16
+# Amplitudes (samples times scan points times states) of one chunk: the
+# samples drawn, assembled, diagonalised, scanned and searched at once,
+# drawn as one array from the amplitude's stream, so the draws do not
+# depend on the chunk.  On the four-node ring a sample takes 8-11 kB at
+# 27-42 points (tracemalloc), so a chunk of 2^14 (78 samples at 42 points,
+# 121 at 27) peaks near 1 MB.  Chunks of 2^15 and 2^16 ran the default
+# study about 15% faster but raised ``bench/run.py``'s peak RSS by 0.3 and
+# 0.6 MB; 2^13 took about a third longer.  Long scans still take at
+# least ``_CHUNK_MIN_SAMPLES`` samples, as each chunk's search has a fixed
+# cost: on criterion 9's frequency row (2487 points) chunks of 1, 8 and 16
+# samples took 0.52, 0.16 and 0.14 s and peaked at 0.4, 3.3 and 6.5 MB,
+# and an 80-sample ``asgf(38)`` sweep (222 points, 39 states) 0.19, 0.18
+# and 0.12 s at 0.5, 3.7 and 7.4 MB.
+_CHUNK_ENTRIES = 2**14
+_CHUNK_MIN_SAMPLES = 8
+
+
+def _scan_points(base: NetworkSpec, kind: str, amplitudes, basis) -> list[int]:
+    """Points of the sweep's scan of [0, pi] at each amplitude: steps of at
+    most ``_SCAN_PHASE`` / W, W a bound on the spectral width of every copy
+    that can be drawn, so that the scan depends on the base, the kind and
+    the amplitude alone, never on the samples or the chunk.
+
+    W is the base's width plus twice a bound on the norm of a perturbation,
+    its largest row sum of moduli: a for frequency offsets, a per link for
+    strength shifts, and |t| min(a, 2) per link for phase shifts of a link
+    of modulus |t|.  At most ``_SCAN_POINTS_MAX`` points.
+    """
+    levels = eigendecompose(build_hamiltonian(base, basis)).eigenvalues
+    counts = []
+    for amplitude in amplitudes:
+        if kind == FREQUENCY:
+            norm = amplitude
+        else:
+            rows = np.zeros(base.n_sites)
+            for hop in base.hoppings:
+                change = (amplitude if kind == HOPPING_STRENGTH
+                          else hop.amplitude * min(amplitude, 2.0))
+                rows[[hop.j - 1, hop.k - 1]] += change
+            norm = float(np.max(rows))
+        width = float(levels[-1] - levels[0]) + 2.0 * norm
+        counts.append(1 + math.ceil(min(math.pi * width / _SCAN_PHASE, _SCAN_POINTS_MAX - 1)))
+    return counts
 
 
 def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[DisorderPoint]:
     """Mean corner-peak fidelity of the disordered network per amplitude.
 
-    Every sample redraws all perturbations, evolves one chiral cycle (1601
-    points on [0, pi]) from node 1 and records the average over ring nodes
-    of the peak amplitude modulus.  Amplitude a_idx draws its samples in
-    order from one generator seeded with ``(cfg.seed, a_idx)``: sample s is
-    the doubles s * size ... (s + 1) * size - 1 of that stream, size the
-    drawn offsets per copy, so a run with fewer samples draws the same first
-    samples.  The samples of an amplitude run in chunks of
-    ``_SAMPLE_CHUNK`` on one shared one-excitation basis and one triplet
-    pattern, taken from a single ``perturbed_spec`` copy drawn from a
-    generator of its own: each chunk draws its perturbations as one array
-    from the amplitude's stream and fills one row of triplet values per
-    sample, with no spec object per sample.  The rows make one stacked
-    ``HermitianMatrix``, which goes through one ``eigendecompose`` and is
-    factored by ``evolve``'s own ``_eigen_phase_modes``, so no phase table
-    is built.  The amplitudes and |amplitude|^2 are formed in blocks of
-    ``_SAMPLE_BLOCK`` samples, so memory does not grow with the sample
-    count.  Basis state i is node i + 1, so the |amplitude|^2 are the node
-    populations.  The sector is small, so the sweep always uses the full
-    eigensystem, never the Krylov branch of ``evolve``; each sample's
-    fidelity is bitwise what ``simulate`` and ``average_fidelity`` give it
-    alone.
+    Every sample redraws all perturbations, evolves one chiral cycle [0, pi]
+    from node 1 and records the average over ring nodes of the peak
+    amplitude modulus, the square root of the certified maximum of the
+    node's population on the cycle (``window_peaks``).  Amplitude a_idx
+    draws its samples in order from one generator seeded with
+    ``(cfg.seed, a_idx)``: sample s is the doubles s * size ...
+    (s + 1) * size - 1 of that stream, size the drawn offsets per copy, so a
+    run with fewer samples draws the same first samples.  The samples of an
+    amplitude run in chunks of ``_CHUNK_ENTRIES`` scan amplitudes (at least
+    ``_CHUNK_MIN_SAMPLES`` samples) on one shared one-excitation basis and
+    one triplet pattern, taken from a single ``perturbed_spec`` copy drawn
+    from a generator of its own: each chunk
+    draws its perturbations as one array from the amplitude's stream and
+    fills one row of triplet values per sample, with no spec object per
+    sample.  The rows make one stacked ``HermitianMatrix``, which goes
+    through one ``eigendecompose`` and is factored by ``evolve``'s own
+    ``_eigen_phase_modes`` on the scan of ``_scan_points``, so no phase table
+    is built.  The scan's populations are checked for norm, and
+    ``window_peaks`` refines their maxima from the eigensystem; each
+    certificate is at most ``PEAK_TOL`` times the node's ceiling, which is
+    at most 1, so each modulus is within sqrt(``PEAK_TOL``) = 1e-6 of its
+    maximum, and within 1e-12 where the population peaks above 1/4.  Basis
+    state i is node i + 1, so the |amplitude|^2 are the node populations.
+    The sector is small, so the sweep always uses the full eigensystem,
+    never the Krylov branch of ``evolve``; each sample's fidelity is bitwise
+    what ``simulate`` on the same scan and ``window_peaks`` on the sample's
+    eigensystem give it alone.  At INFO it logs, per amplitude, the scan
+    points, the Newton brackets refined, the nodes bisection had to search
+    and the largest certificate.
     """
-    times = np.linspace(0.0, math.pi, 1601)
     amplitudes = [float(a) for a in amplitudes]
     for amplitude in amplitudes:
         # Samples are drawn from [-a, a], whose width 2a must be finite too.
@@ -185,38 +235,51 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[D
             raise ConfigError(f"disorder amplitude {amplitude} must be >= 0, with 2a finite")
     basis = enumerate_basis(base.n_sites, 1, base.statistics)
     psi0 = basis.unit_vector(occupation(base.n_sites, 1))
+    ring = [j - 1 for j in base.ring_nodes]
+    nodes = range(1, len(ring) + 1)  # the ring's columns of the peak values
     points = []
-    for a_idx, amplitude in enumerate(amplitudes):
+    counts = _scan_points(base, cfg.kind, amplitudes, basis)
+    for a_idx, (amplitude, count) in enumerate(zip(amplitudes, counts)):
         # Every copy has the hopping pairs and on-site sites of this one, a
         # copy of sample 0 drawn from a generator of its own, so that it does
         # not advance the samples' stream.
         pattern = _spec_pattern(perturbed_spec(base, cfg.kind, amplitude,
                                                np.random.default_rng((cfg.seed, a_idx))), basis)
+        times = np.linspace(0.0, math.pi, count)
+        chunk = max(_CHUNK_MIN_SAMPLES, _CHUNK_ENTRIES // (count * len(basis)))
         rng = np.random.default_rng((cfg.seed, a_idx))
         results = np.empty(cfg.samples)
-        for lo in range(0, cfg.samples, _SAMPLE_CHUNK):
-            count = min(_SAMPLE_CHUNK, cfg.samples - lo)
-            drawn, angles, terms = _draw(base, cfg.kind, amplitude, rng, count)
+        refined = bisected = 0
+        certificate = 0.0
+        for lo in range(0, cfg.samples, chunk):
+            n = min(chunk, cfg.samples - lo)
+            drawn, angles, terms = _draw(base, cfg.kind, amplitude, rng, n)
             h = HermitianMatrix(len(basis), *pattern[:2],
                                 _fill(pattern, _coefficients(drawn, angles), terms))
-            phases, modes = _eigen_phase_modes(h, psi0, times)
-            for first in range(0, count, _SAMPLE_BLOCK):
-                n = min(_SAMPLE_BLOCK, count - first)
-                block = slice(first, first + n)
-                # Without an occupation matrix these are |amplitude|^2 per
-                # basis state, which are the node populations.
-                populations = _populations(phases[block], modes[block], None, times.size)
-                results[lo + first:lo + first + n] = average_fidelity(populations, base.ring_nodes)
+            system, weights, phases, modes = _eigen_phase_modes(h, psi0, times)
+            # Without an occupation matrix these are |amplitude|^2 per basis
+            # state, which are the node populations.
+            scan = _populations(phases, modes, None, count)[..., ring]
+            # The search needs the eigensystem only: the factors go first.
+            del phases, modes
+            peaks = window_peaks(system.eigenvalues,
+                                 system.eigenvectors[:, ring] * weights[:, None, :],
+                                 0.0, math.pi / (count - 1), scan)
+            results[lo:lo + n] = average_fidelity(peaks.values[:, None, :], nodes)
+            refined += peaks.refined
+            bisected += peaks.bisected
+            certificate = max(certificate, float(np.max(peaks.certificates)))
             # Freed now, so that they never coexist with the next chunk's.
-            del h, modes, phases, populations
+            del h, system, weights, scan, peaks
         mean = float(np.mean(results))
         # Shifted by the first sample: the spread is the same, and equal
         # samples give exactly 0 (their mean need not round back to their value).
         stderr = (float(np.std(results - results[0], ddof=1) / math.sqrt(cfg.samples))
                   if cfg.samples > 1 else 0.0)
         points.append(DisorderPoint(amplitude, mean, stderr, cfg.samples))
-        log.info("disorder kind=%s amplitude=%.4f mean=%.6f stderr=%.2e",
-                 cfg.kind, amplitude, mean, stderr)
+        log.info("disorder kind=%s amplitude=%.4f mean=%.6f stderr=%.2e scan=%d points "
+                 "refined=%d bisected=%d certificate=%.2e", cfg.kind, amplitude, mean,
+                 stderr, count, refined, bisected, certificate)
     return points
 
 

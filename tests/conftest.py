@@ -1,7 +1,7 @@
 import numpy as np
 
 from chiralflow import dynamics, experiments, hilbert
-from chiralflow.errors import DimensionMismatch
+from chiralflow.errors import DimensionMismatch, NoPeaks
 
 
 def evolve_spec(spec, times, start=None, n_excitations=1):
@@ -9,6 +9,24 @@ def evolve_spec(spec, times, start=None, n_excitations=1):
     if start is None:
         start = hilbert.occupation(spec.n_sites, *[1] * n_excitations)
     return dynamics.simulate(spec, start, times)
+
+
+def first_peak_time(times, trace, threshold):
+    """Parabolically refined time of the first local maximum of a sampled
+    trace that reaches ``threshold`` times its global maximum.  Unlike
+    ``dynamics.window_peaks`` it needs no spectral form, so it also times
+    concurrence traces."""
+    top = float(np.max(trace))
+    idx = dynamics._first_peak_index(trace, threshold * top) if top > 0 else None
+    if idx is None:
+        raise NoPeaks("trace never peaks above the threshold")
+    if 0 < idx < trace.size - 1:
+        y0, y1, y2 = trace[idx - 1], trace[idx], trace[idx + 1]
+        denom = y0 - 2.0 * y1 + y2
+        if denom != 0:
+            shift = 0.5 * (y0 - y2) / denom
+            return float(times[idx] + shift * (times[idx + 1] - times[idx]))
+    return float(times[idx])
 
 
 def hermitian(array):

@@ -12,7 +12,7 @@ import pytest
 
 from chiralflow import criteria, dynamics, experiments, floquet, hilbert, models, oracles
 from chiralflow.dynamics import Direction
-from conftest import evolve_spec, return_weights, spec_hamiltonian
+from conftest import evolve_spec, first_peak_time, return_weights, spec_hamiltonian
 
 SQ2 = math.sqrt(2.0)
 SQ7 = math.sqrt(7.0)
@@ -76,7 +76,7 @@ def test_criterion_02_perfect_flows():
     assert verdict.min_peak >= 1.0 - 1e-8
 
     fine = np.linspace(0.0, 1.3, 2601)
-    transfer = dynamics.first_peak_time(
+    transfer = first_peak_time(
         fine, evolve_spec(models.sgf_ring(3, math.pi / 2), fine).node_population(2), 0.99)
     expected = 2.0 * math.pi / (3.0 * math.sqrt(3.0))
     assert abs(transfer - expected) <= 1e-6
@@ -192,16 +192,15 @@ def test_criterion_07_spin_chirality_and_bell_transport():
     phi = experiments.bell_transport(ring, "phi")
     assert psi.psi_populations[0, 0] == pytest.approx(1.0, abs=1e-9)
     assert phi.phi_populations[0, 0] == pytest.approx(1.0, abs=1e-9)
-    t_psi = [dynamics.first_peak_time(psi.times, psi.psi_populations[p], 0.8)
+    t_psi = [first_peak_time(psi.times, psi.psi_populations[p], 0.8)
              for p in (1, 2)]
-    t_phi = [dynamics.first_peak_time(phi.times, phi.phi_populations[p], 0.8)
+    t_phi = [first_peak_time(phi.times, phi.phi_populations[p], 0.8)
              for p in (1, 2)]
     assert (t_psi[0] < t_psi[1]) != (t_phi[0] < t_phi[1])  # opposite circulation
     for result, pops in ((psi, psi.psi_populations), (phi, phi.phi_populations)):
-        pop_order = np.argsort([dynamics.first_peak_time(result.times, pops[p], 0.8)
+        pop_order = np.argsort([first_peak_time(result.times, pops[p], 0.8)
                                 for p in range(3)])
-        conc_order = np.argsort([dynamics.first_peak_time(result.times,
-                                                          result.concurrence[p], 0.8)
+        conc_order = np.argsort([first_peak_time(result.times, result.concurrence[p], 0.8)
                                  for p in range(3)])
         assert pop_order.tolist() == conc_order.tolist()
     announce(7, "flipped spin states and Bell families counter-propagate")

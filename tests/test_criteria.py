@@ -3,12 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chiralflow import criteria, dynamics, models
 from chiralflow.dynamics import Direction
 from chiralflow.errors import DimensionMismatch, NotSpin, OutOfRange
 from chiralflow.hilbert import OnSite, Statistics
-from conftest import evolve_spec, spec_hamiltonian
+from conftest import evolve_spec, hermitian, spec_hamiltonian
 
 
 def report_for(spec, n_exc=1):
@@ -92,6 +94,107 @@ def test_verdict_matches_observed_flow():
         traj = evolve_spec(spec, times)
         peaks = [float(np.max(traj.node_population(j))) for j in range(1, n + 1)]
         assert verdict == (min(peaks) >= 0.999), f"{spec.labels} verdict={verdict}"
+
+
+def circulant(levels, n, theta=0.0):
+    """A ring of n sites whose plane wave exp(2 pi i m j / n) / sqrt(n) has
+    the level levels[m][0]; with two levels for m = 0, a uniformly coupled
+    auxiliary site (row n) hybridises that wave with itself at angle theta,
+    into the two levels levels[0]."""
+    size = n + (len(levels[0]) - 1)
+    sites = np.arange(n)
+    h = np.zeros((size, size), dtype=complex)
+    for m, values in enumerate(levels):
+        wave = np.zeros(size, dtype=complex)
+        wave[:n] = np.exp(2j * math.pi * m * sites / n) / math.sqrt(n)
+        if len(values) == 1:
+            h += values[0] * np.outer(wave, wave.conj())
+            continue
+        aux = np.eye(size)[n]
+        for value, vector in zip(values, (math.cos(theta) * wave + math.sin(theta) * aux,
+                                          -math.sin(theta) * wave + math.cos(theta) * aux)):
+            h += value * np.outer(vector, vector.conj())
+    return (h + h.conj().T) / 2.0
+
+
+def shift_fidelities(h, n):
+    """min_j |<j + s|U(tau)|j>|^2 over the ring sites for each stride s
+    coprime to n, which steps the excitation through every site, U(tau) =
+    exp(-i h tau) at tau = 2 pi / (n unit), the unit the smallest positive
+    level; None without a positive level.  (A stride of 2 on 4 sites, as
+    levels 1, -1, 1, -1 at m = 0..3 give, only swaps opposite sites.)"""
+    values, vectors = np.linalg.eigh(h)
+    positive = values[values > 1e-9 * max(1.0, float(np.max(np.abs(values))))]
+    if not positive.size:
+        return None
+    tau = 2.0 * math.pi / (n * float(np.min(positive)))
+    u = (vectors * np.exp(-1j * values * tau)) @ vectors.conj().T
+    sites = np.arange(n)
+    return {s: float(np.min(np.abs(u[(sites + s) % n, sites]) ** 2)) for s in range(1, n)
+            if math.gcd(s, n) == 1}
+
+
+@pytest.mark.parametrize("levels, stride", [((0, 1, -1, 2, -2), None),
+                                            ((0, 1, 2, -2, -1), 1),
+                                            ((0, 2, -1, 1, -2), 2)])
+def test_five_node_circulant_needs_levels_linear_in_the_winding(levels, stride):
+    # Levels at windings m = 0..4.  All three orders are symmetric, harmonic
+    # and complete plane waves; only the orders linear in m mod 5 step the
+    # excitation s sites per tau = 2 pi / 5.  Criteria (i) and (ii) alone
+    # pass the first order, though no shift's fidelity exceeds 0.6.
+    h = circulant([[value] for value in levels], 5)
+    report = criteria.check_criteria(hermitian(h), range(1, 6))
+    assert report.spectrum_symmetric and report.equally_spaced and report.chiral_modes_complete
+    assert report.stride == stride
+    assert report.verdict == (stride is not None)
+    assert report.step_time == pytest.approx(2.0 * math.pi / 5.0, abs=1e-12)
+    fidelities = shift_fidelities(h, 5)
+    if stride is None:
+        assert max(fidelities.values()) < 0.6
+    else:
+        assert fidelities[stride] == pytest.approx(1.0, abs=1e-9)
+
+
+@st.composite
+def integer_circulants(draw):
+    """(n, levels per winding, theta) of a ring circulant with integer levels
+    and a symmetric spectrum, with or without a uniform auxiliary.  Half the
+    odd rings take levels s m + n z(m), linear in m mod n; the rest take a
+    symmetric set of integers in any order."""
+    n = draw(st.integers(3, 7))
+    auxiliary = draw(st.booleans())
+    levels = [None] * n
+    if n % 2 and draw(st.booleans()):
+        s = draw(st.sampled_from([s for s in range(1, n) if math.gcd(s, n) == 1]))
+        for m in range(1, n // 2 + 1):
+            k = s * m + n * draw(st.integers(-1, 1))
+            levels[m], levels[n - m] = [k], [-k]
+        pair = n * draw(st.integers(1, 2))
+        levels[0] = [pair, -pair] if auxiliary else [0]
+    else:
+        size = n + auxiliary
+        positive = draw(st.lists(st.integers(1, 2 * n), min_size=size // 2, max_size=size // 2))
+        values = draw(st.permutations(positive + [-p for p in positive] + [0] * (size % 2)))
+        levels[0] = values[:1 + auxiliary]
+        levels[1:] = [[value] for value in values[1 + auxiliary:]]
+    return n, levels, draw(st.floats(0.3, 1.2))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(integer_circulants())
+@example((4, [[1], [-1], [1], [-1]], 1.0))
+def test_verdict_holds_iff_the_propagator_steps_the_excitation(case):
+    # The verdict claims a perfect step of ``stride`` sites per step time;
+    # U(tau) built from the eigensystem bears that out, and no stride gives a
+    # perfect step when the verdict is false.
+    n, levels, theta = case
+    h = circulant(levels, n, theta)
+    report = criteria.check_criteria(hermitian(h), range(1, n + 1))
+    fidelities = shift_fidelities(h, n)
+    perfect = [s for s, value in (fidelities or {}).items() if abs(value - 1.0) <= 1e-9]
+    assert report.verdict == bool(perfect), (levels, report.summary(), fidelities)
+    if report.verdict:
+        assert perfect == [report.stride]
 
 
 def test_chiral_symmetry_residual_perfect():

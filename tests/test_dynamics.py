@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from chiralflow import cli, dynamics, hilbert, models, oracles
 from chiralflow.dynamics import Direction
 from chiralflow.errors import DimensionMismatch, EmptyWindow, NoPeaks, OutOfRange
-from conftest import evolve_spec, hermitian, spec_hamiltonian
+from conftest import evolve_spec, first_peak_time, hermitian, spec_hamiltonian
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -254,10 +254,112 @@ def test_first_peak_time_refines_a_sampled_cosine():
     # An earlier bump below the threshold is skipped; the grid misses the
     # peak by 0.0045, and the parabola recovers it to about 3e-8.
     trace = 1.0 + np.cos(2.0 * (times - peak)) + 0.3 * np.exp(-((times - 0.3) / 0.05) ** 2)
-    assert abs(dynamics.first_peak_time(times, trace, 0.8) - peak) <= 1e-6
-    assert dynamics.first_peak_time(times, trace, 0.4) < 0.35
+    assert abs(first_peak_time(times, trace, 0.8) - peak) <= 1e-6
+    assert first_peak_time(times, trace, 0.4) < 0.35
     with pytest.raises(NoPeaks):
-        dynamics.first_peak_time(times, np.zeros_like(times), 0.8)
+        first_peak_time(times, np.zeros_like(times), 0.8)
+
+
+def direct_populations(energies, coefficients, times):
+    """F_j(t) = |sum_k c_jk e^{-i E_k t}|^2 by the direct sum, (n_times, n_nodes)."""
+    amplitudes = np.exp(-1j * np.outer(times, energies)) @ coefficients.T
+    return np.square(amplitudes.real) + np.square(amplitudes.imag)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(st.integers(3, 8), st.integers(0, 2**32 - 1), st.floats(0.05, 4.0),
+       st.floats(-5.0, 5.0), st.floats(0.05, 12.0), st.floats(0.05, 5.0))
+# A scan of 6 points where W h = 100: bisection runs out of intervals, and
+# the certificate (0.43 of the ceiling) says so.
+@example(8, 1, 100.0, 0.0, 12.0, 5.0)
+def test_window_peaks_are_the_certified_maximum_of_random_spectra(dim, seed, phase, t0, span,
+                                                                  scale):
+    # c_jk = V_jk (V^dag psi0)_k of a random Hermitian h and start state,
+    # scanned on [t0, t0 + span] in steps of ``phase`` / W, W the spectral
+    # width (the disorder sweep scans with W h <= 1).  Against a 20 001-point
+    # grid of step h: each value is at most the grid's maximum plus M_j h^2 / 8,
+    # and at least that maximum less the certificate, which is at most
+    # PEAK_TOL of the ceiling (sum_k |c_jk|)^2; both less rounding (1e-13 of
+    # the ceiling).  So the node's modulus sqrt(F), which the sweep averages,
+    # is within sqrt(PEAK_TOL * ceiling) of its maximum, as
+    # sqrt(F + g) - sqrt(F) <= sqrt(g).
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    energies, vectors = np.linalg.eigh(scale * (a + a.conj().T) / 2.0)
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    coefficients = vectors * (vectors.conj().T @ (psi0 / np.linalg.norm(psi0)))
+    count = 1 + math.ceil(span * (energies[-1] - energies[0]) / phase)
+    step = span / (count - 1)
+    scan = direct_populations(energies, coefficients, t0 + np.arange(count) * step)
+    peaks = dynamics.window_peaks(energies, coefficients, t0, step, scan)
+
+    fine = np.linspace(t0, t0 + span, 20_001)
+    grid = direct_populations(energies, coefficients, fine).max(axis=0)
+    size = np.abs(coefficients)
+    ceiling = size.sum(axis=1) ** 2
+    curvature = np.einsum("jk,jl,kl->j", size, size,
+                          np.subtract.outer(energies, energies) ** 2)
+    rounding = 1e-13 * ceiling
+    h = fine[1] - fine[0]
+    assert np.all(peaks.values <= grid + curvature * h * h / 8.0 + rounding)
+    assert np.all(peaks.values + peaks.certificates >= grid - rounding)
+    if phase <= 4.0:
+        assert np.all(peaks.certificates <= dynamics.PEAK_TOL * ceiling + 4.0 * np.spacing(ceiling))
+        modulus_gap = np.sqrt(peaks.values + peaks.certificates) - np.sqrt(peaks.values)
+        assert np.all(modulus_gap <= math.sqrt(dynamics.PEAK_TOL) * np.sqrt(ceiling))
+    # Each time lies in the window, and F there is the value.
+    assert np.all((t0 <= peaks.times) & (peaks.times <= t0 + span + 1e-12))
+    at_times = np.diagonal(direct_populations(energies, coefficients, peaks.times))
+    assert np.all(np.abs(at_times - peaks.values) <= rounding)
+
+
+def test_window_peaks_certify_an_edge_maximum_at_zero():
+    # F(t) = |0.6 + 0.3 e^{-i(t + pi/3)}|^2 = 0.45 + 0.36 cos(t + pi/3) falls
+    # all through [0, 1], so its maximum is the first sample, 0.63, below the
+    # ceiling 0.81.  No Newton bracket exists; the edge bound, F below F(0)
+    # within 2 |F'(0)| / M = 1.73 of t = 0, certifies the window without
+    # bisection.
+    energies = np.array([0.0, 1.0])
+    coefficients = np.array([[0.6, 0.3 * np.exp(-1j * math.pi / 3.0)]])
+    step, count = 0.1, 11
+    scan = direct_populations(energies, coefficients, np.arange(count) * step)
+    peaks = dynamics.window_peaks(energies, coefficients, 0.0, step, scan)
+    assert peaks.times[0] == 0.0
+    assert peaks.values[0] == scan[0, 0] == pytest.approx(0.63, abs=1e-15)
+    assert peaks.certificates[0] <= dynamics.PEAK_TOL * 0.81
+    assert (peaks.refined, peaks.bisected) == (0, 0)
+
+
+def test_window_peaks_of_a_zero_width_spectrum_are_the_constant():
+    # Equal levels: F is constant, so M = L = 0.  Where the c_k partly cancel
+    # it stays below the ceiling; nothing is bisected, and the certificate is
+    # rounding.  The second node is at its ceiling from the start.
+    energies = np.full(3, 1.5)
+    coefficients = np.array([[0.5, -0.3, 0.2j], [1.0, 0.0, 0.0]])
+    step, count = 0.25, 9
+    scan = direct_populations(energies, coefficients, np.arange(count) * step)
+    peaks = dynamics.window_peaks(energies, coefficients, 0.0, step, scan)
+    assert np.allclose(peaks.values, [0.2**2 + 0.2**2, 1.0], rtol=0.0, atol=1e-15)
+    assert peaks.bisected == 0
+    assert np.all(peaks.certificates <= 1e-15)
+
+
+def test_window_peaks_of_a_stack_are_each_row_alone():
+    # The sweep searches a chunk of samples at once; each sample's values,
+    # times and certificates are bitwise those of a search of it alone.
+    rng = np.random.default_rng(5)
+    systems = [np.linalg.eigh((lambda a: a + a.conj().T)(
+        rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))) for _ in range(6)]
+    energies = np.array([e for e, _ in systems])
+    coefficients = np.array([v[1:4] * v[0].conj() for _, v in systems])
+    step, count = 0.05, 41
+    scan = np.array([direct_populations(e, c, np.arange(count) * step)
+                     for e, c in zip(energies, coefficients)])
+    stacked = dynamics.window_peaks(energies, coefficients, 0.0, step, scan)
+    for i in range(len(systems)):
+        alone = dynamics.window_peaks(energies[i], coefficients[i], 0.0, step, scan[i])
+        for field in ("values", "times", "certificates"):
+            assert np.array_equal(getattr(stacked, field)[i], getattr(alone, field))
 
 
 def test_chirality_none_unless_every_ring_node_is_visited():

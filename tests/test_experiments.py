@@ -1,5 +1,7 @@
 import itertools
+import logging
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from chiralflow import dynamics, experiments, hilbert, models
 from chiralflow.errors import BadInitial, ConfigError, NotSpin
 from chiralflow.experiments import DisorderConfig, concurrence
-from conftest import disordered_stack
+from conftest import disordered_stack, first_peak_time
 
 
 @pytest.fixture(scope="module")
@@ -93,20 +95,28 @@ def test_hopping_scale_frequency_disorder_beats_tiny_hopping_disorder(base_spec)
 
 
 def reference_sweep(base, cfg, amplitudes, draw=experiments.perturbed_spec):
-    """The per-sample pipeline: simulate each sample, a spec drawn by
-    ``draw`` from the amplitude's one generator in sample order, alone, average the sqrt of each ring node's peak population,
-    then take mean and standard error."""
-    times = np.linspace(0.0, math.pi, 1601)
+    """The per-sample pipeline: each sample, a spec drawn by ``draw`` from the
+    amplitude's one generator in sample order, is simulated alone on the
+    sweep's scan, ``window_peaks`` takes each ring node's maximum from the
+    sample's own eigensystem, and the sqrt of those are averaged; then mean
+    and standard error."""
+    basis = hilbert.enumerate_basis(base.n_sites, 1, base.statistics)
+    ring = [j - 1 for j in base.ring_nodes]
     points = []
-    for a_idx, amplitude in enumerate(amplitudes):
+    counts = experiments._scan_points(base, cfg.kind, amplitudes, basis)
+    for a_idx, (amplitude, count) in enumerate(zip(amplitudes, counts)):
+        times = np.linspace(0.0, math.pi, count)
         fidelities = []
         # One stream per amplitude, each sample drawn after the one before.
         rng = np.random.default_rng((cfg.seed, a_idx))
         for _ in range(cfg.samples):
             spec = draw(base, cfg.kind, amplitude, rng)
             traj = dynamics.simulate(spec, hilbert.occupation(spec.n_sites, 1), times)
-            fidelities.append(np.mean([np.max(np.sqrt(traj.node_population(j)))
-                                       for j in spec.ring_nodes]))
+            system = dynamics.eigendecompose(hilbert.build_hamiltonian(spec, basis))
+            vectors = system.eigenvectors
+            peaks = dynamics.window_peaks(system.eigenvalues, vectors[ring] * vectors[0].conj(),
+                                          0.0, math.pi / (count - 1), traj.populations[:, ring])
+            fidelities.append(np.mean(np.sqrt(peaks.values)))
         results = np.array(fidelities)
         stderr = (float(np.std(results - results[0], ddof=1) / math.sqrt(cfg.samples))
                   if cfg.samples > 1 else 0.0)
@@ -115,10 +125,23 @@ def reference_sweep(base, cfg, amplitudes, draw=experiments.perturbed_spec):
     return points
 
 
-@pytest.mark.parametrize("samples", [1, experiments._SAMPLE_BLOCK + 3,
-                                     2 * experiments._SAMPLE_BLOCK + 1])
+def chunk_samples(base, kind, amplitude):
+    """Samples per chunk of the sweep at one amplitude."""
+    basis = hilbert.enumerate_basis(base.n_sites, 1, base.statistics)
+    count = experiments._scan_points(base, kind, [amplitude], basis)[0]
+    return max(experiments._CHUNK_MIN_SAMPLES,
+               experiments._CHUNK_ENTRIES // (count * len(basis)))
+
+
+# Amplitudes whose scans are long enough to split a few dozen samples into
+# chunks: strength draws of 10 cross zero, phase draws of 4 wrap past pi.
+LARGE_AMPLITUDE = {"frequency": 30.0, "hopping_strength": 10.0, "hopping_phase": 4.0}
+
+
+@pytest.mark.parametrize("samples", [1, 7, 9])
 @pytest.mark.parametrize("kind", experiments.DISORDER_KINDS)
 def test_blocked_sweep_is_the_per_sample_pipeline_bit_for_bit(base_spec, kind, samples):
+    # One chunk per amplitude: each sample's search is bitwise its own.
     cfg = DisorderConfig(kind, samples, 4)
     amplitudes = [0.0, 0.3] + ([30.0] if kind == "frequency" else [])
     assert (experiments.disorder_sweep(base_spec, cfg, amplitudes)
@@ -127,9 +150,10 @@ def test_blocked_sweep_is_the_per_sample_pipeline_bit_for_bit(base_spec, kind, s
 
 @pytest.mark.parametrize("kind", experiments.DISORDER_KINDS)
 def test_chunked_sweep_is_the_per_sample_pipeline_bit_for_bit(base_spec, kind):
-    # Two chunks, the second ending in a partial block.
-    cfg = DisorderConfig(kind, experiments._SAMPLE_CHUNK + experiments._SAMPLE_BLOCK + 1, 6)
-    amplitudes = [0.3] + ([30.0] if kind == "frequency" else [1.5])
+    # Two chunks at the larger amplitude, the second of two samples.
+    large = LARGE_AMPLITUDE[kind]
+    cfg = DisorderConfig(kind, chunk_samples(base_spec, kind, large) + 2, 6)
+    amplitudes = [0.3, large]
     assert (experiments.disorder_sweep(base_spec, cfg, amplitudes)
             == reference_sweep(base_spec, cfg, amplitudes))
 
@@ -137,14 +161,55 @@ def test_chunked_sweep_is_the_per_sample_pipeline_bit_for_bit(base_spec, kind):
 @pytest.mark.parametrize("kind", experiments.DISORDER_KINDS)
 def test_sweep_does_not_depend_on_the_chunk_size(base_spec, kind, monkeypatch):
     # One sample per chunk, chunks that do not divide the samples, and one
-    # chunk with a partial second one: the draws are the same stream.
+    # chunk for all: the draws are the same stream.
     cfg = DisorderConfig(kind, 45, 8)
-    amplitudes = [0.3, 30.0 if kind == "frequency" else 1.5]
+    amplitudes = [0.3, LARGE_AMPLITUDE[kind]]
     sweeps = []
-    for chunk in (1, 7, 40):
-        monkeypatch.setattr(experiments, "_SAMPLE_CHUNK", chunk)
+    monkeypatch.setattr(experiments, "_CHUNK_MIN_SAMPLES", 1)
+    for entries in (1, 7 * 5 * 200, 2**20):
+        monkeypatch.setattr(experiments, "_CHUNK_ENTRIES", entries)
         sweeps.append(experiments.disorder_sweep(base_spec, cfg, amplitudes))
     assert sweeps[0] == sweeps[1] == sweeps[2]
+
+
+def test_default_study_moves_each_sample_up_by_at_most_the_grid_bound(base_spec):
+    # Every sample of the default study (seed 0, 200 samples per row)
+    # against the 1601-point grid of [0, pi] whose maximum the sweep took
+    # before its certified search: per ring node, old - delta <= new <=
+    # old + M h^2 / 8, h = pi / 1600, M = sum_kl |c_k||c_l| (E_k - E_l)^2 and
+    # delta = PEAK_TOL times the ceiling (the certificate) plus 1e-15 (the
+    # rounding of the two evaluations).  Measured: the largest fall is
+    # 4.4e-16, the largest rise 7.2e-6 (0.995 of its bound), and a sample's
+    # fidelity rises by at most 2.0e-6.  Each row's mean is the sweep's.
+    basis = hilbert.enumerate_basis(base_spec.n_sites, 1, base_spec.statistics)
+    psi0 = basis.unit_vector(hilbert.occupation(base_spec.n_sites, 1))
+    ring = [j - 1 for j in base_spec.ring_nodes]
+    grid = np.linspace(0.0, math.pi, 1601)
+    h = grid[1]
+    for kind in experiments.DISORDER_KINDS:
+        amplitudes = [0.0, 0.1, 0.2, 0.3]
+        points = experiments.disorder_sweep(base_spec, DisorderConfig(kind, 200, 0), amplitudes)
+        for a_idx, (amplitude, point) in enumerate(zip(amplitudes, points)):
+            pattern = hilbert._spec_pattern(experiments.perturbed_spec(
+                base_spec, kind, amplitude, np.random.default_rng((0, a_idx))), basis)
+            stack = disordered_stack(base_spec, kind, amplitude, basis, pattern,
+                                     np.random.default_rng((0, a_idx)), 200)
+            system, weights, phases, modes = dynamics._eigen_phase_modes(stack, psi0, grid)
+            old = dynamics._populations(phases, modes, None, grid.size)[..., ring].max(axis=-2)
+            count = experiments._scan_points(base_spec, kind, [amplitude], basis)[0]
+            _, _, phases, modes = dynamics._eigen_phase_modes(
+                stack, psi0, np.linspace(0.0, math.pi, count))
+            coefficients = system.eigenvectors[:, ring] * weights[:, None, :]
+            new = dynamics.window_peaks(
+                system.eigenvalues, coefficients, 0.0, math.pi / (count - 1),
+                dynamics._populations(phases, modes, None, count)[..., ring]).values
+            size = np.abs(coefficients)
+            gaps = system.eigenvalues[:, :, None] - system.eigenvalues[:, None, :]
+            curvature = np.einsum("sjk,sjl,skl->sj", size, size, gaps**2)
+            delta = dynamics.PEAK_TOL * size.sum(axis=-1) ** 2 + 1e-15
+            assert np.all(old - delta <= new), (kind, amplitude, np.min(new - old))
+            assert np.all(new <= old + curvature * h * h / 8.0), (kind, amplitude)
+            assert np.mean(np.sqrt(new).mean(axis=-1)) == point.mean_fidelity
 
 
 @pytest.mark.parametrize("kind", experiments.DISORDER_KINDS)
@@ -167,13 +232,16 @@ def test_sample_s_is_the_amplitude_stream_advanced_past_s_samples(base_spec, ons
 
 @pytest.mark.parametrize("n_ring", [38, 39], ids=["fold", "table"])
 def test_sweep_on_either_side_of_the_fold_is_the_per_sample_pipeline_bit_for_bit(n_ring):
-    # On 1601 points K is 41 for 39 states (41 * 39 < 1601), and is cut to
-    # 40 for 40 states (41 * 40 >= 1601).
+    # A frequency amplitude whose scan has 1600 points: K is 40 for 39 states
+    # (40 * 39 < 1600), and is cut to 39 for 40 states (40 * 40 >= 1600).
     base = models.asgf(n_ring, 2.0, math.pi / 2)
-    dim = base.n_sites
-    assert dynamics._fold(1601, dim) == (41 if n_ring == 38 else 40)
-    cfg = DisorderConfig("hopping_phase", experiments._SAMPLE_BLOCK + 1, 2)
-    amplitudes = [0.0, 0.3]
+    basis = hilbert.enumerate_basis(base.n_sites, 1, base.statistics)
+    levels = dynamics.eigendecompose(hilbert.build_hamiltonian(base, basis)).eigenvalues
+    amplitude = (1598.5 * experiments._SCAN_PHASE / math.pi - (levels[-1] - levels[0])) / 2.0
+    assert experiments._scan_points(base, "frequency", [amplitude], basis)[0] == 1600
+    assert dynamics._fold(1600, base.n_sites) == (40 if n_ring == 38 else 39)
+    cfg = DisorderConfig("frequency", 5, 2)
+    amplitudes = [0.0, amplitude]
     assert (experiments.disorder_sweep(base, cfg, amplitudes)
             == reference_sweep(base, cfg, amplitudes))
 
@@ -184,7 +252,7 @@ def test_sweep_with_onsite_terms_is_the_per_sample_pipeline_bit_for_bit(onsite_s
     # draws of 3 cross zero; phase draws of 4 wrap past pi.  The reference
     # builds each sample by ``dataclasses.replace``, apart from the sweep's
     # array draw.
-    cfg = DisorderConfig(kind, experiments._SAMPLE_BLOCK + 3, 5)
+    cfg = DisorderConfig(kind, 7, 5)
     amplitudes = [0.0, 0.3, 4.0 if kind == "hopping_phase" else 3.0]
     assert (experiments.disorder_sweep(onsite_spec, cfg, amplitudes)
             == reference_sweep(onsite_spec, cfg, amplitudes, draw=replaced_spec))
@@ -201,9 +269,39 @@ def test_sweep_draws_one_spec_per_amplitude(base_spec, kind, monkeypatch):
 
     perturbed_spec = experiments.perturbed_spec
     monkeypatch.setattr(experiments, "perturbed_spec", counted)
-    cfg = DisorderConfig(kind, 2 * experiments._SAMPLE_CHUNK + 1, 0)
+    # One sample per chunk.
+    monkeypatch.setattr(experiments, "_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(experiments, "_CHUNK_MIN_SAMPLES", 1)
+    cfg = DisorderConfig(kind, 9, 0)
     experiments.disorder_sweep(base_spec, cfg, [0.0, 0.1, 0.3])
     assert drawn == [0.0, 0.1, 0.3]
+
+
+def test_sweep_logs_its_search_once_per_amplitude(base_spec, caplog):
+    # At INFO each amplitude gets one line: the scan points, the Newton
+    # brackets refined, the nodes bisection had to search and the largest
+    # certificate.  The clean ring peaks at each node's ceiling or between
+    # samples; frequency draws of 30 leave nodes for bisection.
+    caplog.set_level(logging.INFO, logger="chiralflow.experiments")
+    amplitudes = [0.0, 0.3, 30.0]
+    experiments.disorder_sweep(base_spec, DisorderConfig("frequency", 20, 1), amplitudes)
+    basis = hilbert.enumerate_basis(base_spec.n_sites, 1, base_spec.statistics)
+    counts = experiments._scan_points(base_spec, "frequency", amplitudes, basis)
+    lines = [record.getMessage() for record in caplog.records]
+    assert len(lines) == len(amplitudes)
+    found = []
+    for line, amplitude, count in zip(lines, amplitudes, counts):
+        match = re.search(r"amplitude=(\S+) .*scan=(\d+) points refined=(\d+) bisected=(\d+) "
+                          r"certificate=(\S+)$", line)
+        assert match, line
+        assert float(match[1]) == amplitude
+        assert int(match[2]) == count
+        refined, bisected = int(match[3]), int(match[4])
+        # At most one bracket and one bisection per ring node and sample.
+        assert 0 <= refined <= 20 * 4 and 0 <= bisected <= 20 * 4
+        assert float(match[5]) <= dynamics.PEAK_TOL
+        found.append((refined, bisected))
+    assert found[0][1] == 0 and found[2][1] > 0
 
 
 def replaced_spec(base, kind, amplitude, rng):
@@ -262,8 +360,7 @@ def test_perturbed_spec_respects_invariants(base_spec, onsite_spec):
 @pytest.mark.parametrize("kind", ["hopping_phase", "frequency"])
 def test_sweep_memory_does_not_grow_with_samples(base_spec, kind):
     # Eight chunks of samples take the working memory of one (+0.06 MiB): each
-    # chunk's arrays are freed before the next chunk's are formed.  Stacking
-    # all 320 samples at once took 3 MiB more.
+    # chunk's arrays are freed before the next chunk's are formed.
     def peak(samples):
         cfg = DisorderConfig(kind, samples, 2)
         tracemalloc.start()
@@ -273,8 +370,9 @@ def test_sweep_memory_does_not_grow_with_samples(base_spec, kind):
         finally:
             tracemalloc.stop()
 
-    peak(experiments._SAMPLE_CHUNK)  # the first sweep also sets up NumPy's lazy state
-    one, eight = peak(experiments._SAMPLE_CHUNK), peak(8 * experiments._SAMPLE_CHUNK)
+    chunk = chunk_samples(base_spec, kind, 0.3)
+    peak(chunk)  # the first sweep also sets up NumPy's lazy state
+    one, eight = peak(chunk), peak(8 * chunk)
     assert eight - one < 2**19, (one, eight)
 
 
@@ -585,9 +683,9 @@ def test_bell_initial_conditions(spin_ring):
 def test_bell_states_counter_propagate(spin_ring):
     psi = experiments.bell_transport(spin_ring, "psi")
     phi = experiments.bell_transport(spin_ring, "phi")
-    t_psi = [dynamics.first_peak_time(psi.times, psi.psi_populations[p], 0.8)
+    t_psi = [first_peak_time(psi.times, psi.psi_populations[p], 0.8)
              for p in (1, 2)]
-    t_phi = [dynamics.first_peak_time(phi.times, phi.phi_populations[p], 0.8)
+    t_phi = [first_peak_time(phi.times, phi.phi_populations[p], 0.8)
              for p in (1, 2)]
     # pair order is (12), (23), (31): one initial state reaches (31) before
     # (23), the other the opposite way around
@@ -603,9 +701,9 @@ def test_concurrence_tracks_bell_populations(spin_ring):
     ):
         result = experiments.bell_transport(spin_ring, initial)
         pops = getattr(result, traces)
-        pop_times = [dynamics.first_peak_time(result.times, pops[p], 0.8)
+        pop_times = [first_peak_time(result.times, pops[p], 0.8)
                      for p in range(3)]
-        conc_times = [dynamics.first_peak_time(result.times, result.concurrence[p], 0.8)
+        conc_times = [first_peak_time(result.times, result.concurrence[p], 0.8)
                       for p in range(3)]
         assert np.argsort(pop_times).tolist() == np.argsort(conc_times).tolist()
 
