@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import DISORDER_KINDS
 from .dynamics import (
     _eigen_phase_modes,
     _populations,
@@ -57,10 +58,7 @@ def relative_frequency_amplitude(fraction: float) -> float:
     return fraction * FREQUENCY_TO_HOPPING_RATIO
 
 
-FREQUENCY = "frequency"
-HOPPING_STRENGTH = "hopping_strength"
-HOPPING_PHASE = "hopping_phase"
-DISORDER_KINDS = (FREQUENCY, HOPPING_STRENGTH, HOPPING_PHASE)
+FREQUENCY, HOPPING_STRENGTH, HOPPING_PHASE = DISORDER_KINDS
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chiralflow import cli, dynamics
+from chiralflow import cli, commands, dynamics
 from chiralflow.errors import ConfigError, NoPeaks
 
 
@@ -244,11 +244,13 @@ def test_study_floquet_csv(tmp_path):
 
 
 def test_numeric_failure_exits_3(monkeypatch, capsys):
-    # An arithmetic or allocation error is a numeric failure too, never exit 1
-    # (a false verdict).
+    # An arithmetic, allocation or linear-algebra error is a numeric failure
+    # too, never exit 1 (a false verdict).
     for error in (NoPeaks("no node population reaches the peak threshold"),
                   OverflowError("high - low range exceeds valid bounds"),
-                  MemoryError("Unable to allocate 298. GiB for an array")):
+                  MemoryError("Unable to allocate 298. GiB for an array"),
+                  np.linalg.LinAlgError("Eigenvalues did not converge"),
+                  ValueError("array must not contain infs or NaNs")):
         def broken(*args, **kwargs):
             raise error
 
@@ -374,7 +376,7 @@ def test_oracle_check_passes(capsys):
 
 def test_svg_chart_is_self_contained():
     x = np.linspace(0, 1, 50)
-    chart = cli.svg_line_chart(x, [np.sin(x), np.cos(x)], ["a", "b"], "demo")
+    chart = commands.svg_line_chart(x, [np.sin(x), np.cos(x)], ["a", "b"], "demo")
     assert chart.count("<polyline") == 2
     assert "xmlns" in chart
 
@@ -390,21 +392,60 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "chiralflow
 
 @pytest.mark.parametrize("module", ["chiralflow.hilbert", "chiralflow.oracles", "chiralflow.cli"])
 def test_importing_a_module_loads_only_what_it_imports(module):
-    # The package re-exports nothing, so hilbert brings only errors along and
-    # the closed forms of oracles bring nothing, while the CLI still loads
-    # every module of the package.
+    # The package re-exports nothing, so hilbert brings only errors along,
+    # the closed forms of oracles bring nothing, and the CLI's front door
+    # brings only errors until it dispatches a command.
     package = Path(cli.__file__).resolve().parent
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, module],
                           env={**os.environ, "PYTHONPATH": str(package.parent)},
                           capture_output=True, text=True, timeout=60, check=True)
     if module == "chiralflow.cli":
-        expected = ["chiralflow"] + [f"chiralflow.{p.stem}" for p in package.glob("*.py")
-                                     if p.stem != "__init__"]
+        expected = ["chiralflow", "chiralflow.cli", "chiralflow.errors"]
     elif module == "chiralflow.oracles":
         expected = ["chiralflow", "chiralflow.oracles"]
     else:
         expected = ["chiralflow", "chiralflow.errors", "chiralflow.hilbert"]
     assert json.loads(proc.stdout) == sorted(expected)
+
+
+# Runs in a fresh interpreter: calls main on each argv in turn, in one
+# process, and prints after each its exit code, whether numpy is loaded and
+# the chiralflow modules then loaded.
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+from chiralflow.cli import main
+
+steps = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    steps.append([argv, code, "numpy" in sys.modules,
+                  sorted(m for m in sys.modules if m.split(".")[0] == "chiralflow")])
+print(json.dumps(steps))
+"""
+
+
+def test_cli_loads_numpy_only_to_dispatch_a_command():
+    # --help, a usage error and a run configuration that fails validation are
+    # answered by the front door alone.  A dispatched command loads every
+    # module of the package at once, whichever it uses: the benchmark's
+    # tracer wraps functions only in modules already loaded.
+    package = Path(cli.__file__).resolve().parent
+    front = ["chiralflow", "chiralflow.cli", "chiralflow.errors"]
+    every = sorted(["chiralflow"] + [f"chiralflow.{p.stem}" for p in package.glob("*.py")
+                                     if p.stem != "__init__"])
+    expected = [[["--help"], 0, False, front],
+                [["simulate", "--model", "nope"], 2, False, front],
+                [["simulate", "--grid", "1"], 2, False, front],
+                [["spectrum", "--model", "sgf", "--n", "3"], 0, True, every]]
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE,
+                           json.dumps([argv for argv, *_ in expected])],
+                          env={**os.environ, "PYTHONPATH": str(package.parent)},
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert json.loads(proc.stdout) == expected
 
 
 # Runs in a fresh interpreter, so nothing the test session imported counts.

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chiralflow import cli, dynamics, hilbert, models, oracles
+from chiralflow import cli, commands, dynamics, hilbert, models, oracles
 from chiralflow.dynamics import Direction
 from chiralflow.errors import DimensionMismatch, EmptyWindow, NoPeaks, OutOfRange
 from conftest import evolve_spec, first_peak_time, hermitian, spec_hamiltonian
@@ -544,7 +544,7 @@ def test_dense_sector_populations_match_direct_exponential(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     workloads = importlib.import_module("workloads")
     cfg = cli.RunConfig(model="ladder", n=workloads.DENSE_CELLS)
-    spec = cli.build_spec(cfg)
+    spec = commands.build_spec(cfg)
     basis = hilbert.enumerate_basis(spec.n_sites, workloads.DENSE_EXCITATIONS, spec.statistics)
     assert len(basis) >= dynamics.KRYLOV_MIN_DIM
     h = hilbert.build_hamiltonian(spec, basis)
@@ -562,7 +562,7 @@ def test_dense_sector_populations_match_direct_exponential(monkeypatch):
 def test_dense_sector_simulate_stays_sparse(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     workloads = importlib.import_module("workloads")
-    spec = cli.build_spec(cli.RunConfig(model="ladder", n=workloads.DENSE_CELLS))
+    spec = commands.build_spec(cli.RunConfig(model="ladder", n=workloads.DENSE_CELLS))
     pattern = tuple(int(c) for c in workloads.dense_pattern(0))
     times = np.linspace(0.0, 2.0 * math.pi, workloads.DENSE_GRID)
 
@@ -592,7 +592,7 @@ def test_krylov_array_stays_at_fixed_size(monkeypatch):
     # and peak at 2.2 MiB, with scipy.sparse imported beforehand.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     workloads = importlib.import_module("workloads")
-    spec = cli.build_spec(cli.RunConfig(model="ladder", n=workloads.DENSE_CELLS))
+    spec = commands.build_spec(cli.RunConfig(model="ladder", n=workloads.DENSE_CELLS))
     basis = hilbert.enumerate_basis(spec.n_sites, workloads.DENSE_EXCITATIONS, spec.statistics)
     h = hilbert.build_hamiltonian(spec, basis)
     psi0 = basis.unit_vector(tuple(int(c) for c in workloads.dense_pattern(0)))
@@ -799,7 +799,7 @@ def test_stepped_amplitudes_ignore_later_changes_to_the_start():
 def test_long_window_on_the_50_site_ladder_holds_a_fixed_krylov_array():
     # 22 100 three-boson states over 20 pi: the one growing space of the
     # whole window needed a (4352, 22100) Lanczos array, 1.43 GiB.
-    spec = cli.build_spec(cli.RunConfig(model="ladder", n=16))
+    spec = commands.build_spec(cli.RunConfig(model="ladder", n=16))
     basis = hilbert.enumerate_basis(spec.n_sites, 3, spec.statistics)
     h = hilbert.build_hamiltonian(spec, basis)
     psi0 = basis.unit_vector(hilbert.occupation(spec.n_sites, 2, 25, 26))

@@ -5,9 +5,11 @@ Usage: python tools/cli_snapshot.py OUTDIR
 Each command runs in a fresh interpreter on the ``src`` tree next to this
 script, with ``OUTDIR/<name>`` as its working directory, so the files it
 writes land there under relative names.  Beside them go ``stdout``,
-``stderr`` and ``exit_code``.  A refactor that should not change behaviour
-is checked by snapshotting the parent and the change into two directories
-and comparing them with ``diff -r``.  Nothing is written outside OUTDIR.
+``stderr`` and ``exit_code``.  Every command sees ``COLUMNS=80``, so help
+text wraps the same in any terminal.  A refactor that should not change
+behaviour is checked by snapshotting the parent and the change into two
+directories and comparing them with ``diff -r``.  Nothing is written
+outside OUTDIR.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 COMMANDS = {
+    # The parser's own output, wrapped at the pinned width of 80 columns.
+    "help": ["--help"],
+    "help-study-disorder": ["study", "disorder", "--help"],
     "floquet-default": ["study", "floquet", "--out", "floquet.csv"],
     "floquet-10-20": ["study", "floquet", "--ratios", "10,20", "--out", "floquet.csv"],
     "bell-psi": ["study", "bell", "--initial", "psi", "--out", "bell.csv"],
@@ -63,7 +68,7 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     out = Path(argv[0])
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
     for name, args in COMMANDS.items():
         cwd = out / name
         cwd.mkdir(parents=True, exist_ok=False)
