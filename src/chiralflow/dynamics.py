@@ -5,15 +5,17 @@ uniform grid the phases e^{-iEt} factor into P[a] * Q[b] for t = t_{aK+b}
 (``_uniform_phases``), and ``_phase_modes`` folds Q into the modes, with K
 cut so that the fold is never larger than the phase table; the table itself
 is never built.  From ``KRYLOV_MIN_DIM`` states on ``evolve`` marches
-through the window in Krylov steps instead: each step runs at most ``KRYLOV_DIM``
-Lanczos vectors from the state at its start, on a sparse H built from the
-triplets, and lasts as long as the closed-form defect bound of
-``_power_bound`` keeps within its share of ``KRYLOV_TOL``, so the state is
-within ``KRYLOV_TOL`` of exact over the whole window.  Populations are
-formed in blocks of time steps in one reused buffer, so neither a dense H
-nor the full amplitude table is ever held, and memory is O(``KRYLOV_DIM`` *
-dim) for any window.  Time is linear in the window, and a window of more
-than ``KRYLOV_MAX_STEPS`` steps is refused up front.
+through the window in Krylov steps instead: each step runs at most
+``KRYLOV_DIM`` Lanczos vectors from the state at its start, on H held as
+padded rows of its triplets (``_padded_product``), and lasts as long as the
+closed-form defect bound of ``_power_bound`` keeps within its share of
+``KRYLOV_TOL``, so the state is within ``KRYLOV_TOL`` of exact over the
+whole window.  Populations
+are formed in blocks of at least ``KRYLOV_DIM`` time steps in one reused
+buffer, so neither a dense H nor the full amplitude table is ever held, and
+memory is O(``KRYLOV_DIM`` * dim) for any window.  Time is linear in the
+window, and a window of more than ``KRYLOV_MAX_STEPS`` steps is refused up
+front.  Nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -49,9 +51,13 @@ KRYLOV_TOL = 1e-13
 KRYLOV_DIM = 40
 KRYLOV_MAX_STEPS = 10_000
 # Complex entries of one block of amplitudes in ``evolve``'s population loop
-# (16 MB): below KRYLOV_MIN_DIM states, grids of up to 2628 points take a
-# single block.
-POPULATION_BLOCK = 2**20
+# (2 MB), which takes at least KRYLOV_DIM rows per block: each block re-reads
+# the whole Lanczos basis, and 2**17 entries alone would cut the 22 100-state
+# ladder sector into blocks of 5 rows.  A Krylov step's buffer is then at most
+# max(KRYLOV_DIM * dim, POPULATION_BLOCK) entries, within 8.2 times the
+# Lanczos array.  Below KRYLOV_MIN_DIM states, grids of up to 328 points take
+# a single block.
+POPULATION_BLOCK = 2**17
 # ``window_peaks``: the certificate it aims for, relative to each node's
 # ceiling (sum_k |c_k|)^2 and well above the rounding of F (about 1e-16 of
 # it); the halvings of a scan step after which bisection stops (40 halvings
@@ -169,10 +175,10 @@ def evolve(h: HermitianMatrix, psi0, times, basis: SubspaceBasis | None = None,
     a Krylov space of at most ``KRYLOV_DIM`` vectors per step, certified so
     that psi(t) is within ``KRYLOV_TOL`` of exact at every grid time, each
     factored by ``_phase_modes`` in turn.  Populations and the norm
-    check are formed in blocks of rows of the phases, at most
-    ``POPULATION_BLOCK`` amplitudes each, multiplied into one reused
-    amplitude buffer; the amplitudes themselves are recomputed on demand
-    (see :class:`Trajectory`).
+    check are formed in blocks of rows of the phases, ``POPULATION_BLOCK``
+    amplitudes each but at least ``KRYLOV_DIM`` rows, multiplied into one
+    reused amplitude buffer; the amplitudes themselves are recomputed on
+    demand (see :class:`Trajectory`).
 
     Without a basis each amplitude is treated as one node (the single
     excitation case); with a basis, node populations are occupation-weighted
@@ -212,7 +218,7 @@ def evolve(h: HermitianMatrix, psi0, times, basis: SubspaceBasis | None = None,
         count += 1
         bound += step_bound
         fold = modes.shape[-2]  # time steps per row of phases
-        block = max(1, POPULATION_BLOCK // (fold * dim))  # rows of phases per block
+        block = max(KRYLOV_DIM, POPULATION_BLOCK // (fold * dim))  # rows of phases per block
         if buffer is None:
             buffer = np.empty((min(block, -(-times.size // fold)), fold * dim), dtype=complex)
         for lo in range(0, phases.shape[0], block):
@@ -223,7 +229,8 @@ def evolve(h: HermitianMatrix, psi0, times, basis: SubspaceBasis | None = None,
             blocks += 1
     if dim >= KRYLOV_MIN_DIM:
         log.info("evolve: %d states, %d Krylov steps of m<=%d, summed bound %.3g, "
-                 "%d population blocks", dim, count, KRYLOV_DIM, bound, blocks)
+                 "%d population blocks of <=%d rows", dim, count, KRYLOV_DIM, bound, blocks,
+                 block)
     labels = labels or tuple(f"node_{j}" for j in range(1, populations.shape[1] + 1))
     populations.setflags(write=False)
     return Trajectory(times, populations, tuple(labels), None, steps)
@@ -261,24 +268,23 @@ def _populations(phases: np.ndarray, modes: np.ndarray, occupations: np.ndarray 
 def _krylov_steps(h: HermitianMatrix, psi0: np.ndarray, times: np.ndarray) -> Iterator[Step]:
     """The Krylov steps that carry psi0 from t = 0 across an ascending grid.
 
-    Each step runs ``_lanczos`` from the normalised state at its start and
-    lasts as long as ``_step_length`` certifies it within ``KRYLOV_TOL`` *
-    tau / T, T the length of the window from 0, so the bounds of all steps
-    sum to at most ``KRYLOV_TOL``.  It yields the grid rows it reaches, the
-    Ritz phases of t minus its start weighted by V^dag psi and mapped back
-    to the Lanczos basis (their ``_phase_modes`` factors multiplied out by
-    ``_amplitudes``, at most ``KRYLOV_DIM`` wide), and the Lanczos vectors as
-    ``modes`` with K = 1, which the next step overwrites; the next step
-    starts from V (e^{-i L tau} * w).
+    Each step runs ``_lanczos`` from the normalised state at its start, on
+    the product of ``_padded_product``, and lasts as long as
+    ``_step_length`` certifies it within ``KRYLOV_TOL`` * tau / T, T the
+    length of the window from 0, so the bounds of all steps sum to at most
+    ``KRYLOV_TOL``.  It yields the grid rows it reaches, the Ritz phases of
+    t minus its start weighted by V^dag psi and mapped back to the Lanczos
+    basis (their ``_phase_modes`` factors multiplied out by ``_amplitudes``,
+    at most ``KRYLOV_DIM`` wide), and the Lanczos vectors as ``modes`` with
+    K = 1, which the next step overwrites; the next step starts from
+    V (e^{-i L tau} * w).
     Grid times before 0 take a march backward from psi0.  A march that one
     space certifies to its end takes one step (eigenvector starts, a zero H,
     a zero window).
     Raises OutOfRange, before marching on, once the steps taken and the rest
     of the window over the current step's length exceed ``KRYLOV_MAX_STEPS``.
     """
-    from scipy.sparse import csr_array  # imported here: ~0.12 s, as long as numpy and the package
-
-    matrix = csr_array((h.values, (h.rows, h.cols)), shape=(h.dim, h.dim))
+    matvec = _padded_product(h)
     vectors = np.empty((KRYLOV_DIM, h.dim), dtype=complex)
     first = int(np.searchsorted(times, 0.0))  # the rows before it lie before 0
     window = float(np.maximum(times[-1], 0.0) - np.minimum(times[0], 0.0))
@@ -287,7 +293,7 @@ def _krylov_steps(h: HermitianMatrix, psi0: np.ndarray, times: np.ndarray) -> It
         # The rows lo..hi - 1 are still to reach; the march ends at ``end``.
         state, now, end = psi0, 0.0, float(times[0 if sign < 0 else -1])
         while lo < hi:
-            system, beta = _lanczos(matrix, state / np.linalg.norm(state), vectors, window)
+            system, beta = _lanczos(matvec, state / np.linalg.norm(state), vectors, window)
             rest = abs(end - now)
             tau, bound = _step_length(beta, rest, window)
             if tau < rest and count + rest / tau > KRYLOV_MAX_STEPS:
@@ -317,11 +323,39 @@ def _krylov_steps(h: HermitianMatrix, psi0: np.ndarray, times: np.ndarray) -> It
                 state = (system.eigenvectors @ step) @ vectors[:m]
 
 
-def _lanczos(matrix, start: np.ndarray, vectors: np.ndarray,
-             window: float) -> tuple[EigenSystem, np.ndarray]:
-    """Lanczos from the unit vector ``start`` on a sparse h: the eigensystem of
-    the tridiagonal T_m, and its off-diagonal entries beta_1..beta_m, where
-    beta_m is the norm of the residual.
+def _padded_product(h: HermitianMatrix) -> Callable[[np.ndarray], np.ndarray]:
+    """The product x -> h @ x, a new array, on h held as padded rows (an ELL
+    layout): (dim, max row degree) ``cols`` and ``values``, each row's
+    entries in ascending column order and padded with column 0 and value 0,
+    so that (h @ x)[i] = sum_j values[i, j] x[cols[i, j]].
+
+    Duplicate triplets are summed first, in triplet order, as in
+    ``HermitianMatrix.matrix``.  Sorted by row, then column, the entries are
+    in canonical CSR order, and each row sums in that order, as scipy's
+    ``csr_matvec`` does (the padding adds zeros).
+    """
+    order = np.lexsort((h.cols, h.rows))  # stable: duplicates keep triplet order
+    rows, cols = h.rows[order], h.cols[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    values = np.zeros(np.count_nonzero(new), dtype=complex)
+    np.add.at(values, np.cumsum(new) - 1, h.values[order])
+    rows, cols = rows[new], cols[new]
+    degree = np.bincount(rows, minlength=h.dim)
+    slot = np.arange(rows.size) - (np.cumsum(degree) - degree)[rows]
+    padded_cols = np.zeros((h.dim, int(degree.max(initial=0))), dtype=np.intp)
+    padded_values = np.zeros(padded_cols.shape, dtype=complex)
+    padded_cols[rows, slot] = cols
+    padded_values[rows, slot] = values
+    return lambda x: np.einsum("ij,ij->i", padded_values, x[padded_cols])
+
+
+def _lanczos(matvec: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
+             vectors: np.ndarray, window: float) -> tuple[EigenSystem, np.ndarray]:
+    """Lanczos from the unit vector ``start`` on h, given by ``matvec``, its
+    product with a vector as a new array: the eigensystem of the tridiagonal
+    T_m, and its off-diagonal entries beta_1..beta_m, where beta_m is the
+    norm of the residual.
 
     With full reorthogonalisation it fills the rows of ``vectors`` with Q,
     where h Q = Q T_m + beta_m q e_m^T.  It stops when ``vectors`` is full,
@@ -331,7 +365,7 @@ def _lanczos(matrix, start: np.ndarray, vectors: np.ndarray,
     alpha: list[float] = []
     beta: list[float] = []
     for j in range(vectors.shape[0]):
-        w = matrix @ vectors[j]
+        w = matvec(vectors[j])
         if j:
             w -= beta[-1] * vectors[j - 1]
         alpha.append(float(np.vdot(vectors[j], w).real))

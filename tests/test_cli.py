@@ -465,6 +465,9 @@ except SystemExit:
     pass
 steps = [("import and --help", 0, scipy_modules())]
 for argv in (["simulate", "--model", "asgf", "--n", "4", "--out", out],
+             # 560 states: the Krylov branch of evolve.
+             ["simulate", "--model", "ladder", "--n", "4", "--init", "11100000000000",
+              "--out", out],
              ["study", "disorder", "--samples", "2", "--out", out],
              ["study", "floquet", "--ratios", "2", "--out", out],
              ["study", "optimize", "--ncopies", "3", "--out", out],

@@ -589,7 +589,7 @@ def test_krylov_array_stays_at_fixed_size(monkeypatch):
     # The 1540-state sector over 2 pi: one space grown over the whole window
     # (about 155 vectors) peaked at 10.8 MiB, and reserving rows for a share
     # of the dimension near 19 MiB.  The steps hold KRYLOV_DIM vectors (1 MiB)
-    # and peak at 2.2 MiB, with scipy.sparse imported beforehand.
+    # and the padded rows of H (0.4 MiB), and peak at 3.0 MiB.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     workloads = importlib.import_module("workloads")
     spec = commands.build_spec(cli.RunConfig(model="ladder", n=workloads.DENSE_CELLS))
@@ -646,7 +646,7 @@ def test_evolve_logs_one_line_per_krylov_call(caplog):
     message = record.getMessage()
     assert message.startswith(f"evolve: {n} states, 1 Krylov steps of m<={dynamics.KRYLOV_DIM}, ")
     assert "summed bound" in message
-    assert message.endswith(", 1 population blocks")
+    assert message.endswith(f", 1 population blocks of <={dynamics.POPULATION_BLOCK // n} rows")
     # A window far longer than one space of KRYLOV_DIM vectors resolves, on
     # more grid points than one population block holds: each step's few grid
     # rows make one block.
@@ -660,7 +660,8 @@ def test_evolve_logs_one_line_per_krylov_call(caplog):
     assert bound <= dynamics.KRYLOV_TOL
     assert record.getMessage() == (
         f"evolve: {n} states, {len(steps)} Krylov steps of m<={dynamics.KRYLOV_DIM}, "
-        f"summed bound {bound:.3g}, {len(steps)} population blocks")
+        f"summed bound {bound:.3g}, {len(steps)} population blocks of "
+        f"<={dynamics.POPULATION_BLOCK // n} rows")
 
 
 # Sectors just above the Krylov threshold: (sites, excitations, spin).
@@ -751,6 +752,61 @@ def test_krylov_restarts_keep_the_state_over_many_steps():
     assert np.max(np.abs(traj.amplitudes - exact)) <= 1e-12
 
 
+entries = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def triplet_patterns(draw):
+    """A random operator's triplets on a few busy rows, so that degrees are
+    uneven and other rows empty, with some (row, col) pairs repeated, and a
+    vector to multiply."""
+    dim = draw(st.integers(1, 12))
+    busy = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(busy), st.integers(0, dim - 1)),
+                          max_size=40))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=10))
+    values = draw(st.lists(entries, min_size=len(pairs), max_size=len(pairs)))
+    x = draw(st.lists(entries, min_size=dim, max_size=dim))
+    return dim, pairs, values, x
+
+
+@PROPERTY_SETTINGS
+@given(triplet_patterns())
+@example((3, [], [], [1.0, 2j, -1.0]))
+@example((4, [(2, 0), (2, 3), (2, 0), (0, 1), (2, 0)], [1.0, 2j, 0.5 - 1j, 3.0, -1.0],
+          [1.0, 1j, 2.0, -1.0]))
+def test_padded_rows_multiply_as_the_dense_matrix(case):
+    # Duplicate triplets are summed in triplet order, as the dense form sums
+    # them; empty rows and an empty pattern give zeros.
+    dim, pairs, values, x = case
+    rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    h = hilbert.HermitianMatrix(dim, rows, cols, np.array(values, dtype=complex))
+    x = np.array(x, dtype=complex)
+    product = dynamics._padded_product(h)(x)
+    assert product.shape == (dim,)
+    assert np.all(np.abs(product - h.matrix @ x) <= 1e-13 * (np.abs(h.matrix) @ np.abs(x)))
+
+
+@pytest.mark.parametrize("model, n, n_excitations", [("ladder", 6, 3), ("chiral", 12, 4),
+                                                     ("asgf", 20, 3)])
+def test_padded_rows_multiply_as_scipy_csr_bit_for_bit(model, n, n_excitations):
+    # The CLI's Krylov sectors, with rows of 3 to 12 (ladder), 11 to 45
+    # (chiral) and 3 to 26 (asgf) entries: each row sums in CSR order, as
+    # scipy's csr_matvec sums it.
+    from scipy.sparse import csr_array  # a reference here only
+
+    spec = commands.build_spec(cli.RunConfig(model=model, n=n))
+    basis = hilbert.enumerate_basis(spec.n_sites, n_excitations, spec.statistics)
+    h = hilbert.build_hamiltonian(spec, basis)
+    assert h.dim >= dynamics.KRYLOV_MIN_DIM
+    csr = csr_array((h.values, (h.rows, h.cols)), shape=(h.dim, h.dim))
+    rng = np.random.default_rng(5)
+    product = dynamics._padded_product(h)
+    for x in (random_state(h.dim, rng), basis.unit_vector(basis.states[0])):
+        assert product(x).tobytes() == (csr @ x).tobytes()
+
+
 def test_overlong_windows_are_refused_before_marching(monkeypatch):
     n = dynamics.KRYLOV_MIN_DIM
     h, psi0 = uniform_ring(n), dynamics.basis_state(n, 0)
@@ -811,7 +867,7 @@ def test_long_window_on_the_50_site_ladder_holds_a_fixed_krylov_array():
     finally:
         tracemalloc.stop()
     assert np.max(np.abs(traj.populations.sum(axis=1) - 3.0)) <= 1e-9
-    # The Lanczos array, one amplitude block, its squares and the sparse H.
+    # The Lanczos array, one amplitude block, its squares and the padded rows of H.
     assert peak < 6 * dynamics.KRYLOV_DIM * len(basis) * 16
 
 

@@ -60,6 +60,10 @@ COMMANDS = {
     # A 1540-state sector: the Krylov branch of evolve.
     "dense-sector": ["simulate", "--model", "ladder", "--n", "6",
                      "--init", "01000000000011000000", "--out", "traj.csv"],
+    # An 1820-state sector of the 12-node chiral network and its hub: the
+    # Krylov branch on padded rows of 11 to 45 entries.
+    "simulate-chiral-hub": ["simulate", "--model", "chiral", "--n", "12",
+                            "--init", "1111000000000", "--out", "traj.csv"],
 }
 
 
