@@ -240,8 +240,9 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig does nothing once root has a handler, so the level is set apart.
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger().setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         run_command = args.command in ("simulate", "spectrum", "criteria")
         cfg = _config_from_args(args) if run_command else None

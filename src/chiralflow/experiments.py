@@ -174,7 +174,7 @@ def _scan_points(base: NetworkSpec, kind: str, amplitudes, basis) -> list[int]:
     W is the base's width plus twice a bound on the norm of a perturbation,
     its largest row sum of moduli: a for frequency offsets, a per link for
     strength shifts, and |t| min(a, 2) per link for phase shifts of a link
-    of modulus |t|.  At most ``_SCAN_POINTS_MAX`` points.
+    of modulus |t|.  At most ``_SCAN_POINTS_MAX`` points, and 2 where W is 0.
     """
     levels = eigendecompose(build_hamiltonian(base, basis)).eigenvalues
     counts = []
@@ -189,7 +189,8 @@ def _scan_points(base: NetworkSpec, kind: str, amplitudes, basis) -> list[int]:
                 rows[[hop.j - 1, hop.k - 1]] += change
             norm = float(np.max(rows))
         width = float(levels[-1] - levels[0]) + 2.0 * norm
-        counts.append(1 + math.ceil(min(math.pi * width / _SCAN_PHASE, _SCAN_POINTS_MAX - 1)))
+        counts.append(max(2, 1 + math.ceil(min(math.pi * width / _SCAN_PHASE,
+                                               _SCAN_POINTS_MAX - 1))))
     return counts
 
 
@@ -281,13 +282,17 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[D
     return points
 
 
-def revival_fidelity(spec: NetworkSpec, points: int = 4001) -> tuple[float, float]:
+# Samples of the revival window: one scan for the ladder study and the optimiser.
+_REVIVAL_POINTS = 2001
+
+
+def revival_fidelity(spec: NetworkSpec) -> tuple[float, float]:
     """Return-state fidelity and cycle period of a network started on node 1.
 
     The cycle period is the time of the maximum of
     F(t) = |A(t)|^2, A(t) = <psi0|psi(t)> = sum_k w_k exp(-i E_k t), over
-    [0.5, 1.7] times t_est = 2*pi over the slowest populated frequency.  The
-    window is scanned on ``points`` samples; the maximum is then the root of
+    [0.5, 1.7] times t_est = 2*pi over the slowest populated frequency,
+    scanned on ``_REVIVAL_POINTS`` samples.  The maximum is then the root of
     F'(t) = 2 Re(conj(A) A') between the neighbours of the best sample,
     found by Newton's method on the exact spectral sums A, A' and A'', with
     bisection whenever F'' >= 0 or a step leaves the bracket.  F' crosses
@@ -299,11 +304,10 @@ def revival_fidelity(spec: NetworkSpec, points: int = 4001) -> tuple[float, floa
     basis = enumerate_basis(spec.n_sites, 1, spec.statistics)
     system = eigendecompose(build_hamiltonian(spec, basis))
     weights = np.abs(system.eigenvectors[0]) ** 2  # overlaps with node 1
-    return _revival_peak(system.eigenvalues, weights, points)
+    return _revival_peak(system.eigenvalues, weights)
 
 
-def _revival_peak(eigenvalues: np.ndarray, weights: np.ndarray,
-                  points: int) -> tuple[float, float]:
+def _revival_peak(eigenvalues: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     """Maximum of |sum_k weights_k exp(-i E_k t)|^2 and its time, searched as
     ``revival_fidelity`` documents."""
     scale = max(1.0, float(np.max(np.abs(eigenvalues))))
@@ -313,11 +317,11 @@ def _revival_peak(eigenvalues: np.ndarray, weights: np.ndarray,
     x_min = float(np.min(np.abs(eigenvalues[populated])))
     t_est = 2.0 * math.pi / x_min
 
-    grid = np.linspace(0.5 * t_est, 1.7 * t_est, points)
+    grid = np.linspace(0.5 * t_est, 1.7 * t_est, _REVIVAL_POINTS)
     # |(P w) Q^T|^2 row-major is the scan over the uniform grid, with K =
-    # ceil(sqrt(points)): the grid is uniform by construction, so it skips
+    # ceil(sqrt(grid.size)): the grid is uniform by construction, so it skips
     # the check of ``_phase_modes``, which each objective evaluation would repeat.
-    step = (grid[-1] - grid[0]) / (grid.size - 1) if grid.size > 1 else 0.0
+    step = (grid[-1] - grid[0]) / (grid.size - 1)
     big, small = _uniform_phases(grid[0], step, grid.size, math.isqrt(grid.size - 1) + 1,
                                  eigenvalues)
     values = np.abs(((big * weights) @ small.T).ravel()[:grid.size]) ** 2
@@ -428,7 +432,7 @@ def _ladder_objective(n_copies: int):
         values, vectors = system.eigenvalues, system.eigenvectors
         lead = vectors[0]
         weights = np.abs(lead) ** 2
-        fidelity, t = _revival_peak(values, weights, points=2001)
+        fidelity, t = _revival_peak(values, weights)
         phases = np.exp(-1j * values * t)
         amplitude = phases @ weights
         gaps = values[:, None] - values[None, :]
@@ -501,21 +505,15 @@ def optimize_ladder(n_copies: int, budget: int | None = None, seed: int = 0) -> 
         budget = 600 * n_free
     if budget < 50 * n_free:
         raise ConfigError(f"budget must be at least {50 * n_free} for {n_free} parameters")
-    if n_free == 0:
-        # Nothing to optimise: no objective is evaluated.
-        fidelity, period = revival_fidelity(ladder(n_copies, [2.0]))
-        return OptimizationResult((2.0,), fidelity, period, 0, True, False)
-
     objective = _ladder_objective(n_copies)
     evaluations = 0
     exhausted = False
     rng = np.random.default_rng(seed)
-    best_x = None
+    # With no free coupling no start runs and no objective is evaluated.
+    x = best_x = np.full(n_free, math.log(0.3))
     best_f = -1.0
-    for restart in range(5):
-        if restart == 0:
-            x = np.full(n_free, math.log(0.3))
-        else:
+    for restart in range(5 if n_free else 0):
+        if restart > 0:
             x = np.log(rng.uniform(0.05, 1.5, n_free))
         if evaluations >= budget:
             exhausted = True

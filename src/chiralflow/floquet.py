@@ -251,13 +251,11 @@ def bus_resonator_ring(n: int = 4, nu: float = 40.0) -> BusDrive:
 
 def _rk4_maps(h_of, starts: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """One classical RK4 step of U' = -i H(t) U from each start time, as a
-    stack of step matrices (the RK4 stages applied to the identity)."""
+    stack of step matrices (the RK4 stages applied to the identity).  The
+    drive is evaluated once, on the stacked stage times t, t + h/2, t + h."""
     scale = -1j * steps[:, None, None]
-    a0 = scale * h_of(starts)
-    am = scale * h_of(starts + 0.5 * steps)
-    a1 = scale * h_of(starts + steps)
-    eye = np.eye(a0.shape[-1])
-    k1 = a0
+    k1, am, a1 = scale * h_of(np.stack([starts, starts + 0.5 * steps, starts + steps]))
+    eye = np.eye(k1.shape[-1])
     k2 = am @ (eye + 0.5 * k1)
     k3 = am @ (eye + 0.5 * k2)
     k4 = a1 @ (eye + k3)

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import stat
@@ -210,6 +211,23 @@ def test_study_ladder_csv(tmp_path):
     assert len(lines) == 4
     first = lines[1].split(",")
     assert float(first[1]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_verbose_logs_info_after_an_earlier_quiet_call(tmp_path, caplog):
+    # The root logger already has handlers (pytest's, or those of an earlier
+    # main call), so the level must not depend on basicConfig alone.
+    root = logging.getLogger()
+    level = root.level
+    argv = ["study", "ladder", "--nrange", "1", "--out", str(tmp_path / "ladder.csv")]
+    try:
+        assert run_cli(argv) == 0
+        quiet = [r.getMessage() for r in caplog.records]
+        assert run_cli(["--verbose", *argv]) == 0
+    finally:
+        root.setLevel(level)
+    assert not any(m.startswith("ladder n=1 ") for m in quiet)
+    loud = caplog.records[len(quiet):]
+    assert [r.levelno for r in loud if r.getMessage().startswith("ladder n=1 ")] == [logging.INFO]
 
 
 def test_study_optimize_csv(tmp_path):

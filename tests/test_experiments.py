@@ -44,6 +44,17 @@ def test_equal_samples_have_zero_stderr(base_spec, kind, samples):
     assert points[0].stderr == 0.0
 
 
+@pytest.mark.parametrize("kind", experiments.DISORDER_KINDS)
+def test_network_without_spectral_width_scans_two_points(kind):
+    # Three uncoupled nodes: every level is 0, so the width bound of the
+    # hopping kinds is 0 at any amplitude and the scan takes its two ends.
+    # The excitation stays on node 1, one ring node of three.
+    spec = models.NetworkSpec(3, 0, (), (), hilbert.Statistics.boson())
+    for point in experiments.disorder_sweep(spec, DisorderConfig(kind, 5, 0), [0.0, 0.3]):
+        assert point.mean_fidelity == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert point.stderr == 0.0
+
+
 def test_disorder_reproducible(base_spec):
     cfg = DisorderConfig("hopping_phase", 40, 42)
     first = experiments.disorder_sweep(base_spec, cfg, amplitudes=[0.1, 0.3])
@@ -428,6 +439,38 @@ def test_revival_fidelity_matches_brute_force_scan():
             assert abs(period - scan_period) <= spacing
 
 
+def _window_peak(spec):
+    """``window_peaks`` on node 1's return population over the revival window,
+    scanned with steps h of at most 1 / W, W the spectral width: the
+    certified maximum and its certificate."""
+    values, weights = _levels(spec)
+    times, _ = _scan(values, weights, 2)
+    count = 1 + math.ceil((times[1] - times[0]) * (values[-1] - values[0]))
+    times, overlap = _scan(values, weights, count)
+    peaks = dynamics.window_peaks(values, weights[None, :], times[0], times[1] - times[0],
+                                  overlap[:, None])
+    return float(peaks.values[0]), float(peaks.certificates[0])
+
+
+def test_revival_fidelity_is_the_certified_window_maximum():
+    # Uniform ladders of 1-16 cells, the optimised profiles of 8 and 10 cells
+    # and random monotone profiles: the revival search finds the window's
+    # maximum.  Measured: the two agree within 5.6e-16, with certificates of
+    # at most 4.8e-15; the bar adds 1e-15 of rounding on F <= 1.
+    specs = [models.ladder(n, [2.0]) for n in range(1, 17)]
+    specs += [models.ladder(n, experiments.optimize_ladder(n, seed=0).beta_profile)
+              for n in (8, 10)]
+    rng = np.random.default_rng(5)
+    for n in range(1, 13):
+        for _ in range(3):
+            steps = rng.uniform(0.05, 1.5, (n + 1) // 2 - 1)
+            specs.append(models.ladder(n, [2.0, *(2.0 + np.cumsum(steps))]))
+    for spec in specs:
+        fidelity, _ = experiments.revival_fidelity(spec)
+        peak, certificate = _window_peak(spec)
+        assert abs(fidelity - peak) <= certificate + 1e-15
+
+
 def test_uniform_one_cell_period_is_pi_to_rounding():
     fidelity, period = experiments.revival_fidelity(models.ladder(1, [2.0]))
     assert abs(period - math.pi) <= 1e-14 * math.pi
@@ -444,11 +487,11 @@ def test_revival_peak_is_a_root_of_the_slope(case):
     # neighbours of the best scanned sample and is no lower than that sample.
     n, steps = case
     values, weights = _levels(models.ladder(n, [2.0, *(2.0 + np.cumsum(steps))]))
-    fidelity, t = experiments._revival_peak(values, weights, 2001)
+    fidelity, t = experiments._revival_peak(values, weights)
     _, slope, _ = _derivatives(t, values, weights)
     eps = np.finfo(float).eps
     assert abs(slope) <= 16 * eps * np.sum(np.abs(values) * weights * (1 + np.abs(values) * t))
-    times, overlap = _scan(values, weights, 2001)
+    times, overlap = _scan(values, weights, experiments._REVIVAL_POINTS)
     best = int(np.argmax(overlap))
     assert times[max(best - 1, 0)] <= t <= times[min(best + 1, times.size - 1)]
     assert fidelity >= overlap[best] - 1e-15
@@ -460,13 +503,13 @@ def test_revival_peak_at_the_window_edge_is_the_edge_sample(gap, edge):
     # for gap 0.2 it falls from the left edge, for gap 0.5 the right edge is
     # highest.  F' has no root there, so the edge sample stands.
     values, weights = np.array([1.0, 1.0 + gap]), np.array([0.5, 0.5])
-    fidelity, t = experiments._revival_peak(values, weights, 2001)
+    fidelity, t = experiments._revival_peak(values, weights)
     assert t == edge * 2.0 * math.pi
     assert fidelity == pytest.approx((1.0 + math.cos(gap * t)) / 2.0, abs=1e-15)
     assert _derivatives(t, values, weights)[1] != 0.0
 
 
-def test_revival_peak_keeps_the_sample_when_the_slope_does_not_change_sign():
+def test_revival_peak_keeps_the_sample_when_the_slope_does_not_change_sign(monkeypatch):
     # A ripple of frequency 39 on a slow beat is not resolved by 7 samples of
     # [pi, 3.4 pi]: F' has the same sign at the best sample and at the
     # neighbour on its climbing side, so no root is bracketed and the sample
@@ -477,13 +520,14 @@ def test_revival_peak_keeps_the_sample_when_the_slope_does_not_change_sign():
     _, slope, _ = _derivatives(times[best], values, weights)
     other = times[best + 1] if slope > 0 else times[best - 1]
     assert slope * _derivatives(other, values, weights)[1] > 0.0
-    fidelity, t = experiments._revival_peak(values, weights, 7)
+    monkeypatch.setattr(experiments, "_REVIVAL_POINTS", 7)
+    fidelity, t = experiments._revival_peak(values, weights)
     assert t == times[best]
     assert fidelity == pytest.approx(overlap[best], abs=1e-15)
 
 
 @pytest.mark.parametrize("levels,convex", [(10, True), (9, False)])
-def test_revival_peak_bisects_where_a_newton_step_would_not_climb(levels, convex):
+def test_revival_peak_bisects_where_a_newton_step_would_not_climb(levels, convex, monkeypatch):
     # Equal levels 1..K align at t = 2 pi (F = 1) in a peak of half-width
     # 2 pi / K.  Of 12 samples on [pi, 3.4 pi] the best lies 0.29 past it.
     # For K = 10 F'' > 0 there, so a Newton step would descend; for K = 9
@@ -497,7 +541,8 @@ def test_revival_peak_bisects_where_a_newton_step_would_not_climb(levels, convex
         assert curvature > 0.0
     else:
         assert curvature < 0.0 and times[best] - slope / curvature < times[best - 1]
-    fidelity, t = experiments._revival_peak(values, weights, 12)
+    monkeypatch.setattr(experiments, "_REVIVAL_POINTS", 12)
+    fidelity, t = experiments._revival_peak(values, weights)
     assert abs(t - 2.0 * math.pi) <= 1e-14 * 2.0 * math.pi
     assert fidelity == pytest.approx(1.0, abs=1e-14)
 
@@ -599,7 +644,7 @@ def _dense_ladder_objective(n, increments):
     values, vectors = system.eigenvalues, system.eigenvectors
     lead = vectors[0]
     weights = np.abs(lead) ** 2
-    fidelity, t = experiments._revival_peak(values, weights, points=2001)
+    fidelity, t = experiments._revival_peak(values, weights)
     phases = np.exp(-1j * values * t)
     amplitude = phases @ weights
     gaps = values[:, None] - values[None, :]
@@ -638,7 +683,7 @@ def test_ladder_gradient_matches_central_differences():
 
         def revival(y):
             spec = models.ladder(n, experiments._profile_from_increments(y))
-            return experiments.revival_fidelity(spec, points=2001)[0]
+            return experiments.revival_fidelity(spec)[0]
 
         fidelity, grad = experiments._ladder_objective(n)(x)
         assert fidelity == pytest.approx(revival(x), abs=1e-12)

@@ -405,6 +405,26 @@ def test_step_starts_are_the_per_segment_linspace_bit_for_bit(offsets, period, d
     assert steps.size == starts.size == lands.size and lands.sum() == stops.size - 1
 
 
+@pytest.mark.parametrize("drive", [floquet.tunable_coupler_asgf4(20.0),
+                                   floquet.bus_resonator_ring()], ids=["coupler", "bus"])
+def test_rk4_maps_evaluate_the_drive_once_per_block(drive):
+    # One call on the stacked stage times t, t + h/2, t + h gives the maps of
+    # one call per stage bit for bit.
+    starts, steps, _ = floquet._step_times(np.array([0.0, 0.4, 1.0]) * drive.period(), 1e-3)
+    calls = []
+    maps = floquet._rk4_maps(lambda t: calls.append(t.shape) or drive.hamiltonian(t),
+                             starts, steps)
+    assert calls == [(3, steps.size)]
+    scale = -1j * steps[:, None, None]
+    k1, am, a1 = (scale * drive.hamiltonian(t)
+                  for t in (starts, starts + 0.5 * steps, starts + steps))
+    eye = np.eye(drive.n_modes)
+    k2 = am @ (eye + 0.5 * k1)
+    k3 = am @ (eye + 0.5 * k2)
+    reference = eye + (k1 + 2.0 * k2 + 2.0 * k3 + a1 @ (eye + k3)) / 6.0
+    assert maps.tobytes() == reference.tobytes()
+
+
 def test_propagator_memory_stays_per_block():
     # No common period: the one "period" is the whole run, so ten times the
     # run is ten times the RK4 steps of one pass (1500 against 15 000).
