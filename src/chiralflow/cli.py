@@ -33,14 +33,15 @@ MODELS = ("sgf", "asgf", "chiral", "ladder", "spin-sgf", "spin-asgf")
 
 
 def parse_angle(text: str) -> float:
-    """Parse an angle in radians, with an optional 'pi' suffix multiplier."""
+    """Parse an angle in radians, with an optional 'pi' suffix multiplier;
+    -0 reads as 0."""
     text = str(text).strip().lower()
     try:
         if text.endswith("pi"):
             head = text[:-2].strip()
             factor = 1.0 if head in ("", "+") else (-1.0 if head == "-" else float(head))
-            return factor * math.pi
-        return float(text)
+            return factor * math.pi + 0.0
+        return float(text) + 0.0
     except ValueError as exc:
         raise ConfigError(f"cannot parse angle {text!r}") from exc
 

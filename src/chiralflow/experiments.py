@@ -101,6 +101,7 @@ def _draw(base: NetworkSpec, kind: str, amplitude: float, rng: np.random.Generat
         raise ValueError(f"unknown disorder kind {kind!r}")
     amplitudes, phases, terms = _spec_terms(base)
     size = base.n_sites if kind == FREQUENCY else amplitudes.size
+    amplitude += 0.0  # -0 is 0: uniform(0, -0) would refuse its interval
     deltas = rng.uniform(-amplitude, amplitude, (count, size))
     amplitudes = np.broadcast_to(amplitudes, (count, amplitudes.size))
     phases = np.broadcast_to(phases, (count, phases.size))
@@ -152,16 +153,20 @@ _SCAN_POINTS_MAX = 2**16
 # samples drawn, assembled, diagonalised, scanned and searched at once,
 # drawn as one array from the amplitude's stream, so the draws do not
 # depend on the chunk.  On the four-node ring a sample takes 8-11 kB at
-# 27-42 points (tracemalloc), so a chunk of 2^14 (78 samples at 42 points,
-# 121 at 27) peaks near 1 MB.  Chunks of 2^15 and 2^16 ran the default
-# study about 15% faster but raised ``bench/run.py``'s peak RSS by 0.3 and
-# 0.6 MB; 2^13 took about a third longer.  Long scans still take at
-# least ``_CHUNK_MIN_SAMPLES`` samples, as each chunk's search has a fixed
-# cost: on criterion 9's frequency row (2487 points) chunks of 1, 8 and 16
-# samples took 0.52, 0.16 and 0.14 s and peaked at 0.4, 3.3 and 6.5 MB,
-# and an 80-sample ``asgf(38)`` sweep (222 points, 39 states) 0.19, 0.18
-# and 0.12 s at 0.5, 3.7 and 7.4 MB.
-_CHUNK_ENTRIES = 2**14
+# 27-42 points (tracemalloc), so a chunk of 2^15 (156 samples at 42 points,
+# 242 at 27) takes a 200-sample row of the default study whole up to 32
+# points and in two chunks beyond, 15 chunks in all (one per clean row),
+# and peaks near 2 MB.  Each chunk has a fixed cost of about 1 ms:
+# in-process passes of the default study (2-vCPU host, one BLAS thread,
+# best of 15, 8 interleaved processes) took 50 ms at 2^14 (24 chunks),
+# 48 ms at 2^15 and 46 ms at 2^16 (12), but peak RSS rose 1.0 and 1.3 MB
+# over 2^14, and ``bench/run.py`` read 1.5 MB (3.4%) more at 2^16.  Long
+# scans still take at least ``_CHUNK_MIN_SAMPLES`` samples, as each chunk's
+# search has a fixed cost: on criterion 9's frequency row (2487 points)
+# chunks of 1, 8 and 16 samples took 0.52, 0.16 and 0.14 s and peaked at
+# 0.4, 3.3 and 6.5 MB, and an 80-sample ``asgf(38)`` sweep (222 points, 39
+# states) 0.19, 0.18 and 0.12 s at 0.5, 3.7 and 7.4 MB.
+_CHUNK_ENTRIES = 2**15
 _CHUNK_MIN_SAMPLES = 8
 
 
@@ -204,9 +209,13 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[D
     draws its samples in order from one generator seeded with
     ``(cfg.seed, a_idx)``: sample s is the doubles s * size ...
     (s + 1) * size - 1 of that stream, size the drawn offsets per copy, so a
-    run with fewer samples draws the same first samples.  The samples of an
-    amplitude run in chunks of ``_CHUNK_ENTRIES`` scan amplitudes (at least
-    ``_CHUNK_MIN_SAMPLES`` samples) on one shared one-excitation basis and
+    run with fewer samples draws the same first samples.  At amplitude 0
+    every sample is the base network, bitwise, so only sample 0 is drawn and
+    searched and its value fills the row: mean and standard error see the
+    array that searching every sample would give.  The samples of an
+    amplitude run in chunks of ``_CHUNK_ENTRIES`` = 2^15 scan amplitudes (at
+    least ``_CHUNK_MIN_SAMPLES`` samples; one or two per row of the default
+    study) on one shared one-excitation basis and
     one triplet pattern, taken from a single ``perturbed_spec`` copy drawn
     from a generator of its own: each chunk
     draws its perturbations as one array from the amplitude's stream and
@@ -223,11 +232,11 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[D
     The sector is small, so the sweep always uses the full eigensystem,
     never the Krylov branch of ``evolve``; each sample's fidelity is bitwise
     what ``simulate`` on the same scan and ``window_peaks`` on the sample's
-    eigensystem give it alone.  At INFO it logs, per amplitude, the scan
-    points, the Newton brackets refined, the nodes bisection had to search
-    and the largest certificate.
+    eigensystem give it alone.  At INFO it logs, per amplitude, the samples
+    searched, the scan points, and for those samples the Newton brackets
+    refined, the nodes bisection had to search and the largest certificate.
     """
-    amplitudes = [float(a) for a in amplitudes]
+    amplitudes = [float(a) + 0.0 for a in amplitudes]  # -0 is 0
     for amplitude in amplitudes:
         # Samples are drawn from [-a, a], whose width 2a must be finite too.
         if not 0 <= 2.0 * amplitude < math.inf:
@@ -247,11 +256,13 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[D
         times = np.linspace(0.0, math.pi, count)
         chunk = max(_CHUNK_MIN_SAMPLES, _CHUNK_ENTRIES // (count * len(basis)))
         rng = np.random.default_rng((cfg.seed, a_idx))
+        # At amplitude 0 every sample is the base network, bitwise.
+        searched = cfg.samples if amplitude > 0 else 1
         results = np.empty(cfg.samples)
         refined = bisected = 0
         certificate = 0.0
-        for lo in range(0, cfg.samples, chunk):
-            n = min(chunk, cfg.samples - lo)
+        for lo in range(0, searched, chunk):
+            n = min(chunk, searched - lo)
             drawn, angles, terms = _draw(base, cfg.kind, amplitude, rng, n)
             h = HermitianMatrix(len(basis), *pattern[:2],
                                 _fill(pattern, _coefficients(drawn, angles), terms))
@@ -270,15 +281,16 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[D
             certificate = max(certificate, float(np.max(peaks.certificates)))
             # Freed now, so that they never coexist with the next chunk's.
             del h, system, weights, scan, peaks
+        results[searched:] = results[0]
         mean = float(np.mean(results))
         # Shifted by the first sample: the spread is the same, and equal
         # samples give exactly 0 (their mean need not round back to their value).
         stderr = (float(np.std(results - results[0], ddof=1) / math.sqrt(cfg.samples))
                   if cfg.samples > 1 else 0.0)
         points.append(DisorderPoint(amplitude, mean, stderr, cfg.samples))
-        log.info("disorder kind=%s amplitude=%.4f mean=%.6f stderr=%.2e scan=%d points "
-                 "refined=%d bisected=%d certificate=%.2e", cfg.kind, amplitude, mean,
-                 stderr, count, refined, bisected, certificate)
+        log.info("disorder kind=%s amplitude=%.4f mean=%.6f stderr=%.2e searched=%d "
+                 "scan=%d points refined=%d bisected=%d certificate=%.2e", cfg.kind, amplitude,
+                 mean, stderr, searched, count, refined, bisected, certificate)
     return points
 
 

@@ -203,6 +203,30 @@ def test_study_disorder_deterministic(tmp_path):
     assert len(lines) == 3
 
 
+def test_study_disorder_reads_negative_zero_as_zero(tmp_path):
+    # -0 is 0: its rows are those of 0, where uniform(0, -0) once exited 3.
+    out = tmp_path / "zero.csv"
+    assert run_cli(["study", "disorder", "--samples", "5", "--amplitudes=0,-0",
+                    "--out", str(out)]) == 0
+    rows = out.read_text().strip().split("\n")[1:]
+    assert len(rows) == 6
+    assert rows[0::2] == rows[1::2]
+    assert all(row.split(",")[1] == "0" for row in rows)
+
+
+@pytest.mark.parametrize("tmax", ["-0pi", "-0"])
+def test_simulate_reads_negative_zero_tmax_as_zero(tmax, tmp_path):
+    # The grid's last time is the window's end: -0 must not print as "-0".
+    tables = []
+    for value in (tmax, "0"):
+        out = tmp_path / f"t{value}.csv"
+        assert run_cli(["simulate", "--model", "sgf", "--n", "3", f"--tmax={value}",
+                        "--grid", "3", "--out", str(out)]) == 0
+        tables.append(out.read_text())
+    assert tables[0] == tables[1]
+    assert [line.split(",")[0] for line in tables[0].split("\n")[1:-1]] == ["0", "0", "0"]
+
+
 def test_study_ladder_csv(tmp_path):
     out = tmp_path / "ladder.csv"
     assert run_cli(["study", "ladder", "--nrange", "1:3", "--out", str(out)]) == 0

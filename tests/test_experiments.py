@@ -55,6 +55,35 @@ def test_network_without_spectral_width_scans_two_points(kind):
         assert point.stderr == 0.0
 
 
+@pytest.mark.parametrize("kind", experiments.DISORDER_KINDS)
+def test_clean_row_searches_one_sample(base_spec, kind, monkeypatch):
+    # Every sample of amplitude 0 is the base network: one is searched and
+    # stands for all 50; the row at 0.3 searches each of its 50.
+    searched = []
+
+    def counted(eigenvalues, *args):
+        searched.append(eigenvalues.shape[0])
+        return window_peaks(eigenvalues, *args)
+
+    window_peaks = experiments.window_peaks
+    monkeypatch.setattr(experiments, "window_peaks", counted)
+    experiments.disorder_sweep(base_spec, DisorderConfig(kind, 50, 0), [0.0, 0.3])
+    assert sum(searched) == 1 + 50
+
+
+@pytest.mark.parametrize("kind", experiments.DISORDER_KINDS)
+def test_negative_zero_amplitude_is_zero(base_spec, kind):
+    # -0 draws and sweeps as 0 (uniform(0, -0) refuses its interval), and
+    # its point reports +0.
+    specs = [experiments.perturbed_spec(base_spec, kind, amplitude, np.random.default_rng(3))
+             for amplitude in (-0.0, 0.0)]
+    assert spec_bits(specs[0]) == spec_bits(specs[1])
+    cfg = DisorderConfig(kind, 5, 0)
+    point, = experiments.disorder_sweep(base_spec, cfg, [-0.0])
+    assert math.copysign(1.0, point.amplitude) == 1.0
+    assert [point] == experiments.disorder_sweep(base_spec, cfg, [0.0])
+
+
 def test_disorder_reproducible(base_spec):
     cfg = DisorderConfig("hopping_phase", 40, 42)
     first = experiments.disorder_sweep(base_spec, cfg, amplitudes=[0.1, 0.3])
@@ -289,10 +318,11 @@ def test_sweep_draws_one_spec_per_amplitude(base_spec, kind, monkeypatch):
 
 
 def test_sweep_logs_its_search_once_per_amplitude(base_spec, caplog):
-    # At INFO each amplitude gets one line: the scan points, the Newton
-    # brackets refined, the nodes bisection had to search and the largest
-    # certificate.  The clean ring peaks at each node's ceiling or between
-    # samples; frequency draws of 30 leave nodes for bisection.
+    # At INFO each amplitude gets one line: the samples searched, the scan
+    # points, the Newton brackets refined, the nodes bisection had to search
+    # and the largest certificate.  The clean ring, searched once, peaks at
+    # each node's ceiling or between samples; frequency draws of 30 leave
+    # nodes for bisection.
     caplog.set_level(logging.INFO, logger="chiralflow.experiments")
     amplitudes = [0.0, 0.3, 30.0]
     experiments.disorder_sweep(base_spec, DisorderConfig("frequency", 20, 1), amplitudes)
@@ -302,15 +332,17 @@ def test_sweep_logs_its_search_once_per_amplitude(base_spec, caplog):
     assert len(lines) == len(amplitudes)
     found = []
     for line, amplitude, count in zip(lines, amplitudes, counts):
-        match = re.search(r"amplitude=(\S+) .*scan=(\d+) points refined=(\d+) bisected=(\d+) "
-                          r"certificate=(\S+)$", line)
+        match = re.search(r"amplitude=(\S+) .*searched=(\d+) scan=(\d+) points refined=(\d+) "
+                          r"bisected=(\d+) certificate=(\S+)$", line)
         assert match, line
         assert float(match[1]) == amplitude
-        assert int(match[2]) == count
-        refined, bisected = int(match[3]), int(match[4])
-        # At most one bracket and one bisection per ring node and sample.
-        assert 0 <= refined <= 20 * 4 and 0 <= bisected <= 20 * 4
-        assert float(match[5]) <= dynamics.PEAK_TOL
+        searched = int(match[2])
+        assert searched == (1 if amplitude == 0 else 20)
+        assert int(match[3]) == count
+        refined, bisected = int(match[4]), int(match[5])
+        # At most one bracket and one bisection per ring node and sample searched.
+        assert 0 <= refined <= searched * 4 and 0 <= bisected <= searched * 4
+        assert float(match[6]) <= dynamics.PEAK_TOL
         found.append((refined, bisected))
     assert found[0][1] == 0 and found[2][1] > 0
 
