@@ -17,6 +17,7 @@ validated the run configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -186,7 +187,9 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--profile", help="ladder coupling profile, e.g. 2,2.5")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process for every ``main`` call."""
     parser = argparse.ArgumentParser(prog="chiralflow",
                                      description="chiral excitation flow simulator")
     parser.add_argument("--verbose", action="store_true")

@@ -163,6 +163,18 @@ class ChiralityVerdict:
     min_peak: float
 
 
+def checked_state(psi0, dim: int) -> np.ndarray:
+    """A complex copy of ``psi0``, refused unless it has ``dim`` amplitudes
+    and unit norm within 1e-9 (the negated test refuses a NaN norm too)."""
+    psi = np.array(psi0, dtype=complex)
+    if psi.shape != (dim,):
+        raise DimensionMismatch(f"state of shape {psi.shape} for {dim} states")
+    norm = float(np.linalg.norm(psi))
+    if not abs(norm - 1.0) <= 1e-9:
+        raise ValueError(f"initial state norm {norm} is not 1")
+    return psi
+
+
 def evolve(h: HermitianMatrix, psi0, times, basis: SubspaceBasis | None = None,
            labels: tuple[str, ...] | None = None) -> Trajectory:
     """Evolve a normalised state on a finite time grid: psi(t) = V e^{-i L t} V^dag psi0.
@@ -185,19 +197,15 @@ def evolve(h: HermitianMatrix, psi0, times, basis: SubspaceBasis | None = None,
     sums over basis states.
     """
     dim = h.dim
+    if h.values.ndim != 1:
+        raise DimensionMismatch(f"a stack of {h.values.shape[:-1]} matrices, not one")
     # Copies: a stepped trajectory re-runs its propagation from both later.
-    psi0 = np.array(psi0, dtype=complex)
+    psi0 = checked_state(psi0, dim)
     times = np.array(times, dtype=float)
-    if psi0.shape != (dim,) or h.values.ndim != 1:
-        raise DimensionMismatch(f"state of shape {psi0.shape} for a matrix of "
-                                f"shape {h.values.shape[:-1] + (dim, dim)}")
     if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) < 0):
         raise ValueError("times must be a non-empty ascending grid")
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
-    norm = float(np.linalg.norm(psi0))
-    if not abs(norm - 1.0) <= 1e-9:
-        raise ValueError(f"initial state norm {norm} is not 1")
     psi0.setflags(write=False)
     times.setflags(write=False)
     if dim < KRYLOV_MIN_DIM:

@@ -1,11 +1,14 @@
 """Driven lab-frame models that synthesise the chiral ring couplings.
 
 Two schemes are covered: parametrically modulated couplers (``CouplerDrive``,
-one drive per link, at the detuning of its nodes) and a common bus resonator
-with modulated node frequencies (``BusDrive``), where the effective hoppings
-follow a Bessel-function series.  Each drive type supplies its
-interaction-picture Hamiltonian, its period and the map back to the lab frame,
-all in base-hopping units, as the target networks are.
+one coupler per hopping of the network it synthesises, at the detuning of its
+nodes) and a common bus resonator with modulated node frequencies
+(``BusDrive``), where the effective hoppings follow a Bessel-function series.
+A drive is a set of links on a ``NetworkSpec``, each with a time coefficient:
+each drive type supplies those coefficients, its sites' frame phases and its
+period, and ``Drive`` turns them into the interaction-picture Hamiltonian and
+the map back to the lab frame, all in base-hopping units, as the target
+networks are.
 Lab-frame integration is done in the exact interaction picture of the
 time-dependent diagonal, which leaves populations untouched and keeps the
 integrator error independent of the large carrier frequencies.
@@ -17,13 +20,13 @@ import functools
 import logging
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import Trajectory, basis_state, simulate
+from .dynamics import Trajectory, basis_state, checked_state, simulate
 from .errors import ConfigError, DimensionMismatch, OutOfRange, StepTooLarge
-from .hilbert import occupation
+from .hilbert import Hopping, Statistics, occupation
 from .models import NetworkSpec, asgf
 
 log = logging.getLogger(__name__)
@@ -82,48 +85,71 @@ def bus_effective_coupling(g_j: float, g_k: float, nu: float, f: float,
     return (g_j * g_k / nu) * beta * 1j
 
 
-@dataclass(frozen=True)
-class CouplerLink:
-    """One parametrically driven link: 2 g cos(nu t + phi) on (j, k)."""
-
-    j: int
-    k: int
-    g: float
-    phi: float
-
-
 def _require_finite(numbers) -> None:
     if not all(math.isfinite(x) for x in numbers):
         raise ValueError("drive parameters must be finite")
 
 
-@dataclass(frozen=True)
-class CouplerDrive:
-    """Parametrically driven couplers between nodes at static frequencies
-    ``omegas``; link l is driven at the detuning nu_l = omega_j - omega_k of
-    its two nodes."""
+def _max_step(drive: Drive, steps_per_cycle: float) -> float:
+    """2 pi / (steps_per_cycle nu_max), the step that resolves the fastest
+    drive frequency; nu_max is floored at 1e-30, so a drive without a carrier
+    takes a finite step."""
+    return 2.0 * math.pi / (steps_per_cycle * max(drive.max_frequency, 1e-30))
 
-    omegas: tuple[float, ...]
-    links: tuple[CouplerLink, ...] = ()
 
-    def __post_init__(self):
-        numbers = list(self.omegas)
-        for link in self.links:
-            numbers += [link.j, link.k, link.g, link.phi]
-        _require_finite(numbers)
-        n = len(self.omegas)
-        for link in self.links:
-            if link.j == link.k or not (1 <= link.j <= n and 1 <= link.k <= n):
-                raise ValueError(f"link ({link.j},{link.k}) needs two distinct nodes in 1..{n}")
+class Drive:
+    """Links on the network ``spec``, each with a time coefficient.  A drive
+    type supplies ``spec``, ``link_values(t)`` (the interaction-picture
+    coefficient of each hopping of the spec at each time of ``t``, stacked
+    over the shape of ``t``, which ends in an axis of 1) and
+    ``frame_phases(t)`` (each site's interaction-picture phase, likewise)."""
+
+    spec: NetworkSpec
 
     @property
     def n_modes(self) -> int:
-        return len(self.omegas)
+        return self.spec.n_sites
+
+    def hamiltonian(self, t) -> np.ndarray:
+        """Interaction-picture Hamiltonian at each time of ``t`` (stacked over
+        its shape): each link's value on the (j, k) entry of its hopping."""
+        rows, cols = np.array([(hop.j - 1, hop.k - 1) for hop in self.spec.hoppings],
+                              dtype=int).reshape(-1, 2).T
+        t = np.asarray(t, dtype=float)[..., None]
+        values = self.link_values(t)
+        h = np.zeros(t.shape[:-1] + (self.n_modes, self.n_modes), dtype=complex)
+        h[..., rows, cols] = values
+        h[..., cols, rows] = values.conjugate()
+        return h
+
+    def to_lab_frame(self, times: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+        """Undo the interaction-picture phases of a (times, modes) amplitude array."""
+        return amplitudes * np.exp(-1j * self.frame_phases(times[:, None]))
+
+
+@dataclass(frozen=True)
+class CouplerDrive(Drive):
+    """Parametrically driven couplers that synthesise ``spec`` between nodes
+    at static frequencies ``omegas``: hopping l of the spec, (j, k, J, theta),
+    is the coupler 2 J cos(nu_l t - theta), driven at the detuning
+    nu_l = omega_j - omega_k of its two nodes."""
+
+    spec: NetworkSpec
+    omegas: tuple[float, ...]
+
+    def __post_init__(self):
+        _require_finite([*self.omegas, *(x for hop in self.spec.hoppings
+                                         for x in (hop.amplitude, hop.phase))])
+        if len(self.omegas) != self.spec.n_sites:
+            raise DimensionMismatch(f"need {self.spec.n_sites} frequencies, one per site")
+        if self.spec.onsite:
+            raise ValueError("couplers synthesise hoppings only; the spec has on-site terms")
 
     @functools.cached_property
     def detunings(self) -> tuple[float, ...]:
-        """The drive frequency nu_l of each link."""
-        return tuple(self.omegas[link.j - 1] - self.omegas[link.k - 1] for link in self.links)
+        """The drive frequency nu_l of each hopping."""
+        return tuple(self.omegas[hop.j - 1] - self.omegas[hop.k - 1]
+                     for hop in self.spec.hoppings)
 
     @property
     def max_frequency(self) -> float:
@@ -146,38 +172,31 @@ class CouplerDrive:
             return None
         return math.pi / base
 
-    def hamiltonian(self, t) -> np.ndarray:
-        """Interaction-picture Hamiltonian at each time of ``t`` (stacked over
-        its shape).  In the frame of the static diagonal the co-rotating part
-        of a link is g e^{-i phi}, the counter-rotating part oscillates at
-        2 nu."""
-        rows = np.array([link.j - 1 for link in self.links], dtype=int)
-        cols = np.array([link.k - 1 for link in self.links], dtype=int)
-        gs = np.array([link.g for link in self.links])
+    def link_values(self, t: np.ndarray) -> np.ndarray:
+        # In the frame of the static diagonal the co-rotating part of a
+        # coupler is J e^{i theta} = J e^{-i phi}, with phi = -theta; the
+        # counter-rotating part oscillates at 2 nu.
+        gs = np.array([hop.amplitude for hop in self.spec.hoppings])
+        phis = -np.array([hop.phase for hop in self.spec.hoppings])
         nus = np.array(self.detunings)
-        phis = np.array([link.phi for link in self.links])
-        t = np.asarray(t, dtype=float)[..., None]
-        values = gs * (np.exp(1j * (2.0 * nus * t + phis)) + np.exp(-1j * phis))
-        h = np.zeros(t.shape[:-1] + (self.n_modes, self.n_modes), dtype=complex)
-        h[..., rows, cols] = values
-        h[..., cols, rows] = values.conjugate()
-        return h
+        return gs * (np.exp(1j * (2.0 * nus * t + phis)) + np.exp(-1j * phis))
 
-    def to_lab_frame(self, times: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
-        """Undo the interaction-picture phases of a (times, modes) amplitude array."""
-        return amplitudes * np.exp(-1j * np.outer(times, np.asarray(self.omegas)))
+    def frame_phases(self, t: np.ndarray) -> np.ndarray:
+        return np.asarray(self.omegas) * t
 
 
 @dataclass(frozen=True)
-class BusDrive:
+class BusDrive(Drive):
     """Nodes coupled with strengths ``gs`` to a common bus, their frequencies
     modulated about the bus's as delta cos(nu t - phi_j); the lab frame
-    rotates with the bus."""
+    rotates with the bus.  ``spec`` is the star of node-bus links, with the
+    bus as ``aux_1``."""
 
     nu: float
     delta: float
     phis: tuple[float, ...]
     gs: tuple[float, ...]
+    spec: NetworkSpec = field(init=False, repr=False)
 
     def __post_init__(self):
         _require_finite([self.nu, self.delta, *self.phis, *self.gs])
@@ -188,10 +207,9 @@ class BusDrive:
         if abs(self.delta / self.nu - first_bessel_zero()) > 0.01:
             warnings.warn("bus drive ratio is far from the first Bessel zero",
                           stacklevel=2)
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.gs) + 1  # nodes plus the bus
+        n = len(self.gs)
+        star = tuple(Hopping(j, n + 1, g, 0.0) for j, g in enumerate(self.gs, start=1))
+        object.__setattr__(self, "spec", NetworkSpec(n, 1, star, (), Statistics.boson()))
 
     @property
     def max_frequency(self) -> float:
@@ -201,43 +219,26 @@ class BusDrive:
         """Period of the interaction-picture Hamiltonian, 2 pi / nu."""
         return 2.0 * math.pi / self.nu
 
-    def _node_phases(self, t: np.ndarray) -> np.ndarray:
-        # Frame of the modulated node frequencies: the integral of the
-        # detuning delta cos(nu t - phi_j) turns each bus coupling into a phase.
+    def link_values(self, t: np.ndarray) -> np.ndarray:
+        return np.asarray(self.gs) * np.exp(1j * self.frame_phases(t)[..., :-1])
+
+    def frame_phases(self, t: np.ndarray) -> np.ndarray:
+        # The integral of each node's detuning delta cos(nu t - phi_j); the
+        # bus is the frame's reference, at phase 0.
         phis = np.asarray(self.phis)
-        return self.delta / self.nu * (np.sin(self.nu * t - phis) + np.sin(phis))
-
-    def hamiltonian(self, t) -> np.ndarray:
-        """Interaction-picture Hamiltonian at each time of ``t`` (stacked over
-        its shape); the bus is the last mode."""
-        n_nodes = len(self.gs)
-        t = np.asarray(t, dtype=float)[..., None]
-        values = np.asarray(self.gs) * np.exp(1j * self._node_phases(t))
-        h = np.zeros(t.shape[:-1] + (n_nodes + 1, n_nodes + 1), dtype=complex)
-        h[..., :n_nodes, n_nodes] = values
-        h[..., n_nodes, :n_nodes] = values.conjugate()
-        return h
-
-    def to_lab_frame(self, times: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
-        """Undo the interaction-picture phases of a (times, modes) amplitude array."""
-        node_part = amplitudes[:, :-1] * np.exp(-1j * self._node_phases(times[:, None]))
-        return np.concatenate([node_part, amplitudes[:, -1:]], axis=1)
+        nodes = self.delta / self.nu * (np.sin(self.nu * t - phis) + np.sin(phis))
+        return np.concatenate([nodes, np.zeros_like(nodes[..., :1])], axis=-1)
 
 
 def tunable_coupler_asgf4(ratio: float = 20.0) -> CouplerDrive:
-    """Coupler drives that synthesise the perfect four-node chiral network.
-
-    Ring links are driven with phase -pi/2 and strength 1, the centre links
-    with strength 2 and phase 0, so the rotating-frame model has unit ring
-    hopping with phase +pi/2 and centre coupling 2.  Node frequencies sit on
-    a ladder with all pairwise detunings distinct and the smallest equal to
+    """Coupler drives that synthesise the perfect four-node chiral network
+    ``asgf(4, 2, pi/2)``: ring couplers of strength 1 at phase pi/2, centre
+    couplers of strength 2 at phase 0.  Node frequencies sit on a ladder
+    with all pairwise detunings distinct and the smallest equal to
     ``ratio``.
     """
     spacing = (0, 1, 3, 7, 12)  # pairwise-distinct multiples of the base detuning
-    omegas = tuple(s * ratio for s in spacing)
-    links = [CouplerLink(j, j % 4 + 1, 1.0, -math.pi / 2) for j in range(1, 5)]
-    links += [CouplerLink(j, 5, 2.0, 0.0) for j in range(1, 5)]
-    return CouplerDrive(omegas=omegas, links=tuple(links))
+    return CouplerDrive(asgf(4, 2.0, math.pi / 2), tuple(s * ratio for s in spacing))
 
 
 def bus_resonator_ring(n: int = 4, nu: float = 40.0) -> BusDrive:
@@ -325,7 +326,7 @@ def _propagators(h_of, n: int, stops: np.ndarray, dt: float) -> tuple[np.ndarray
     return np.concatenate(out), steps.size
 
 
-def integrate_tdse(drive: CouplerDrive | BusDrive, psi0, t_final: float, dt: float,
+def integrate_tdse(drive: Drive, psi0, t_final: float, dt: float,
                    record_points: int = 1201) -> Trajectory:
     """Lab-frame amplitudes of the driven single-excitation model on the
     uniform grid ``np.linspace(0, t_final, record_points)``.
@@ -339,24 +340,17 @@ def integrate_tdse(drive: CouplerDrive | BusDrive, psi0, t_final: float, dt: flo
     in blocks of ``RK4_BLOCK`` steps, each folded into a few batched products
     (see ``_landed_products``), so its memory grows neither with T / dt nor
     with t_final / T.  The step must resolve the fastest drive: dt <= 2 pi /
-    (200 nu_max).  One INFO line logs the steps, blocks, offsets and the
-    norm drift.
+    (200 nu_max).  The initial state is checked as ``evolve`` checks it.
+    One INFO line logs the steps, blocks, offsets and the norm drift.
     """
-    nu_max = drive.max_frequency
-    if dt > 2.0 * math.pi / (200.0 * max(nu_max, 1e-30)):
-        raise StepTooLarge(
-            f"dt={dt} too coarse for drive frequency {nu_max}"
-        )
+    if dt > _max_step(drive, 200.0):
+        raise StepTooLarge(f"dt={dt} too coarse for drive frequency {drive.max_frequency}")
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt={dt} must be finite and > 0")
     if not 0.0 < t_final < math.inf or record_points < 2:
         raise ValueError("need a finite t_final > 0 and at least 2 record points")
-    psi = np.asarray(psi0, dtype=complex)
     n = drive.n_modes
-    if psi.shape != (n,):
-        raise DimensionMismatch(f"state must have length {n}")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
-        raise ValueError("initial state must be normalised")
+    psi = checked_state(psi0, n)
     period = drive.period()
     if period is None or period >= t_final:
         period = t_final
@@ -384,33 +378,28 @@ def integrate_tdse(drive: CouplerDrive | BusDrive, psi0, t_final: float, dt: flo
     log.info("integrate_tdse: %d modes, %d RK4 steps per period in %d blocks of <=%d, "
              "%d in-period offsets, norm drift %.3g", n, count, -(-count // RK4_BLOCK),
              RK4_BLOCK, offsets.size, drift)
-    if drift > 1e-8:
+    if not drift <= 1e-8:
         raise ValueError(f"norm drift {drift:.2e} exceeds 1e-8; reduce dt")
 
     amplitudes = drive.to_lab_frame(times, states)
     populations = np.abs(amplitudes) ** 2
-    labels = tuple(f"node_{j}" for j in range(1, n + 1))
     for arr in (times, amplitudes, populations):
         arr.setflags(write=False)
-    return Trajectory(times, populations, labels, amplitudes, None)
+    return Trajectory(times, populations, drive.spec.labels, amplitudes, None)
 
 
-def compare_effective(drive: CouplerDrive | BusDrive, target: NetworkSpec,
-                      t_final: float = math.pi) -> float:
-    """Max population deviation between the lab-frame drive and the target
-    network, both started on the first mode, over one chiral cycle (or up to
-    ``t_final``).
+def compare_effective(drive: CouplerDrive, t_final: float = math.pi) -> float:
+    """Max population deviation between the lab-frame drive and the network
+    its couplers synthesise, ``drive.spec``, both started on the first mode,
+    over one chiral cycle (or up to ``t_final``).
 
-    Drive and target share the base-hopping units, so the target runs
-    through ``simulate`` on the lab times.  The drive is integrated with
-    steps dt = 2 pi / (800 nu_max).
+    Drive and spec share the base-hopping units, so the spec runs through
+    ``simulate`` on the lab times.  The drive is integrated with steps
+    dt = 2 pi / (800 nu_max), nu_max floored as ``integrate_tdse`` floors it.
     """
-    dt = 2.0 * math.pi / (800.0 * drive.max_frequency)
-    lab = integrate_tdse(drive, basis_state(drive.n_modes, 0), t_final, dt)
-    eff = simulate(target, occupation(target.n_sites, 1), lab.times)
-    n_cmp = min(target.n_sites, drive.n_modes)
-    diff = np.abs(lab.populations[:, :n_cmp] - eff.populations[:, :n_cmp])
-    return float(np.max(diff))
+    lab = integrate_tdse(drive, basis_state(drive.n_modes, 0), t_final, _max_step(drive, 800.0))
+    eff = simulate(drive.spec, occupation(drive.n_modes, 1), lab.times)
+    return float(np.max(np.abs(lab.populations - eff.populations)))
 
 
 def rwa_deviation_scan(ratios) -> list[tuple[float, float]]:
@@ -420,9 +409,4 @@ def rwa_deviation_scan(ratios) -> list[tuple[float, float]]:
     for ratio in ratios:
         if not 0 < ratio < math.inf:
             raise ConfigError(f"drive ratio {ratio} must be finite and positive")
-    target = asgf(4, 2.0, math.pi / 2)
-    out = []
-    for ratio in ratios:
-        drive = tunable_coupler_asgf4(ratio=ratio)
-        out.append((ratio, compare_effective(drive, target)))
-    return out
+    return [(ratio, compare_effective(tunable_coupler_asgf4(ratio))) for ratio in ratios]

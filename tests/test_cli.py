@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 import math
@@ -330,6 +331,24 @@ def test_numeric_failure_exits_3(monkeypatch, capsys):
 ])
 def test_bad_study_arguments_exit_2(args, capsys):
     assert run_cli(args) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    # Two calls in one process: the second reuses the first call's parser.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "chiralflow":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.make_parser.cache_clear()
+    for ratios in ("0", "nan"):
+        assert run_cli(["study", "floquet", "--ratios", ratios]) == 2
+    assert len(built) == 1
     assert "config error" in capsys.readouterr().err
 
 

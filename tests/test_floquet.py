@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chiralflow import dynamics, floquet, models
-from chiralflow.errors import OutOfRange, StepTooLarge
+from chiralflow.errors import DimensionMismatch, OutOfRange, SpecMismatch, StepTooLarge
+from chiralflow.hilbert import Hopping, OnSite, Statistics
 
 
 def rk4_reference(drive, psi0, times, dt):
@@ -37,17 +38,20 @@ def rk4_reference(drive, psi0, times, dt):
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
+def network(n, *hops):
+    """The n-node network with the given hoppings and nothing else."""
+    return models.NetworkSpec(n, 0, hops, (), Statistics.boson())
+
+
 def static_pair_drive():
-    return floquet.CouplerDrive(omegas=(0.0, 20.0, 45.0), links=())
+    return floquet.CouplerDrive(network(3), (0.0, 20.0, 45.0))
 
 
 def incommensurate_drive():
     # Carriers at 2 and 2 sqrt(2): no common period, so one pass spans t_final.
     omegas = (0.0, 1.0, 1.0 + math.sqrt(2.0))
-    return floquet.CouplerDrive(
-        omegas=omegas,
-        links=(floquet.CouplerLink(1, 2, 1.0, 0.3), floquet.CouplerLink(2, 3, 0.7, -1.1)),
-    )
+    return floquet.CouplerDrive(network(3, Hopping(1, 2, 1.0, -0.3), Hopping(2, 3, 0.7, 1.1)),
+                                omegas)
 
 
 def bessel_series(order, x, terms=60):
@@ -130,21 +134,23 @@ def test_bus_ring_kills_next_nearest_neighbours():
 
 @pytest.mark.parametrize("omegas, link", [
     # Unchecked, site 0 would index omegas[-1] and couple the last node.
-    pytest.param((0.0, 10.0, 30.0), floquet.CouplerLink(0, 1, 1.0, 0.0), id="site-0"),
-    pytest.param((0.0, 10.0), floquet.CouplerLink(1, 3, 1.0, 0.0), id="site-past-end"),
-    pytest.param((0.0, 10.0), floquet.CouplerLink(2, 2, 1.0, 0.0), id="self-link"),
+    pytest.param((0.0, 10.0, 30.0), Hopping(0, 1, 1.0, 0.0), id="site-0"),
+    pytest.param((0.0, 10.0), Hopping(1, 3, 1.0, 0.0), id="site-past-end"),
+    pytest.param((0.0, 10.0), Hopping(2, 2, 1.0, 0.0), id="self-link"),
+    pytest.param((0.0, 10.0), Hopping(1, 2, -1.0, 0.0), id="negative-amplitude"),
 ])
 def test_coupler_drive_rejects_bad_link_sites(omegas, link):
-    with pytest.raises(ValueError, match="two distinct nodes"):
-        floquet.CouplerDrive(omegas=omegas, links=(link,))
+    # The spec a coupler drive synthesises refuses the link itself.
+    with pytest.raises(SpecMismatch):
+        floquet.CouplerDrive(network(len(omegas), link), omegas)
 
 
 @pytest.mark.parametrize("kwargs", [
     # A NaN node frequency used to yield NaN lab-frame populations without
-    # an error.
-    dict(omegas=(0.0, math.nan), links=(floquet.CouplerLink(1, 2, 1.0, 0.0),)),
-    dict(omegas=(0.0, 5.0), links=(floquet.CouplerLink(1, 2, math.inf, 0.0),)),
-    dict(omegas=(0.0, 5.0), links=(floquet.CouplerLink(1, 2, 1.0, math.nan),)),
+    # an error.  A network spec takes non-finite hoppings; the drive does not.
+    dict(spec=network(2, Hopping(1, 2, 1.0, 0.0)), omegas=(0.0, math.nan)),
+    dict(spec=network(2, Hopping(1, 2, math.inf, 0.0)), omegas=(0.0, 5.0)),
+    dict(spec=network(2, Hopping(1, 2, 1.0, math.nan)), omegas=(0.0, 5.0)),
     # A NaN bus frequency would slip past the nu > 0 check (NaN compares False).
     dict(delta=96.0, nu=math.nan, phis=(0.0,), gs=(1.0,)),
     dict(delta=math.inf, nu=40.0, phis=(0.0,), gs=(1.0,)),
@@ -155,6 +161,35 @@ def test_drive_spec_rejects_non_finite_numbers(kwargs):
     drive_type = floquet.BusDrive if "gs" in kwargs else floquet.CouplerDrive
     with pytest.raises(ValueError, match="finite"):
         drive_type(**kwargs)
+
+
+def test_coupler_drive_needs_one_frequency_per_site():
+    with pytest.raises(DimensionMismatch):
+        floquet.CouplerDrive(network(3, Hopping(1, 2, 1.0, 0.0)), (0.0, 10.0))
+
+
+def test_coupler_drive_refuses_on_site_terms():
+    spec = models.NetworkSpec(2, 0, (Hopping(1, 2, 1.0, 0.0),), (OnSite(1, 0.5),),
+                              Statistics.boson())
+    with pytest.raises(ValueError, match="hoppings only"):
+        floquet.CouplerDrive(spec, (0.0, 10.0))
+
+
+def test_integrate_tdse_refuses_a_nan_initial_state():
+    # A NaN amplitude used to pass the norm check and return NaN populations.
+    drive = floquet.tunable_coupler_asgf4(ratio=10.0)
+    psi0 = dynamics.basis_state(5, 0)
+    psi0[1] = math.nan
+    dt = 2.0 * math.pi / (800.0 * drive.max_frequency)
+    with pytest.raises(ValueError, match="norm"):
+        floquet.integrate_tdse(drive, psi0, 0.1, dt)
+
+
+def test_compare_effective_without_a_carrier():
+    # No hopping, so no drive frequency: the step used to be 2 pi / 0.
+    drive = floquet.CouplerDrive(network(3), (0.0, 20.0, 45.0))
+    assert drive.max_frequency == 0.0
+    assert floquet.compare_effective(drive) == 0.0
 
 
 def test_zero_drive_keeps_populations():
@@ -212,12 +247,13 @@ def test_integrator_norm_and_convergence():
 
 def test_coupler_drive_parameter_set():
     drive = floquet.tunable_coupler_asgf4(ratio=20.0)
-    ring = [link for link in drive.links if link.k != 5]
-    centre = [link for link in drive.links if link.k == 5]
+    assert drive.spec == models.asgf(4, 2.0, math.pi / 2)
+    ring = [hop for hop in drive.spec.hoppings if hop.k != 5]
+    centre = [hop for hop in drive.spec.hoppings if hop.k == 5]
     assert len(ring) == 4 and len(centre) == 4
-    assert all(link.g == 1.0 and link.phi == -math.pi / 2 for link in ring)
-    assert all(link.g == 2.0 and link.phi == 0.0 for link in centre)
-    pairs = {frozenset((link.j, link.k)) for link in drive.links}
+    assert all(hop.amplitude == 1.0 and hop.phase == math.pi / 2 for hop in ring)
+    assert all(hop.amplitude == 2.0 and hop.phase == 0.0 for hop in centre)
+    pairs = {frozenset((hop.j, hop.k)) for hop in drive.spec.hoppings}
     assert frozenset((1, 3)) not in pairs and frozenset((2, 4)) not in pairs
     detunings = {abs(drive.omegas[a] - drive.omegas[b])
                  for a in range(5) for b in range(a + 1, 5)}
@@ -227,8 +263,7 @@ def test_coupler_drive_parameter_set():
 
 def test_coupler_scheme_tracks_effective_model():
     drive = floquet.tunable_coupler_asgf4(ratio=20.0)
-    target = models.asgf(4, 2.0, math.pi / 2)
-    assert floquet.compare_effective(drive, target) <= 0.05
+    assert floquet.compare_effective(drive) <= 0.05
 
 
 def test_rwa_deviation_decreases_with_ratio():
@@ -242,12 +277,8 @@ def test_weak_coupling_limit_matches_effective():
     # couplings scaled down tenfold, the residual deviation shrinks.  In
     # base-hopping units that drive is the ratio-200 ladder, and a lab time
     # of 1 in units of the ratio-20 coupling is 0.1.
-    strong = floquet.compare_effective(
-        floquet.tunable_coupler_asgf4(ratio=20.0),
-        models.asgf(4, 2.0, math.pi / 2), t_final=1.0)
-    weak = floquet.compare_effective(
-        floquet.tunable_coupler_asgf4(ratio=200.0),
-        models.asgf(4, 2.0, math.pi / 2), t_final=0.1)
+    strong = floquet.compare_effective(floquet.tunable_coupler_asgf4(ratio=20.0), t_final=1.0)
+    weak = floquet.compare_effective(floquet.tunable_coupler_asgf4(ratio=200.0), t_final=0.1)
     assert weak < strong
     assert weak < 0.01
 
@@ -259,6 +290,10 @@ def test_bus_integration_smoke():
     traj = floquet.integrate_tdse(drive, psi0, 2.0, dt, record_points=201)
     assert abs(np.linalg.norm(traj.amplitudes[-1]) - 1.0) <= 1e-8
     assert np.max(traj.populations[:, 1:]) > 1e-4  # excitation actually moves
+    # The bus is the auxiliary site of the drive's star of node-bus links.
+    assert drive.spec == models.NetworkSpec(
+        4, 1, tuple(Hopping(j, 5, 1.0, 0.0) for j in range(1, 5)), (), Statistics.boson())
+    assert traj.labels == ("node_1", "node_2", "node_3", "node_4", "aux_1")
 
 
 # Coupler steps are the compare_effective default 2 pi / (800 nu_max), with
