@@ -10,12 +10,11 @@ through the window in Krylov steps instead: each step runs at most
 padded rows of its triplets (``_padded_product``), and lasts as long as the
 closed-form defect bound of ``_power_bound`` keeps within its share of
 ``KRYLOV_TOL``, so the state is within ``KRYLOV_TOL`` of exact over the
-whole window.  Populations
-are formed in blocks of at least ``KRYLOV_DIM`` time steps in one reused
-buffer, so neither a dense H nor the full amplitude table is ever held, and
-memory is O(``KRYLOV_DIM`` * dim) for any window.  Time is linear in the
-window, and a window of more than ``KRYLOV_MAX_STEPS`` steps is refused up
-front.  Nothing here imports scipy.
+whole window.  Populations are formed in blocks of at least ``KRYLOV_DIM``
+time steps in one reused buffer, so neither a dense H nor the full amplitude
+table is ever held, and memory is O(``KRYLOV_DIM`` * dim) for any window.
+Time is linear in the window, and a window of more than
+``KRYLOV_MAX_STEPS`` steps is refused up front.
 """
 
 from __future__ import annotations

@@ -215,9 +215,8 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[D
     array that searching every sample would give.  The samples of an
     amplitude run in chunks of ``_CHUNK_ENTRIES`` = 2^15 scan amplitudes (at
     least ``_CHUNK_MIN_SAMPLES`` samples; one or two per row of the default
-    study) on one shared one-excitation basis and
-    one triplet pattern, taken from a single ``perturbed_spec`` copy drawn
-    from a generator of its own: each chunk
+    study) on one shared one-excitation basis and one triplet pattern, taken
+    once per sweep from a ``perturbed_spec`` copy at amplitude 0: each chunk
     draws its perturbations as one array from the amplitude's stream and
     fills one row of triplet values per sample, with no spec object per
     sample.  The rows make one stacked ``HermitianMatrix``, which goes
@@ -246,13 +245,10 @@ def disorder_sweep(base: NetworkSpec, cfg: DisorderConfig, amplitudes) -> list[D
     ring = [j - 1 for j in base.ring_nodes]
     nodes = range(1, len(ring) + 1)  # the ring's columns of the peak values
     points = []
+    # Every copy, at any amplitude, has the hopping pairs and on-site sites of this one.
+    pattern = _spec_pattern(perturbed_spec(base, cfg.kind, 0.0, np.random.default_rng(0)), basis)
     counts = _scan_points(base, cfg.kind, amplitudes, basis)
     for a_idx, (amplitude, count) in enumerate(zip(amplitudes, counts)):
-        # Every copy has the hopping pairs and on-site sites of this one, a
-        # copy of sample 0 drawn from a generator of its own, so that it does
-        # not advance the samples' stream.
-        pattern = _spec_pattern(perturbed_spec(base, cfg.kind, amplitude,
-                                               np.random.default_rng((cfg.seed, a_idx))), basis)
         times = np.linspace(0.0, math.pi, count)
         chunk = max(_CHUNK_MIN_SAMPLES, _CHUNK_ENTRIES // (count * len(basis)))
         rng = np.random.default_rng((cfg.seed, a_idx))

@@ -510,7 +510,8 @@ def test_cli_loads_numpy_only_to_dispatch_a_command():
 
 
 # Runs in a fresh interpreter, so nothing the test session imported counts.
-# Prints, after each step, the exit code and the scipy modules then loaded.
+# Prints, after each step, the exit code and the scipy modules then loaded:
+# every command and the bus drive's Bessel functions must load none.
 SCIPY_PROBE = """
 import json, sys
 out = sys.argv[1]
@@ -536,12 +537,17 @@ for argv in (["simulate", "--model", "asgf", "--n", "4", "--out", out],
              ["criteria", "--model", "asgf", "--n", "4"]):
     steps.append((" ".join(argv), cli.main(argv), scipy_modules()))
 steps.append(("oracle-check", cli.main(["oracle-check"]), scipy_modules()))
-zero = floquet.first_bessel_zero()
+# The bus drive and its NumPy Bessel functions.
+floquet.bessel_j(3, 7.5)
+floquet.bus_effective_coupling(1.0, 1.0, 40.0, floquet.J0_FIRST_ZERO, 0.0, 1.5)
+floquet.bus_resonator_ring(4, 40.0)
+steps.append(("bus drive", 0, scipy_modules()))
+zero = floquet.J0_FIRST_ZERO
 print(json.dumps({"steps": steps, "zero": zero, "special": "scipy.special" in sys.modules}))
 """
 
 
-def test_scipy_is_loaded_only_on_demand(tmp_path):
+def test_scipy_is_never_loaded(tmp_path):
     src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "out.csv")],
                           env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path,
@@ -549,5 +555,5 @@ def test_scipy_is_loaded_only_on_demand(tmp_path):
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     for step, code, loaded in report["steps"]:
         assert (step, code, loaded) == (step, 0, [])
-    assert report["special"]
-    assert report["zero"] == 2.4048255576957724  # scipy's j_{0,1}, bit for bit
+    assert not report["special"]
+    assert report["zero"] == 2.404825557695773  # j_{0,1}, correctly rounded

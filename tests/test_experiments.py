@@ -299,8 +299,9 @@ def test_sweep_with_onsite_terms_is_the_per_sample_pipeline_bit_for_bit(onsite_s
 
 
 @pytest.mark.parametrize("kind", experiments.DISORDER_KINDS)
-def test_sweep_draws_one_spec_per_amplitude(base_spec, kind, monkeypatch):
-    # The other samples are drawn as arrays, with no spec of their own.
+def test_sweep_draws_one_spec_per_sweep(base_spec, kind, monkeypatch):
+    # One copy at amplitude 0 gives the triplet pattern of every amplitude;
+    # the samples are drawn as arrays, with no spec of their own.
     drawn = []
 
     def counted(base, kind, amplitude, rng):
@@ -314,7 +315,7 @@ def test_sweep_draws_one_spec_per_amplitude(base_spec, kind, monkeypatch):
     monkeypatch.setattr(experiments, "_CHUNK_MIN_SAMPLES", 1)
     cfg = DisorderConfig(kind, 9, 0)
     experiments.disorder_sweep(base_spec, cfg, [0.0, 0.1, 0.3])
-    assert drawn == [0.0, 0.1, 0.3]
+    assert drawn == [0.0]
 
 
 def test_sweep_logs_its_search_once_per_amplitude(base_spec, caplog):

@@ -72,7 +72,19 @@ def test_bessel_matches_series_oracle():
     assert floquet.bessel_j(0, 0.0) == 1.0
 
 
-def test_first_bessel_zero_by_bisection():
+def test_bessel_matches_scipy_reference():
+    from scipy import special  # a reference here only: the package needs no scipy
+
+    orders = np.arange(201)
+    for x in np.linspace(-50.0, 50.0, 201):
+        values = floquet.bessel_j(orders, float(x))
+        assert values.shape == orders.shape
+        assert np.max(np.abs(values - special.jv(orders, x))) <= 2e-14
+    for order in (0, 1, 7, 200):
+        assert floquet.bessel_j(order, 13.5) == pytest.approx(special.jv(order, 13.5), abs=2e-14)
+
+
+def test_j0_first_zero_by_bisection():
     lo, hi = 2.0, 3.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -81,20 +93,31 @@ def test_first_bessel_zero_by_bisection():
         else:
             hi = mid
     root = 0.5 * (lo + hi)
-    assert floquet.first_bessel_zero() == pytest.approx(root, abs=1e-12)
-    assert floquet.first_bessel_zero() == pytest.approx(2.404825557695773, abs=1e-12)
-    assert abs(floquet.bessel_j(0, floquet.first_bessel_zero())) < 1e-14
+    assert abs(floquet.J0_FIRST_ZERO - root) <= math.ulp(root)
+    assert abs(floquet.bessel_j(0, floquet.J0_FIRST_ZERO)) < 1e-14
 
 
 def test_bessel_range_checks():
     with pytest.raises(OutOfRange):
         floquet.bessel_j(0, 60.0)
     with pytest.raises(OutOfRange):
+        floquet.bessel_j(0, math.nan)
+    with pytest.raises(OutOfRange):
         floquet.bessel_j(-1, 1.0)
+    with pytest.raises(OutOfRange):
+        floquet.bessel_j(10**4 + 1, 1.0)  # each order takes a row of N points
+
+
+@pytest.mark.parametrize("order", [0.5, 1.0, np.array([1, 2.5]), True],
+                         ids=["half", "float-one", "float-array", "bool"])
+def test_bessel_refuses_non_integer_orders(order):
+    # The trapezoid formula holds for integer orders only.
+    with pytest.raises(OutOfRange, match="integer"):
+        floquet.bessel_j(order, 1.0)
 
 
 def test_bus_coupling_phase_differences():
-    f = floquet.first_bessel_zero()
+    f = floquet.J0_FIRST_ZERO
     assert floquet.bus_effective_coupling(1.0, 1.0, 40.0, f, 0.3, 0.3) == 0.0
     opposite = floquet.bus_effective_coupling(1.0, 1.0, 40.0, f, 0.0, math.pi)
     assert abs(opposite) <= 1e-12
@@ -107,7 +130,7 @@ def test_bus_coupling_phase_differences():
 
 
 def test_bus_coupling_antisymmetry():
-    f = floquet.first_bessel_zero()
+    f = floquet.J0_FIRST_ZERO
     forward = floquet.bus_effective_coupling(1.0, 1.2, 30.0, f, 0.2, 1.1)
     backward = floquet.bus_effective_coupling(1.0, 1.2, 30.0, f, 1.1, 0.2)
     assert forward == pytest.approx(-backward, abs=1e-15)
@@ -183,6 +206,13 @@ def test_integrate_tdse_refuses_a_nan_initial_state():
     dt = 2.0 * math.pi / (800.0 * drive.max_frequency)
     with pytest.raises(ValueError, match="norm"):
         floquet.integrate_tdse(drive, psi0, 0.1, dt)
+
+
+def test_compare_effective_refuses_a_bus_drive():
+    # A bus drive's spec is the node-bus star, not the ring the bus
+    # synthesises: the comparison used to return 0.749 without complaint.
+    with pytest.raises(TypeError, match="BusDrive"):
+        floquet.compare_effective(floquet.bus_resonator_ring(4, 40.0))
 
 
 def test_compare_effective_without_a_carrier():

@@ -1,7 +1,8 @@
 """Every top-level function and class of ``src/chiralflow`` is referenced
 from somewhere else in ``src/``, or is an allowlisted root that only tests
 reach, each with its reason.  A helper that nothing calls any more fails
-here instead of lingering."""
+here instead of lingering.  No module imports scipy, which only the tests
+use."""
 
 import ast
 from collections import defaultdict
@@ -52,3 +53,15 @@ def test_every_top_level_definition_is_referenced_in_src():
     assert unreferenced - TEST_ONLY_ROOTS.keys() == set(), "unreferenced: add a caller or delete"
     # A root that gains a caller leaves the allowlist.
     assert TEST_ONLY_ROOTS.keys() - unreferenced == set(), "referenced now: drop from the list"
+
+
+def test_no_module_imports_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests' references.
+    imports = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            imports += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] == "scipy"]
+    assert imports == []
